@@ -68,6 +68,8 @@ from .inequalities import (
     symmetry_constants,
     predicted_constant,
     verify_observability,
+    admissible_c_min,
+    fill_theorem_params,
     mehrenberger_check,
     corollary33_check,
     sin_sum_lower_bound_check,

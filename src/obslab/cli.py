@@ -15,7 +15,6 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
-import scipy.linalg
 
 from . import __version__
 from .diophantine import build_algebraic_points, estimate_gamma
@@ -23,12 +22,9 @@ from .inequalities import (
     ExponentialSum,
     THEOREM_IDS,
     ThresholdError,
-    _admissible_mode_mask,
-    _doubled_weight,
-    _fill_theorem_params,
-    _pencil_matrix,
-    _summed_gram,
+    admissible_c_min,
     empirical_constants,
+    fill_theorem_params,
     m_ab,
     mehrenberger_check,
     predicted_constant,
@@ -89,12 +85,8 @@ def _projected_states(config: dict, mode_set, seed: int):
 
 
 def _restricted_c_min(theorem, specs, mode_set, params) -> float:
-    g = _summed_gram(tuple(specs), mode_set)
-    d = _doubled_weight(EnergyWeight(1, "wave"), mode_set)
-    mask = _admissible_mode_mask(theorem, mode_set, params)
-    keep = np.concatenate([mask, mask])
-    sub = _pencil_matrix(g, d)[np.ix_(keep, keep)]
-    return max(float(scipy.linalg.eigvalsh(sub)[0]), 0.0)
+    gram = sum(assemble_gram(s, mode_set).matrix for s in specs)
+    return max(admissible_c_min(theorem, gram, mode_set, params), 0.0)
 
 
 def cmd_verify(config: dict, seed: int) -> tuple:
@@ -106,7 +98,7 @@ def cmd_verify(config: dict, seed: int) -> tuple:
     params = dict(config.get("params", {}))
     if int(config.get("samples", 100)) == 0:
         # eigen-certificate only: the truncated-space minimizer is the check
-        filled = _fill_theorem_params(theorem, tuple(specs), params, ms.geometry)
+        filled = fill_theorem_params(theorem, tuple(specs), params, ms.geometry)
         filled["T"] = specs[0].T
         pred = predicted_constant(theorem, filled, bool(params.get("paper_literal")))
         if pred["below_threshold"]:
@@ -147,7 +139,7 @@ def cmd_scan_t(config: dict) -> tuple:
     for t in ts:
         specs = _specs(config, T=t)
         if filled is None:
-            filled = _fill_theorem_params(theorem, tuple(specs), params, ms.geometry)
+            filled = fill_theorem_params(theorem, tuple(specs), params, ms.geometry)
         pred = predicted_constant(
             theorem, {**filled, "T": t}, bool(params.get("paper_literal"))
         )
@@ -215,7 +207,8 @@ def cmd_oracle_check(config: dict, seed: int) -> tuple:
             closed = gram.quadratic_form(st)
             quad = quadrature_oracle(st, spec, resolution)
             rel = abs(closed - quad) / max(abs(closed), 1e-300)
-            worst = max(worst, rel)
+            # a non-finite value fails the check; max() would drop a nan
+            worst = max(worst, rel if math.isfinite(closed) and math.isfinite(quad) else math.inf)
     result = {
         "samples": n,
         "resolution": resolution,

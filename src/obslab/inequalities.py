@@ -377,7 +377,7 @@ def _region_of(specs: tuple, cls):
     return None
 
 
-def _fill_theorem_params(theorem: str, specs: tuple, params: dict, geometry) -> dict:
+def fill_theorem_params(theorem: str, specs: tuple, params: dict, geometry) -> dict:
     """Complete missing interval/symmetry constants from the regions.
 
     Interval constants are derived only on the pi-square, where the regions
@@ -413,18 +413,28 @@ def _fill_theorem_params(theorem: str, specs: tuple, params: dict, geometry) -> 
 
 
 def _admissible_mode_mask(theorem: str, mode_set: ModeSet, params: dict) -> np.ndarray:
-    k1 = np.array([m.k1 for m in mode_set.modes])
-    k2 = np.array([m.k2 for m in mode_set.modes])
     mask = np.ones(len(mode_set), dtype=bool)
     if theorem in ("line_plus_strip", "line_plus_edge", "two_lines"):
         if "p" not in params:
             raise ValueError(f"{theorem} requires the symmetry order p")
-        mask &= (k1 % int(params["p"])) != 0
+        mask &= (mode_set.k1 % int(params["p"])) != 0
     if theorem == "two_lines":
         if "q" not in params:
             raise ValueError("two_lines requires the symmetry order q")
-        mask &= (k2 % int(params["q"])) != 0
+        mask &= (mode_set.k2 % int(params["q"])) != 0
     return mask
+
+
+def admissible_c_min(theorem: str, gram: np.ndarray, mode_set: ModeSet, params: dict) -> float:
+    """Smallest eigenvalue of the gram / wave-energy pencil on the admissible modes.
+
+    gram is the summed observation Gram of the theorem's composite; the modes
+    its symmetry restriction excludes (params p and q) are dropped first.
+    """
+    d = _doubled_weight(EnergyWeight(1, "wave"), mode_set)
+    mask = _admissible_mode_mask(theorem, mode_set, params)
+    keep = np.concatenate([mask, mask])
+    return float(scipy.linalg.eigvalsh(_pencil_matrix(gram, d)[np.ix_(keep, keep)])[0])
 
 
 def verify_observability(theorem: str, spec, states, params: dict) -> dict:
@@ -452,7 +462,7 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
             raise ValueError("all states must share one mode set")
 
     T = specs[0].T
-    filled = _fill_theorem_params(theorem, specs, params, ms.geometry)
+    filled = fill_theorem_params(theorem, specs, params, ms.geometry)
     filled["T"] = T
     pred = predicted_constant(theorem, filled, paper_literal=bool(params.get("paper_literal")))
     if pred["below_threshold"]:
@@ -476,16 +486,12 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
             )
 
     g = _summed_gram(specs, ms)
-    d = _doubled_weight(weight, ms)
     obs = np.einsum("si,ij,sj->s", coeffs.conj(), g, coeffs).real
     energies = np.array([energy_seminorm_sq(st, weight) for st in states])
     if np.any(energies <= 0):
         raise ValueError("zero-energy states are excluded")
     ratios = obs / energies
-
-    keep = np.concatenate([mask, mask])
-    sub = _pencil_matrix(g, d)[np.ix_(keep, keep)]
-    c_min_emp = float(scipy.linalg.eigvalsh(sub)[0])
+    c_min_emp = admissible_c_min(theorem, g, ms, filled)
 
     min_ratio = float(ratios.min())
     return {

@@ -1,31 +1,56 @@
 """Exact Hermitian Gram forms for observation functionals, plus a quadrature oracle.
 
 Every observation integral here is a quadratic form c^H G c in the doubled
-coefficient vector (a-block then b-block). Entries factor into an amplitude per
-doubled index, a closed-form time kernel, and a closed-form spatial overlap;
-the oracle recomputes the same integrals by composite Simpson on pointwise
-samples of the solution series and shares none of the closed forms.
+coefficient vector (a-block then b-block). Each region names its separable
+pieces: a time window and a signed sum of products of an x1 factor and an x2
+factor. The Gram is the field amplitude product times the Hadamard product of
+three 1-D Grams, over time, x1 and x2. assemble_gram takes the 1-D Grams in
+closed form; the oracle runs the same piece list and factorisation on
+composite-Simpson sums over pointwise samples and shares no closed form. A
+dense tensor-grid reference that guards the factorisation lives in the tests.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .spectrum import ModeSet, RectangleGeometry, build_mode_set
 
-FIELDS = ("displacement", "velocity", "normal_derivative")
+# Factors of the separable pieces. Each is a tuple (kind, *positions on its axis):
+# the full axis, an interval, a point, the normal derivative at the x = 0 edge,
+# no dependence on the axis, and the OpenRect profile e^{+-i z k2 x2} on an
+# interval, whose sign follows the a/b block.
+_FULL, _EDGE, _ONES = ("full",), ("edge",), ("ones",)
 
 
 # ---------------------------------------------------------------------------
 # regions
 
 
+def _numbers(values):
+    for v in values:
+        if isinstance(v, tuple):
+            yield from _numbers(v)
+        else:
+            yield v
+
+
 @dataclass(frozen=True)
-class VerticalSegments:
+class _Region:
+    """Base of the regions. pieces(T) returns (time window, ((sign, x1, x2), ...))."""
+
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in _numbers(astuple(self))):
+            raise ValueError(f"{type(self).__name__} parameters must be finite")
+
+
+@dataclass(frozen=True)
+class VerticalSegments(_Region):
     """Segments {alpha_j} x I_j: displacement traces on interior vertical cuts."""
 
     segments: tuple  # of (alpha, (lo, hi))
@@ -38,45 +63,62 @@ class VerticalSegments:
             if not lo < hi:
                 raise ValueError("segment intervals must be nondegenerate")
         object.__setattr__(self, "segments", segs)
+        super().__post_init__()
+
+    def pieces(self, T):
+        return (0.0, T), tuple((1.0, ("point", a), ("interval", *iv)) for a, iv in self.segments)
 
 
 @dataclass(frozen=True)
-class BoundaryEdgeBottom:
-    pass
+class BoundaryEdgeBottom(_Region):
+    def pieces(self, T):
+        return (0.0, T), ((1.0, _FULL, _EDGE),)
 
 
 @dataclass(frozen=True)
-class BoundaryEdgeLeft:
-    pass
+class BoundaryEdgeLeft(_Region):
+    def pieces(self, T):
+        return (0.0, T), ((1.0, _EDGE, _FULL),)
 
 
 @dataclass(frozen=True)
-class BoundaryGamma0:
+class BoundaryGamma0(_Region):
     """Union of the left and bottom edges."""
 
+    def pieces(self, T):
+        return (0.0, T), ((1.0, _EDGE, _FULL), (1.0, _FULL, _EDGE))
+
 
 @dataclass(frozen=True)
-class VerticalStrip:
+class VerticalStrip(_Region):
     a: float
     b: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.a < self.b:
             raise ValueError("strip interval must be nondegenerate")
 
+    def pieces(self, T):
+        return (0.0, T), ((1.0, ("interval", self.a, self.b), _FULL),)
+
 
 @dataclass(frozen=True)
-class HorizontalStrip:
+class HorizontalStrip(_Region):
     c: float
     d: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.c < self.d:
             raise ValueError("strip interval must be nondegenerate")
 
+    def pieces(self, T):
+        return (0.0, T), ((1.0, _FULL, ("interval", self.c, self.d)),)
+
 
 @dataclass(frozen=True)
-class CrossStrips:
+class CrossStrips(_Region):
     """Union of a vertical and a horizontal strip.
 
     The observation integrates over the set union, so the shared rectangle
@@ -89,6 +131,7 @@ class CrossStrips:
     d: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not (self.a < self.b and self.c < self.d):
             raise ValueError("strip intervals must be nondegenerate")
 
@@ -100,19 +143,29 @@ class CrossStrips:
     def horizontal(self) -> HorizontalStrip:
         return HorizontalStrip(self.c, self.d)
 
+    def pieces(self, T):
+        ab, cd = ("interval", self.a, self.b), ("interval", self.c, self.d)
+        return (0.0, T), ((1.0, ab, _FULL), (1.0, _FULL, cd), (-1.0, ab, cd))
+
 
 @dataclass(frozen=True)
-class VerticalLine:
+class VerticalLine(_Region):
     alpha: float
 
+    def pieces(self, T):
+        return (0.0, T), ((1.0, ("point", self.alpha), _FULL),)
+
 
 @dataclass(frozen=True)
-class HorizontalLine:
+class HorizontalLine(_Region):
     beta: float
 
+    def pieces(self, T):
+        return (0.0, T), ((1.0, _FULL, ("point", self.beta)),)
+
 
 @dataclass(frozen=True)
-class OpenRect:
+class OpenRect(_Region):
     """Rectangle (t0,t1) x (x0,x1) in the (t, x2) plane.
 
     Carries its own time interval; the ObservationSpec horizon T is not used here.
@@ -124,67 +177,44 @@ class OpenRect:
     x1: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not (self.t0 < self.t1 and self.x0 < self.x1):
             raise ValueError("rectangle must be nondegenerate")
 
+    def pieces(self, T):
+        return (self.t0, self.t1), ((1.0, _ONES, ("exp", self.x0, self.x1)),)
 
-_REGION_KINDS = {
-    "VerticalSegments": VerticalSegments,
-    "BoundaryEdgeBottom": BoundaryEdgeBottom,
-    "BoundaryEdgeLeft": BoundaryEdgeLeft,
-    "BoundaryGamma0": BoundaryGamma0,
-    "VerticalStrip": VerticalStrip,
-    "HorizontalStrip": HorizontalStrip,
-    "CrossStrips": CrossStrips,
-    "VerticalLine": VerticalLine,
-    "HorizontalLine": HorizontalLine,
-    "OpenRect": OpenRect,
+
+# field -> (regions it may be observed on, model); displacement traces live on
+# plate segments and open (t,x2) rectangles, velocity on interior strips and
+# lines of the membrane, normal derivatives on boundary edges of the membrane
+_PAIRINGS = {
+    "displacement": ((VerticalSegments, OpenRect), "plate"),
+    "velocity": (
+        (VerticalStrip, HorizontalStrip, CrossStrips, VerticalLine, HorizontalLine),
+        "wave",
+    ),
+    "normal_derivative": ((BoundaryEdgeBottom, BoundaryEdgeLeft, BoundaryGamma0), "wave"),
 }
+FIELDS = tuple(_PAIRINGS)
+_REGION_KINDS = {cls.__name__: cls for kinds, _ in _PAIRINGS.values() for cls in kinds}
 
 
 def region_to_dict(region) -> dict:
-    kind = type(region).__name__
-    d = {"kind": kind}
-    if kind == "VerticalSegments":
-        d["segments"] = [[a, [lo, hi]] for a, (lo, hi) in region.segments]
-    elif kind == "VerticalStrip":
-        d.update(a=region.a, b=region.b)
-    elif kind == "HorizontalStrip":
-        d.update(c=region.c, d=region.d)
-    elif kind == "CrossStrips":
-        d.update(a=region.a, b=region.b, c=region.c, d=region.d)
-    elif kind == "VerticalLine":
-        d["alpha"] = region.alpha
-    elif kind == "HorizontalLine":
-        d["beta"] = region.beta
-    elif kind == "OpenRect":
-        d.update(t0=region.t0, t1=region.t1, x0=region.x0, x1=region.x1)
-    return d
+    params = {f.name: getattr(region, f.name) for f in fields(region)}
+    return {"kind": type(region).__name__, **params}
 
 
 def region_from_dict(d: dict):
     kind = d["kind"]
     if kind not in _REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
-    if kind == "VerticalSegments":
-        return VerticalSegments(tuple((a, (lo, hi)) for a, (lo, hi) in d["segments"]))
-    keys = {k: v for k, v in d.items() if k != "kind"}
-    return _REGION_KINDS[kind](**keys)
-
-
-_DISPLACEMENT_REGIONS = (VerticalSegments, OpenRect)
-_VELOCITY_REGIONS = (VerticalStrip, HorizontalStrip, CrossStrips, VerticalLine, HorizontalLine)
-_BOUNDARY_REGIONS = (BoundaryEdgeBottom, BoundaryEdgeLeft, BoundaryGamma0)
+    return _REGION_KINDS[kind](**{k: v for k, v in d.items() if k != "kind"})
 
 
 @dataclass(frozen=True)
 class ObservationSpec:
-    """Region + observed field + time horizon + spectral model.
-
-    Pairings follow the source problems: displacement traces live on plate
-    segments and open (t,x2) rectangles, velocity on interior strips and lines
-    of the membrane, normal derivatives on boundary edges of the membrane.
-    """
+    """Region + observed field + time horizon + spectral model."""
 
     region: object
     field: str
@@ -196,53 +226,23 @@ class ObservationSpec:
             raise ValueError(f"field must be one of {FIELDS}")
         if self.model not in ("plate", "wave"):
             raise ValueError("model must be 'plate' or 'wave'")
-        if not self.T > 0:
-            raise ValueError("time horizon must be positive")
-        r = self.region
-        if self.field == "displacement":
-            ok = isinstance(r, _DISPLACEMENT_REGIONS) and self.model == "plate"
-        elif self.field == "velocity":
-            ok = isinstance(r, _VELOCITY_REGIONS) and self.model == "wave"
-        else:
-            ok = isinstance(r, _BOUNDARY_REGIONS) and self.model == "wave"
-        if not ok:
+        if not (self.T > 0 and math.isfinite(self.T)):
+            raise ValueError("time horizon must be positive and finite")
+        kinds, model = _PAIRINGS[self.field]
+        if not (isinstance(self.region, kinds) and self.model == model):
             raise ValueError(
                 f"incompatible pairing: field={self.field}, "
-                f"region={type(r).__name__}, model={self.model}"
+                f"region={type(self.region).__name__}, model={self.model}"
             )
 
     def validate_geometry(self, geometry: RectangleGeometry) -> None:
-        """Require all region parameters strictly inside the rectangle."""
-        r = self.region
-        l1, l2 = geometry.ell1, geometry.ell2
-
-        def inside(x, ell, what):
-            if not 0 < x < ell:
-                raise ValueError(f"{what}={x} not strictly inside (0, {ell})")
-
-        if isinstance(r, VerticalSegments):
-            for alpha, (lo, hi) in r.segments:
-                inside(alpha, l1, "alpha")
-                inside(lo, l2, "interval endpoint")
-                inside(hi, l2, "interval endpoint")
-        elif isinstance(r, VerticalStrip):
-            inside(r.a, l1, "a")
-            inside(r.b, l1, "b")
-        elif isinstance(r, HorizontalStrip):
-            inside(r.c, l2, "c")
-            inside(r.d, l2, "d")
-        elif isinstance(r, CrossStrips):
-            inside(r.a, l1, "a")
-            inside(r.b, l1, "b")
-            inside(r.c, l2, "c")
-            inside(r.d, l2, "d")
-        elif isinstance(r, VerticalLine):
-            inside(r.alpha, l1, "alpha")
-        elif isinstance(r, HorizontalLine):
-            inside(r.beta, l2, "beta")
-        elif isinstance(r, OpenRect):
-            inside(r.x0, l2, "x0")
-            inside(r.x1, l2, "x1")
+        """Require every interval, point and profile position strictly inside its axis."""
+        _, terms = self.region.pieces(self.T)
+        for _, *factors in terms:
+            for (kind, *positions), ell in zip(factors, (geometry.ell1, geometry.ell2)):
+                for x in positions:
+                    if not 0 < x < ell:
+                        raise ValueError(f"{kind} position {x} not strictly inside (0, {ell})")
 
     def to_dict(self) -> dict:
         return {
@@ -372,117 +372,48 @@ class GramForm:
         return GramForm(ms, g, ObservationSpec.from_dict(doc["spec"]))
 
 
-def _mode_arrays(mode_set: ModeSet):
-    k1 = np.array([m.k1 for m in mode_set.modes])
-    k2 = np.array([m.k2 for m in mode_set.modes])
-    lam = np.array([m.lam for m in mode_set.modes])
-    return k1, k2, lam
+def _closed_axis_gram(factor, ks, z: float, ell: float):
+    """Closed-form 1-D Gram of one factor over the axis modes ks (wavenumber unit z)."""
+    kind, *args = factor
+    if kind == "full":
+        return (ell / 2.0) * (ks[:, None] == ks[None, :])
+    if kind == "interval":
+        return _sine_overlap_matrix(ks, args, z)
+    if kind in ("point", "edge"):
+        p = np.sin(ks * (z * args[0])) if kind == "point" else z * ks
+        return np.outer(p, p)
+    if kind == "ones":
+        return 1.0
+    wx = np.concatenate([z * ks, -z * ks])  # "exp": doubled index
+    return _interval_kernel(wx[None, :] - wx[:, None], *args)
 
 
-def _frequencies(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
-    """Signed frequencies over the doubled index (a-block +, b-block -)."""
-    _, _, lam = _mode_arrays(mode_set)
-    w = np.sqrt(lam) if spec.model == "wave" else lam
-    return np.concatenate([w, -w])
+def _gram_matrix(spec: ObservationSpec, mode_set: ModeSet, axis_gram) -> np.ndarray:
+    """conj(amp_i) amp_j Kt o tile(sum sign X1 o X2) over the region's separable pieces.
 
-
-def _amplitudes(spec: ObservationSpec, mode_set: ModeSet, region) -> np.ndarray:
-    k1, k2, _ = _mode_arrays(mode_set)
+    axis_gram(factor, ks, z, ell) supplies each 1-D Gram. The time kernel Kt
+    is the profile e^{+-i w t} over the window, with unit wavenumber scale.
+    """
     g = mode_set.geometry
-    if spec.field == "displacement":
-        amp = np.ones(len(mode_set))
-        return np.concatenate([amp, amp]).astype(complex)
-    if spec.field == "velocity":
-        return 1j * _frequencies(spec, mode_set)
-    # normal derivative: d/dx2 at the bottom edge brings pi k2 / l2, d/dx1 at
-    # the left edge pi k1 / l1
-    if isinstance(region, BoundaryEdgeBottom):
-        amp = (math.pi / g.ell2) * k2
-    elif isinstance(region, BoundaryEdgeLeft):
-        amp = (math.pi / g.ell1) * k1
-    else:
-        raise ValueError("normal derivative amplitudes are per-edge")
-    return np.concatenate([amp, amp]).astype(complex)
-
-
-@dataclass(frozen=True)
-class _OverlapRect:
-    """Rectangle (a,b)x(c,d) shared by the two strips of a CrossStrips union."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-
-def _spatial_overlap(region, mode_set: ModeSet) -> np.ndarray:
-    """Mode-pair overlap of the observed spatial profiles (real symmetric)."""
-    k1, k2, _ = _mode_arrays(mode_set)
-    g = mode_set.geometry
-    z1, z2 = math.pi / g.ell1, math.pi / g.ell2
-    same_k1 = (k1[:, None] == k1[None, :]).astype(float)
-    same_k2 = (k2[:, None] == k2[None, :]).astype(float)
-    if isinstance(region, VerticalSegments):
-        sp = np.zeros((len(mode_set), len(mode_set)))
-        for alpha, (lo, hi) in region.segments:
-            pt = np.sin(k1 * (z1 * alpha))
-            sp += np.outer(pt, pt) * _sine_overlap_matrix(k2, (lo, hi), z2)
-        return sp
-    if isinstance(region, BoundaryEdgeBottom):
-        return (g.ell1 / 2.0) * same_k1
-    if isinstance(region, BoundaryEdgeLeft):
-        return (g.ell2 / 2.0) * same_k2
-    if isinstance(region, VerticalStrip):
-        return _sine_overlap_matrix(k1, (region.a, region.b), z1) * (g.ell2 / 2.0) * same_k2
-    if isinstance(region, HorizontalStrip):
-        return (g.ell1 / 2.0) * same_k1 * _sine_overlap_matrix(k2, (region.c, region.d), z2)
-    if isinstance(region, VerticalLine):
-        pt = np.sin(k1 * (z1 * region.alpha))
-        return np.outer(pt, pt) * (g.ell2 / 2.0) * same_k2
-    if isinstance(region, HorizontalLine):
-        pt = np.sin(k2 * (z2 * region.beta))
-        return (g.ell1 / 2.0) * same_k1 * np.outer(pt, pt)
-    if isinstance(region, _OverlapRect):
-        return _sine_overlap_matrix(k1, (region.a, region.b), z1) * _sine_overlap_matrix(
-            k2, (region.c, region.d), z2
-        )
-    raise ValueError(f"no sine overlap for region {type(region).__name__}")
-
-
-def _gram_matrix(spec: ObservationSpec, mode_set: ModeSet, region) -> np.ndarray:
-    if isinstance(region, BoundaryGamma0):
-        return _gram_matrix(spec, mode_set, BoundaryEdgeLeft()) + _gram_matrix(
-            spec, mode_set, BoundaryEdgeBottom()
-        )
-    if isinstance(region, CrossStrips):
-        # integral over the union: the shared rectangle is counted once
-        return (
-            _gram_matrix(spec, mode_set, region.vertical)
-            + _gram_matrix(spec, mode_set, region.horizontal)
-            - _gram_matrix(
-                spec, mode_set, _OverlapRect(region.a, region.b, region.c, region.d)
-            )
-        )
-    if isinstance(region, OpenRect):
-        _, k2, lam = _mode_arrays(mode_set)
-        z = mode_set.geometry.z
-        wt = np.concatenate([lam, -lam])
-        wx = np.concatenate([z * k2, -z * k2])
-        kt = _interval_kernel(wt[None, :] - wt[:, None], region.t0, region.t1)
-        kx = _interval_kernel(wx[None, :] - wx[:, None], region.x0, region.x1)
-        return kt * kx
-    w = _frequencies(spec, mode_set)
-    amps = _amplitudes(spec, mode_set, region)
-    kt = _interval_kernel(w[None, :] - w[:, None], 0.0, spec.T)
-    sp = _spatial_overlap(region, mode_set)
-    sp2 = np.tile(sp, (2, 2))
-    return np.conj(amps)[:, None] * amps[None, :] * kt * sp2
+    w = np.sqrt(mode_set.lam) if spec.model == "wave" else mode_set.lam
+    window, terms = spec.region.pieces(spec.T)
+    kt = axis_gram(("exp", *window), w, 1.0, None)
+    x1 = (mode_set.k1, math.pi / g.ell1, g.ell1)
+    x2 = (mode_set.k2, math.pi / g.ell2, g.ell2)
+    products = (s * axis_gram(f1, *x1) * axis_gram(f2, *x2) for s, f1, f2 in terms)
+    sp = functools.reduce(np.add, products)
+    if sp.shape != kt.shape:
+        sp = np.tile(sp, (2, 2))
+    if spec.field == "velocity":  # amplitude i w; every other field has amplitude 1
+        amp = 1j * np.concatenate([w, -w])
+        kt = np.conj(amp)[:, None] * amp[None, :] * kt
+    return kt * sp
 
 
 def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
     """Closed-form Gram matrix of the observation integral on the mode set."""
     spec.validate_geometry(mode_set.geometry)
-    return GramForm(mode_set, _gram_matrix(spec, mode_set, spec.region), spec)
+    return GramForm(mode_set, _gram_matrix(spec, mode_set, _closed_axis_gram), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -505,116 +436,39 @@ def _normalize_resolution(resolution: int) -> int:
     return resolution + (resolution % 2)
 
 
-def _dense_rect_integral(coeffs, wt, t_int, profiles, x, wx) -> float:
-    """Simpson integral of |sum_i coeffs_i e^{i wt_i t} profiles_i(x)|^2.
-
-    profiles is (n, Nx) already sampled; the field matrix is built densely.
-    """
-    t, tw = t_int
-    field = (np.exp(1j * np.outer(t, wt)) * coeffs[None, :]) @ profiles
-    return float(tw @ (np.abs(field) ** 2) @ wx)
-
-
-def _pointwise_axis_gram(samples: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted pointwise Gram sum_x w_x conj(f_i(x)) f_j(x); samples is (n, Nx)."""
-    return (np.conj(samples) * w[None, :]) @ samples.T
+def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
+    """Simpson 1-D Gram sum_x w_x conj(f_i(x)) f_j(x) of one factor from pointwise samples."""
+    kind, *args = factor
+    if kind == "ones":
+        return 1.0  # the constant profile at one node of unit weight
+    if kind in ("full", "interval", "exp"):
+        x, wx = _simpson_weights(*(args or (0.0, ell)), res)
+    else:  # one node of unit weight: the point, or the x = 0 edge
+        x, wx = np.array(args or [0.0]), np.ones(1)
+    if kind == "exp":
+        f = np.exp(1j * np.outer(np.concatenate([z * ks, -z * ks]), x))
+    elif kind == "edge":
+        f = (z * ks)[:, None] * np.cos(np.outer(z * ks, x))
+    else:
+        f = np.sin(np.outer(z * ks, x))
+    return (np.conj(f) * wx) @ f.T
 
 
 def quadrature_oracle(state, spec: ObservationSpec, resolution: int) -> float:
     """Composite-Simpson value of the observation integral, from pointwise samples.
 
-    Regions with one spatial axis are integrated on a dense (t, axis) grid. The
-    strip regions have three axes; there the Simpson sum is factorized through
-    per-axis pointwise Gram matrices, which reproduces the full tensor-grid sum
-    exactly because the sampled field is a sum of products over the axes.
-    resolution is the Simpson panel count per axis (odd values rounded up).
+    Runs the assembly of assemble_gram, the region's pieces and the Hadamard
+    product of 1-D Grams, on Simpson sums over pointwise samples of each axis
+    profile, so it shares no closed form. Because the sampled field is a sum
+    of products over the axes, the result is the Simpson tensor-grid integral
+    of the squared field. resolution is the Simpson panel count per axis (odd
+    values rounded up).
     """
     spec.validate_geometry(state.mode_set.geometry)
     res = _normalize_resolution(resolution)
-    ms = state.mode_set
-    g = ms.geometry
-    k1, k2, lam = _mode_arrays(ms)
-    z1, z2 = math.pi / g.ell1, math.pi / g.ell2
-    region = spec.region
+    g = _gram_matrix(spec, state.mode_set, functools.partial(_sampled_axis_gram, res=res))
     c = state.doubled()
-
-    if isinstance(region, OpenRect):
-        wt = np.concatenate([lam, -lam])
-        wx = np.concatenate([z2 * k2, -z2 * k2])
-        t, tw = _simpson_weights(region.t0, region.t1, res)
-        x, xw = _simpson_weights(region.x0, region.x1, res)
-        profiles = np.exp(1j * np.outer(wx, x))
-        return _dense_rect_integral(c, wt, (t, tw), profiles, x, xw)
-
-    w = _frequencies(spec, ms)
-    k1d, k2d = np.tile(k1, 2), np.tile(k2, 2)
-    t_int = _simpson_weights(0.0, spec.T, res)
-
-    if isinstance(region, VerticalSegments):
-        total = 0.0
-        for alpha, (lo, hi) in region.segments:
-            x, xw = _simpson_weights(lo, hi, res)
-            amp = c * np.sin(k1d * (z1 * alpha))
-            profiles = np.sin(np.outer(k2d * z2, x))
-            total += _dense_rect_integral(amp, w, t_int, profiles, x, xw)
-        return total
-
-    if isinstance(region, (VerticalLine, HorizontalLine)):
-        if isinstance(region, VerticalLine):
-            amp = c * (1j * w) * np.sin(k1d * (z1 * region.alpha))
-            x, xw = _simpson_weights(0.0, g.ell2, res)
-            profiles = np.sin(np.outer(k2d * z2, x))
-        else:
-            amp = c * (1j * w) * np.sin(k2d * (z2 * region.beta))
-            x, xw = _simpson_weights(0.0, g.ell1, res)
-            profiles = np.sin(np.outer(k1d * z1, x))
-        return _dense_rect_integral(amp, w, t_int, profiles, x, xw)
-
-    if isinstance(region, (BoundaryEdgeBottom, BoundaryEdgeLeft, BoundaryGamma0)):
-        total = 0.0
-        parts = (
-            [BoundaryEdgeLeft(), BoundaryEdgeBottom()]
-            if isinstance(region, BoundaryGamma0)
-            else [region]
-        )
-        for part in parts:
-            if isinstance(part, BoundaryEdgeBottom):
-                amp = c * (z2 * k2d)
-                x, xw = _simpson_weights(0.0, g.ell1, res)
-                profiles = np.sin(np.outer(k1d * z1, x))
-            else:
-                amp = c * (z1 * k1d)
-                x, xw = _simpson_weights(0.0, g.ell2, res)
-                profiles = np.sin(np.outer(k2d * z2, x))
-            total += _dense_rect_integral(amp, w, t_int, profiles, x, xw)
-        return total
-
-    if isinstance(region, (VerticalStrip, HorizontalStrip, CrossStrips)):
-        if isinstance(region, VerticalStrip):
-            boxes = [((region.a, region.b), (0.0, g.ell2), 1.0)]
-        elif isinstance(region, HorizontalStrip):
-            boxes = [((0.0, g.ell1), (region.c, region.d), 1.0)]
-        else:
-            # union of the two strips: subtract the doubly covered rectangle
-            boxes = [
-                ((region.a, region.b), (0.0, g.ell2), 1.0),
-                ((0.0, g.ell1), (region.c, region.d), 1.0),
-                ((region.a, region.b), (region.c, region.d), -1.0),
-            ]
-        total = 0.0
-        amp = c * (1j * w)
-        t, tw = t_int
-        ct = _pointwise_axis_gram(np.exp(1j * np.outer(w, t)), tw)
-        for i1, i2, sign in boxes:
-            x1, w1 = _simpson_weights(*i1, res)
-            x2, w2 = _simpson_weights(*i2, res)
-            cx1 = _pointwise_axis_gram(np.sin(np.outer(k1d * z1, x1)), w1)
-            cx2 = _pointwise_axis_gram(np.sin(np.outer(k2d * z2, x2)), w2)
-            m = ct * cx1 * cx2
-            total += sign * float(np.real(np.vdot(amp, m @ amp)))
-        return total
-
-    raise ValueError(f"no oracle for region {type(region).__name__}")
+    return float(np.real(np.vdot(c, g @ c)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class RectangleGeometry:
@@ -20,8 +22,10 @@ class RectangleGeometry:
     ell2: float
 
     def __post_init__(self) -> None:
-        if not (self.ell1 > 0 and self.ell2 > 0):
-            raise ValueError(f"side lengths must be positive, got ({self.ell1}, {self.ell2})")
+        if not (0 < self.ell1 < math.inf and 0 < self.ell2 < math.inf):
+            raise ValueError(
+                f"side lengths must be positive and finite, got ({self.ell1}, {self.ell2})"
+            )
 
     @property
     def u(self) -> float:
@@ -65,16 +69,24 @@ class ModeSet:
 
     The ordering (k1 varies fastest) is part of the contract: Gram matrices,
     coefficient vectors and serialized states all index modes by position here.
+    k1, k2 and lam hold the same data as read-only arrays in that order.
     """
 
     geometry: RectangleGeometry
     K1: int
     K2: int
     modes: tuple[Mode, ...] = field(repr=False)
+    k1: np.ndarray = field(init=False, compare=False, repr=False)
+    k2: np.ndarray = field(init=False, compare=False, repr=False)
+    lam: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.modes) != self.K1 * self.K2:
             raise ValueError("mode list does not match truncation bounds")
+        for name in ("k1", "k2", "lam"):
+            values = np.array([getattr(m, name) for m in self.modes])
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def __len__(self) -> int:
         return len(self.modes)

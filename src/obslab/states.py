@@ -63,7 +63,7 @@ class EnergyWeight:
 
     def diagonal(self, mode_set: ModeSet) -> np.ndarray:
         """Per-mode weights (not doubled); both families share the same weight."""
-        lam = np.array([m.lam for m in mode_set.modes])
+        lam = mode_set.lam
         if self.model == "plate":
             return lam**self.s
         g = mode_set.geometry
@@ -107,7 +107,7 @@ def project_p_symmetric(state: SpectralState, spec: SymmetrySpec) -> SpectralSta
     This is the orthogonal projection onto p-symmetric data: a sine series is
     p-symmetric exactly when its coefficients vanish at multiples of p.
     """
-    ks = np.array([m.k1 if spec.axis == "x1" else m.k2 for m in state.mode_set.modes])
+    ks = state.mode_set.k1 if spec.axis == "x1" else state.mode_set.k2
     keep = (ks % spec.p) != 0
     return SpectralState(state.mode_set, state.a * keep, state.b * keep)
 
@@ -144,15 +144,13 @@ def axis_trace(state: SpectralState, axis: str, transverse: float, n_samples: in
     """
     ms = state.mode_set
     g = ms.geometry
-    k1 = np.array([m.k1 for m in ms.modes])
-    k2 = np.array([m.k2 for m in ms.modes])
     c = state.a + state.b
     if axis == "x1":
         x = np.arange(n_samples) * (g.ell1 / n_samples)
-        along, across, ell_a, ell_c = k1, k2, g.ell1, g.ell2
+        along, across, ell_a, ell_c = ms.k1, ms.k2, g.ell1, g.ell2
     elif axis == "x2":
         x = np.arange(n_samples) * (g.ell2 / n_samples)
-        along, across, ell_a, ell_c = k2, k1, g.ell2, g.ell1
+        along, across, ell_a, ell_c = ms.k2, ms.k1, g.ell2, g.ell1
     else:
         raise ValueError("axis must be 'x1' or 'x2'")
     point = np.sin(across * (math.pi * transverse / ell_c))
@@ -171,8 +169,7 @@ def random_state(mode_set: ModeSet, seed: int, decay: float = 0.0) -> SpectralSt
         raise ValueError("decay must be >= 0")
     rng = np.random.default_rng(seed)
     n = len(mode_set)
-    lam = np.array([m.lam for m in mode_set.modes])
-    scale = lam ** (-decay) if decay != 0 else np.ones(n)
+    scale = mode_set.lam ** (-decay) if decay != 0 else np.ones(n)
 
     def disc(count: int) -> np.ndarray:
         r = np.sqrt(rng.random(count))

@@ -1,11 +1,13 @@
 """End-to-end subcommand runs: exit codes, determinism, output formats."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from obslab import __version__
+from obslab import __version__, cli
 from obslab.cli import main
 
 PI = math.pi
@@ -217,39 +219,72 @@ def test_ingham(tmp_path):
     assert code == 2
 
 
+ORACLE = {
+    "geometry": [PI, PI],
+    "truncation": [3, 3],
+    "T": 2.0,
+    "samples": 2,
+    "seed": 1,
+    "resolution": 128,
+    "tolerance": 1e-4,
+    "specs": [
+        {
+            "region": {"kind": "VerticalSegments", "segments": [[1.1, [0.7, 2.3]]]},
+            "field": "displacement",
+            "model": "plate",
+        },
+        {
+            "region": {"kind": "VerticalStrip", "a": 1.0, "b": 2.0},
+            "field": "velocity",
+            "model": "wave",
+        },
+    ],
+}
+
+
 def test_oracle_check_passes_and_fails(tmp_path):
-    config = {
-        "geometry": [PI, PI],
-        "truncation": [3, 3],
-        "T": 2.0,
-        "samples": 2,
-        "seed": 1,
-        "resolution": 128,
-        "tolerance": 1e-4,
-        "specs": [
-            {
-                "region": {"kind": "VerticalSegments", "segments": [[1.1, [0.7, 2.3]]]},
-                "field": "displacement",
-                "model": "plate",
-            },
-            {
-                "region": {"kind": "VerticalStrip", "a": 1.0, "b": 2.0},
-                "field": "velocity",
-                "model": "wave",
-            },
-        ],
-    }
-    code, text = run(tmp_path, "oracle-check", config)
+    code, text = run(tmp_path, "oracle-check", ORACLE)
     assert code == 0
     result = json.loads(text)["result"]
     assert result["passed"] and result["max_rel_err"] <= 1e-4
 
-    strict = {**config, "resolution": 64, "tolerance": 1e-14}
+    strict = {**ORACLE, "resolution": 64, "tolerance": 1e-14}
     code, text = run(tmp_path, "oracle-check", strict)
     assert code == 1
     result = json.loads(text)["result"]
     assert not result["passed"]
     assert result["max_rel_err"] > 1e-14
+
+
+@pytest.mark.parametrize(
+    "change", [{"T": math.inf}, {"geometry": [math.inf, PI]}], ids=["T", "geometry"]
+)
+def test_oracle_check_rejects_non_finite_input(tmp_path, change):
+    code, text = run(tmp_path, "oracle-check", {**ORACLE, **change})
+    assert code == 2
+    assert text == ""
+
+
+def test_oracle_check_fails_on_non_finite_values(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "quadrature_oracle", lambda state, spec, resolution: math.nan)
+    code, text = run(tmp_path, "oracle-check", ORACLE)
+    assert code == 1
+    result = json.loads(text)["result"]
+    assert not result["passed"]
+    assert result["max_rel_err"] == math.inf
+
+
+def test_cli_imports_no_private_names():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "obslab")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 def test_stdout_when_no_out_path(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from obslab import (
     CrossStrips,
+    admissible_c_min,
     BoundaryEdgeBottom,
     EnergyWeight,
     ExponentialSum,
@@ -34,6 +35,7 @@ from obslab import (
     symmetry_constants,
     verify_observability,
 )
+from obslab import inequalities
 from obslab.inequalities import ConstantReport, ThresholdError, _pencil_matrix
 
 PI = math.pi
@@ -420,6 +422,28 @@ def test_verify_two_lines_smoke(square):
     report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
     assert report["c_predicted"] == pytest.approx(34 / (9 * PI), rel=1e-14)
     assert report["passed"]
+
+
+def test_admissible_c_min_serves_verify_with_one_assembly(square, monkeypatch):
+    ms = build_mode_set(square, 6, 6)
+    t = 9 * PI
+    specs = [_vspec(VerticalLine(PI / 2), T=t), _vspec(HorizontalLine(PI / 2), T=t)]
+    calls = []
+
+    def counted(spec, mode_set):
+        calls.append(spec)
+        return assemble_gram(spec, mode_set)
+
+    monkeypatch.setattr(inequalities, "assemble_gram", counted)
+    states = _projected_states(ms, range(3), p=2, q=2)
+    report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
+    assert calls == specs
+    gram = sum(assemble_gram(s, ms).matrix for s in specs)
+    assert admissible_c_min("two_lines", gram, ms, {"p": 2, "q": 2}) == report["empirical_c_min"]
+
+    cross = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=47.84977149867659)
+    full = admissible_c_min("two_strips", assemble_gram(cross, ms).matrix, ms, {})
+    assert full == pytest.approx(empirical_constants(cross, WAVE, ms).c_min, rel=1e-9)
 
 
 def test_verify_rejects_unprojected_states(square):

@@ -1,5 +1,6 @@
 """Gram forms versus the Simpson oracle, kernels, regions, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from obslab import (
     HorizontalStrip,
     ObservationSpec,
     OpenRect,
+    RectangleGeometry,
     SpectralState,
     VerticalLine,
     VerticalSegments,
@@ -28,6 +30,7 @@ from obslab import (
     thm21_fourfamily_form,
     time_kernel,
 )
+from obslab.observation import region_from_dict, region_to_dict
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
 
@@ -133,6 +136,8 @@ def test_pairing_rules():
         ObservationSpec(VerticalLine(1.0), "speed", 1.0, "wave")
     with pytest.raises(ValueError):
         ObservationSpec(VerticalLine(1.0), "velocity", -1.0, "wave")
+    with pytest.raises(ValueError):
+        ObservationSpec(VerticalLine(1.0), "velocity", math.inf, "wave")
 
 
 def test_region_construction_rejects_degenerate():
@@ -150,6 +155,26 @@ def test_region_construction_rejects_degenerate():
         VerticalSegments(((1.0, (2.0, 1.0)),))
 
 
+def test_region_construction_rejects_non_finite():
+    with pytest.raises(ValueError):
+        VerticalLine(math.inf)
+    with pytest.raises(ValueError):
+        HorizontalLine(math.nan)
+    with pytest.raises(ValueError):
+        VerticalStrip(1.0, math.inf)
+    with pytest.raises(ValueError):
+        OpenRect(0.0, math.inf, 0.5, 1.5)
+    with pytest.raises(ValueError):
+        VerticalSegments(((1.0, (0.5, math.inf)),))
+
+
+@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: type(r).__name__)
+def test_region_dict_round_trip(region):
+    d = json.loads(json.dumps(region_to_dict(region)))
+    assert d["kind"] == type(region).__name__
+    assert region_from_dict(d) == region
+
+
 def test_geometry_validation(square, modes4):
     bad = ObservationSpec(VerticalStrip(2.5, 3.5), "velocity", 1.0, "wave")
     with pytest.raises(ValueError):
@@ -159,6 +184,10 @@ def test_geometry_validation(square, modes4):
         assemble_gram(bad2, modes4)
     with pytest.raises(ValueError):
         quadrature_oracle(random_state(modes4, 0), bad, 64)
+    outside = (VerticalLine(3.5), HorizontalLine(-0.1), VerticalSegments(((1.0, (0.5, 3.5)),)))
+    for region in outside:
+        with pytest.raises(ValueError):
+            assemble_gram(_spec(region), modes4)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +227,35 @@ def test_observation_nonnegative_on_random_states(modes6):
             assert g.quadratic_form(random_state(modes6, seed)) >= -1e-10
 
 
-def test_gamma0_is_sum_of_edges(modes6):
-    g0 = assemble_gram(_spec(BoundaryGamma0()), modes6).matrix
-    gl = assemble_gram(_spec(BoundaryEdgeLeft()), modes6).matrix
-    gb = assemble_gram(_spec(BoundaryEdgeBottom()), modes6).matrix
+@given(
+    st.floats(min_value=0.5, max_value=20.0),
+    st.floats(min_value=0.5, max_value=4.0),
+    st.floats(min_value=0.5, max_value=4.0),
+)
+@settings(max_examples=25, deadline=None)
+def test_gamma0_is_sum_of_edges(T, ell1, ell2):
+    ms = build_mode_set(RectangleGeometry(ell1, ell2), 6, 5)
+    g0 = assemble_gram(_spec(BoundaryGamma0(), T), ms).matrix
+    gl = assemble_gram(_spec(BoundaryEdgeLeft(), T), ms).matrix
+    gb = assemble_gram(_spec(BoundaryEdgeBottom(), T), ms).matrix
     assert np.allclose(g0, gl + gb, rtol=1e-13, atol=0.0)
 
 
-def test_segments_additive(modes4):
-    s1 = VerticalSegments(((1.0, (0.5, 1.5)),))
-    s2 = VerticalSegments(((2.0, (1.0, 2.0)),))
+# (alpha, (lo, hi)) strictly inside the pi-square; intervals at most 1 long keep
+# each segment's Gram entries at most 1 in size (T = 2), so rounding stays under
+# the 1e-15 absolute floor
+SEGMENT = st.tuples(
+    st.floats(min_value=0.1, max_value=3.0),
+    st.floats(min_value=0.1, max_value=2.0),
+    st.floats(min_value=0.05, max_value=1.0),
+).map(lambda s: (s[0], (s[1], s[1] + s[2])))
+
+
+@given(st.lists(SEGMENT, min_size=1, max_size=3), st.lists(SEGMENT, min_size=1, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_segments_additive(modes4, first, second):
+    s1 = VerticalSegments(tuple(first))
+    s2 = VerticalSegments(tuple(second))
     both = VerticalSegments(s1.segments + s2.segments)
     g1 = assemble_gram(_spec(s1), modes4).matrix
     g2 = assemble_gram(_spec(s2), modes4).matrix
@@ -278,6 +326,85 @@ def test_oracle_matches_gram(square, region):
     approx = quadrature_oracle(state, spec, 512)
     assert exact > 0
     assert abs(approx - exact) <= 1e-6 * exact
+
+
+def _simpson(lo, hi, panels):
+    x = np.linspace(lo, hi, panels + 1)
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return x, w * ((hi - lo) / panels / 3.0)
+
+
+def _dense_oracle(state, spec, res):
+    """Simpson sum of |field|^2 on the full (t, x1, x2) tensor grid of each box.
+
+    The reference for the factorised oracle: each region's boxes are written
+    out here, and the field itself is sampled and squared, so neither the
+    region pieces nor the Hadamard product of 1-D Grams is used. An axis is a
+    Simpson grid or one node of unit weight (a point, an edge derivative, or
+    no axis at all); profiles are rows over the doubled index.
+    """
+    ms = state.mode_set
+    geo = ms.geometry
+    sign = np.repeat([1.0, -1.0], len(ms))
+    k1, k2, lam = (np.tile([getattr(m, a) for m in ms.modes], 2) for a in ("k1", "k2", "lam"))
+    w = sign * (np.sqrt(lam) if spec.model == "wave" else lam)
+    amp = 1j * w if spec.field == "velocity" else np.ones(len(w))
+    z1, z2 = math.pi / geo.ell1, math.pi / geo.ell2
+
+    def sines(kz, lo, hi):
+        x, wx = _simpson(lo, hi, res)
+        return np.sin(np.outer(kz, x)), wx
+
+    def node(values):
+        return values[:, None], np.ones(1)
+
+    all1, all2 = sines(z1 * k1, 0.0, geo.ell1), sines(z2 * k2, 0.0, geo.ell2)
+    r = spec.region
+    window = (0.0, spec.T)
+    if isinstance(r, VerticalSegments):
+        boxes = [
+            (1, node(np.sin(z1 * k1 * a)), sines(z2 * k2, lo, hi)) for a, (lo, hi) in r.segments
+        ]
+    elif isinstance(r, BoundaryEdgeBottom):
+        boxes = [(1, all1, node(z2 * k2))]
+    elif isinstance(r, BoundaryEdgeLeft):
+        boxes = [(1, node(z1 * k1), all2)]
+    elif isinstance(r, BoundaryGamma0):
+        boxes = [(1, node(z1 * k1), all2), (1, all1, node(z2 * k2))]
+    elif isinstance(r, VerticalStrip):
+        boxes = [(1, sines(z1 * k1, r.a, r.b), all2)]
+    elif isinstance(r, HorizontalStrip):
+        boxes = [(1, all1, sines(z2 * k2, r.c, r.d))]
+    elif isinstance(r, CrossStrips):
+        ab, cd = sines(z1 * k1, r.a, r.b), sines(z2 * k2, r.c, r.d)
+        boxes = [(1, ab, all2), (1, all1, cd), (-1, ab, cd)]
+    elif isinstance(r, VerticalLine):
+        boxes = [(1, node(np.sin(z1 * k1 * r.alpha)), all2)]
+    elif isinstance(r, HorizontalLine):
+        boxes = [(1, all1, node(np.sin(z2 * k2 * r.beta)))]
+    else:  # OpenRect: e^{i (w t + sign z2 k2 x2)} on its own window, constant in x1
+        window = (r.t0, r.t1)
+        x, wx = _simpson(r.x0, r.x1, res)
+        boxes = [(1, node(np.ones(len(w))), (np.exp(1j * np.outer(sign * z2 * k2, x)), wx))]
+    t, wt = _simpson(*window, res)
+    coeffs = np.exp(1j * np.outer(t, w)) * (state.doubled() * amp)
+    total = 0.0
+    for s, (p1, w1), (p2, w2) in boxes:
+        field = np.einsum("ti,ia,ib->tab", coeffs, p1, p2, optimize=True)
+        total += s * np.einsum("t,a,b,tab->", wt, w1, w2, np.abs(field) ** 2, optimize=True)
+    return total
+
+
+@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: type(r).__name__)
+def test_oracle_matches_dense_reference(region):
+    ms = build_mode_set(RectangleGeometry(3.4, 2.8), 4, 4)
+    spec = _spec(region)
+    state = random_state(ms, 5)
+    dense = _dense_oracle(state, spec, 128)
+    assert dense > 0
+    assert quadrature_oracle(state, spec, 128) == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 def test_oracle_resolution_validation(modes4):

@@ -32,7 +32,9 @@ def test_geometry_identities(ell1, ell2):
     assert g.z * ell2 == pytest.approx(math.pi, rel=1e-12)
 
 
-@pytest.mark.parametrize("ell1,ell2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize(
+    "ell1,ell2", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)]
+)
 def test_geometry_rejects_bad_lengths(ell1, ell2):
     with pytest.raises(ValueError):
         RectangleGeometry(ell1, ell2)
@@ -87,6 +89,18 @@ def test_build_mode_set_deterministic(square):
     assert [(m.k1, m.k2, m.lam, m.wave_freq) for m in a.modes] == [
         (m.k1, m.k2, m.lam, m.wave_freq) for m in b.modes
     ]
+
+
+def test_mode_set_arrays_match_modes():
+    ms = build_mode_set(RectangleGeometry(1.0, 2.0), 3, 2)
+    for name in ("k1", "k2", "lam"):
+        values = getattr(ms, name)
+        assert values.tolist() == [getattr(m, name) for m in ms.modes]
+        assert not values.flags.writeable
+    twin = build_mode_set(RectangleGeometry(1.0, 2.0), 3, 2)
+    assert ms == twin and hash(ms) == hash(twin)
+    assert ms != build_mode_set(RectangleGeometry(1.0, 2.0), 2, 3)
+    assert "lam" not in repr(ms)
 
 
 @pytest.mark.parametrize("K1,K2", [(0, 1), (1, 0), (-2, 3)])
