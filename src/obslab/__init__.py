@@ -69,7 +69,9 @@ from .inequalities import (
     predicted_constant,
     verify_observability,
     admissible_c_min,
+    check_theorem,
     fill_theorem_params,
+    theorem_symmetries,
     mehrenberger_check,
     corollary33_check,
     sin_sum_lower_bound_check,

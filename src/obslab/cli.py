@@ -20,20 +20,18 @@ from . import __version__
 from .diophantine import build_algebraic_points, estimate_gamma
 from .inequalities import (
     ExponentialSum,
-    THEOREM_IDS,
     ThresholdError,
-    admissible_c_min,
+    check_theorem,
     empirical_constants,
-    fill_theorem_params,
     m_ab,
     mehrenberger_check,
-    predicted_constant,
     symmetry_constants,
+    theorem_symmetries,
     verify_observability,
 )
 from .observation import ObservationSpec, assemble_gram, quadrature_oracle
 from .spectrum import build_mode_set, partial_gap_analysis, RectangleGeometry
-from .states import EnergyWeight, SymmetrySpec, project_p_symmetric, random_state
+from .states import EnergyWeight, project_p_symmetric, random_state
 
 
 def _geometry(config: dict) -> RectangleGeometry:
@@ -68,13 +66,7 @@ def _projected_states(config: dict, mode_set, seed: int):
     """Random states, projected to the symmetries the theorem requires."""
     n = int(config.get("samples", 100))
     decay = float(config.get("decay", 0.0))
-    params = config.get("params", {})
-    theorem = config.get("theorem")
-    sym = []
-    if theorem in ("line_plus_strip", "line_plus_edge", "two_lines"):
-        sym.append(SymmetrySpec(int(params["p"]), "x1", float(params["alpha"])))
-    if theorem == "two_lines":
-        sym.append(SymmetrySpec(int(params["q"]), "x2", float(params["beta"])))
+    sym = theorem_symmetries(config["theorem"], config.get("params", {}))
     states = []
     for i in range(n):
         st = random_state(mode_set, seed + i, decay)
@@ -84,46 +76,22 @@ def _projected_states(config: dict, mode_set, seed: int):
     return states
 
 
-def _restricted_c_min(theorem, specs, mode_set, params) -> float:
-    gram = sum(assemble_gram(s, mode_set).matrix for s in specs)
-    return max(admissible_c_min(theorem, gram, mode_set, params), 0.0)
-
-
 def cmd_verify(config: dict, seed: int) -> tuple:
     theorem = config["theorem"]
-    if theorem not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem {theorem!r}")
     ms = _mode_set(config)
     specs = _specs(config)
     params = dict(config.get("params", {}))
     if int(config.get("samples", 100)) == 0:
         # eigen-certificate only: the truncated-space minimizer is the check
-        filled = fill_theorem_params(theorem, tuple(specs), params, ms.geometry)
-        filled["T"] = specs[0].T
-        pred = predicted_constant(theorem, filled, bool(params.get("paper_literal")))
-        if pred["below_threshold"]:
-            raise ThresholdError(f"T={specs[0].T} below threshold {pred['T_threshold']}")
-        c_min = _restricted_c_min(theorem, specs, ms, filled)
-        passed = c_min >= pred["c"] * (1 - 1e-9)
-        result = {
-            "theorem": theorem,
-            "T": specs[0].T,
-            "T_threshold": pred["T_threshold"],
-            "c_predicted": pred["c"],
-            "n_states": 0,
-            "empirical_c_min": c_min,
-            "passed": bool(passed),
-        }
-        return result, result["passed"]
-    states = _projected_states(config, ms, seed)
-    result = verify_observability(theorem, specs, states, params)
+        result = check_theorem(theorem, specs, ms, params)
+        if result["c_predicted"] is None:
+            raise ThresholdError(f"T={result['T']} below threshold {result['T_threshold']}")
+    else:
+        result = verify_observability(theorem, specs, _projected_states(config, ms, seed), params)
     return result, result["passed"]
 
 
-def cmd_scan_t(config: dict) -> tuple:
-    theorem = config["theorem"]
-    if theorem not in THEOREM_IDS:
-        raise ValueError(f"unknown theorem {theorem!r}")
+def cmd_scan_t(config: dict, seed: int) -> tuple:
     if "T_values" in config:
         ts = [float(t) for t in config["T_values"]]
     else:
@@ -134,27 +102,15 @@ def cmd_scan_t(config: dict) -> tuple:
         raise ValueError("T values must be positive and increasing")
     ms = _mode_set(config)
     params = dict(config.get("params", {}))
-    filled = None
     rows = []
     for t in ts:
-        specs = _specs(config, T=t)
-        if filled is None:
-            filled = fill_theorem_params(theorem, tuple(specs), params, ms.geometry)
-        pred = predicted_constant(
-            theorem, {**filled, "T": t}, bool(params.get("paper_literal"))
-        )
-        c_min = _restricted_c_min(theorem, specs, ms, filled)
-        if pred["below_threshold"]:
-            rows.append({"T": t, "c_min": c_min, "c_predicted": math.nan, "pass": False})
-        else:
-            c = pred["c"]
-            rows.append(
-                {"T": t, "c_min": c_min, "c_predicted": c, "pass": c_min >= c * (1 - 1e-9)}
-            )
-    return rows, all(r["pass"] for r in rows if not math.isnan(r["c_predicted"]))
+        r = check_theorem(config["theorem"], _specs(config, T=t), ms, params)
+        c = math.nan if r["c_predicted"] is None else r["c_predicted"]
+        rows.append({"T": t, "c_min": r["empirical_c_min"], "c_predicted": c, "pass": r["passed"]})
+    return {"rows": rows}, all(r["pass"] for r in rows if not math.isnan(r["c_predicted"]))
 
 
-def cmd_constants(config: dict) -> tuple:
+def cmd_constants(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     specs = _specs(config)
     s = float(config.get("weight", {}).get("s", 1))
@@ -163,22 +119,22 @@ def cmd_constants(config: dict) -> tuple:
     return json.loads(report.to_json()), True
 
 
-def cmd_diophantine(config: dict) -> tuple:
+def cmd_diophantine(config: dict, seed: int) -> tuple:
     points = build_algebraic_points(int(config["M"]), float(config.get("ell1", math.pi)))
     report = estimate_gamma(points, int(config["K_max"]))
     return json.loads(report.to_json()), True
 
 
-def cmd_mab(config: dict) -> tuple:
+def cmd_mab(config: dict, seed: int) -> tuple:
     return m_ab(float(config["a"]), float(config["b"])), True
 
 
-def cmd_symmetry(config: dict) -> tuple:
+def cmd_symmetry(config: dict, seed: int) -> tuple:
     sc = symmetry_constants(int(config["p"]), float(config["alpha"]))
     return asdict(sc), True
 
 
-def cmd_ingham(config: dict) -> tuple:
+def cmd_ingham(config: dict, seed: int) -> tuple:
     w = [float(x) for x in config["exponents"]]
     coeffs = [complex(re, im) for re, im in config["coefficients"]]
     n = int(config["n"])
@@ -196,6 +152,8 @@ def cmd_oracle_check(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     specs = _specs(config)
     n = int(config.get("samples", 5))
+    if n < 1:
+        raise ValueError("samples must be >= 1")
     resolution = int(config.get("resolution", 256))
     tol = float(config.get("tolerance", 1e-6))
     decay = float(config.get("decay", 0.0))
@@ -237,22 +195,25 @@ def _csv_scan(rows, config: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+COMMANDS = {
+    "verify": cmd_verify,
+    "scan-t": cmd_scan_t,
+    "constants": cmd_constants,
+    "diophantine": cmd_diophantine,
+    "mab": cmd_mab,
+    "symmetry": cmd_symmetry,
+    "ingham": cmd_ingham,
+    "oracle-check": cmd_oracle_check,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obslab",
         description="Observability experiments on rectangular membranes and plates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "verify",
-        "scan-t",
-        "constants",
-        "diophantine",
-        "mab",
-        "symmetry",
-        "ingham",
-        "oracle-check",
-    ):
+    for name in COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON experiment config")
         sp.add_argument("--out", help="output path (default: stdout)")
@@ -271,27 +232,10 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         if args.fmt == "csv" and args.command != "scan-t":
             raise ValueError("csv output is only defined for scan-t")
-
-        if args.command == "verify":
-            result, passed = cmd_verify(config, seed)
-        elif args.command == "scan-t":
-            rows, passed = cmd_scan_t(config)
-            if args.fmt != "json":
-                _emit(_csv_scan(rows, config), args.out)
-                return 0 if passed else 1
-            result = {"rows": rows}
-        elif args.command == "constants":
-            result, passed = cmd_constants(config)
-        elif args.command == "diophantine":
-            result, passed = cmd_diophantine(config)
-        elif args.command == "mab":
-            result, passed = cmd_mab(config)
-        elif args.command == "symmetry":
-            result, passed = cmd_symmetry(config)
-        elif args.command == "ingham":
-            result, passed = cmd_ingham(config)
-        else:
-            result, passed = cmd_oracle_check(config, seed)
+        result, passed = COMMANDS[args.command](config, seed)
+        if args.command == "scan-t" and args.fmt != "json":
+            _emit(_csv_scan(result["rows"], config), args.out)
+            return 0 if passed else 1
     except ThresholdError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 3

@@ -4,8 +4,10 @@ The empirical constants are the extremal eigenvalues of D^{-1/2} G D^{-1/2}
 where G is an observation Gram matrix and D the diagonal energy weight; the
 predicted constants are closed-form functions of the time horizon and of the
 interval and symmetry constants m_{a,b}, m_p, M_p. Both sides meet in
-verify_observability, which sweeps explicit states through the inequality
-observation >= c * energy.
+check_theorem, which compares the predicted constant with the smallest
+eigenvalue on the admissible modes, and in verify_observability, which also
+sweeps explicit states through the inequality observation >= c * energy. The
+theorems' region compositions, constants and symmetries live in one table.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -30,21 +33,55 @@ from .observation import (
     assemble_gram,
 )
 from .spectrum import ModeSet, partial_gap_analysis
-from .states import EnergyWeight, SpectralState, energy_seminorm_sq
+from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq
 
-THEOREM_IDS = (
-    "two_strips",
-    "strip_plus_edge",
-    "line_plus_strip",
-    "line_plus_edge",
-    "two_lines",
-)
+
+class _Theorem(NamedTuple):
+    """The facts of one membrane theorem that its formula does not show.
+
+    compositions lists the sets of region kinds it observes; constants names
+    the interval (m_ab, m_cd) and symmetry (m_o, M_o) constants its formula
+    reads; symmetries holds one (order key, axis, anchor key) per symmetry its
+    states carry. Order o yields m_o and M_o, and the anchor key names both the
+    params entry and the field of the line region on that axis.
+    """
+
+    compositions: tuple
+    constants: tuple
+    symmetries: tuple = ()
+
+
+_THEOREMS = {
+    "two_strips": _Theorem(
+        ({"CrossStrips"}, {"VerticalStrip", "HorizontalStrip"}), ("m_ab", "m_cd")
+    ),
+    "strip_plus_edge": _Theorem(({"VerticalStrip", "BoundaryEdgeBottom"},), ("m_ab",)),
+    "line_plus_strip": _Theorem(
+        ({"VerticalLine", "HorizontalStrip"},), ("m_p", "M_p", "m_cd"), (("p", "x1", "alpha"),)
+    ),
+    "line_plus_edge": _Theorem(
+        ({"VerticalLine", "BoundaryEdgeBottom"},), ("m_p", "M_p"), (("p", "x1", "alpha"),)
+    ),
+    "two_lines": _Theorem(
+        ({"VerticalLine", "HorizontalLine"},),
+        ("m_p", "M_p", "m_q", "M_q"),
+        (("p", "x1", "alpha"), ("q", "x2", "beta")),
+    ),
+}
+
+THEOREM_IDS = tuple(_THEOREMS)
 
 _PI = math.pi
 
 
 class ThresholdError(ValueError):
     """Raised when the time horizon is below a theorem's threshold."""
+
+
+def _theorem(theorem: str) -> _Theorem:
+    if theorem not in _THEOREMS:
+        raise ValueError(f"theorem must be one of {THEOREM_IDS}")
+    return _THEOREMS[theorem]
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +296,7 @@ def symmetry_constants(p: int, alpha: float) -> SymmetryConstants:
     alpha = float(alpha)
     if not 0 < alpha < _PI:
         raise ValueError("alpha must lie in (0, pi)")
-    for q in range(1, p + 1):
-        ratio = q * alpha / _PI
-        if abs(ratio - round(ratio)) <= 1e-9:
-            if q < p:
-                raise ValueError(f"p is not minimal: {q}*alpha/pi is already integer")
-            break
-    else:
-        raise ValueError("p*alpha/pi is not an integer")
+    SymmetrySpec(p, "x1", alpha)  # rejects a p that is not the minimal order of alpha
     k = np.arange(1, p)
     values = np.sin(k * alpha) ** 2
     nonzero = values[values > 1e-12]
@@ -277,15 +307,6 @@ def symmetry_constants(p: int, alpha: float) -> SymmetryConstants:
 # predicted constants
 
 
-_PARAM_KEYS = {
-    "two_strips": ("m_ab", "m_cd"),
-    "strip_plus_edge": ("m_ab",),
-    "line_plus_strip": ("m_p", "M_p", "m_cd"),
-    "line_plus_edge": ("m_p", "M_p"),
-    "two_lines": ("m_p", "M_p", "m_q", "M_q"),
-}
-
-
 def predicted_constant(theorem: str, params: dict, paper_literal: bool = False) -> dict:
     """Explicit threshold and constant for observation >= c * energy.
 
@@ -294,9 +315,7 @@ def predicted_constant(theorem: str, params: dict, paper_literal: bool = False) 
     paper_literal switches the two_strips constant to the uncorrected printed
     form whose middle sign disagrees with its own derivation.
     """
-    if theorem not in THEOREM_IDS:
-        raise ValueError(f"theorem must be one of {THEOREM_IDS}")
-    missing = [k for k in _PARAM_KEYS[theorem] + ("T",) if k not in params]
+    missing = [k for k in _theorem(theorem).constants + ("T",) if k not in params]
     if missing:
         raise ValueError(f"missing params for {theorem}: {missing}")
     T = float(params["T"])
@@ -350,18 +369,9 @@ def predicted_constant(theorem: str, params: dict, paper_literal: bool = False) 
 # verification sweeps
 
 
-_COMPOSITES = {
-    "two_strips": ({"CrossStrips"}, {"VerticalStrip", "HorizontalStrip"}),
-    "strip_plus_edge": ({"VerticalStrip", "BoundaryEdgeBottom"},),
-    "line_plus_strip": ({"VerticalLine", "HorizontalStrip"},),
-    "line_plus_edge": ({"VerticalLine", "BoundaryEdgeBottom"},),
-    "two_lines": ({"VerticalLine", "HorizontalLine"},),
-}
-
-
 def _check_composition(theorem: str, specs: tuple) -> None:
     names = sorted(type(s.region).__name__ for s in specs)
-    allowed = [sorted(c) for c in _COMPOSITES[theorem]]
+    allowed = [sorted(c) for c in _theorem(theorem).compositions]
     if names not in allowed:
         raise ValueError(f"{theorem} expects regions {allowed}, got {names}")
     if len({s.T for s in specs}) != 1:
@@ -384,6 +394,7 @@ def fill_theorem_params(theorem: str, specs: tuple, params: dict, geometry) -> d
     live in the same coordinates as m_ab; otherwise they must be supplied.
     """
     p = dict(params)
+    entry = _theorem(theorem)
     square = abs(geometry.ell1 - _PI) < 1e-12 and abs(geometry.ell2 - _PI) < 1e-12
 
     def fill_interval(key, lo, hi):
@@ -395,33 +406,40 @@ def fill_theorem_params(theorem: str, specs: tuple, params: dict, geometry) -> d
     cross = _region_of(specs, CrossStrips)
     vstrip = _region_of(specs, VerticalStrip) or (cross and cross.vertical)
     hstrip = _region_of(specs, HorizontalStrip) or (cross and cross.horizontal)
-    if "m_ab" in _PARAM_KEYS[theorem] and vstrip is not None:
+    if "m_ab" in entry.constants and vstrip is not None:
         fill_interval("m_ab", vstrip.a, vstrip.b)
-    if "m_cd" in _PARAM_KEYS[theorem] and hstrip is not None:
+    if "m_cd" in entry.constants and hstrip is not None:
         fill_interval("m_cd", hstrip.c, hstrip.d)
-    if "m_p" in _PARAM_KEYS[theorem] and ("m_p" not in p or "M_p" not in p):
-        line = _region_of(specs, VerticalLine)
-        sc = symmetry_constants(int(p["p"]), line.alpha * _PI / geometry.ell1)
-        p.setdefault("m_p", sc.m_p)
-        p.setdefault("M_p", sc.M_p)
-    if "m_q" in _PARAM_KEYS[theorem] and ("m_q" not in p or "M_q" not in p):
-        line = _region_of(specs, HorizontalLine)
-        sc = symmetry_constants(int(p["q"]), line.beta * _PI / geometry.ell2)
-        p.setdefault("m_q", sc.m_p)
-        p.setdefault("M_q", sc.M_p)
+    for order, axis, anchor in entry.symmetries:
+        low, high = f"m_{order}", f"M_{order}"
+        if low not in p or high not in p:
+            line = _region_of(specs, VerticalLine if axis == "x1" else HorizontalLine)
+            ell = geometry.ell1 if axis == "x1" else geometry.ell2
+            sc = symmetry_constants(int(p[order]), getattr(line, anchor) * _PI / ell)
+            p.setdefault(low, sc.m_p)
+            p.setdefault(high, sc.M_p)
     return p
+
+
+def theorem_symmetries(theorem: str, params: dict) -> tuple:
+    """The symmetries a theorem's states must carry, as SymmetrySpecs.
+
+    Each order and its anchor point come from params (p and alpha along x1,
+    q and beta along x2); project states with project_p_symmetric.
+    """
+    return tuple(
+        SymmetrySpec(int(params[order]), axis, float(params[anchor]))
+        for order, axis, anchor in _theorem(theorem).symmetries
+    )
 
 
 def _admissible_mode_mask(theorem: str, mode_set: ModeSet, params: dict) -> np.ndarray:
     mask = np.ones(len(mode_set), dtype=bool)
-    if theorem in ("line_plus_strip", "line_plus_edge", "two_lines"):
-        if "p" not in params:
-            raise ValueError(f"{theorem} requires the symmetry order p")
-        mask &= (mode_set.k1 % int(params["p"])) != 0
-    if theorem == "two_lines":
-        if "q" not in params:
-            raise ValueError("two_lines requires the symmetry order q")
-        mask &= (mode_set.k2 % int(params["q"])) != 0
+    for order, axis, _ in _theorem(theorem).symmetries:
+        if order not in params:
+            raise ValueError(f"{theorem} requires the symmetry order {order}")
+        ks = mode_set.k1 if axis == "x1" else mode_set.k2
+        mask &= (ks % int(params[order])) != 0
     return mask
 
 
@@ -437,18 +455,49 @@ def admissible_c_min(theorem: str, gram: np.ndarray, mode_set: ModeSet, params: 
     return float(scipy.linalg.eigvalsh(_pencil_matrix(gram, d)[np.ix_(keep, keep)])[0])
 
 
+def _check(theorem: str, specs: tuple, mode_set: ModeSet, params: dict) -> tuple:
+    """check_theorem's result and the summed Gram it was computed from."""
+    _check_composition(theorem, specs)
+    T = specs[0].T
+    filled = fill_theorem_params(theorem, specs, params, mode_set.geometry)
+    pred = predicted_constant(theorem, {**filled, "T": T}, bool(params.get("paper_literal")))
+    gram = _summed_gram(specs, mode_set)
+    c_min = admissible_c_min(theorem, gram, mode_set, filled)
+    c = pred["c"]
+    result = {
+        "theorem": theorem,
+        "T": T,
+        "T_threshold": pred["T_threshold"],
+        "c_predicted": c,
+        "n_states": 0,
+        "empirical_c_min": c_min,
+        "passed": c is not None and c_min >= c * (1 - 1e-9),
+    }
+    return result, gram
+
+
+def check_theorem(theorem: str, spec, mode_set: ModeSet, params: dict) -> dict:
+    """Check a theorem on the truncated space by its admissible eigenvalue alone.
+
+    spec is the theorem's composite observation (one ObservationSpec or a
+    list). The regions must match the theorem; missing interval and symmetry
+    constants are filled from them. passed compares empirical_c_min, the raw
+    admissible_c_min of the summed Gram, with c_predicted. Below the threshold
+    c_predicted is None and passed is False; empirical_c_min is still given.
+    """
+    return _check(theorem, _as_spec_tuple(spec), mode_set, params)[0]
+
+
 def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     """Sweep explicit states through observation >= c_predicted * energy.
 
     spec is one ObservationSpec or the list making up the theorem's composite
     observation (integrals add). For the symmetry-restricted theorems every
     state must be pre-projected; the reported eigenvalue minimum is taken on
-    the admissible subspace, where the inequality is meaningful.
+    the admissible subspace, where the inequality is meaningful. The report
+    extends check_theorem's, whose Gram the states are swept through.
     """
-    if theorem not in THEOREM_IDS:
-        raise ValueError(f"theorem must be one of {THEOREM_IDS}")
     specs = _as_spec_tuple(spec)
-    _check_composition(theorem, specs)
     states = list(states)
     if not states:
         raise ValueError("need at least one state")
@@ -461,17 +510,14 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
         ):
             raise ValueError("all states must share one mode set")
 
-    T = specs[0].T
-    filled = fill_theorem_params(theorem, specs, params, ms.geometry)
-    filled["T"] = T
-    pred = predicted_constant(theorem, filled, paper_literal=bool(params.get("paper_literal")))
-    if pred["below_threshold"]:
+    result, g = _check(theorem, specs, ms, params)
+    c_pred = result["c_predicted"]
+    if c_pred is None:
         raise ThresholdError(
-            f"T={T} is below the {theorem} threshold {pred['T_threshold']}"
+            f"T={result['T']} is below the {theorem} threshold {result['T_threshold']}"
         )
-    c_pred = pred["c"]
 
-    mask = _admissible_mode_mask(theorem, ms, filled)
+    mask = _admissible_mode_mask(theorem, ms, params)
     weight = EnergyWeight(1, "wave")
     coeffs = np.array([st.doubled() for st in states])
     if not np.all(mask):
@@ -485,24 +531,18 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
                 "project them first"
             )
 
-    g = _summed_gram(specs, ms)
     obs = np.einsum("si,ij,sj->s", coeffs.conj(), g, coeffs).real
     energies = np.array([energy_seminorm_sq(st, weight) for st in states])
     if np.any(energies <= 0):
         raise ValueError("zero-energy states are excluded")
     ratios = obs / energies
-    c_min_emp = admissible_c_min(theorem, g, ms, filled)
 
     min_ratio = float(ratios.min())
     return {
-        "theorem": theorem,
-        "T": T,
-        "T_threshold": pred["T_threshold"],
-        "c_predicted": c_pred,
+        **result,
         "n_states": len(states),
         "min_ratio": min_ratio,
         "argmin_state": int(np.argmin(ratios)),
-        "empirical_c_min": c_min_emp,
         "passed": bool(min_ratio >= c_pred * (1 - 1e-9)),
     }
 
@@ -511,15 +551,22 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
 # Ingham-type checks
 
 
+def _ingham_result(lhs: float, rhs: float) -> dict:
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise ValueError(f"the horizon overflows the bound: lhs={lhs}, rhs={rhs}")
+    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs * (1 - 1e-9))}
+
+
 def mehrenberger_check(es: ExponentialSum, T: float) -> dict:
     """Partial-gap Ingham inequality on a finite exponential sum.
 
     lhs is the exact time integral of the squared sum; rhs the guaranteed
-    lower bound from the gap data (n, gamma). Requires T > 2 pi / gamma.
+    lower bound from the gap data (n, gamma). Requires a finite T > 2 pi / gamma
+    small enough that both sides stay finite.
     """
     T = float(T)
-    if not T > 2 * _PI / es.gamma:
-        raise ValueError("need T > 2*pi/gamma")
+    if not (math.isfinite(T) and T > 2 * _PI / es.gamma):
+        raise ValueError("need a finite T > 2*pi/gamma")
     w = np.array(es.exponents)
     a = np.array(es.coefficients)
     kernel = _interval_kernel(w[None, :] - w[:, None], 0.0, T)
@@ -528,20 +575,21 @@ def mehrenberger_check(es: ExponentialSum, T: float) -> dict:
     total = float(np.sum(np.abs(a) ** 2))
     tail = float(np.sum(np.abs(a[np.abs(idx) >= es.n]) ** 2))
     rhs = (2 * T / _PI) * (tail - (2 * _PI / (T * es.gamma)) ** 2 * total)
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs * (1 - 1e-9))}
+    return _ingham_result(lhs, rhs)
 
 
 def corollary33_check(k2: int, a, b, T: float) -> dict:
     """Two-branch Ingham bound at fixed k2 with |k| = sqrt(k1^2 + k2^2).
 
     a and b list the branch coefficients over k1 = 1..N. Requires the
-    universal horizon T > 4*sqrt(2)*pi coming from the gap 1/(2*sqrt(2)).
+    universal horizon T > 4*sqrt(2)*pi coming from the gap 1/(2*sqrt(2)), and
+    a finite T small enough that both sides stay finite.
     """
     T = float(T)
     if k2 != int(k2) or k2 < 1:
         raise ValueError("k2 must be a positive integer")
-    if not T > 4 * math.sqrt(2) * _PI:
-        raise ValueError("need T > 4*sqrt(2)*pi")
+    if not (math.isfinite(T) and T > 4 * math.sqrt(2) * _PI):
+        raise ValueError("need a finite T > 4*sqrt(2)*pi")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
@@ -556,7 +604,7 @@ def corollary33_check(k2: int, a, b, T: float) -> dict:
     strong = float(mass[k1 >= k2].sum())
     weak = float(mass[k1 < k2].sum())
     rhs = (2 * T / _PI - 64 * _PI / T) * strong - (64 * _PI / T) * weak
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs >= rhs * (1 - 1e-9))}
+    return _ingham_result(lhs, rhs)
 
 
 def sin_sum_lower_bound_check(k1: int, alphas, ell1: float, M: int, gamma_hat: float) -> bool:

@@ -281,8 +281,8 @@ def _interval_kernel(delta, lo: float, hi: float):
 
 def time_kernel(w1: float, w2: float, T: float) -> complex:
     """integral over (0, T) of e^{i (w1 - w2) t} dt; equals T when w1 = w2."""
-    if not T > 0:
-        raise ValueError("T must be positive")
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError("T must be positive and finite")
     return complex(_interval_kernel(np.float64(w1) - np.float64(w2), 0.0, T))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from obslab import __version__, cli
+from obslab import THEOREM_IDS, __version__, cli
 from obslab.cli import main
 
 PI = math.pi
@@ -98,6 +98,28 @@ def test_verify_below_threshold_exits_3(tmp_path):
 def test_verify_unknown_theorem_exits_2(tmp_path):
     code, _ = run(tmp_path, "verify", {**CROSS, "theorem": "three_strips"})
     assert code == 2
+
+
+MISMATCHED = {
+    "two_lines_on_cross": {**CROSS, "theorem": "two_lines", "params": TWO_LINES["params"]},
+    "two_strips_on_one_strip": {
+        **CROSS,
+        "T": 50.0,
+        "spec": {"region": {"kind": "VerticalStrip", "a": 1.0, "b": 2.0}, "field": "velocity"},
+        "params": {"m_cd": 0.5},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "scan-t"])
+@pytest.mark.parametrize("name", sorted(MISMATCHED))
+def test_mismatched_composition_exits_2(tmp_path, command, name):
+    config = {**MISMATCHED[name], "samples": 0}
+    if command == "scan-t":
+        config["T_values"] = [config.pop("T")]
+    code, text = run(tmp_path, command, config)
+    assert code == 2
+    assert text == ""
 
 
 def test_malformed_config_exits_2(tmp_path):
@@ -202,21 +224,30 @@ def test_symmetry(tmp_path):
     assert code == 2
 
 
+INGHAM = {
+    "exponents": [1.0, 2.0, 3.0, 4.0, 5.0],
+    "coefficients": [[1, 0], [1, 0], [1, 0], [1, 0], [1, 0]],
+    "n": 0,
+    "gamma": "auto",
+    "T": 5 * PI,
+}
+
+
 def test_ingham(tmp_path):
-    config = {
-        "exponents": [1.0, 2.0, 3.0, 4.0, 5.0],
-        "coefficients": [[1, 0], [1, 0], [1, 0], [1, 0], [1, 0]],
-        "n": 0,
-        "gamma": "auto",
-        "T": 5 * PI,
-    }
-    code, text = run(tmp_path, "ingham", config)
+    code, text = run(tmp_path, "ingham", INGHAM)
     assert code == 0
     result = json.loads(text)["result"]
     assert result["gamma"] == 1.0
     assert result["holds"]
-    code, _ = run(tmp_path, "ingham", {**config, "T": PI})
+    code, _ = run(tmp_path, "ingham", {**INGHAM, "T": PI})
     assert code == 2
+
+
+@pytest.mark.parametrize("T", [math.inf, 1e308], ids=["inf", "overflow"])
+def test_ingham_rejects_unusable_horizon(tmp_path, T):
+    code, text = run(tmp_path, "ingham", {**INGHAM, "T": T})
+    assert code == 2
+    assert text == ""
 
 
 ORACLE = {
@@ -257,7 +288,9 @@ def test_oracle_check_passes_and_fails(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "change", [{"T": math.inf}, {"geometry": [math.inf, PI]}], ids=["T", "geometry"]
+    "change",
+    [{"T": math.inf}, {"geometry": [math.inf, PI]}, {"samples": 0}, {"samples": -3}],
+    ids=["T", "geometry", "samples=0", "samples=-3"],
 )
 def test_oracle_check_rejects_non_finite_input(tmp_path, change):
     code, text = run(tmp_path, "oracle-check", {**ORACLE, **change})
@@ -285,6 +318,16 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def test_cli_names_no_theorem():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    literals = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert literals.isdisjoint(THEOREM_IDS)
 
 
 def test_stdout_when_no_out_path(tmp_path, capsys):

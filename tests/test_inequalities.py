@@ -23,6 +23,7 @@ from obslab import (
     VerticalStrip,
     assemble_gram,
     build_mode_set,
+    check_theorem,
     corollary33_check,
     empirical_constants,
     energy_seminorm_sq,
@@ -33,6 +34,7 @@ from obslab import (
     random_state,
     sin_sum_lower_bound_check,
     symmetry_constants,
+    theorem_symmetries,
     verify_observability,
 )
 from obslab import inequalities
@@ -341,8 +343,9 @@ def test_mehrenberger_tail_only_bound():
 
 def test_mehrenberger_requires_long_horizon():
     es = ExponentialSum((1.0, 2.0), (1, 1), 0, 1.0)
-    with pytest.raises(ValueError):
-        mehrenberger_check(es, 2 * PI)
+    for t in (2 * PI, math.inf, 1e308):  # 1e308 overflows the integral
+        with pytest.raises(ValueError):
+            mehrenberger_check(es, t)
 
 
 def test_corollary33_single_mode():
@@ -368,6 +371,9 @@ def test_corollary33_validation():
         corollary33_check(0, [1.0], [0.0], 20.0)
     with pytest.raises(ValueError):
         corollary33_check(1, [1.0, 2.0], [0.0], 20.0)
+    for t in (math.inf, 1e308):  # 1e308 overflows the kernel's arguments
+        with pytest.raises(ValueError):
+            corollary33_check(1, [1.0], [0.0], t)
 
 
 def test_sin_sum_lower_bound():
@@ -444,6 +450,45 @@ def test_admissible_c_min_serves_verify_with_one_assembly(square, monkeypatch):
     cross = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=47.84977149867659)
     full = admissible_c_min("two_strips", assemble_gram(cross, ms).matrix, ms, {})
     assert full == pytest.approx(empirical_constants(cross, WAVE, ms).c_min, rel=1e-9)
+
+
+def test_check_theorem_matches_verify(square):
+    ms = build_mode_set(square, 6, 6)
+    t = 9 * PI
+    specs = [_vspec(VerticalLine(PI / 2), T=t), _vspec(HorizontalLine(PI / 2), T=t)]
+    params = {"p": 2, "q": 2}
+    check = check_theorem("two_lines", specs, ms, params)
+    states = _projected_states(ms, range(3), p=2, q=2)
+    report = verify_observability("two_lines", specs, states, params)
+    for key in ("T_threshold", "c_predicted", "empirical_c_min"):
+        assert check[key] == report[key]
+    assert check["n_states"] == 0
+    assert check["passed"]
+
+
+def test_check_theorem_below_threshold_keeps_c_min(square):
+    ms = build_mode_set(square, 4, 4)
+    spec = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=10.0)
+    check = check_theorem("two_strips", spec, ms, {})
+    assert check["c_predicted"] is None
+    assert not check["passed"]
+    assert check["empirical_c_min"] == admissible_c_min(
+        "two_strips", assemble_gram(spec, ms).matrix, ms, {}
+    )
+    with pytest.raises(ValueError):
+        check_theorem("two_lines", spec, ms, {"p": 2, "q": 2})
+
+
+def test_theorem_symmetries():
+    params = {"p": 3, "alpha": PI / 3, "q": 2, "beta": PI / 2}
+    assert theorem_symmetries("two_strips", params) == ()
+    assert theorem_symmetries("line_plus_edge", params) == (SymmetrySpec(3, "x1", PI / 3),)
+    assert theorem_symmetries("two_lines", params) == (
+        SymmetrySpec(3, "x1", PI / 3),
+        SymmetrySpec(2, "x2", PI / 2),
+    )
+    with pytest.raises(ValueError):
+        theorem_symmetries("three_strips", params)
 
 
 def test_verify_rejects_unprojected_states(square):

@@ -76,8 +76,9 @@ def test_time_kernel_quarter_turn():
 
 
 def test_time_kernel_rejects_bad_horizon():
-    with pytest.raises(ValueError):
-        time_kernel(1.0, 0.0, 0.0)
+    for T in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            time_kernel(1.0, 0.0, T)
 
 
 @given(
