@@ -83,9 +83,7 @@ def cmd_verify(config: dict, seed: int) -> tuple:
     params = dict(config.get("params", {}))
     if int(config.get("samples", 100)) == 0:
         # eigen-certificate only: the truncated-space minimizer is the check
-        result = check_theorem(theorem, specs, ms, params)
-        if result["c_predicted"] is None:
-            raise ThresholdError(f"T={result['T']} below threshold {result['T_threshold']}")
+        result = check_theorem(theorem, specs, ms, params, require_threshold=True)
     else:
         result = verify_observability(theorem, specs, _projected_states(config, ms, seed), params)
     return result, result["passed"]

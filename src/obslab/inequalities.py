@@ -8,6 +8,14 @@ check_theorem, which compares the predicted constant with the smallest
 eigenvalue on the admissible modes, and in verify_observability, which also
 sweeps explicit states through the inequality observation >= c * energy. The
 theorems' region compositions, constants and symmetries live in one table.
+
+empirical_constants solves the pencil on its real sectors. Each closed Gram
+is a phase around [[X, Y], [Y, X]] (see observation), so with one window
+centre the pencil splits into the real n x n sectors D^{-1/2} (X + Y) D^{-1/2}
+(even in time) and D^{-1/2} (X - Y) D^{-1/2} (odd in time); pieces centred
+apart are rotated to one centre and solved as one real 2n x 2n matrix. The
+minimiser is lifted back through the sector sign, 1/sqrt 2 and the phase,
+and its Rayleigh quotient on the complex Gram certifies c_min.
 """
 
 from __future__ import annotations
@@ -201,11 +209,15 @@ def _summed_gram(specs: tuple, mode_set: ModeSet) -> np.ndarray:
     return total
 
 
-def _doubled_weight(weight: EnergyWeight, mode_set: ModeSet) -> np.ndarray:
+def _weight_diagonal(weight: EnergyWeight, mode_set: ModeSet) -> np.ndarray:
     d = weight.diagonal(mode_set)
     if not np.all(d > 0):
         raise ValueError("energy weight must be strictly positive on every mode")
-    return np.concatenate([d, d])
+    return d
+
+
+def _doubled_weight(weight: EnergyWeight, mode_set: ModeSet) -> np.ndarray:
+    return np.tile(_weight_diagonal(weight, mode_set), 2)
 
 
 def _pencil_matrix(g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -213,22 +225,70 @@ def _pencil_matrix(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return g * np.outer(r, r)
 
 
+def _real_sectors(grams: list, d: np.ndarray) -> list:
+    """Real symmetric matrices whose spectra together are the pencil's.
+
+    Each closed Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
+    -angle)}. Rotated to the first piece's angle, the sum is [[A, B], [conj B,
+    conj A]], and W = [[I, iI], [I, -iI]] / sqrt 2 takes it to the real
+    symmetric [[Re(A+B), Im(B-A)], [Im(A+B), Re(A-B)]]. When every piece
+    shares the first one's angle, A and B are real and that matrix splits
+    into the sectors A+B (even in time) and A-B (odd in time).
+    """
+    angle = grams[0].centred[2]
+    a = b = 0.0
+    for g in grams:
+        x, y, theta = g.centred
+        if np.array_equal(theta, angle):
+            a, b = a + x, b + y
+        else:  # a piece centred elsewhere: rotate its phase to the reference angle
+            psi = theta - angle
+            a = a + x * np.exp(1j * (psi[None, :] - psi[:, None]))
+            b = b + y * np.exp(-1j * (psi[None, :] + psi[:, None]))
+    r = 1.0 / np.sqrt(d)
+    rr = np.outer(r, r)
+    a, b = a * rr, b * rr
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return [np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])]
+    return [a + b, a - b]
+
+
 def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> ConstantReport:
     """Extreme eigenvalues of the observation/energy pencil on the mode set.
 
     c_min certifies observation >= c_min * energy on the truncated space and
-    c_max the reverse bound; the returned argmin_state attains c_min with a
-    Rayleigh quotient within 1e-8 * c_max.
+    c_max the reverse bound. The pencil is solved on its real sectors (see
+    _real_sectors): with one window centre, D^{-1/2} (X + Y) D^{-1/2} and
+    D^{-1/2} (X - Y) D^{-1/2}, each n x n, for their extreme eigenpairs. The
+    minimiser u of a sector is lifted to the doubled coefficients
+    D^{-1/2} conj(p) (u1 + i u2, u1 - i u2) / sqrt 2, where (u1, u2) is (u, 0)
+    in the even sector and (0, u) in the odd one. The returned argmin_state
+    attains c_min with a Rayleigh quotient, taken on the complex doubled Gram
+    of GramForm.quadratic_form, within 1e-8 * c_max.
     """
     specs = _as_spec_tuple(spec)
-    g = _summed_gram(specs, mode_set)
-    d = _doubled_weight(weight, mode_set)
-    evals, evecs = scipy.linalg.eigh(_pencil_matrix(g, d))
-    c_min, c_max = max(float(evals[0]), 0.0), float(evals[-1])
-    coeffs = evecs[:, 0] / np.sqrt(d)
+    grams = [assemble_gram(s, mode_set) for s in specs]
+    d = _weight_diagonal(weight, mode_set)
     n = len(mode_set)
+    c_max, low, offset = -math.inf, None, 0
+    for s in _real_sectors(grams, d):
+        m = len(s)
+        evals, evecs = scipy.linalg.eigh(s, subset_by_index=[0, 0])
+        top = scipy.linalg.eigh(s, subset_by_index=[m - 1, m - 1], eigvals_only=True)
+        c_max = max(c_max, float(top[0]))
+        if low is None or evals[0] < low[0]:
+            u = np.zeros(2 * n)
+            u[offset : offset + m] = evecs[:, 0]
+            low = (float(evals[0]), u)
+        offset += m
+    c_min = max(low[0], 0.0)
+    u1, u2 = low[1][:n], low[1][n:]
+    phase = np.exp(-1j * grams[0].centred[2]) / np.sqrt(d)
+    coeffs = np.concatenate([phase * (u1 + 1j * u2), np.conj(phase) * (u1 - 1j * u2)])
+    coeffs /= math.sqrt(2)
     state = SpectralState(mode_set, coeffs[:n], coeffs[n:])
-    rayleigh = float(np.real(np.vdot(coeffs, g @ coeffs))) / energy_seminorm_sq(state, weight)
+    observed = sum(g.quadratic_form(coeffs) for g in grams)
+    rayleigh = observed / energy_seminorm_sq(state, weight)
     if abs(rayleigh - c_min) > 1e-8 * max(c_max, 1e-300):
         raise RuntimeError(
             f"eigensolver certificate failed: rayleigh={rayleigh}, c_min={c_min}"
@@ -413,7 +473,10 @@ def fill_theorem_params(theorem: str, specs: tuple, params: dict, geometry) -> d
     for order, axis, anchor in entry.symmetries:
         low, high = f"m_{order}", f"M_{order}"
         if low not in p or high not in p:
-            line = _region_of(specs, VerticalLine if axis == "x1" else HorizontalLine)
+            cls = VerticalLine if axis == "x1" else HorizontalLine
+            line = _region_of(specs, cls)
+            if line is None:
+                raise ValueError(f"{theorem} needs a {cls.__name__} region for {low} and {high}")
             ell = geometry.ell1 if axis == "x1" else geometry.ell2
             sc = symmetry_constants(int(p[order]), getattr(line, anchor) * _PI / ell)
             p.setdefault(low, sc.m_p)
@@ -455,15 +518,19 @@ def admissible_c_min(theorem: str, gram: np.ndarray, mode_set: ModeSet, params: 
     return float(scipy.linalg.eigvalsh(_pencil_matrix(gram, d)[np.ix_(keep, keep)])[0])
 
 
-def _check(theorem: str, specs: tuple, mode_set: ModeSet, params: dict) -> tuple:
+def _check(
+    theorem: str, specs: tuple, mode_set: ModeSet, params: dict, require_threshold: bool
+) -> tuple:
     """check_theorem's result and the summed Gram it was computed from."""
     _check_composition(theorem, specs)
     T = specs[0].T
     filled = fill_theorem_params(theorem, specs, params, mode_set.geometry)
     pred = predicted_constant(theorem, {**filled, "T": T}, bool(params.get("paper_literal")))
+    c = pred["c"]
+    if require_threshold and c is None:
+        raise ThresholdError(f"T={T} is below the {theorem} threshold {pred['T_threshold']}")
     gram = _summed_gram(specs, mode_set)
     c_min = admissible_c_min(theorem, gram, mode_set, filled)
-    c = pred["c"]
     result = {
         "theorem": theorem,
         "T": T,
@@ -476,16 +543,20 @@ def _check(theorem: str, specs: tuple, mode_set: ModeSet, params: dict) -> tuple
     return result, gram
 
 
-def check_theorem(theorem: str, spec, mode_set: ModeSet, params: dict) -> dict:
+def check_theorem(
+    theorem: str, spec, mode_set: ModeSet, params: dict, *, require_threshold: bool = False
+) -> dict:
     """Check a theorem on the truncated space by its admissible eigenvalue alone.
 
     spec is the theorem's composite observation (one ObservationSpec or a
     list). The regions must match the theorem; missing interval and symmetry
     constants are filled from them. passed compares empirical_c_min, the raw
     admissible_c_min of the summed Gram, with c_predicted. Below the threshold
-    c_predicted is None and passed is False; empirical_c_min is still given.
+    c_predicted is None and passed is False; empirical_c_min is still given,
+    unless require_threshold is set: then ThresholdError is raised before any
+    Gram is assembled.
     """
-    return _check(theorem, _as_spec_tuple(spec), mode_set, params)[0]
+    return _check(theorem, _as_spec_tuple(spec), mode_set, params, require_threshold)[0]
 
 
 def verify_observability(theorem: str, spec, states, params: dict) -> dict:
@@ -495,7 +566,8 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     observation (integrals add). For the symmetry-restricted theorems every
     state must be pre-projected; the reported eigenvalue minimum is taken on
     the admissible subspace, where the inequality is meaningful. The report
-    extends check_theorem's, whose Gram the states are swept through.
+    extends check_theorem's, whose Gram the states are swept through. Below
+    the threshold it raises ThresholdError before any Gram is assembled.
     """
     specs = _as_spec_tuple(spec)
     states = list(states)
@@ -510,12 +582,8 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
         ):
             raise ValueError("all states must share one mode set")
 
-    result, g = _check(theorem, specs, ms, params)
+    result, g = _check(theorem, specs, ms, params, require_threshold=True)
     c_pred = result["c_predicted"]
-    if c_pred is None:
-        raise ThresholdError(
-            f"T={result['T']} is below the {theorem} threshold {result['T_threshold']}"
-        )
 
     mask = _admissible_mode_mask(theorem, ms, params)
     weight = EnergyWeight(1, "wave")
@@ -551,6 +619,16 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
 # Ingham-type checks
 
 
+def _ingham_kernel(w: np.ndarray, T: float) -> np.ndarray:
+    """Time kernel of the exponents w over (0, T), once its arguments are known to be finite.
+
+    The centred kernel evaluates sinc and the phase at |w_j - w_i| T / 2 at most.
+    """
+    if not math.isfinite((float(w.max()) - float(w.min())) * T):
+        raise ValueError(f"the horizon T={T} overflows the time kernel of these exponents")
+    return _interval_kernel(w[None, :] - w[:, None], 0.0, T)
+
+
 def _ingham_result(lhs: float, rhs: float) -> dict:
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise ValueError(f"the horizon overflows the bound: lhs={lhs}, rhs={rhs}")
@@ -569,7 +647,7 @@ def mehrenberger_check(es: ExponentialSum, T: float) -> dict:
         raise ValueError("need a finite T > 2*pi/gamma")
     w = np.array(es.exponents)
     a = np.array(es.coefficients)
-    kernel = _interval_kernel(w[None, :] - w[:, None], 0.0, T)
+    kernel = _ingham_kernel(w, T)
     lhs = float(np.real(np.vdot(a, kernel @ a)))
     idx = np.array(es.indices)
     total = float(np.sum(np.abs(a) ** 2))
@@ -598,7 +676,7 @@ def corollary33_check(k2: int, a, b, T: float) -> dict:
     freq = np.sqrt(k1**2 + float(k2) ** 2)
     w = np.concatenate([freq, -freq])
     coeffs = np.concatenate([a, b])
-    kernel = _interval_kernel(w[None, :] - w[:, None], 0.0, T)
+    kernel = _ingham_kernel(w, T)
     lhs = float(np.real(np.vdot(coeffs, kernel @ coeffs)))
     mass = np.abs(a) ** 2 + np.abs(b) ** 2
     strong = float(mass[k1 >= k2].sum())

@@ -4,10 +4,20 @@ Every observation integral here is a quadratic form c^H G c in the doubled
 coefficient vector (a-block then b-block). Each region names its separable
 pieces: a time window and a signed sum of products of an x1 factor and an x2
 factor. The Gram is the field amplitude product times the Hadamard product of
-three 1-D Grams, over time, x1 and x2. assemble_gram takes the 1-D Grams in
-closed form; the oracle runs the same piece list and factorisation on
-composite-Simpson sums over pointwise samples and shares no closed form. A
-dense tensor-grid reference that guards the factorisation lives in the tests.
+three 1-D Grams, over time, x1 and x2, and the doubled Gram is
+[[A, B], [conj B, conj A]] in its a-a block A and a-b block B. assemble_gram
+takes the 1-D Grams in closed form; the oracle runs the same piece list and
+factorisation on composite-Simpson sums over pointwise samples and shares no
+closed form. A dense tensor-grid reference that guards the factorisation lives
+in the tests.
+
+The closed forms are written about the centre c of each window of length L:
+the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
+The e^{+-i z k2 x2} profile of OpenRect is centred on its x2 interval the same
+way. The phases then factor out of every closed Gram as a diagonal unitary
+congruence: G = conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)}
+and X, Y real symmetric, kept in GramForm.centred. Its spectrum is that of
+X + Y (states even in time) and X - Y (odd in time).
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -261,21 +271,30 @@ class ObservationSpec:
 # closed-form kernels
 
 
+def _window_sinc(delta, lo: float, hi: float):
+    """(hi - lo) sinc(delta (hi - lo) / 2) elementwise: the modulus of the interval kernel.
+
+    Exactly even in delta, and free of cancellation as delta -> 0.
+    """
+    h = (hi - lo) / 2.0
+    u = np.asarray(delta, dtype=float) * h
+    return (2.0 * h) * np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0.0)
+
+
 def _interval_kernel(delta, lo: float, hi: float):
     """integral over (lo, hi) of e^{i delta s} ds, elementwise in delta.
 
-    Written with odd/even real expressions so that the value at -delta is the
-    exact floating-point conjugate; Gram matrices built from it are Hermitian
-    to the last bit.
+    Written about the window centre c = (lo + hi)/2 as e^{i delta c} times
+    the real modulus _window_sinc. The value at -delta is the exact
+    floating-point conjugate, so Gram matrices built from it are Hermitian to
+    the last bit.
     """
     d = np.asarray(delta, dtype=float)
+    mag = _window_sinc(d, lo, hi)
+    angle = d * ((lo + hi) / 2.0)
     out = np.empty(d.shape, dtype=complex)
-    zero = d == 0.0
-    dn = np.where(zero, 1.0, d)
-    re = (np.sin(dn * hi) - np.sin(dn * lo)) / dn
-    im = (np.cos(dn * lo) - np.cos(dn * hi)) / dn
-    out.real = np.where(zero, hi - lo, re)
-    out.imag = np.where(zero, 0.0, im)
+    out.real = mag * np.cos(angle)
+    out.imag = mag * np.sin(angle)
     return out
 
 
@@ -328,20 +347,28 @@ def _sine_overlap_matrix(ks: np.ndarray, interval, scale: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramForm:
-    """Hermitian PSD matrix with c^H G c = observation integral of the state."""
+    """Hermitian PSD matrix with c^H G c = observation integral of the state.
+
+    centred holds (X, Y, angle) for a Gram from assemble_gram: the matrix is
+    conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)} and X, Y
+    real symmetric. It is not a constructor argument and is None otherwise.
+    """
 
     mode_set: ModeSet
     matrix: np.ndarray
     spec: ObservationSpec
+    centred: tuple = field(init=False, default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         g = np.ascontiguousarray(self.matrix, dtype=complex)
         n = 2 * len(self.mode_set)
         if g.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n}")
-        scale = np.max(np.abs(g))
-        if scale > 0 and np.max(np.abs(g - g.conj().T)) > 1e-14 * scale:
-            raise ValueError("matrix is not Hermitian to tolerance")
+        # assemble_gram's Grams are exactly Hermitian and skip the tolerance pass's temporaries
+        if not np.array_equal(g, g.conj().T):
+            scale = np.max(np.abs(g))
+            if scale > 0 and np.max(np.abs(g - g.conj().T)) > 1e-14 * scale:
+                raise ValueError("matrix is not Hermitian to tolerance")
         g.flags.writeable = False
         object.__setattr__(self, "matrix", g)
 
@@ -368,12 +395,23 @@ class GramForm:
         doc = json.loads(text)
         geom = RectangleGeometry(doc["geometry"]["ell1"], doc["geometry"]["ell2"])
         ms = build_mode_set(geom, doc["K1"], doc["K2"])
-        g = np.array(doc["matrix_re"]) + 1j * np.array(doc["matrix_im"])
+        re = np.array(doc["matrix_re"], dtype=float)
+        g = np.empty(re.shape, dtype=complex)
+        g.real, g.imag = re, doc["matrix_im"]  # no arithmetic, so signed zeros survive
         return GramForm(ms, g, ObservationSpec.from_dict(doc["spec"]))
 
 
+def _frequencies(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
+    return np.sqrt(mode_set.lam) if spec.model == "wave" else mode_set.lam
+
+
 def _closed_axis_gram(factor, ks, z: float, ell: float):
-    """Closed-form 1-D Gram of one factor over the axis modes ks (wavenumber unit z)."""
+    """Closed-form 1-D Gram of one factor over the axis modes ks (wavenumber unit z).
+
+    The exp profile e^{+-i z k s} on (lo, hi) gives the stack (X, Y) of the
+    a-a and a-b blocks of its doubled Gram written about the interval centre,
+    without the phase: L sinc of z (k_j - k_i) L / 2 and of z (k_i + k_j) L / 2.
+    """
     kind, *args = factor
     if kind == "full":
         return (ell / 2.0) * (ks[:, None] == ks[None, :])
@@ -384,36 +422,88 @@ def _closed_axis_gram(factor, ks, z: float, ell: float):
         return np.outer(p, p)
     if kind == "ones":
         return 1.0
-    wx = np.concatenate([z * ks, -z * ks])  # "exp": doubled index
-    return _interval_kernel(wx[None, :] - wx[:, None], *args)
+    f = z * ks
+    x = _window_sinc(f[None, :] - f[:, None], *args)
+    return np.stack([x, _window_sinc(f[None, :] + f[:, None], *args)])
 
 
-def _gram_matrix(spec: ObservationSpec, mode_set: ModeSet, axis_gram) -> np.ndarray:
-    """conj(amp_i) amp_j Kt o tile(sum sign X1 o X2) over the region's separable pieces.
+def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram) -> np.ndarray:
+    """Stack (A, B) of the doubled Gram [[A, B], [conj B, conj A]] over the region's pieces.
 
-    axis_gram(factor, ks, z, ell) supplies each 1-D Gram. The time kernel Kt
-    is the profile e^{+-i w t} over the window, with unit wavenumber scale.
+    Each block is amp-weighted Kt o (sum sign X1 o X2). axis_gram(factor, ks,
+    z, ell) supplies each 1-D Gram: an exp profile (the time window, and the
+    x2 profile of OpenRect) gives the stack of its a-a and a-b blocks, every
+    other factor one matrix that serves both. A spatial factor's Gram is built
+    once per assembly, on the axis indices 1..K, and expanded to the mode set.
     """
     g = mode_set.geometry
-    w = np.sqrt(mode_set.lam) if spec.model == "wave" else mode_set.lam
+    w = _frequencies(spec, mode_set)
     window, terms = spec.region.pieces(spec.T)
-    kt = axis_gram(("exp", *window), w, 1.0, None)
-    x1 = (mode_set.k1, math.pi / g.ell1, g.ell1)
-    x2 = (mode_set.k2, math.pi / g.ell2, g.ell2)
-    products = (s * axis_gram(f1, *x1) * axis_gram(f2, *x2) for s, f1, f2 in terms)
-    sp = functools.reduce(np.add, products)
-    if sp.shape != kt.shape:
-        sp = np.tile(sp, (2, 2))
-    if spec.field == "velocity":  # amplitude i w; every other field has amplitude 1
-        amp = 1j * np.concatenate([w, -w])
-        kt = np.conj(amp)[:, None] * amp[None, :] * kt
-    return kt * sp
+    axes = ((mode_set.k1, mode_set.K1, g.ell1), (mode_set.k2, mode_set.K2, g.ell2))
+
+    @functools.cache
+    def expanded(factor, axis):
+        ks, K, ell = axes[axis]
+        gram = axis_gram(factor, np.arange(1, K + 1), math.pi / ell, ell)
+        i = ks - 1
+        return gram[..., i[:, None], i[None, :]] if np.ndim(gram) else gram
+
+    sp = functools.reduce(np.add, (s * expanded(f1, 0) * expanded(f2, 1) for s, f1, f2 in terms))
+    blocks = axis_gram(("exp", *window), w, 1.0, None) * sp
+    if spec.field == "velocity":  # amplitude i w: conj(amp_i) amp_j is w_i w_j, -w_i w_j
+        blocks *= np.outer(w, w) * np.array([1.0, -1.0])[:, None, None]
+    return blocks
+
+
+def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
+    """Per-mode phase angle of a closed Gram: w t_c, plus z k2 x_c for an exp profile on x2.
+
+    t_c and x_c are the centres of the time window and of the profile interval.
+    """
+    window, terms = spec.region.pieces(spec.T)
+    angle = _frequencies(spec, mode_set) * ((window[0] + window[1]) / 2.0)
+    z = math.pi / mode_set.geometry.ell2
+    for _, x0, x1 in {f2 for _, _, f2 in terms if f2[0] == "exp"}:  # OpenRect's one term
+        angle = angle + (z * mode_set.k2) * ((x0 + x1) / 2.0)
+    return angle
+
+
+def _doubled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.block([[a, b], [b.conj(), a.conj()]])
+
+
+def _phased_blocks(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> tuple:
+    """The a-a and a-b blocks conj(p_i) p_j X_ij and conj(p_i p_j) Y_ij, p = e^{i angle}.
+
+    The complex products are written out in real arithmetic, so the a-a block
+    is Hermitian and the a-b block symmetric to the last bit.
+    """
+    pr, pi = np.cos(angle), np.sin(angle)
+    rr, ii, ri = np.outer(pr, pr), np.outer(pi, pi), np.outer(pr, pi)
+    a = np.empty(x.shape, dtype=complex)
+    a.real = x * (rr + ii)
+    a.imag = x * (ri - ri.T)
+    b = np.empty(y.shape, dtype=complex)
+    b.real = y * (rr - ii)
+    b.imag = -(y * (ri + ri.T))
+    return a, b
 
 
 def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
-    """Closed-form Gram matrix of the observation integral on the mode set."""
+    """Closed-form Gram matrix of the observation integral on the mode set.
+
+    The matrix is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
+    -angle)}, Hermitian to the last bit; (X, Y, angle) is kept in
+    GramForm.centred.
+    """
     spec.validate_geometry(mode_set.geometry)
-    return GramForm(mode_set, _gram_matrix(spec, mode_set, _closed_axis_gram), spec)
+    x, y = _gram_blocks(spec, mode_set, _closed_axis_gram)
+    angle = _centre_angle(spec, mode_set)
+    for part in (x, y, angle):
+        part.flags.writeable = False
+    gram = GramForm(mode_set, _doubled(*_phased_blocks(x, y, angle)), spec)
+    object.__setattr__(gram, "centred", (x, y, angle))
+    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +527,11 @@ def _normalize_resolution(resolution: int) -> int:
 
 
 def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
-    """Simpson 1-D Gram sum_x w_x conj(f_i(x)) f_j(x) of one factor from pointwise samples."""
+    """Simpson 1-D Gram sum_x w_x conj(f_i(x)) f_j(x) of one factor from pointwise samples.
+
+    The exp profile gives the stack of the a-a and a-b blocks of its doubled
+    Gram, from the samples of e^{i z k x} and of e^{-i z k x}.
+    """
     kind, *args = factor
     if kind == "ones":
         return 1.0  # the constant profile at one node of unit weight
@@ -446,12 +540,14 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
     else:  # one node of unit weight: the point, or the x = 0 edge
         x, wx = np.array(args or [0.0]), np.ones(1)
     if kind == "exp":
-        f = np.exp(1j * np.outer(np.concatenate([z * ks, -z * ks]), x))
-    elif kind == "edge":
+        f = np.exp(1j * np.outer(z * ks, x))
+        fw = np.conj(f) * wx
+        return np.stack([fw @ f.T, fw @ np.conj(f).T])
+    if kind == "edge":
         f = (z * ks)[:, None] * np.cos(np.outer(z * ks, x))
     else:
         f = np.sin(np.outer(z * ks, x))
-    return (np.conj(f) * wx) @ f.T
+    return (f * wx) @ f.T
 
 
 def quadrature_oracle(state, spec: ObservationSpec, resolution: int) -> float:
@@ -466,7 +562,8 @@ def quadrature_oracle(state, spec: ObservationSpec, resolution: int) -> float:
     """
     spec.validate_geometry(state.mode_set.geometry)
     res = _normalize_resolution(resolution)
-    g = _gram_matrix(spec, state.mode_set, functools.partial(_sampled_axis_gram, res=res))
+    a, b = _gram_blocks(spec, state.mode_set, functools.partial(_sampled_axis_gram, res=res))
+    g = _doubled(a, b)
     c = state.doubled()
     return float(np.real(np.vdot(c, g @ c)))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from obslab import THEOREM_IDS, __version__, cli
+from obslab import THEOREM_IDS, __version__, cli, inequalities
 from obslab.cli import main
 
 PI = math.pi
@@ -93,6 +93,22 @@ def test_verify_below_threshold_exits_3(tmp_path):
     code, text = run(tmp_path, "verify", {**CROSS, "T": 10.0})
     assert code == 3
     assert text == ""
+
+
+@pytest.mark.parametrize("samples", [0, 5])
+def test_below_threshold_verify_assembles_no_gram(tmp_path, monkeypatch, samples):
+    calls = []
+    real = inequalities.assemble_gram
+
+    def counted(spec, mode_set):
+        calls.append(spec)
+        return real(spec, mode_set)
+
+    monkeypatch.setattr(inequalities, "assemble_gram", counted)
+    code, text = run(tmp_path, "verify", {**CROSS, "T": 10.0, "samples": samples})
+    assert code == 3
+    assert text == ""
+    assert calls == []
 
 
 def test_verify_unknown_theorem_exits_2(tmp_path):
@@ -196,6 +212,8 @@ def test_constants(tmp_path):
     assert 0 <= result["c_min"] <= result["c_max"]
     assert result["K1"] == 4 and result["K2"] == 4
     assert result["specs"][0]["region"]["kind"] == "VerticalStrip"
+    _, again = run(tmp_path, "constants", config)
+    assert again == text
 
 
 def test_diophantine(tmp_path):

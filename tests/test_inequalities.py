@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from obslab import (
@@ -15,6 +16,7 @@ from obslab import (
     HorizontalLine,
     HorizontalStrip,
     ObservationSpec,
+    OpenRect,
     SpectralState,
     SymmetrySpec,
     THEOREM_IDS,
@@ -27,6 +29,7 @@ from obslab import (
     corollary33_check,
     empirical_constants,
     energy_seminorm_sq,
+    fill_theorem_params,
     m_ab,
     mehrenberger_check,
     predicted_constant,
@@ -267,6 +270,60 @@ def test_empirical_constants_plate_weight(square):
     assert rep.K1 == rep.K2 == 6
 
 
+def _recorded_eigh(monkeypatch):
+    shapes = []
+    real = scipy.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        shapes.append((a.shape, a.dtype.kind))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+    return shapes
+
+
+def test_empirical_constants_solves_real_sectors(modes6, monkeypatch):
+    shapes = _recorded_eigh(monkeypatch)
+    spec = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=30.0)
+    empirical_constants([spec, _vspec(VerticalLine(PI / 3), T=30.0)], WAVE, modes6)
+    n = len(modes6)
+    assert shapes and set(shapes) == {((n, n), "f")}
+
+
+PLATE0 = EnergyWeight(0.0, "plate")
+UNSHARED_CENTRES = {
+    "OpenRect windows": (
+        [
+            ObservationSpec(OpenRect(0.0, 1.0, 0.5, 1.5), "displacement", 1.0, "plate"),
+            ObservationSpec(OpenRect(0.5, 2.5, 1.0, 2.0), "displacement", 1.0, "plate"),
+        ],
+        PLATE0,
+    ),
+    "VerticalStrip T=2,4": ([_vspec(VerticalStrip(1.0, 2.0), T=t) for t in (2.0, 4.0)], WAVE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSHARED_CENTRES))
+def test_empirical_constants_without_shared_centre(square, monkeypatch, name):
+    specs, weight = UNSHARED_CENTRES[name]
+    ms = build_mode_set(square, 5, 4)
+    shapes = _recorded_eigh(monkeypatch)
+    rep = empirical_constants(specs, weight, ms)
+    n = len(ms)
+    assert set(shapes) == {((2 * n, 2 * n), "f")}
+
+    # dense complex reference: the doubled pencil D^-1/2 G D^-1/2 of the summed Gram
+    g = sum(assemble_gram(s, ms).matrix for s in specs)
+    r = 1.0 / np.sqrt(np.tile(weight.diagonal(ms), 2))
+    evals = np.linalg.eigvalsh(g * np.outer(r, r))
+    c_max = evals[-1]
+    assert rep.c_max == pytest.approx(c_max, rel=0.0, abs=1e-12 * c_max)
+    assert rep.c_min == pytest.approx(max(evals[0], 0.0), rel=0.0, abs=1e-12 * c_max)
+    c = rep.argmin_state.doubled()
+    ratio = np.real(np.vdot(c, g @ c)) / energy_seminorm_sq(rep.argmin_state, weight)
+    assert ratio == pytest.approx(rep.c_min, rel=0.0, abs=1e-8 * c_max)
+
+
 def test_constant_report_validation(modes4):
     state = random_state(modes4, 0)
     with pytest.raises(ValueError):
@@ -477,6 +534,12 @@ def test_check_theorem_below_threshold_keeps_c_min(square):
     )
     with pytest.raises(ValueError):
         check_theorem("two_lines", spec, ms, {"p": 2, "q": 2})
+
+
+def test_fill_theorem_params_names_missing_line(square):
+    spec = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=30.0)
+    with pytest.raises(ValueError, match="VerticalLine"):
+        fill_theorem_params("two_lines", (spec,), {"p": 2, "q": 2}, square)
 
 
 def test_theorem_symmetries():

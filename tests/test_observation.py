@@ -12,6 +12,7 @@ from obslab import (
     BoundaryEdgeLeft,
     BoundaryGamma0,
     CrossStrips,
+    EnergyWeight,
     GramForm,
     HorizontalLine,
     HorizontalStrip,
@@ -30,7 +31,7 @@ from obslab import (
     thm21_fourfamily_form,
     time_kernel,
 )
-from obslab.observation import region_from_dict, region_to_dict
+from obslab.observation import _interval_kernel, region_from_dict, region_to_dict
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
 
@@ -90,6 +91,35 @@ def test_time_kernel_bounded_and_conjugate(w1, w2, T):
     v = time_kernel(w1, w2, T)
     assert abs(v) <= T * (1 + 1e-12)
     assert time_kernel(w2, w1, T) == v.conjugate()
+
+
+def _kernel_cases(rng):
+    """(delta, lo, hi) with delta = 0, |delta| <= 1e-6, and |delta| up to 2300."""
+    deltas = np.concatenate(
+        [
+            np.zeros(10),
+            rng.choice([-1.0, 1.0], 120) * 10.0 ** rng.uniform(-12, -6, 120),
+            rng.uniform(-5.0, 5.0, 120),
+            rng.choice([-1.0, 1.0], 150) * rng.uniform(5.0, 2300.0, 150),
+        ]
+    )
+    lo = np.where(rng.random(deltas.size) < 0.5, 0.0, rng.uniform(-10.0, 40.0, deltas.size))
+    hi = lo + rng.uniform(0.01, 48.0, deltas.size)
+    return deltas, lo, hi
+
+
+def test_interval_kernel_matches_mpmath():
+    from mpmath import expj, mp, mpf
+
+    deltas, los, his = _kernel_cases(np.random.default_rng(20130821))
+    with mp.workdps(40):
+        for delta, lo, hi in zip(deltas, los, his):
+            d, a, b = mpf(float(delta)), mpf(float(lo)), mpf(float(hi))
+            exact = b - a if d == 0 else (expj(d * b) - expj(d * a)) / (1j * d)
+            value = complex(_interval_kernel(delta, lo, hi))
+            err = abs(mp.mpc(value) - exact)
+            assert err <= 2e-15 * max(abs(lo), abs(hi)), (delta, lo, hi, float(err))
+            assert complex(_interval_kernel(-delta, lo, hi)) == value.conjugate()
 
 
 def test_sine_overlap_orthogonality():
@@ -219,6 +249,61 @@ def test_gram_hermitian_bitwise_and_psd(modes4, region):
     assert np.array_equal(g, g.conj().T)
     eigs = np.linalg.eigvalsh(g)
     assert eigs.min() >= -1e-9 * max(1.0, eigs.max())
+
+
+def _inside(data, ell):
+    """An interval strictly inside (0, ell)."""
+    lo = data.draw(st.floats(min_value=0.01, max_value=0.9)) * ell
+    return lo, lo + data.draw(st.floats(min_value=0.01, max_value=0.98)) * (ell - lo)
+
+
+def _random_region(data, kind, ell1, ell2):
+    point = st.floats(min_value=0.01, max_value=0.99)
+    if kind is VerticalSegments:
+        n = data.draw(st.integers(min_value=1, max_value=3))
+        segments = tuple((data.draw(point) * ell1, _inside(data, ell2)) for _ in range(n))
+        return VerticalSegments(segments)
+    if kind in (VerticalStrip, HorizontalStrip):
+        return kind(*_inside(data, ell1 if kind is VerticalStrip else ell2))
+    if kind is CrossStrips:
+        return CrossStrips(*_inside(data, ell1), *_inside(data, ell2))
+    if kind in (VerticalLine, HorizontalLine):
+        return kind(data.draw(point) * (ell1 if kind is VerticalLine else ell2))
+    if kind is OpenRect:
+        t0 = data.draw(st.floats(min_value=-5.0, max_value=20.0))
+        t1 = t0 + data.draw(st.floats(min_value=0.1, max_value=10.0))
+        return OpenRect(t0, t1, *_inside(data, ell2))
+    return kind()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_gram_sector_identity(data):
+    kind = data.draw(st.sampled_from([type(r) for r in ALL_REGIONS]))
+    ell1, ell2 = (data.draw(st.floats(min_value=0.5, max_value=4.0)) for _ in range(2))
+    K1, K2 = (data.draw(st.integers(min_value=1, max_value=6)) for _ in range(2))
+    ms = build_mode_set(RectangleGeometry(ell1, ell2), K1, K2)
+    T = data.draw(st.floats(min_value=0.1, max_value=30.0))
+    spec = _spec(_random_region(data, kind, ell1, ell2), T)
+    gram = assemble_gram(spec, ms)
+    g = gram.matrix
+    x, y, angle = gram.centred
+
+    # the real centred matrix is [[X, Y], [Y, X]] with X and Y real and symmetric
+    assert x.dtype == y.dtype == np.float64
+    assert np.array_equal(x, x.T) and np.array_equal(y, y.T)
+    m = np.block([[x, y], [y, x]])
+    p = np.exp(1j * np.concatenate([angle, -angle]))
+    assert np.max(np.abs(g - p.conj()[:, None] * m * p[None, :])) <= 1e-15 * np.max(np.abs(g))
+    assert np.array_equal(g, g.conj().T)
+
+    # its spectrum is that of the even sector X + Y and the odd sector X - Y
+    weight = EnergyWeight(1.0, "wave") if spec.model == "wave" else EnergyWeight(0.0, "plate")
+    r = 1.0 / np.sqrt(weight.diagonal(ms))
+    rr = np.outer(r, r)
+    sectors = np.sort(np.concatenate([np.linalg.eigvalsh((x + s * y) * rr) for s in (1.0, -1.0)]))
+    doubled = np.linalg.eigvalsh(g * np.outer(np.tile(r, 2), np.tile(r, 2)))
+    assert np.max(np.abs(sectors - doubled)) <= 1e-12 * max(doubled[-1], 1e-300)
 
 
 def test_observation_nonnegative_on_random_states(modes6):
