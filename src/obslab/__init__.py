@@ -63,6 +63,8 @@ from .inequalities import (
     ConstantReport,
     SymmetryConstants,
     ExponentialSum,
+    Pencil,
+    pencil,
     empirical_constants,
     m_ab,
     symmetry_constants,

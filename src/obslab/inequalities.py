@@ -9,13 +9,19 @@ eigenvalue on the admissible modes, and in verify_observability, which also
 sweeps explicit states through the inequality observation >= c * energy. The
 theorems' region compositions, constants and symmetries live in one table.
 
-empirical_constants solves the pencil on its real sectors. Each closed Gram
-is a phase around [[X, Y], [Y, X]] (see observation), so with one window
-centre the pencil splits into the real n x n sectors D^{-1/2} (X + Y) D^{-1/2}
-(even in time) and D^{-1/2} (X - Y) D^{-1/2} (odd in time); pieces centred
-apart are rotated to one centre and solved as one real 2n x 2n matrix. The
-minimiser is lifted back through the sector sign, 1/sqrt 2 and the phase,
-and its Rayleigh quotient on the complex Gram certifies c_min.
+Every solve goes through one pencil (pencil, Pencil) built from the closed
+Grams' centred blocks. Each closed Gram is a phase around [[X, Y], [Y, X]]
+(see observation), so with one window centre the pencil splits into the real
+n x n sectors D^{-1/2} (X + Y) D^{-1/2} (even in time) and
+D^{-1/2} (X - Y) D^{-1/2} (odd in time); pieces centred apart are rotated to
+one centre and form one real 2n x 2n sector. A theorem's symmetry mask acts
+per mode, so each sector is restricted to the admissible modes before its
+solve. empirical_constants lifts the minimiser back through the sector sign,
+1/sqrt 2 and the phase, and certifies c_min by its Rayleigh quotient on the
+doubled form of each Gram. check_theorem takes the smallest eigenvalue of
+the masked sectors, and verify_observability sweeps states through the
+sector quadratic forms, a few hundred states per real GEMM. No solve builds
+the complex Gram matrix.
 """
 
 from __future__ import annotations
@@ -80,6 +86,9 @@ _THEOREMS = {
 THEOREM_IDS = tuple(_THEOREMS)
 
 _PI = math.pi
+# states per block of the sweep and of Pencil.quadratic_forms: it bounds the
+# temporaries, so no stack of every state's coefficients is held at once
+_CHUNK = 256
 
 
 class ThresholdError(ValueError):
@@ -201,14 +210,6 @@ def _as_spec_tuple(spec) -> tuple:
     return specs
 
 
-def _summed_gram(specs: tuple, mode_set: ModeSet) -> np.ndarray:
-    total = None
-    for s in specs:
-        g = assemble_gram(s, mode_set).matrix
-        total = g.copy() if total is None else total + g
-    return total
-
-
 def _weight_diagonal(weight: EnergyWeight, mode_set: ModeSet) -> np.ndarray:
     d = weight.diagonal(mode_set)
     if not np.all(d > 0):
@@ -216,41 +217,114 @@ def _weight_diagonal(weight: EnergyWeight, mode_set: ModeSet) -> np.ndarray:
     return d
 
 
-def _doubled_weight(weight: EnergyWeight, mode_set: ModeSet) -> np.ndarray:
-    return np.tile(_weight_diagonal(weight, mode_set), 2)
+class Pencil:
+    """The pencil D^{-1/2} G D^{-1/2} of summed closed Grams G, on its real sectors.
 
+    Each closed Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i
+    (angle, -angle)} (see observation). Rotated to the first piece's angle,
+    the sum is [[A, B], [conj B, conj A]], and W = [[I, iI], [I, -iI]] / sqrt 2
+    takes it to the real symmetric [[Re(A+B), Im(B-A)], [Im(A+B), Re(A-B)]]
+    in the sector coordinates u = (u1, u2) = W^H p D^{1/2} c of the doubled
+    coefficients c. When every piece shares the first one's angle, A and B
+    are real and that matrix splits into the n x n sectors A+B (even in time,
+    on u1) and A-B (odd in time, on u2); otherwise it is one real 2n x 2n
+    sector. The mode mask acts per mode, so it commutes with that split: each
+    sector keeps the rows and columns of the masked modes.
 
-def _pencil_matrix(g: np.ndarray, d: np.ndarray) -> np.ndarray:
-    r = 1.0 / np.sqrt(d)
-    return g * np.outer(r, r)
-
-
-def _real_sectors(grams: list, d: np.ndarray) -> list:
-    """Real symmetric matrices whose spectra together are the pencil's.
-
-    Each closed Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
-    -angle)}. Rotated to the first piece's angle, the sum is [[A, B], [conj B,
-    conj A]], and W = [[I, iI], [I, -iI]] / sqrt 2 takes it to the real
-    symmetric [[Re(A+B), Im(B-A)], [Im(A+B), Re(A-B)]]. When every piece
-    shares the first one's angle, A and B are real and that matrix splits
-    into the sectors A+B (even in time) and A-B (odd in time).
+    sectors lists (matrix, index) pairs, index locating the sector's rows in
+    u; grams are the assembled pieces and d the energy weight diagonal.
     """
-    angle = grams[0].centred[2]
-    a = b = 0.0
-    for g in grams:
-        x, y, theta = g.centred
-        if np.array_equal(theta, angle):
-            a, b = a + x, b + y
-        else:  # a piece centred elsewhere: rotate its phase to the reference angle
-            psi = theta - angle
-            a = a + x * np.exp(1j * (psi[None, :] - psi[:, None]))
-            b = b + y * np.exp(-1j * (psi[None, :] + psi[:, None]))
-    r = 1.0 / np.sqrt(d)
-    rr = np.outer(r, r)
-    a, b = a * rr, b * rr
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return [np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])]
-    return [a + b, a - b]
+
+    def __init__(self, grams: list, d: np.ndarray, mask=None) -> None:
+        n = len(d)
+        self.grams, self.d, self.angle = grams, d, grams[0].centred[2]
+        self.mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        if self.mask.shape != (n,) or not self.mask.any():
+            raise ValueError(f"mask must select some of the {n} modes")
+        keep = np.flatnonzero(self.mask)
+        sub = np.ix_(keep, keep)
+        a = b = 0.0
+        for g in grams:
+            x, y, theta = g.centred
+            if mask is not None:
+                x, y = x[sub], y[sub]
+            if np.array_equal(theta, self.angle):
+                a, b = a + x, b + y
+            else:  # a piece centred elsewhere: rotate its phase to the reference angle
+                # per-mode phase products, not e^{i (psi_j - psi_i)}: a rounded angle
+                # difference would be off by ulp(angle), far more than eps when |angle| >> 1
+                q = (np.exp(1j * theta) * np.exp(-1j * self.angle))[keep]
+                a = a + x * np.outer(q.conj(), q)
+                b = b + y * np.outer(q.conj(), q.conj())
+        r = 1.0 / np.sqrt(d[keep])
+        rr = np.outer(r, r)
+        a, b = a * rr, b * rr
+        if np.iscomplexobj(a) or np.iscomplexobj(b):
+            full = np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
+            self.sectors = [(full, np.concatenate([keep, n + keep]))]
+        else:
+            self.sectors = [(a + b, keep), (a - b, n + keep)]
+
+    def lowest(self) -> tuple:
+        """The smallest eigenvalue over the sectors and its unit eigenvector u in sector coordinates."""
+        low = None
+        for s, index in self.sectors:
+            evals, evecs = scipy.linalg.eigh(s, subset_by_index=[0, 0])
+            if low is None or evals[0] < low[0]:
+                u = np.zeros(2 * len(self.d))
+                u[index] = evecs[:, 0]
+                low = (float(evals[0]), u)
+        return low
+
+    def extremes(self) -> tuple:
+        """(smallest eigenvalue, largest eigenvalue, eigenvector u of the smallest)."""
+        c_min, u = self.lowest()
+        c_max = max(
+            float(scipy.linalg.eigh(s, subset_by_index=[len(s) - 1] * 2, eigvals_only=True)[0])
+            for s, _ in self.sectors
+        )
+        return c_min, c_max, u
+
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """Doubled coefficients D^{-1/2} conj(p) (u1 + i u2, u1 - i u2) / sqrt 2 of sector coordinates u."""
+        n = len(self.d)
+        u1, u2 = u[:n], u[n:]
+        phase = np.exp(-1j * self.angle) / np.sqrt(self.d)
+        coeffs = np.concatenate([phase * (u1 + 1j * u2), np.conj(phase) * (u1 - 1j * u2)])
+        coeffs /= math.sqrt(2)
+        return coeffs
+
+    def quadratic_forms(self, coeffs) -> np.ndarray:
+        """Observation c^H G c of each row c of coeffs, restricted to the masked modes.
+
+        Rows go to sector coordinates u in chunks of at most _CHUNK, and each
+        sector S gives Re(u)^T S Re(u) + Im(u)^T S Im(u) from one real GEMM.
+        """
+        coeffs = np.asarray(coeffs, dtype=complex)
+        n = len(self.d)
+        if coeffs.ndim != 2 or coeffs.shape[1] != 2 * n:
+            raise ValueError(f"coefficient rows must have length {2 * n}")
+        scale = np.exp(1j * self.angle) * np.sqrt(self.d)
+        out = np.zeros(len(coeffs))
+        for start in range(0, len(coeffs), _CHUNK):
+            c = coeffs[start : start + _CHUNK]
+            z1, z2 = c[:, :n] * scale, c[:, n:] * scale.conj()
+            u = np.concatenate([z1 + z2, 1j * (z2 - z1)], axis=1) / math.sqrt(2)
+            for s, index in self.sectors:
+                v = np.concatenate([u[:, index].real, u[:, index].imag])
+                f = np.sum((v @ s) * v, axis=1)
+                out[start : start + len(c)] += f[: len(c)] + f[len(c) :]
+        return out
+
+
+def pencil(specs, weight: EnergyWeight, mode_set: ModeSet, mask=None) -> Pencil:
+    """The observation/energy pencil of one ObservationSpec or a list of them, on its real sectors.
+
+    The pieces' closed Grams add; mask, a boolean per mode, restricts the
+    pencil to the modes it selects (all modes when None). See Pencil.
+    """
+    grams = [assemble_gram(s, mode_set) for s in _as_spec_tuple(specs)]
+    return Pencil(grams, _weight_diagonal(weight, mode_set), mask)
 
 
 def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> ConstantReport:
@@ -258,36 +332,22 @@ def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> Consta
 
     c_min certifies observation >= c_min * energy on the truncated space and
     c_max the reverse bound. The pencil is solved on its real sectors (see
-    _real_sectors): with one window centre, D^{-1/2} (X + Y) D^{-1/2} and
+    Pencil): with one window centre, D^{-1/2} (X + Y) D^{-1/2} and
     D^{-1/2} (X - Y) D^{-1/2}, each n x n, for their extreme eigenpairs. The
     minimiser u of a sector is lifted to the doubled coefficients
     D^{-1/2} conj(p) (u1 + i u2, u1 - i u2) / sqrt 2, where (u1, u2) is (u, 0)
     in the even sector and (0, u) in the odd one. The returned argmin_state
-    attains c_min with a Rayleigh quotient, taken on the complex doubled Gram
-    of GramForm.quadratic_form, within 1e-8 * c_max.
+    attains c_min with a Rayleigh quotient, taken on the doubled form of
+    GramForm.quadratic_form, within 1e-8 * c_max.
     """
     specs = _as_spec_tuple(spec)
-    grams = [assemble_gram(s, mode_set) for s in specs]
-    d = _weight_diagonal(weight, mode_set)
+    pen = pencil(specs, weight, mode_set)
+    low, c_max, u = pen.extremes()
+    c_min = max(low, 0.0)
+    coeffs = pen.lift(u)
     n = len(mode_set)
-    c_max, low, offset = -math.inf, None, 0
-    for s in _real_sectors(grams, d):
-        m = len(s)
-        evals, evecs = scipy.linalg.eigh(s, subset_by_index=[0, 0])
-        top = scipy.linalg.eigh(s, subset_by_index=[m - 1, m - 1], eigvals_only=True)
-        c_max = max(c_max, float(top[0]))
-        if low is None or evals[0] < low[0]:
-            u = np.zeros(2 * n)
-            u[offset : offset + m] = evecs[:, 0]
-            low = (float(evals[0]), u)
-        offset += m
-    c_min = max(low[0], 0.0)
-    u1, u2 = low[1][:n], low[1][n:]
-    phase = np.exp(-1j * grams[0].centred[2]) / np.sqrt(d)
-    coeffs = np.concatenate([phase * (u1 + 1j * u2), np.conj(phase) * (u1 - 1j * u2)])
-    coeffs /= math.sqrt(2)
     state = SpectralState(mode_set, coeffs[:n], coeffs[n:])
-    observed = sum(g.quadratic_form(coeffs) for g in grams)
+    observed = sum(g.quadratic_form(coeffs) for g in pen.grams)
     rayleigh = observed / energy_seminorm_sq(state, weight)
     if abs(rayleigh - c_min) > 1e-8 * max(c_max, 1e-300):
         raise RuntimeError(
@@ -506,22 +566,25 @@ def _admissible_mode_mask(theorem: str, mode_set: ModeSet, params: dict) -> np.n
     return mask
 
 
-def admissible_c_min(theorem: str, gram: np.ndarray, mode_set: ModeSet, params: dict) -> float:
-    """Smallest eigenvalue of the gram / wave-energy pencil on the admissible modes.
-
-    gram is the summed observation Gram of the theorem's composite; the modes
-    its symmetry restriction excludes (params p and q) are dropped first.
-    """
-    d = _doubled_weight(EnergyWeight(1, "wave"), mode_set)
+def _admissible_pencil(theorem: str, specs: tuple, mode_set: ModeSet, params: dict) -> Pencil:
     mask = _admissible_mode_mask(theorem, mode_set, params)
-    keep = np.concatenate([mask, mask])
-    return float(scipy.linalg.eigvalsh(_pencil_matrix(gram, d)[np.ix_(keep, keep)])[0])
+    return pencil(specs, EnergyWeight(1, "wave"), mode_set, mask)
+
+
+def admissible_c_min(theorem: str, spec, mode_set: ModeSet, params: dict) -> float:
+    """Smallest eigenvalue of the observation / wave-energy pencil on the admissible modes.
+
+    spec is the theorem's composite observation (one ObservationSpec or a
+    list); the modes its symmetry restriction excludes (params p and q) are
+    dropped from each real sector before the solve.
+    """
+    return _admissible_pencil(theorem, _as_spec_tuple(spec), mode_set, params).lowest()[0]
 
 
 def _check(
     theorem: str, specs: tuple, mode_set: ModeSet, params: dict, require_threshold: bool
 ) -> tuple:
-    """check_theorem's result and the summed Gram it was computed from."""
+    """check_theorem's result and the admissible pencil it was computed from."""
     _check_composition(theorem, specs)
     T = specs[0].T
     filled = fill_theorem_params(theorem, specs, params, mode_set.geometry)
@@ -529,8 +592,8 @@ def _check(
     c = pred["c"]
     if require_threshold and c is None:
         raise ThresholdError(f"T={T} is below the {theorem} threshold {pred['T_threshold']}")
-    gram = _summed_gram(specs, mode_set)
-    c_min = admissible_c_min(theorem, gram, mode_set, filled)
+    pen = _admissible_pencil(theorem, specs, mode_set, filled)
+    c_min = pen.lowest()[0]
     result = {
         "theorem": theorem,
         "T": T,
@@ -540,7 +603,7 @@ def _check(
         "empirical_c_min": c_min,
         "passed": c is not None and c_min >= c * (1 - 1e-9),
     }
-    return result, gram
+    return result, pen
 
 
 def check_theorem(
@@ -551,7 +614,7 @@ def check_theorem(
     spec is the theorem's composite observation (one ObservationSpec or a
     list). The regions must match the theorem; missing interval and symmetry
     constants are filled from them. passed compares empirical_c_min, the raw
-    admissible_c_min of the summed Gram, with c_predicted. Below the threshold
+    admissible_c_min of the composite's pencil, with c_predicted. Below the threshold
     c_predicted is None and passed is False; empirical_c_min is still given,
     unless require_threshold is set: then ThresholdError is raised before any
     Gram is assembled.
@@ -566,8 +629,9 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     observation (integrals add). For the symmetry-restricted theorems every
     state must be pre-projected; the reported eigenvalue minimum is taken on
     the admissible subspace, where the inequality is meaningful. The report
-    extends check_theorem's, whose Gram the states are swept through. Below
-    the threshold it raises ThresholdError before any Gram is assembled.
+    extends check_theorem's, whose admissible pencil the states are swept
+    through in chunks (Pencil.quadratic_forms). Below the threshold it raises
+    ThresholdError before any Gram is assembled.
     """
     specs = _as_spec_tuple(spec)
     states = list(states)
@@ -582,28 +646,30 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
         ):
             raise ValueError("all states must share one mode set")
 
-    result, g = _check(theorem, specs, ms, params, require_threshold=True)
+    result, pen = _check(theorem, specs, ms, params, require_threshold=True)
     c_pred = result["c_predicted"]
 
-    mask = _admissible_mode_mask(theorem, ms, params)
-    weight = EnergyWeight(1, "wave")
-    coeffs = np.array([st.doubled() for st in states])
-    if not np.all(mask):
-        excluded = np.concatenate([~mask, ~mask])
-        stray = np.abs(coeffs[:, excluded]).max(axis=1)
-        scale = np.abs(coeffs).max(axis=1)
-        bad = stray > 1e-12 * np.maximum(scale, 1e-300)
-        if np.any(bad):
-            raise ValueError(
-                f"{int(bad.sum())} states carry mass on symmetry-excluded modes; "
-                "project them first"
-            )
-
-    obs = np.einsum("si,ij,sj->s", coeffs.conj(), g, coeffs).real
-    energies = np.array([energy_seminorm_sq(st, weight) for st in states])
-    if np.any(energies <= 0):
+    # chunks of states: stray mass, energies sum_k d_k (|a_k|^2 + |b_k|^2) and the sector forms
+    n = len(ms)
+    excluded = ~np.concatenate([pen.mask, pen.mask])
+    ratios = np.empty(len(states))
+    stray = zero = 0
+    for start in range(0, len(states), _CHUNK):
+        coeffs = np.array([st.doubled() for st in states[start : start + _CHUNK]])
+        mag = np.abs(coeffs)
+        if excluded.any():
+            scale = np.maximum(mag.max(axis=1), 1e-300)
+            stray += int(np.sum(mag[:, excluded].max(axis=1) > 1e-12 * scale))
+        energies = (mag[:, :n] ** 2 + mag[:, n:] ** 2) @ pen.d
+        zero += int(np.sum(energies <= 0))
+        positive = np.where(energies > 0, energies, math.inf)
+        ratios[start : start + len(coeffs)] = pen.quadratic_forms(coeffs) / positive
+    if stray:
+        raise ValueError(
+            f"{stray} states carry mass on symmetry-excluded modes; project them first"
+        )
+    if zero:
         raise ValueError("zero-energy states are excluded")
-    ratios = obs / energies
 
     min_ratio = float(ratios.min())
     return {

@@ -17,7 +17,10 @@ The e^{+-i z k2 x2} profile of OpenRect is centred on its x2 interval the same
 way. The phases then factor out of every closed Gram as a diagonal unitary
 congruence: G = conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)}
 and X, Y real symmetric, kept in GramForm.centred. Its spectrum is that of
-X + Y (states even in time) and X - Y (odd in time).
+X + Y (states even in time) and X - Y (odd in time). Those blocks are the data
+of an assembled Gram: GramForm.quadratic_form evaluates v^H [[X, Y], [Y, X]] v
+on the phased coefficients v = p c, and the complex 2n x 2n matrix is built
+only when GramForm.matrix is first read (for JSON, or a dense reference).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import FrozenInstanceError, astuple, dataclass, fields
 
 import numpy as np
 
@@ -345,37 +348,87 @@ def _sine_overlap_matrix(ks: np.ndarray, interval, scale: float) -> np.ndarray:
 # Gram assembly
 
 
-@dataclass(frozen=True)
 class GramForm:
     """Hermitian PSD matrix with c^H G c = observation integral of the state.
 
-    centred holds (X, Y, angle) for a Gram from assemble_gram: the matrix is
-    conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)} and X, Y
-    real symmetric. It is not a constructor argument and is None otherwise.
+    A Gram from assemble_gram (or from_centred) is held as centred = (X, Y,
+    angle): its matrix is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i
+    (angle, -angle)} and X, Y real symmetric. The complex matrix is then built
+    once, on the first read of .matrix, and quadratic_form reads the blocks.
+    A Gram constructed from a matrix has centred None. Two Grams are equal
+    when their spec, mode set and data (the centred blocks, or else the
+    matrix) agree to the last bit.
     """
 
-    mode_set: ModeSet
-    matrix: np.ndarray
-    spec: ObservationSpec
-    centred: tuple = field(init=False, default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        g = np.ascontiguousarray(self.matrix, dtype=complex)
-        n = 2 * len(self.mode_set)
+    def __init__(self, mode_set: ModeSet, matrix, spec: ObservationSpec) -> None:
+        g = np.ascontiguousarray(matrix, dtype=complex)
+        n = 2 * len(mode_set)
         if g.shape != (n, n):
             raise ValueError(f"matrix must be {n}x{n}")
-        # assemble_gram's Grams are exactly Hermitian and skip the tolerance pass's temporaries
+        # an exactly Hermitian matrix skips the tolerance pass's temporaries
         if not np.array_equal(g, g.conj().T):
             scale = np.max(np.abs(g))
             if scale > 0 and np.max(np.abs(g - g.conj().T)) > 1e-14 * scale:
                 raise ValueError("matrix is not Hermitian to tolerance")
         g.flags.writeable = False
-        object.__setattr__(self, "matrix", g)
+        vars(self).update(mode_set=mode_set, spec=spec, centred=None, _matrix=g)
+
+    @classmethod
+    def from_centred(cls, mode_set: ModeSet, spec: ObservationSpec, x, y, angle) -> "GramForm":
+        """The Gram conj(p_i) p_j [[X, Y], [Y, X]]_ij, p = e^{i (angle, -angle)}, kept as its blocks.
+
+        X and Y must be real n x n and symmetric to the last bit, which makes
+        the matrix Hermitian to the last bit. The blocks are kept, not copied,
+        and made read-only.
+        """
+        n = len(mode_set)
+        x, y, angle = (np.ascontiguousarray(part, dtype=float) for part in (x, y, angle))
+        if x.shape != (n, n) or y.shape != (n, n) or angle.shape != (n,):
+            raise ValueError(f"centred blocks must be {n}x{n} with {n} angles")
+        if not (np.array_equal(x, x.T) and np.array_equal(y, y.T)):
+            raise ValueError("centred blocks must be symmetric")
+        for part in (x, y, angle):
+            part.flags.writeable = False
+        gram = cls.__new__(cls)
+        vars(gram).update(mode_set=mode_set, spec=spec, centred=(x, y, angle), _matrix=None)
+        return gram
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            g = _centred_matrix(*self.centred)
+            g.flags.writeable = False
+            vars(self)["_matrix"] = g
+        return self._matrix
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        data = (self._matrix,) if self.centred is None else self.centred
+        return (self.spec, self.mode_set, tuple(part.tobytes() for part in data))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GramForm):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def quadratic_form(self, state_or_coeffs) -> float:
         c = getattr(state_or_coeffs, "doubled", lambda: np.asarray(state_or_coeffs))()
         c = np.asarray(c, dtype=complex)
-        return float(np.real(np.vdot(c, self.matrix @ c)))
+        if c.shape != (2 * len(self.mode_set),):
+            raise ValueError(f"coefficients must have shape ({2 * len(self.mode_set)},)")
+        if self.centred is None:
+            return float(np.real(np.vdot(c, self.matrix @ c)))
+        # v^H [[X, Y], [Y, X]] v with v = p c, the phased coefficients
+        x, y, angle = self.centred
+        n = len(angle)
+        p = np.exp(1j * angle)
+        v1, v2 = p * c[:n], p.conj() * c[n:]
+        return float(np.real(np.vdot(v1, x @ v1 + y @ v2) + np.vdot(v2, y @ v1 + x @ v2)))
 
     def to_json(self) -> str:
         ms = self.mode_set
@@ -472,11 +525,13 @@ def _doubled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.block([[a, b], [b.conj(), a.conj()]])
 
 
-def _phased_blocks(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> tuple:
-    """The a-a and a-b blocks conj(p_i) p_j X_ij and conj(p_i p_j) Y_ij, p = e^{i angle}.
+def _centred_matrix(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """The complex doubled Gram conj(p_i) p_j [[X, Y], [Y, X]]_ij, p = e^{i (angle, -angle)}.
 
-    The complex products are written out in real arithmetic, so the a-a block
-    is Hermitian and the a-b block symmetric to the last bit.
+    Its a-a block is conj(p_i) p_j X_ij and its a-b block conj(p_i p_j) Y_ij,
+    with p = e^{i angle} here. The complex products are written out in real
+    arithmetic, so the a-a block is Hermitian and the a-b block symmetric to
+    the last bit.
     """
     pr, pi = np.cos(angle), np.sin(angle)
     rr, ii, ri = np.outer(pr, pr), np.outer(pi, pi), np.outer(pr, pi)
@@ -486,24 +541,19 @@ def _phased_blocks(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> tuple:
     b = np.empty(y.shape, dtype=complex)
     b.real = y * (rr - ii)
     b.imag = -(y * (ri + ri.T))
-    return a, b
+    return _doubled(a, b)
 
 
 def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
-    """Closed-form Gram matrix of the observation integral on the mode set.
+    """Closed-form Gram of the observation integral on the mode set, kept as its centred blocks.
 
-    The matrix is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
-    -angle)}, Hermitian to the last bit; (X, Y, angle) is kept in
-    GramForm.centred.
+    The Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
+    -angle)}; (X, Y, angle) is GramForm.centred, and the complex matrix,
+    Hermitian to the last bit, is built only when GramForm.matrix is read.
     """
     spec.validate_geometry(mode_set.geometry)
     x, y = _gram_blocks(spec, mode_set, _closed_axis_gram)
-    angle = _centre_angle(spec, mode_set)
-    for part in (x, y, angle):
-        part.flags.writeable = False
-    gram = GramForm(mode_set, _doubled(*_phased_blocks(x, y, angle)), spec)
-    object.__setattr__(gram, "centred", (x, y, angle))
-    return gram
+    return GramForm.from_centred(mode_set, spec, x, y, _centre_angle(spec, mode_set))
 
 
 # ---------------------------------------------------------------------------

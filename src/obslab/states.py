@@ -19,8 +19,10 @@ from .spectrum import ModeSet, RectangleGeometry, build_mode_set
 _MODELS = ("plate", "wave")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralState:
+    """Coefficients (a_k, b_k) over a mode set; equal when the mode set and the coefficient bytes are."""
+
     mode_set: ModeSet
     a: np.ndarray
     b: np.ndarray
@@ -37,6 +39,17 @@ class SpectralState:
         b.flags.writeable = False
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    def _key(self) -> tuple:
+        return (self.mode_set, self.a.tobytes(), self.b.tobytes())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpectralState):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def doubled(self) -> np.ndarray:
         """Coefficients over the doubled index: a-block then b-block."""

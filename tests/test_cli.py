@@ -5,9 +5,21 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from obslab import THEOREM_IDS, __version__, cli, inequalities
+from obslab import (
+    THEOREM_IDS,
+    GramForm,
+    ObservationSpec,
+    RectangleGeometry,
+    __version__,
+    assemble_gram,
+    build_mode_set,
+    cli,
+    inequalities,
+    observation,
+)
 from obslab.cli import main
 
 PI = math.pi
@@ -323,6 +335,37 @@ def test_oracle_check_fails_on_non_finite_values(tmp_path, monkeypatch):
     result = json.loads(text)["result"]
     assert not result["passed"]
     assert result["max_rel_err"] == math.inf
+
+
+def test_no_solve_path_builds_the_complex_matrix(tmp_path, monkeypatch):
+    built = []
+    real = observation._centred_matrix
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(observation, "_centred_matrix", counted)
+    scan = {**CROSS, "T_values": [47.84977149867659, 50.0]}
+    del scan["T"]
+    runs = [
+        ("verify", TWO_LINES),  # verify_observability
+        ("verify", {**TWO_LINES, "samples": 0}),  # check_theorem
+        ("scan-t", scan),
+        ("constants", CROSS),  # empirical_constants
+        ("oracle-check", ORACLE),
+    ]
+    for command, config in runs:
+        assert run(tmp_path, command, config, fmt="json")[0] == 0, command
+    assert built == []
+
+    # the matrix is still there when read: built once, complex and Hermitian to the last bit
+    spec = ObservationSpec.from_dict({**CROSS["spec"], "T": CROSS["T"], "model": "wave"})
+    gram = assemble_gram(spec, build_mode_set(RectangleGeometry(PI, PI), 6, 6))
+    g = gram.matrix
+    assert gram.matrix is g and len(built) == 1
+    assert g.dtype == complex and np.array_equal(g, g.conj().T)
+    assert np.array_equal(GramForm.from_json(gram.to_json()).matrix, g)
 
 
 def test_cli_imports_no_private_names():

@@ -13,6 +13,7 @@ from obslab import (
     BoundaryEdgeBottom,
     EnergyWeight,
     ExponentialSum,
+    GramForm,
     HorizontalLine,
     HorizontalStrip,
     ObservationSpec,
@@ -32,6 +33,7 @@ from obslab import (
     fill_theorem_params,
     m_ab,
     mehrenberger_check,
+    pencil,
     predicted_constant,
     project_p_symmetric,
     random_state,
@@ -41,7 +43,7 @@ from obslab import (
     verify_observability,
 )
 from obslab import inequalities
-from obslab.inequalities import ConstantReport, ThresholdError, _pencil_matrix
+from obslab.inequalities import ConstantReport, ThresholdError
 
 PI = math.pi
 WAVE = EnergyWeight(1.0, "wave")
@@ -221,10 +223,14 @@ def test_constant_defined_iff_above_threshold(t):
 # eigenvalue pencil
 
 
-def test_pencil_of_matching_gram_is_identity():
-    d = np.array([2.0, 3.0, 5.0, 7.0])
-    p = _pencil_matrix(np.diag(d).astype(complex), d)
-    assert np.allclose(p, np.eye(4), atol=1e-15)
+def test_pencil_of_matching_gram_is_identity(square, monkeypatch):
+    ms = build_mode_set(square, 2, 2)
+    d = WAVE.diagonal(ms)
+    spec = _vspec(VerticalStrip(1.0, 2.0))
+    gram = GramForm.from_centred(ms, spec, np.diag(d), np.zeros((4, 4)), np.zeros(4))
+    monkeypatch.setattr(inequalities, "assemble_gram", lambda s, mode_set: gram)
+    for p, _ in pencil(spec, WAVE, ms).sectors:
+        assert np.allclose(p, np.eye(4), atol=1e-15)
 
 
 def test_empirical_constants_scale_with_gram(modes4):
@@ -487,6 +493,37 @@ def test_verify_two_lines_smoke(square):
     assert report["passed"]
 
 
+@pytest.mark.parametrize("count", [1, 255, 256, 257, 300])
+def test_sweep_matches_a_dense_reference_across_chunks(square, count):
+    ms = build_mode_set(square, 6, 6)
+    t = 9 * PI
+    specs = [_vspec(VerticalLine(PI / 2), T=t), _vspec(HorizontalLine(PI / 2), T=t)]
+    states = _projected_states(ms, range(count), p=2, q=2)
+    report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
+
+    # dense complex reference: the summed doubled Gram, one state at a time
+    g = sum(assemble_gram(s, ms).matrix for s in specs)
+    d = WAVE.diagonal(ms)
+    ratios = [
+        np.real(np.vdot(st_.doubled(), g @ st_.doubled()))
+        / np.sum(d * (np.abs(st_.a) ** 2 + np.abs(st_.b) ** 2))
+        for st_ in states
+    ]
+    assert report["n_states"] == count
+    assert report["min_ratio"] == pytest.approx(min(ratios), rel=1e-12, abs=0.0)
+    assert report["argmin_state"] == int(np.argmin(ratios))
+
+
+def test_sweep_counts_unprojected_states_over_all_chunks(square):
+    ms = build_mode_set(square, 6, 6)
+    t = 9 * PI
+    specs = [_vspec(VerticalLine(PI / 2), T=t), _vspec(HorizontalLine(PI / 2), T=t)]
+    states = _projected_states(ms, range(300), p=2, q=2)
+    states[10], states[280] = random_state(ms, 10), random_state(ms, 280)  # in two chunks
+    with pytest.raises(ValueError, match="^2 states carry mass on symmetry-excluded modes"):
+        verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
+
+
 def test_admissible_c_min_serves_verify_with_one_assembly(square, monkeypatch):
     ms = build_mode_set(square, 6, 6)
     t = 9 * PI
@@ -501,11 +538,10 @@ def test_admissible_c_min_serves_verify_with_one_assembly(square, monkeypatch):
     states = _projected_states(ms, range(3), p=2, q=2)
     report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
     assert calls == specs
-    gram = sum(assemble_gram(s, ms).matrix for s in specs)
-    assert admissible_c_min("two_lines", gram, ms, {"p": 2, "q": 2}) == report["empirical_c_min"]
+    assert admissible_c_min("two_lines", specs, ms, {"p": 2, "q": 2}) == report["empirical_c_min"]
 
     cross = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=47.84977149867659)
-    full = admissible_c_min("two_strips", assemble_gram(cross, ms).matrix, ms, {})
+    full = admissible_c_min("two_strips", cross, ms, {})
     assert full == pytest.approx(empirical_constants(cross, WAVE, ms).c_min, rel=1e-9)
 
 
@@ -529,9 +565,7 @@ def test_check_theorem_below_threshold_keeps_c_min(square):
     check = check_theorem("two_strips", spec, ms, {})
     assert check["c_predicted"] is None
     assert not check["passed"]
-    assert check["empirical_c_min"] == admissible_c_min(
-        "two_strips", assemble_gram(spec, ms).matrix, ms, {}
-    )
+    assert check["empirical_c_min"] == admissible_c_min("two_strips", spec, ms, {})
     with pytest.raises(ValueError):
         check_theorem("two_lines", spec, ms, {"p": 2, "q": 2})
 

@@ -20,14 +20,17 @@ from obslab import (
     OpenRect,
     RectangleGeometry,
     SpectralState,
+    THEOREM_IDS,
     VerticalLine,
     VerticalSegments,
     VerticalStrip,
     assemble_gram,
     build_mode_set,
+    pencil,
     quadrature_oracle,
     random_state,
     sine_overlap,
+    theorem_symmetries,
     thm21_fourfamily_form,
     time_kernel,
 )
@@ -306,6 +309,59 @@ def test_closed_gram_sector_identity(data):
     assert np.max(np.abs(sectors - doubled)) <= 1e-12 * max(doubled[-1], 1e-300)
 
 
+def _theorem_masks(ms, p, q):
+    """The admissible-mode mask of each theorem, for symmetry orders p (x1) and q (x2)."""
+    params = {"p": p, "alpha": math.pi / p, "q": q, "beta": math.pi / q}
+    masks = []
+    for theorem in THEOREM_IDS:
+        mask = np.ones(len(ms), dtype=bool)
+        for sym in theorem_symmetries(theorem, params):
+            mask &= (ms.k1 if sym.axis == "x1" else ms.k2) % sym.p != 0
+        masks.append(mask)
+    return masks
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_pencil_matches_the_dense_complex_pencil(data):
+    ell1, ell2 = (data.draw(st.floats(min_value=0.5, max_value=4.0)) for _ in range(2))
+    K1, K2 = (data.draw(st.integers(min_value=1, max_value=6)) for _ in range(2))
+    ms = build_mode_set(RectangleGeometry(ell1, ell2), K1, K2)
+    composite = data.draw(st.sampled_from(["one region", "OpenRect windows", "VerticalStrip T=2,4"]))
+    if composite == "one region":  # one window centre: the even and odd n x n sectors
+        kind = data.draw(st.sampled_from([type(r) for r in ALL_REGIONS]))
+        T = data.draw(st.floats(min_value=0.1, max_value=30.0))
+        specs = [_spec(_random_region(data, kind, ell1, ell2), T)]
+    elif composite == "OpenRect windows":  # two centres: one real 2n x 2n sector
+        specs = [_spec(_random_region(data, OpenRect, ell1, ell2)) for _ in range(2)]
+    else:
+        strip = _random_region(data, VerticalStrip, ell1, ell2)
+        specs = [_spec(strip, T) for T in (2.0, 4.0)]
+    weight = EnergyWeight(1.0, "wave") if specs[0].model == "wave" else EnergyWeight(0.0, "plate")
+    grams = [assemble_gram(s, ms) for s in specs]
+    g = sum(gram.matrix for gram in grams)
+    r = np.tile(1.0 / np.sqrt(weight.diagonal(ms)), 2)
+    dense = g * np.outer(r, r)
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    coeffs = rng.standard_normal((3, 2 * len(ms))) + 1j * rng.standard_normal((3, 2 * len(ms)))
+
+    # the form from the centred blocks, per piece
+    for gram in grams:
+        for c in coeffs:
+            want = np.real(np.vdot(c, gram.matrix @ c))
+            assert gram.quadratic_form(c) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    p, q = (data.draw(st.sampled_from([2, 3])) for _ in range(2))
+    for mask in [None] + _theorem_masks(ms, p, q):
+        pen = pencil(specs, weight, ms, mask)
+        keep = np.ones(2 * len(ms), dtype=bool) if mask is None else np.tile(mask, 2)
+        c = coeffs * keep
+        want = np.array([np.real(np.vdot(row, g @ row)) for row in c])
+        assert np.allclose(pen.quadratic_forms(c), want, rtol=1e-13, atol=0.0)
+        evals = np.linalg.eigvalsh(dense[np.ix_(keep, keep)])
+        assert abs(pen.lowest()[0] - evals[0]) <= 1e-12 * evals[-1]
+
+
 def test_observation_nonnegative_on_random_states(modes6):
     for region in ALL_REGIONS:
         g = assemble_gram(_spec(region), modes6)
@@ -389,6 +445,22 @@ def test_gram_json_round_trip(modes4):
     assert back.spec == g.spec
     assert back.mode_set.K1 == g.mode_set.K1 and back.mode_set.K2 == g.mode_set.K2
     assert back.to_json() == g.to_json()
+
+
+def test_gram_equality_and_hash(modes4):
+    spec = _spec(CrossStrips(1.0, 2.0, 1.0, 2.0))
+    first, again = assemble_gram(spec, modes4), assemble_gram(spec, modes4)
+    assert first == again and hash(first) == hash(again)
+    assert len({first, again}) == 1
+    assert first != assemble_gram(_spec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=3.0), modes4)
+    assert first != assemble_gram(_spec(CrossStrips(1.0, 2.5, 1.0, 2.0)), modes4)
+    assert first != assemble_gram(_spec(VerticalStrip(1.0, 2.0)), modes4)
+    back = GramForm.from_json(first.to_json())
+    assert back == GramForm.from_json(first.to_json()) and hash(back) == hash(GramForm.from_json(first.to_json()))
+    # the hash reads the contents, so they stay fixed
+    for name in ("spec", "centred", "matrix"):
+        with pytest.raises(AttributeError):
+            setattr(first, name, None)
 
 
 def test_gram_json_round_trip_open_rect(modes4):

@@ -73,6 +73,14 @@ def test_state_validation(modes4):
         SpectralState(modes4, bad, good)
 
 
+def test_state_equality_and_hash(modes4, modes6):
+    first, again = random_state(modes4, 5), random_state(modes4, 5)
+    assert first == again and hash(first) == hash(again)
+    assert len({first, again}) == 1
+    assert first != random_state(modes4, 6)
+    assert random_state(modes6, 5) != random_state(build_mode_set(modes6.geometry, 6, 5), 5)
+
+
 def test_state_is_immutable(modes4):
     st_ = random_state(modes4, 0)
     with pytest.raises(ValueError):
