@@ -118,8 +118,9 @@ def cmd_constants(config: dict, seed: int) -> tuple:
 
 
 def cmd_diophantine(config: dict, seed: int) -> tuple:
-    points = build_algebraic_points(int(config["M"]), float(config.get("ell1", math.pi)))
-    report = estimate_gamma(points, int(config["K_max"]))
+    # integer fields go through as given: the library rejects a fractional value
+    points = build_algebraic_points(config["M"], float(config.get("ell1", math.pi)))
+    report = estimate_gamma(points, config["K_max"])
     return json.loads(report.to_json()), True
 
 
@@ -128,14 +129,14 @@ def cmd_mab(config: dict, seed: int) -> tuple:
 
 
 def cmd_symmetry(config: dict, seed: int) -> tuple:
-    sc = symmetry_constants(int(config["p"]), float(config["alpha"]))
+    sc = symmetry_constants(config["p"], float(config["alpha"]))
     return asdict(sc), True
 
 
 def cmd_ingham(config: dict, seed: int) -> tuple:
     w = [float(x) for x in config["exponents"]]
     coeffs = [complex(re, im) for re, im in config["coefficients"]]
-    n = int(config["n"])
+    n = config["n"]
     indices = config.get("indices")
     gamma = config.get("gamma", "auto")
     if gamma == "auto":
@@ -237,7 +238,8 @@ def main(argv=None) -> int:
     except ThresholdError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    # OverflowError: int() of an infinite config value
+    except (ValueError, KeyError, TypeError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,7 @@ from .observation import (
     ObservationSpec,
     VerticalLine,
     VerticalStrip,
-    _interval_kernel,
+    _window_sinc,
     assemble_gram,
 )
 from .spectrum import ModeSet, partial_gap_analysis
@@ -89,6 +89,8 @@ _PI = math.pi
 # states per block of the sweep and of Pencil.quadratic_forms: it bounds the
 # temporaries, so no stack of every state's coefficients is held at once
 _CHUNK = 256
+# rows per block of the sinc matrix in the Ingham forms
+_INGHAM_BLOCK = 128
 
 
 class ThresholdError(ValueError):
@@ -685,14 +687,25 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
 # Ingham-type checks
 
 
-def _ingham_kernel(w: np.ndarray, T: float) -> np.ndarray:
-    """Time kernel of the exponents w over (0, T), once its arguments are known to be finite.
+def _ingham_form(w: np.ndarray, coeffs: np.ndarray, T: float) -> float:
+    """integral over (0, T) of |sum_k c_k e^{i w_k t}|^2 dt for finite exponents w.
 
-    The centred kernel evaluates sinc and the phase at |w_j - w_i| T / 2 at most.
+    About the window centre T/2 the time kernel is e^{i (w_k - w_j) T/2} times
+    the real symmetric sinc block S (observation._window_sinc), so with
+    b = c e^{i (w - min w) T/2} the form is Re(b)' S Re(b) + Im(b)' S Im(b).
+    S is built a block of rows at a time; it and the phases need the
+    arguments |w_k - w_j| T / 2, which must stay finite.
     """
     if not math.isfinite((float(w.max()) - float(w.min())) * T):
         raise ValueError(f"the horizon T={T} overflows the time kernel of these exponents")
-    return _interval_kernel(w[None, :] - w[:, None], 0.0, T)
+    b = coeffs * np.exp(1j * ((w - w.min()) * (T / 2.0)))
+    parts = np.stack([b.real, b.imag], axis=1)
+    lhs = 0.0
+    for r0 in range(0, w.size, _INGHAM_BLOCK):
+        rows = slice(r0, r0 + _INGHAM_BLOCK)
+        block = _window_sinc(w[None, :] - w[rows, None], 0.0, T)
+        lhs += float(np.vdot(parts[rows], block @ parts))
+    return lhs
 
 
 def _ingham_result(lhs: float, rhs: float) -> dict:
@@ -713,8 +726,7 @@ def mehrenberger_check(es: ExponentialSum, T: float) -> dict:
         raise ValueError("need a finite T > 2*pi/gamma")
     w = np.array(es.exponents)
     a = np.array(es.coefficients)
-    kernel = _ingham_kernel(w, T)
-    lhs = float(np.real(np.vdot(a, kernel @ a)))
+    lhs = _ingham_form(w, a, T)
     idx = np.array(es.indices)
     total = float(np.sum(np.abs(a) ** 2))
     tail = float(np.sum(np.abs(a[np.abs(idx) >= es.n]) ** 2))
@@ -742,8 +754,7 @@ def corollary33_check(k2: int, a, b, T: float) -> dict:
     freq = np.sqrt(k1**2 + float(k2) ** 2)
     w = np.concatenate([freq, -freq])
     coeffs = np.concatenate([a, b])
-    kernel = _ingham_kernel(w, T)
-    lhs = float(np.real(np.vdot(coeffs, kernel @ coeffs)))
+    lhs = _ingham_form(w, coeffs, T)
     mass = np.abs(a) ** 2 + np.abs(b) ** 2
     strong = float(mass[k1 >= k2].sum())
     weak = float(mass[k1 < k2].sum())

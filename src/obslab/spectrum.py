@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# rows of the pair triangle per block of partial_gap_analysis
+_GAP_BLOCK = 256
+# index magnitudes below this keep every index difference inside int64
+_MAX_INDEX = 1 << 62
+
 
 @dataclass(frozen=True)
 class RectangleGeometry:
@@ -135,23 +140,35 @@ def partial_gap_analysis(frequencies, n: int, indices=None) -> dict:
     explicit integer index list is supplied (e.g. a centered -N..N convention).
     Pairs entirely below n are exempt, so gamma is the minimum of
     |w_{k'} - w_k| / |k' - k| over admissible pairs, +inf if none exist.
+    The pairs are taken in row blocks of the pair triangle, each ratio with the
+    same float operations as a loop over pairs, so gamma is exact to the bit.
+    Frequencies must be finite, and an admissible pair of equal indices is an
+    error.
     """
-    freqs = [float(w) for w in frequencies]
-    if len(freqs) < 2:
+    w = np.array([float(x) for x in frequencies])
+    if w.size < 2:
         raise ValueError("need at least two frequencies")
+    if not np.isfinite(w).all():
+        raise ValueError("frequencies must be finite")
     if indices is None:
-        idx = list(range(1, len(freqs) + 1))
+        idx = np.arange(1, w.size + 1)
     else:
         idx = [int(i) for i in indices]
-        if len(idx) != len(freqs):
+        if len(idx) != w.size:
             raise ValueError("indices and frequencies must have equal length")
+        if any(abs(i) >= _MAX_INDEX for i in idx):
+            raise ValueError("indices must lie below 2^62 in magnitude")
+        idx = np.array(idx, dtype=np.int64)
+    high = np.abs(idx) >= n
     gamma = math.inf
-    for a in range(len(freqs)):
-        for b in range(a + 1, len(freqs)):
-            if max(abs(idx[a]), abs(idx[b])) < n:
-                continue
-            step = abs(idx[b] - idx[a])
-            if step == 0:
-                raise ValueError("duplicate indices")
-            gamma = min(gamma, abs(freqs[b] - freqs[a]) / step)
+    for a0 in range(0, w.size - 1, _GAP_BLOCK):
+        a = np.arange(a0, min(a0 + _GAP_BLOCK, w.size - 1))[:, None]
+        b = np.arange(a0 + 1, w.size)
+        keep = (b > a) & (high[a] | high[b])
+        step = np.abs(idx[b] - idx[a])[keep]
+        if not step.all():
+            raise ValueError("duplicate indices")
+        if step.size:
+            ratio = np.abs(w[b] - w[a])[keep] / step
+            gamma = min(gamma, float(ratio.min()))
     return {"gamma": gamma, "satisfied": gamma > 0}

@@ -280,6 +280,45 @@ def test_ingham_rejects_unusable_horizon(tmp_path, T):
     assert text == ""
 
 
+DIOPHANTINE = {"M": 2, "K_max": 100, "ell1": PI}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("diophantine", {**DIOPHANTINE, "M": 2.9}),
+        ("diophantine", {**DIOPHANTINE, "K_max": 1.5}),
+        ("diophantine", {**DIOPHANTINE, "M": math.inf}),
+        ("diophantine", {**DIOPHANTINE, "K_max": math.inf}),
+        ("diophantine", {**DIOPHANTINE, "ell1": math.inf}),
+        ("symmetry", {"p": 2.5, "alpha": PI / 2}),
+        ("ingham", {**INGHAM, "n": 0.7}),
+    ],
+    ids=["M=2.9", "K_max=1.5", "M=inf", "K_max=inf", "ell1=inf", "p=2.5", "n=0.7"],
+)
+def test_fractional_or_infinite_field_exits_2(tmp_path, command, config):
+    # truncating these would run, and report on, a different problem
+    code, text = run(tmp_path, command, config)
+    assert code == 2
+    assert text == ""
+
+
+@pytest.mark.parametrize(
+    "command,config,field",
+    [
+        ("diophantine", DIOPHANTINE, "M"),
+        ("diophantine", DIOPHANTINE, "K_max"),
+        ("symmetry", {"p": 3, "alpha": PI / 3}, "p"),
+        ("ingham", INGHAM, "n"),
+    ],
+)
+def test_integral_float_field_runs_the_same_problem(tmp_path, command, config, field):
+    code, text = run(tmp_path, command, config)
+    code_f, text_f = run(tmp_path, command, {**config, field: float(config[field])})
+    assert code == code_f == 0
+    assert json.loads(text_f)["result"] == json.loads(text)["result"]
+
+
 ORACLE = {
     "geometry": [PI, PI],
     "truncation": [3, 3],

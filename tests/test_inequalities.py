@@ -44,6 +44,7 @@ from obslab import (
 )
 from obslab import inequalities
 from obslab.inequalities import ConstantReport, ThresholdError
+from obslab.observation import _interval_kernel
 
 PI = math.pi
 WAVE = EnergyWeight(1.0, "wave")
@@ -402,6 +403,44 @@ def test_mehrenberger_tail_only_bound():
     r = mehrenberger_check(es, 10 * PI)
     assert r["rhs"] < 0
     assert r["holds"]
+
+
+def _dense_ingham_lhs(w, a, T):
+    kernel = _interval_kernel(w[None, :] - w[:, None], 0.0, T)
+    return float(np.real(np.vdot(a, kernel @ a)))
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=0, max_value=5),
+    st.floats(min_value=1.1, max_value=3.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_mehrenberger_lhs_matches_the_dense_kernel(size, n, horizon, seed):
+    rng = np.random.default_rng(seed)
+    w = np.arange(1, size + 1) + rng.uniform(-0.2, 0.2, size)
+    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    es = ExponentialSum(tuple(w), tuple(a), n, 0.6)
+    T = horizon * 2 * PI / 0.6
+    want = _dense_ingham_lhs(w, a, T)
+    assert mehrenberger_check(es, T)["lhs"] == pytest.approx(want, rel=1e-13)
+
+
+@given(
+    st.integers(min_value=1, max_value=150),
+    st.integers(min_value=1, max_value=10),
+    st.floats(min_value=4 * math.sqrt(2) * PI * 1.01, max_value=60.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_corollary33_lhs_matches_the_dense_kernel(size, k2, T, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    freq = np.sqrt(np.arange(1, size + 1) ** 2 + float(k2) ** 2)
+    want = _dense_ingham_lhs(np.concatenate([freq, -freq]), np.concatenate([a, b]), T)
+    assert corollary33_check(k2, a, b, T)["lhs"] == pytest.approx(want, rel=1e-13)
 
 
 def test_mehrenberger_requires_long_horizon():

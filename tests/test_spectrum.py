@@ -170,6 +170,56 @@ def test_partial_gap_needs_two_frequencies():
         partial_gap_analysis([1.0], 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_partial_gap_rejects_non_finite_frequencies(bad):
+    # a loop's min(inf, nan) would drop the nan and report gamma 1.0
+    with pytest.raises(ValueError, match="finite"):
+        partial_gap_analysis([1.0, bad, 3.0], 0)
+
+
+def _reference_gap(w, n, idx):
+    gamma = math.inf
+    for a in range(len(w)):
+        for b in range(a + 1, len(w)):
+            if max(abs(idx[a]), abs(idx[b])) < n:
+                continue
+            step = abs(idx[b] - idx[a])
+            if step == 0:
+                raise ValueError("duplicate indices")
+            gamma = min(gamma, abs(w[b] - w[a]) / step)
+    return gamma
+
+
+@given(
+    st.integers(min_value=2, max_value=600),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from(["positions", "centred", "duplicate"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_partial_gap_matches_the_pair_loop_bitwise(size, n, labels, seed):
+    rng = np.random.default_rng(seed)
+    # a few rounded values make exact frequency ties likely
+    w = np.round(rng.uniform(-50.0, 50.0, size), int(rng.integers(0, 4))).tolist()
+    if labels == "positions":
+        idx, indices = list(range(1, size + 1)), None
+    else:
+        idx = list(range(-(size // 2), size - size // 2))
+        if labels == "duplicate":
+            i, j = rng.choice(size, 2, replace=False)
+            idx[j] = idx[i]
+        indices = idx
+    try:
+        want = _reference_gap(w, n, idx)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            partial_gap_analysis(w, n, indices=indices)
+        return
+    got = partial_gap_analysis(w, n, indices=indices)
+    assert got["gamma"] == want  # bitwise: the same float operations per pair
+    assert got["satisfied"] == (want > 0)
+
+
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=2, max_value=12))
 @settings(max_examples=40)
 def test_partial_gap_gamma_certifies_pairs(n, size):
