@@ -23,7 +23,6 @@ if "OBSLAB_THREADS" in _os.environ:
 
 from .spectrum import (
     RectangleGeometry,
-    Mode,
     ModeSet,
     build_mode_set,
     check_gap_lemma,

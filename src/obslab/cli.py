@@ -42,8 +42,15 @@ def _geometry(config: dict) -> RectangleGeometry:
 
 
 def _mode_set(config: dict):
-    K1, K2 = config["truncation"]
-    return build_mode_set(_geometry(config), int(K1), int(K2))
+    K1, K2 = config["truncation"]  # ModeSet rejects a fractional bound
+    return build_mode_set(_geometry(config), K1, K2)
+
+
+def _integer(name: str, value) -> int:
+    """An integer config field; a fractional value is an error, never truncated."""
+    if value != int(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
 
 
 def _specs(config: dict, T=None) -> list:
@@ -64,7 +71,7 @@ def _specs(config: dict, T=None) -> list:
 
 def _projected_states(config: dict, mode_set, seed: int):
     """Random states, projected to the symmetries the theorem requires."""
-    n = int(config.get("samples", 100))
+    n = _integer("samples", config.get("samples", 100))
     decay = float(config.get("decay", 0.0))
     sym = theorem_symmetries(config["theorem"], config.get("params", {}))
     states = []
@@ -81,7 +88,7 @@ def cmd_verify(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     specs = _specs(config)
     params = dict(config.get("params", {}))
-    if int(config.get("samples", 100)) == 0:
+    if _integer("samples", config.get("samples", 100)) == 0:
         # eigen-certificate only: the truncated-space minimizer is the check
         result = check_theorem(theorem, specs, ms, params, require_threshold=True)
     else:
@@ -94,7 +101,9 @@ def cmd_scan_t(config: dict, seed: int) -> tuple:
         ts = [float(t) for t in config["T_values"]]
     else:
         ts = np.linspace(
-            float(config["T_start"]), float(config["T_stop"]), int(config["T_count"])
+            float(config["T_start"]),
+            float(config["T_stop"]),
+            _integer("T_count", config["T_count"]),
         ).tolist()
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0:
         raise ValueError("T values must be positive and increasing")
@@ -150,10 +159,10 @@ def cmd_ingham(config: dict, seed: int) -> tuple:
 def cmd_oracle_check(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     specs = _specs(config)
-    n = int(config.get("samples", 5))
+    n = _integer("samples", config.get("samples", 5))
     if n < 1:
         raise ValueError("samples must be >= 1")
-    resolution = int(config.get("resolution", 256))
+    resolution = _integer("resolution", config.get("resolution", 256))
     tol = float(config.get("tolerance", 1e-6))
     decay = float(config.get("decay", 0.0))
     grams = [assemble_gram(s, ms) for s in specs]
@@ -228,7 +237,7 @@ def main(argv=None) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = args.seed if args.seed is not None else _integer("seed", config.get("seed", 0))
         if args.fmt == "csv" and args.command != "scan-t":
             raise ValueError("csv output is only defined for scan-t")
         result, passed = COMMANDS[args.command](config, seed)

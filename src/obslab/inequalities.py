@@ -640,13 +640,8 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     if not states:
         raise ValueError("need at least one state")
     ms = states[0].mode_set
-    for st in states:
-        if st.mode_set is not ms and (
-            st.mode_set.geometry != ms.geometry
-            or st.mode_set.K1 != ms.K1
-            or st.mode_set.K2 != ms.K2
-        ):
-            raise ValueError("all states must share one mode set")
+    if any(st.mode_set != ms for st in states):
+        raise ValueError("all states must share one mode set")
 
     result, pen = _check(theorem, specs, ms, params, require_threshold=True)
     c_pred = result["c_predicted"]

@@ -18,9 +18,10 @@ way. The phases then factor out of every closed Gram as a diagonal unitary
 congruence: G = conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)}
 and X, Y real symmetric, kept in GramForm.centred. Its spectrum is that of
 X + Y (states even in time) and X - Y (odd in time). Those blocks are the data
-of an assembled Gram: GramForm.quadratic_form evaluates v^H [[X, Y], [Y, X]] v
-on the phased coefficients v = p c, and the complex 2n x 2n matrix is built
-only when GramForm.matrix is first read (for JSON, or a dense reference).
+of a Gram and of its JSON form: GramForm.quadratic_form evaluates
+v^H [[X, Y], [Y, X]] v on the phased coefficients v = p c, and the complex
+2n x 2n matrix is built only when GramForm.matrix is first read, as a dense
+reference.
 """
 
 from __future__ import annotations
@@ -349,38 +350,18 @@ def _sine_overlap_matrix(ks: np.ndarray, interval, scale: float) -> np.ndarray:
 
 
 class GramForm:
-    """Hermitian PSD matrix with c^H G c = observation integral of the state.
+    """Hermitian PSD form with c^H G c = observation integral of the state.
 
-    A Gram from assemble_gram (or from_centred) is held as centred = (X, Y,
-    angle): its matrix is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i
-    (angle, -angle)} and X, Y real symmetric. The complex matrix is then built
-    once, on the first read of .matrix, and quadratic_form reads the blocks.
-    A Gram constructed from a matrix has centred None. Two Grams are equal
-    when their spec, mode set and data (the centred blocks, or else the
-    matrix) agree to the last bit.
+    The Gram is held as centred = (X, Y, angle): its matrix is conj(p_i) p_j
+    [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)} and X, Y real n x n and
+    symmetric to the last bit, which makes it Hermitian to the last bit. The
+    blocks are kept, not copied, and made read-only. quadratic_form reads the
+    blocks; the complex matrix is built once, on the first read of .matrix.
+    Two Grams are equal when their spec, mode set and blocks agree to the
+    last bit, and the JSON form holds the blocks.
     """
 
-    def __init__(self, mode_set: ModeSet, matrix, spec: ObservationSpec) -> None:
-        g = np.ascontiguousarray(matrix, dtype=complex)
-        n = 2 * len(mode_set)
-        if g.shape != (n, n):
-            raise ValueError(f"matrix must be {n}x{n}")
-        # an exactly Hermitian matrix skips the tolerance pass's temporaries
-        if not np.array_equal(g, g.conj().T):
-            scale = np.max(np.abs(g))
-            if scale > 0 and np.max(np.abs(g - g.conj().T)) > 1e-14 * scale:
-                raise ValueError("matrix is not Hermitian to tolerance")
-        g.flags.writeable = False
-        vars(self).update(mode_set=mode_set, spec=spec, centred=None, _matrix=g)
-
-    @classmethod
-    def from_centred(cls, mode_set: ModeSet, spec: ObservationSpec, x, y, angle) -> "GramForm":
-        """The Gram conj(p_i) p_j [[X, Y], [Y, X]]_ij, p = e^{i (angle, -angle)}, kept as its blocks.
-
-        X and Y must be real n x n and symmetric to the last bit, which makes
-        the matrix Hermitian to the last bit. The blocks are kept, not copied,
-        and made read-only.
-        """
+    def __init__(self, mode_set: ModeSet, spec: ObservationSpec, x, y, angle) -> None:
         n = len(mode_set)
         x, y, angle = (np.ascontiguousarray(part, dtype=float) for part in (x, y, angle))
         if x.shape != (n, n) or y.shape != (n, n) or angle.shape != (n,):
@@ -389,9 +370,7 @@ class GramForm:
             raise ValueError("centred blocks must be symmetric")
         for part in (x, y, angle):
             part.flags.writeable = False
-        gram = cls.__new__(cls)
-        vars(gram).update(mode_set=mode_set, spec=spec, centred=(x, y, angle), _matrix=None)
-        return gram
+        vars(self).update(mode_set=mode_set, spec=spec, centred=(x, y, angle), _matrix=None)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -405,8 +384,7 @@ class GramForm:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def _key(self) -> tuple:
-        data = (self._matrix,) if self.centred is None else self.centred
-        return (self.spec, self.mode_set, tuple(part.tobytes() for part in data))
+        return (self.spec, self.mode_set, tuple(part.tobytes() for part in self.centred))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GramForm):
@@ -421,8 +399,6 @@ class GramForm:
         c = np.asarray(c, dtype=complex)
         if c.shape != (2 * len(self.mode_set),):
             raise ValueError(f"coefficients must have shape ({2 * len(self.mode_set)},)")
-        if self.centred is None:
-            return float(np.real(np.vdot(c, self.matrix @ c)))
         # v^H [[X, Y], [Y, X]] v with v = p c, the phased coefficients
         x, y, angle = self.centred
         n = len(angle)
@@ -432,14 +408,16 @@ class GramForm:
 
     def to_json(self) -> str:
         ms = self.mode_set
+        x, y, angle = self.centred
         doc = {
             "geometry": {"ell1": ms.geometry.ell1, "ell2": ms.geometry.ell2},
             "K1": ms.K1,
             "K2": ms.K2,
-            "mode_order": [[m.k1, m.k2] for m in ms.modes],
+            "mode_order": np.stack([ms.k1, ms.k2], axis=1).tolist(),
             "spec": self.spec.to_dict(),
-            "matrix_re": self.matrix.real.tolist(),
-            "matrix_im": self.matrix.imag.tolist(),
+            "x": x.tolist(),
+            "y": y.tolist(),
+            "angle": angle.tolist(),
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -448,10 +426,8 @@ class GramForm:
         doc = json.loads(text)
         geom = RectangleGeometry(doc["geometry"]["ell1"], doc["geometry"]["ell2"])
         ms = build_mode_set(geom, doc["K1"], doc["K2"])
-        re = np.array(doc["matrix_re"], dtype=float)
-        g = np.empty(re.shape, dtype=complex)
-        g.real, g.imag = re, doc["matrix_im"]  # no arithmetic, so signed zeros survive
-        return GramForm(ms, g, ObservationSpec.from_dict(doc["spec"]))
+        spec = ObservationSpec.from_dict(doc["spec"])
+        return GramForm(ms, spec, doc["x"], doc["y"], doc["angle"])
 
 
 def _frequencies(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
@@ -553,7 +529,7 @@ def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
     """
     spec.validate_geometry(mode_set.geometry)
     x, y = _gram_blocks(spec, mode_set, _closed_axis_gram)
-    return GramForm.from_centred(mode_set, spec, x, y, _centre_angle(spec, mode_set))
+    return GramForm(mode_set, spec, x, y, _centre_angle(spec, mode_set))
 
 
 # ---------------------------------------------------------------------------
@@ -633,12 +609,10 @@ def thm21_fourfamily_form(coeffs, omega: OpenRect, geometry: RectangleGeometry) 
     if len(fams) != 4 or any(f.shape != fams[0].shape or f.ndim != 2 for f in fams):
         raise ValueError("coeffs must be four equal-shape (K2, K1) arrays")
     K2, K1 = fams[0].shape
-    k1 = np.tile(np.arange(1, K1 + 1), K2)
-    k2 = np.repeat(np.arange(1, K2 + 1), K1)
-    lam = geometry.u * k1**2 + geometry.v * k2**2
+    ms = build_mode_set(geometry, K1, K2)  # row-major in (k2, k1), as the coefficients are
     signs = ((1, 1), (-1, 1), (1, -1), (-1, -1))
-    wx = np.concatenate([sx * geometry.z * k2 for sx, _ in signs])
-    wt = np.concatenate([st * lam for _, st in signs])
+    wx = np.concatenate([sx * geometry.z * ms.k2 for sx, _ in signs])
+    wt = np.concatenate([st * ms.lam for _, st in signs])
     cvec = np.concatenate([f.reshape(-1) for f in fams])
     kt = _interval_kernel(wt[None, :] - wt[:, None], omega.t0, omega.t1)
     kx = _interval_kernel(wx[None, :] - wx[:, None], omega.x0, omega.x1)

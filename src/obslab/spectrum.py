@@ -21,7 +21,11 @@ _MAX_INDEX = 1 << 62
 
 @dataclass(frozen=True)
 class RectangleGeometry:
-    """Side lengths of the rectangle plus the derived constants u, v, z."""
+    """Side lengths of the rectangle plus the derived constants u, v, z.
+
+    A side whose u = pi^2/ell1^2 (or v = pi^2/ell2^2) is not a finite positive
+    float, say ell1 = 1e-170 or 1e155, is rejected.
+    """
 
     ell1: float
     ell2: float
@@ -31,41 +35,30 @@ class RectangleGeometry:
             raise ValueError(
                 f"side lengths must be positive and finite, got ({self.ell1}, {self.ell2})"
             )
+        for name in ("ell1", "ell2"):
+            ell = getattr(self, name)
+            try:
+                unit = _wavenumber_sq(ell)
+            except ArithmeticError:  # ell^2 overflows, or underflows to 0
+                unit = math.inf
+            if not 0 < unit < math.inf:
+                raise ValueError(f"side {name}={ell} is out of range: pi^2/{name}^2 is not finite")
 
     @property
     def u(self) -> float:
-        return math.pi**2 / self.ell1**2
+        return _wavenumber_sq(self.ell1)
 
     @property
     def v(self) -> float:
-        return math.pi**2 / self.ell2**2
+        return _wavenumber_sq(self.ell2)
 
     @property
     def z(self) -> float:
         return math.pi / self.ell2
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One basis index pair with its eigenvalue and model frequencies."""
-
-    k1: int
-    k2: int
-    lam: float  # u k1^2 + v k2^2
-
-    def __post_init__(self) -> None:
-        if self.k1 < 1 or self.k2 < 1:
-            raise ValueError(f"mode indices must be >= 1, got ({self.k1}, {self.k2})")
-        if not self.lam > 0:
-            raise ValueError("eigenvalue must be positive")
-
-    @property
-    def wave_freq(self) -> float:
-        return math.sqrt(self.lam)
-
-    @property
-    def plate_freq(self) -> float:
-        return self.lam
+def _wavenumber_sq(ell: float) -> float:
+    return math.pi**2 / ell**2
 
 
 @dataclass(frozen=True)
@@ -74,27 +67,35 @@ class ModeSet:
 
     The ordering (k1 varies fastest) is part of the contract: Gram matrices,
     coefficient vectors and serialized states all index modes by position here.
-    k1, k2 and lam hold the same data as read-only arrays in that order.
+    The modes are held as the read-only arrays k1, k2 and lam = u k1^2 + v k2^2
+    in that order; two mode sets are equal when geometry, K1 and K2 are.
     """
 
     geometry: RectangleGeometry
     K1: int
     K2: int
-    modes: tuple[Mode, ...] = field(repr=False)
     k1: np.ndarray = field(init=False, compare=False, repr=False)
     k2: np.ndarray = field(init=False, compare=False, repr=False)
     lam: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.modes) != self.K1 * self.K2:
-            raise ValueError("mode list does not match truncation bounds")
-        for name in ("k1", "k2", "lam"):
-            values = np.array([getattr(m, name) for m in self.modes])
+        K1, K2 = self.K1, self.K2
+        if K1 != int(K1) or K2 != int(K2) or K1 < 1 or K2 < 1:
+            raise ValueError(f"truncation bounds must be integers >= 1, got K1={K1}, K2={K2}")
+        K1, K2 = int(K1), int(K2)
+        k1 = np.tile(np.arange(1, K1 + 1), K2)
+        k2 = np.repeat(np.arange(1, K2 + 1), K1)
+        g = self.geometry
+        with np.errstate(over="ignore"):
+            lam = g.u * k1 * k1 + g.v * k2 * k2
+        if not np.isfinite(lam).all():
+            raise ValueError(f"eigenvalues overflow at K1={K1}, K2={K2} on {g}")
+        for values in (k1, k2, lam):
             values.flags.writeable = False
-            object.__setattr__(self, name, values)
+        vars(self).update(K1=K1, K2=K2, k1=k1, k2=k2, lam=lam)
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return self.K1 * self.K2
 
     def index_of(self, k1: int, k2: int) -> int:
         if not (1 <= k1 <= self.K1 and 1 <= k2 <= self.K2):
@@ -104,15 +105,7 @@ class ModeSet:
 
 def build_mode_set(geometry: RectangleGeometry, K1: int, K2: int) -> ModeSet:
     """Enumerate the truncated rectangle [1..K1] x [1..K2] of modes."""
-    if K1 < 1 or K2 < 1:
-        raise ValueError(f"truncation bounds must be >= 1, got K1={K1}, K2={K2}")
-    u, v = geometry.u, geometry.v
-    modes = tuple(
-        Mode(k1, k2, u * k1 * k1 + v * k2 * k2)
-        for k2 in range(1, K2 + 1)
-        for k1 in range(1, K1 + 1)
-    )
-    return ModeSet(geometry, K1, K2, modes)
+    return ModeSet(geometry, K1, K2)
 
 
 def check_gap_lemma(k1: int, k1p: int, k2: int) -> dict:

@@ -201,8 +201,8 @@ def state_to_json(state: SpectralState) -> str:
     """Serialize to JSON; float repr makes the round trip bit-exact."""
     ms = state.mode_set
     rows = [
-        [m.k1, m.k2, state.a[i].real, state.a[i].imag, state.b[i].real, state.b[i].imag]
-        for i, m in enumerate(ms.modes)
+        [k1, k2, a.real, a.imag, b.real, b.imag]
+        for k1, k2, a, b in zip(ms.k1.tolist(), ms.k2.tolist(), state.a.tolist(), state.b.tolist())
     ]
     doc = {
         "geometry": {"ell1": ms.geometry.ell1, "ell2": ms.geometry.ell2},

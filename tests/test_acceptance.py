@@ -94,7 +94,7 @@ def test_criterion_01_oracle_equivalence(square):
 def test_criterion_02_energy_identity(square):
     ms = build_mode_set(square, 8, 8)
     k = np.arange(1, 9)
-    freq = np.sqrt(np.array([m.lam for m in ms.modes]))
+    freq = np.sqrt(ms.lam)
     x, gw = np.polynomial.legendre.leggauss(160)
     x = 0.5 * PI * (x + 1.0)
     gw = 0.5 * PI * gw
@@ -312,7 +312,7 @@ def test_criterion_11_symmetry_equivalence(square):
     worst_proj, worst_built, worst_injected = 0.0, 0.0, math.inf
     for p in (2, 3, 5):
         spec = SymmetrySpec(p, "x1", PI / p)
-        keep = np.array([m.k1 % p != 0 for m in ms.modes])
+        keep = ms.k1 % p != 0
         for seed in range(100):
             proj = project_p_symmetric(random_state(ms, seed), spec)
             tr = axis_trace(proj, "x1", transverse, grid)

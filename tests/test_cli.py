@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -316,7 +317,12 @@ def test_integral_float_field_runs_the_same_problem(tmp_path, command, config, f
     code, text = run(tmp_path, command, config)
     code_f, text_f = run(tmp_path, command, {**config, field: float(config[field])})
     assert code == code_f == 0
-    assert json.loads(text_f)["result"] == json.loads(text)["result"]
+    assert _result_bytes(text_f) == _result_bytes(text)
+
+
+def _result_bytes(text):
+    # re-dumping keeps 4 and 4.0 apart, so this compares the result's bytes
+    return json.dumps(json.loads(text)["result"], sort_keys=True)
 
 
 ORACLE = {
@@ -340,6 +346,66 @@ ORACLE = {
         },
     ],
 }
+
+
+SCAN = {
+    **{k: v for k, v in CROSS.items() if k != "T"},
+    "T_start": 47.84977149867659,
+    "T_stop": 50.0,
+    "T_count": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("constants", {**CROSS, "truncation": [2.5, 3]}),
+        ("verify", {**TWO_LINES, "samples": 2.5}),
+        ("oracle-check", {**ORACLE, "resolution": 128.5}),
+        ("scan-t", {**SCAN, "T_count": 2.5}),
+        ("verify", {**TWO_LINES, "seed": 3.5}),
+    ],
+    ids=["truncation", "samples", "resolution", "T_count", "seed"],
+)
+def test_fractional_count_exits_2(tmp_path, capsys, command, config):
+    # truncating would run, and report on, a different problem
+    code, text = run(tmp_path, command, config, fmt="json")
+    assert code == 2
+    assert text == ""
+    assert "integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,config,field,value",
+    [
+        ("constants", CROSS, "truncation", [6.0, 6.0]),
+        ("verify", TWO_LINES, "samples", 10.0),
+        ("oracle-check", ORACLE, "resolution", 128.0),
+        ("scan-t", SCAN, "T_count", 2.0),
+        ("verify", TWO_LINES, "seed", 3.0),
+    ],
+    ids=["truncation", "samples", "resolution", "T_count", "seed"],
+)
+def test_integral_float_count_gives_the_same_report(tmp_path, command, config, field, value):
+    code, text = run(tmp_path, command, config, fmt="json")
+    code_f, text_f = run(tmp_path, command, {**config, field: value}, fmt="json")
+    assert code == code_f == 0
+    assert _result_bytes(text_f) == _result_bytes(text)
+    if command == "constants":
+        assert '"K1": 6, "K2": 6' in text_f
+
+
+@pytest.mark.parametrize(
+    "geometry,side",
+    [([1e-170, 1e-170], "ell1"), ([PI, 1e-155], "ell2"), ([1e155, 1e155], "ell1")],
+    ids=["1e-170", "1e-155", "1e155"],
+)
+def test_extreme_rectangle_exits_2(tmp_path, capsys, geometry, side):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run(tmp_path, "constants", {**CROSS, "geometry": geometry})
+    assert (code, text, caught) == (2, "", [])
+    assert capsys.readouterr().err.startswith(f"config error: side {side}=")
 
 
 def test_oracle_check_passes_and_fails(tmp_path):
@@ -401,10 +467,12 @@ def test_no_solve_path_builds_the_complex_matrix(tmp_path, monkeypatch):
     # the matrix is still there when read: built once, complex and Hermitian to the last bit
     spec = ObservationSpec.from_dict({**CROSS["spec"], "T": CROSS["T"], "model": "wave"})
     gram = assemble_gram(spec, build_mode_set(RectangleGeometry(PI, PI), 6, 6))
+    back = GramForm.from_json(gram.to_json())  # JSON holds the blocks, not the matrix
+    assert back == gram and built == []
     g = gram.matrix
     assert gram.matrix is g and len(built) == 1
     assert g.dtype == complex and np.array_equal(g, g.conj().T)
-    assert np.array_equal(GramForm.from_json(gram.to_json()).matrix, g)
+    assert np.array_equal(back.matrix, g)
 
 
 def test_cli_imports_no_private_names():

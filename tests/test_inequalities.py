@@ -228,7 +228,7 @@ def test_pencil_of_matching_gram_is_identity(square, monkeypatch):
     ms = build_mode_set(square, 2, 2)
     d = WAVE.diagonal(ms)
     spec = _vspec(VerticalStrip(1.0, 2.0))
-    gram = GramForm.from_centred(ms, spec, np.diag(d), np.zeros((4, 4)), np.zeros(4))
+    gram = GramForm(ms, spec, np.diag(d), np.zeros((4, 4)), np.zeros(4))
     monkeypatch.setattr(inequalities, "assemble_gram", lambda s, mode_set: gram)
     for p, _ in pencil(spec, WAVE, ms).sectors:
         assert np.allclose(p, np.eye(4), atol=1e-15)

@@ -428,14 +428,24 @@ def test_longer_horizon_observes_more(modes4):
     assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
 
-def test_gram_form_rejects_non_hermitian(modes4):
-    n = 2 * len(modes4)
-    bad = np.zeros((n, n), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        GramForm(modes4, bad, _spec(VerticalStrip(1.0, 2.0)))
-    with pytest.raises(ValueError):
-        GramForm(modes4, np.zeros((3, 3), dtype=complex), _spec(VerticalStrip(1.0, 2.0)))
+def test_gram_form_rejects_bad_blocks(modes4):
+    n, spec = len(modes4), _spec(VerticalStrip(1.0, 2.0))
+    sym, angle = np.eye(n), np.zeros(n)
+    skew = np.eye(n)
+    skew[0, 1] = 1.0
+    bad = [
+        (skew, sym, angle),  # X not symmetric
+        (sym, skew, angle),  # Y not symmetric
+        (np.eye(n + 1), sym, angle),
+        (sym, np.eye(n - 1), angle),
+        (sym, sym, np.zeros(n + 1)),
+        (sym, sym, np.zeros((n, 1))),
+    ]
+    for x, y, a in bad:
+        with pytest.raises(ValueError, match="centred blocks"):
+            GramForm(modes4, spec, x, y, a)
+    good = GramForm(modes4, spec, sym, sym, angle)
+    assert all(not part.flags.writeable for part in good.centred)
 
 
 def test_gram_json_round_trip(modes4):
@@ -461,6 +471,22 @@ def test_gram_equality_and_hash(modes4):
     for name in ("spec", "centred", "matrix"):
         with pytest.raises(AttributeError):
             setattr(first, name, None)
+
+
+@pytest.mark.parametrize(
+    "region", ALL_REGIONS + [OpenRect(-0.0, 1.0, 0.5, 1.5)], ids=lambda r: type(r).__name__
+)
+def test_gram_json_round_trip_is_the_same_gram(region):
+    ms = build_mode_set(RectangleGeometry(math.pi, 2.7), 4, 3)
+    g = assemble_gram(_spec(region), ms)
+    text = g.to_json()
+    back = GramForm.from_json(text)
+    assert back == g and hash(back) == hash(g)
+    assert json.loads(text).keys() >= {"x", "y", "angle"} and "matrix_re" not in text
+    # signed zeros survive, in the region's parameters and in the blocks
+    assert repr(back.spec) == repr(g.spec)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(back.centred, g.centred))
+    assert back.to_json() == text
 
 
 def test_gram_json_round_trip_open_rect(modes4):
@@ -506,7 +532,7 @@ def _dense_oracle(state, spec, res):
     ms = state.mode_set
     geo = ms.geometry
     sign = np.repeat([1.0, -1.0], len(ms))
-    k1, k2, lam = (np.tile([getattr(m, a) for m in ms.modes], 2) for a in ("k1", "k2", "lam"))
+    k1, k2, lam = (np.tile(getattr(ms, a), 2) for a in ("k1", "k2", "lam"))
     w = sign * (np.sqrt(lam) if spec.model == "wave" else lam)
     amp = 1j * w if spec.field == "velocity" else np.ones(len(w))
     z1, z2 = math.pi / geo.ell1, math.pi / geo.ell2

@@ -1,0 +1,74 @@
+"""The names the package exports: one may go only by an edit of this list."""
+
+import types
+
+import obslab
+
+PUBLIC = [
+    "AlgebraicPointSet",
+    "BoundaryEdgeBottom",
+    "BoundaryEdgeLeft",
+    "BoundaryGamma0",
+    "ConstantReport",
+    "CrossStrips",
+    "DiophantineReport",
+    "EnergyWeight",
+    "ExponentialSum",
+    "GramForm",
+    "HorizontalLine",
+    "HorizontalStrip",
+    "ModeSet",
+    "ObservationSpec",
+    "OpenRect",
+    "Pencil",
+    "RectangleGeometry",
+    "SpectralState",
+    "SymmetryConstants",
+    "SymmetrySpec",
+    "THEOREM_IDS",
+    "VerticalLine",
+    "VerticalSegments",
+    "VerticalStrip",
+    "admissible_c_min",
+    "assemble_gram",
+    "build_algebraic_points",
+    "build_mode_set",
+    "check_gap_lemma",
+    "check_theorem",
+    "corollary33_check",
+    "dist_to_integers",
+    "empirical_constants",
+    "energy_seminorm_sq",
+    "estimate_gamma",
+    "fill_theorem_params",
+    "m_ab",
+    "mehrenberger_check",
+    "partial_gap_analysis",
+    "pencil",
+    "predicted_constant",
+    "project_p_symmetric",
+    "quadrature_oracle",
+    "random_state",
+    "sin_sum_lower_bound_check",
+    "sine_dist_check",
+    "sine_overlap",
+    "state_from_json",
+    "state_to_json",
+    "symmetry_constants",
+    "symmetry_residual",
+    "theorem_symmetries",
+    "thm21_fourfamily_form",
+    "time_kernel",
+    "verify_observability",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules are left out: which of them are attributes depends on what was imported
+    exported = sorted(
+        name
+        for name, value in vars(obslab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert PUBLIC == sorted(PUBLIC)
+    assert exported == PUBLIC

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obslab import (
+    ModeSet,
     RectangleGeometry,
     build_mode_set,
     check_gap_lemma,
@@ -42,64 +43,68 @@ def test_geometry_rejects_bad_lengths(ell1, ell2):
 
 def test_single_mode_square(square):
     ms = build_mode_set(square, 1, 1)
-    assert len(ms.modes) == 1
-    m = ms.modes[0]
-    assert (m.k1, m.k2) == (1, 1)
-    assert m.lam == pytest.approx(2.0, rel=1e-15)
-    assert m.wave_freq == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert len(ms) == 1
+    assert (ms.k1[0], ms.k2[0]) == (1, 1)
+    assert ms.lam[0] == pytest.approx(2.0, rel=1e-15)
 
 
 def test_mode_eigenvalues(square):
     ms = build_mode_set(square, 4, 4)
-    assert ms.modes[ms.index_of(1, 2)].lam == pytest.approx(5.0, rel=1e-15)
+    assert ms.lam[ms.index_of(1, 2)] == pytest.approx(5.0, rel=1e-15)
     g = RectangleGeometry(1.0, 2.0)
     ms2 = build_mode_set(g, 3, 1)
-    lam = ms2.modes[ms2.index_of(3, 1)].lam
+    lam = ms2.lam[ms2.index_of(3, 1)]
     assert lam == pytest.approx(9 * math.pi**2 + math.pi**2 / 4, rel=1e-15)
 
 
 def test_mode_ordering_is_row_major_in_k2_k1(square):
     ms = build_mode_set(square, 3, 2)
-    assert [(m.k1, m.k2) for m in ms.modes] == [
+    pairs = list(zip(ms.k1.tolist(), ms.k2.tolist()))
+    assert pairs == [
         (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2),
     ]
-    for i, m in enumerate(ms.modes):
-        assert ms.index_of(m.k1, m.k2) == i
+    for i, (k1, k2) in enumerate(pairs):
+        assert ms.index_of(k1, k2) == i
 
 
 def test_mode_set_size_and_uniqueness(square):
     ms = build_mode_set(square, 5, 7)
-    assert len(ms.modes) == 35
-    assert len({(m.k1, m.k2) for m in ms.modes}) == 35
+    assert len(ms) == ms.k1.size == ms.k2.size == ms.lam.size == 35
+    assert len(set(zip(ms.k1.tolist(), ms.k2.tolist()))) == 35
 
 
 def test_lambda_increases_along_each_index(square):
     ms = build_mode_set(square, 6, 6)
     for k2 in range(1, 7):
-        row = [ms.modes[ms.index_of(k1, k2)].lam for k1 in range(1, 7)]
+        row = [ms.lam[ms.index_of(k1, k2)] for k1 in range(1, 7)]
         assert row == sorted(row)
     for k1 in range(1, 7):
-        col = [ms.modes[ms.index_of(k1, k2)].lam for k2 in range(1, 7)]
+        col = [ms.lam[ms.index_of(k1, k2)] for k2 in range(1, 7)]
         assert col == sorted(col)
 
 
 def test_build_mode_set_deterministic(square):
     a = build_mode_set(square, 4, 4)
     b = build_mode_set(square, 4, 4)
-    assert [(m.k1, m.k2, m.lam, m.wave_freq) for m in a.modes] == [
-        (m.k1, m.k2, m.lam, m.wave_freq) for m in b.modes
-    ]
+    for name in ("k1", "k2", "lam"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 def test_mode_set_arrays_match_modes():
-    ms = build_mode_set(RectangleGeometry(1.0, 2.0), 3, 2)
-    for name in ("k1", "k2", "lam"):
+    g = RectangleGeometry(math.pi, 2.7)
+    ms = build_mode_set(g, 9, 7)
+    u, v = g.u, g.v
+    modes = [(k1, k2, u * k1 * k1 + v * k2 * k2) for k2 in range(1, 8) for k1 in range(1, 10)]
+    for name, column in zip(("k1", "k2", "lam"), zip(*modes)):
         values = getattr(ms, name)
-        assert values.tolist() == [getattr(m, name) for m in ms.modes]
+        assert values.tolist() == list(column)
+        assert np.array_equal(values.view(np.int64), np.array(column).view(np.int64))
         assert not values.flags.writeable
-    twin = build_mode_set(RectangleGeometry(1.0, 2.0), 3, 2)
+    twin = ModeSet(RectangleGeometry(math.pi, 2.7), 9.0, 7)
+    assert twin.K1 == 9 and type(twin.K1) is int
     assert ms == twin and hash(ms) == hash(twin)
-    assert ms != build_mode_set(RectangleGeometry(1.0, 2.0), 2, 3)
+    assert ms != build_mode_set(g, 7, 9)
+    assert ms != build_mode_set(RectangleGeometry(math.pi, 2.75), 9, 7)
     assert "lam" not in repr(ms)
 
 
@@ -109,12 +114,33 @@ def test_build_mode_set_rejects_bad_truncation(square, K1, K2):
         build_mode_set(square, K1, K2)
 
 
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30))
-def test_plate_freq_is_square_of_wave_freq(k1, k2):
-    ms = build_mode_set(RectangleGeometry(math.pi, math.pi), 30, 30)
-    m = ms.modes[ms.index_of(k1, k2)]
-    assert m.plate_freq == pytest.approx(m.wave_freq**2, rel=1e-12)
-    assert m.lam > 0
+@pytest.mark.parametrize("K1,K2", [(2.5, 3), (3, 1.0000001), (math.nan, 2)])
+def test_mode_set_rejects_fractional_truncation(square, K1, K2):
+    with pytest.raises(ValueError):
+        ModeSet(square, K1, K2)
+
+
+@pytest.mark.parametrize(
+    "ell1,ell2,name",
+    [(1e-170, 1.0, "ell1"), (1.0, 1e-155, "ell2"), (1e155, 1.0, "ell1"), (1e155, 1e155, "ell1")],
+)
+def test_geometry_rejects_an_unrepresentable_wavenumber(ell1, ell2, name):
+    with pytest.raises(ValueError, match=f"side {name}="):
+        RectangleGeometry(ell1, ell2)
+
+
+def test_geometry_keeps_u_v_at_the_extremes():
+    for ell in (1e-153, 7.5e-154, 1e154, 1.3e154):
+        g = RectangleGeometry(ell, ell)
+        assert g.u == g.v == math.pi**2 / ell**2
+        assert 0 < g.u < math.inf
+
+
+def test_mode_set_rejects_overflowing_eigenvalues():
+    g = RectangleGeometry(1e-153, 1e-153)
+    assert np.isfinite(build_mode_set(g, 2, 2).lam).all()
+    with pytest.raises(ValueError, match="eigenvalues overflow"):
+        build_mode_set(g, 40, 1)
 
 
 def test_gap_lemma_examples():

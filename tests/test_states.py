@@ -51,7 +51,7 @@ def test_energy_positive_for_nonzero_state(modes4):
 def test_plate_weight_diagonal(square):
     ms = build_mode_set(square, 2, 1)
     w = EnergyWeight(-1.0, "plate").diagonal(ms)
-    lam = np.array([m.lam for m in ms.modes])
+    lam = ms.lam
     assert np.allclose(w, 1.0 / lam, rtol=1e-15)
 
 
@@ -105,7 +105,7 @@ def test_random_state_deterministic(modes4):
 
 
 def test_random_state_decay_bounds(modes8):
-    lam = np.array([m.lam for m in modes8.modes])
+    lam = modes8.lam
     flat = random_state(modes8, 1, decay=0.0)
     assert np.all(np.abs(flat.a) <= 1.0 + 1e-12)
     assert np.all(np.abs(flat.b) <= 1.0 + 1e-12)
@@ -135,8 +135,8 @@ def test_symmetry_spec_validation():
 def test_projection_zeroes_multiples(modes6):
     st_ = random_state(modes6, 9)
     proj = project_p_symmetric(st_, SymmetrySpec(2, "x1", math.pi / 2))
-    for i, m in enumerate(modes6.modes):
-        if m.k1 % 2 == 0:
+    for i, k1 in enumerate(modes6.k1):
+        if k1 % 2 == 0:
             assert proj.a[i] == 0 and proj.b[i] == 0
         else:
             assert proj.a[i] == st_.a[i] and proj.b[i] == st_.b[i]
