@@ -69,7 +69,6 @@ from .inequalities import (
     symmetry_constants,
     predicted_constant,
     verify_observability,
-    admissible_c_min,
     check_theorem,
     fill_theorem_params,
     theorem_symmetries,

@@ -30,7 +30,7 @@ from .inequalities import (
     verify_observability,
 )
 from .observation import ObservationSpec, assemble_gram, quadrature_oracle
-from .spectrum import build_mode_set, partial_gap_analysis, RectangleGeometry
+from .spectrum import build_mode_set, RectangleGeometry
 from .states import EnergyWeight, project_p_symmetric, random_state
 
 
@@ -69,11 +69,11 @@ def _specs(config: dict, T=None) -> list:
     return out
 
 
-def _projected_states(config: dict, mode_set, seed: int):
+def _projected_states(config: dict, specs: list, mode_set, seed: int):
     """Random states, projected to the symmetries the theorem requires."""
     n = _integer("samples", config.get("samples", 100))
     decay = float(config.get("decay", 0.0))
-    sym = theorem_symmetries(config["theorem"], config.get("params", {}))
+    sym = theorem_symmetries(config["theorem"], specs, config.get("params", {}), mode_set.geometry)
     states = []
     for i in range(n):
         st = random_state(mode_set, seed + i, decay)
@@ -92,7 +92,8 @@ def cmd_verify(config: dict, seed: int) -> tuple:
         # eigen-certificate only: the truncated-space minimizer is the check
         result = check_theorem(theorem, specs, ms, params, require_threshold=True)
     else:
-        result = verify_observability(theorem, specs, _projected_states(config, ms, seed), params)
+        states = _projected_states(config, specs, ms, seed)
+        result = verify_observability(theorem, specs, states, params)
     return result, result["passed"]
 
 
@@ -148,9 +149,8 @@ def cmd_ingham(config: dict, seed: int) -> tuple:
     n = config["n"]
     indices = config.get("indices")
     gamma = config.get("gamma", "auto")
-    if gamma == "auto":
-        gamma = partial_gap_analysis(w, n, indices=indices)["gamma"]
-    es = ExponentialSum(tuple(w), tuple(coeffs), n, float(gamma), indices)
+    gamma = None if gamma == "auto" else float(gamma)  # None: the gap of the exponents
+    es = ExponentialSum(tuple(w), tuple(coeffs), n, gamma, indices)
     result = mehrenberger_check(es, float(config["T"]))
     result["gamma"] = es.gamma
     return result, result["holds"]

@@ -28,24 +28,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .observation import (
-    BoundaryEdgeBottom,
-    CrossStrips,
-    GramForm,
-    HorizontalLine,
-    HorizontalStrip,
-    ObservationSpec,
-    VerticalLine,
-    VerticalStrip,
-    _window_sinc,
-    assemble_gram,
-)
+from .observation import ObservationSpec, _window_sinc, assemble_gram
 from .spectrum import ModeSet, partial_gap_analysis
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq
 
@@ -55,9 +45,9 @@ class _Theorem(NamedTuple):
 
     compositions lists the sets of region kinds it observes; constants names
     the interval (m_ab, m_cd) and symmetry (m_o, M_o) constants its formula
-    reads; symmetries holds one (order key, axis, anchor key) per symmetry its
-    states carry. Order o yields m_o and M_o, and the anchor key names both the
-    params entry and the field of the line region on that axis.
+    reads; symmetries holds one (order key, axis) per symmetry its states
+    carry. Order o yields m_o and M_o; its anchor is the point of the line
+    region on that axis (see theorem_symmetries).
     """
 
     compositions: tuple
@@ -71,23 +61,23 @@ _THEOREMS = {
     ),
     "strip_plus_edge": _Theorem(({"VerticalStrip", "BoundaryEdgeBottom"},), ("m_ab",)),
     "line_plus_strip": _Theorem(
-        ({"VerticalLine", "HorizontalStrip"},), ("m_p", "M_p", "m_cd"), (("p", "x1", "alpha"),)
+        ({"VerticalLine", "HorizontalStrip"},), ("m_p", "M_p", "m_cd"), (("p", "x1"),)
     ),
     "line_plus_edge": _Theorem(
-        ({"VerticalLine", "BoundaryEdgeBottom"},), ("m_p", "M_p"), (("p", "x1", "alpha"),)
+        ({"VerticalLine", "BoundaryEdgeBottom"},), ("m_p", "M_p"), (("p", "x1"),)
     ),
     "two_lines": _Theorem(
         ({"VerticalLine", "HorizontalLine"},),
         ("m_p", "M_p", "m_q", "M_q"),
-        (("p", "x1", "alpha"), ("q", "x2", "beta")),
+        (("p", "x1"), ("q", "x2")),
     ),
 }
 
 THEOREM_IDS = tuple(_THEOREMS)
 
 _PI = math.pi
-# states per block of the sweep and of Pencil.quadratic_forms: it bounds the
-# temporaries, so no stack of every state's coefficients is held at once
+# states per block of the sweep: it bounds the temporaries of
+# Pencil.quadratic_forms, so no stack of every state's coefficients is held at once
 _CHUNK = 256
 # rows per block of the sinc matrix in the Ingham forms
 _INGHAM_BLOCK = 128
@@ -127,13 +117,14 @@ class ExponentialSum:
 
     Integer labels default to 1..N by position; gamma must be admissible for
     the partial gap condition |w_k' - w_k| >= gamma |k' - k| over all pairs
-    with max(|k'|, |k|) >= n.
+    with max(|k'|, |k|) >= n. When gamma is None it is that largest admissible
+    gap itself, which needs at least two exponents.
     """
 
     exponents: tuple
     coefficients: tuple
     n: int
-    gamma: float
+    gamma: float = None
     indices: tuple = None
 
     def __post_init__(self) -> None:
@@ -147,19 +138,21 @@ class ExponentialSum:
             raise ValueError("need at least one exponent")
         idx = self.indices
         idx = tuple(range(1, len(w) + 1)) if idx is None else tuple(int(k) for k in idx)
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if len(w) >= 2:  # a single exponential satisfies the gap vacuously
+        gamma = self.gamma
+        if gamma is None or len(w) >= 2:  # a single exponential satisfies the gap vacuously
             actual = partial_gap_analysis(w, self.n, indices=idx)["gamma"]
-            if not actual >= self.gamma * (1 - 1e-12):
+            gamma = actual if gamma is None else gamma
+            if not actual >= gamma * (1 - 1e-12):
                 raise ValueError(
-                    f"partial gap condition fails: claimed gamma={self.gamma}, "
+                    f"partial gap condition fails: claimed gamma={gamma}, "
                     f"actual minimum ratio {actual}"
                 )
+        if not gamma > 0:
+            raise ValueError("gamma must be positive")
         object.__setattr__(self, "exponents", w)
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", float(gamma))
         object.__setattr__(self, "indices", idx)
 
 
@@ -299,23 +292,22 @@ class Pencil:
     def quadratic_forms(self, coeffs) -> np.ndarray:
         """Observation c^H G c of each row c of coeffs, restricted to the masked modes.
 
-        Rows go to sector coordinates u in chunks of at most _CHUNK, and each
-        sector S gives Re(u)^T S Re(u) + Im(u)^T S Im(u) from one real GEMM.
+        The rows go to sector coordinates u at once, and each sector S gives
+        Re(u)^T S Re(u) + Im(u)^T S Im(u) from one real GEMM; callers bound the
+        temporaries by the number of rows they pass.
         """
-        coeffs = np.asarray(coeffs, dtype=complex)
+        c = np.asarray(coeffs, dtype=complex)
         n = len(self.d)
-        if coeffs.ndim != 2 or coeffs.shape[1] != 2 * n:
+        if c.ndim != 2 or c.shape[1] != 2 * n:
             raise ValueError(f"coefficient rows must have length {2 * n}")
         scale = np.exp(1j * self.angle) * np.sqrt(self.d)
-        out = np.zeros(len(coeffs))
-        for start in range(0, len(coeffs), _CHUNK):
-            c = coeffs[start : start + _CHUNK]
-            z1, z2 = c[:, :n] * scale, c[:, n:] * scale.conj()
-            u = np.concatenate([z1 + z2, 1j * (z2 - z1)], axis=1) / math.sqrt(2)
-            for s, index in self.sectors:
-                v = np.concatenate([u[:, index].real, u[:, index].imag])
-                f = np.sum((v @ s) * v, axis=1)
-                out[start : start + len(c)] += f[: len(c)] + f[len(c) :]
+        z1, z2 = c[:, :n] * scale, c[:, n:] * scale.conj()
+        u = np.concatenate([z1 + z2, 1j * (z2 - z1)], axis=1) / math.sqrt(2)
+        out = np.zeros(len(c))
+        for s, index in self.sectors:
+            v = np.concatenate([u[:, index].real, u[:, index].imag])
+            f = np.sum((v @ s) * v, axis=1)
+            out += f[: len(c)] + f[len(c) :]
         return out
 
 
@@ -345,6 +337,10 @@ def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> Consta
     specs = _as_spec_tuple(spec)
     pen = pencil(specs, weight, mode_set)
     low, c_max, u = pen.extremes()
+    if c_max < sys.float_info.min:
+        raise ValueError(
+            f"the pencil underflows: c_max = {c_max} is below the smallest normal float"
+        )
     c_min = max(low, 0.0)
     coeffs = pen.lift(u)
     n = len(mode_set)
@@ -491,110 +487,85 @@ def predicted_constant(theorem: str, params: dict, paper_literal: bool = False) 
 # verification sweeps
 
 
-def _check_composition(theorem: str, specs: tuple) -> None:
+def _factor(specs: tuple, axis: str, kind: str) -> tuple:
+    """Positions of the first factor of this kind on axis ("x1" or "x2") among the specs' pieces."""
+    i = 1 if axis == "x1" else 2
+    return next(t[i][1:] for s in specs for t in s.region.pieces(s.T)[1] if t[i][0] == kind)
+
+
+def theorem_symmetries(theorem: str, specs, params: dict, geometry) -> tuple:
+    """The symmetries a theorem's states must carry, as SymmetrySpecs.
+
+    specs is the theorem's composite observation (one ObservationSpec or a
+    list), whose regions must match the theorem and share one time horizon.
+    Each order (params p along x1, q along x2) must be an integer; its anchor
+    is the point x of the line region on that axis, at x * pi / ell in the
+    pi-scaled coordinate, and SymmetrySpec requires the order to be the
+    minimal one of that anchor. Project states with project_p_symmetric.
+    """
+    entry = _theorem(theorem)
+    specs = _as_spec_tuple(specs)
     names = sorted(type(s.region).__name__ for s in specs)
-    allowed = [sorted(c) for c in _theorem(theorem).compositions]
+    allowed = [sorted(c) for c in entry.compositions]
     if names not in allowed:
         raise ValueError(f"{theorem} expects regions {allowed}, got {names}")
     if len({s.T for s in specs}) != 1:
         raise ValueError("all observation pieces must share the time horizon")
-    if any(s.model != "wave" for s in specs):
-        raise ValueError("these theorems concern the wave model")
+    out = []
+    for order, axis in entry.symmetries:
+        if order not in params:
+            raise ValueError(f"{theorem} requires the symmetry order {order}")
+        value = params[order]
+        if value != int(value):
+            raise ValueError(f"{order} must be an integer, got {value}")
+        (x,) = _factor(specs, axis, "point")
+        ell = geometry.ell1 if axis == "x1" else geometry.ell2
+        out.append(SymmetrySpec(int(value), axis, x * _PI / ell))
+    return tuple(out)
 
 
-def _region_of(specs: tuple, cls):
-    for s in specs:
-        if isinstance(s.region, cls):
-            return s.region
-    return None
-
-
-def fill_theorem_params(theorem: str, specs: tuple, params: dict, geometry) -> dict:
+def fill_theorem_params(theorem: str, specs, params: dict, geometry) -> dict:
     """Complete missing interval/symmetry constants from the regions.
 
-    Interval constants are derived only on the pi-square, where the regions
-    live in the same coordinates as m_ab; otherwise they must be supplied.
+    The symmetry constants come from theorem_symmetries, which checks the
+    regions against the theorem. Interval constants are derived only on the
+    pi-square, where the regions live in the same coordinates as m_ab;
+    otherwise they must be supplied.
     """
-    p = dict(params)
+    symmetries = theorem_symmetries(theorem, specs, params, geometry)
+    specs = _as_spec_tuple(specs)
     entry = _theorem(theorem)
+    p = dict(params)
     square = abs(geometry.ell1 - _PI) < 1e-12 and abs(geometry.ell2 - _PI) < 1e-12
-
-    def fill_interval(key, lo, hi):
-        if key not in p:
+    for key, axis in (("m_ab", "x1"), ("m_cd", "x2")):
+        if key in entry.constants and key not in p:
             if not square:
                 raise ValueError(f"{key} must be supplied for non-square geometry")
-            p[key] = m_ab(lo, hi)["value"]
-
-    cross = _region_of(specs, CrossStrips)
-    vstrip = _region_of(specs, VerticalStrip) or (cross and cross.vertical)
-    hstrip = _region_of(specs, HorizontalStrip) or (cross and cross.horizontal)
-    if "m_ab" in entry.constants and vstrip is not None:
-        fill_interval("m_ab", vstrip.a, vstrip.b)
-    if "m_cd" in entry.constants and hstrip is not None:
-        fill_interval("m_cd", hstrip.c, hstrip.d)
-    for order, axis, anchor in entry.symmetries:
+            p[key] = m_ab(*_factor(specs, axis, "interval"))["value"]
+    for (order, _), sym in zip(entry.symmetries, symmetries):
         low, high = f"m_{order}", f"M_{order}"
         if low not in p or high not in p:
-            cls = VerticalLine if axis == "x1" else HorizontalLine
-            line = _region_of(specs, cls)
-            if line is None:
-                raise ValueError(f"{theorem} needs a {cls.__name__} region for {low} and {high}")
-            ell = geometry.ell1 if axis == "x1" else geometry.ell2
-            sc = symmetry_constants(int(p[order]), getattr(line, anchor) * _PI / ell)
+            sc = symmetry_constants(sym.p, sym.alpha)
             p.setdefault(low, sc.m_p)
             p.setdefault(high, sc.M_p)
     return p
-
-
-def theorem_symmetries(theorem: str, params: dict) -> tuple:
-    """The symmetries a theorem's states must carry, as SymmetrySpecs.
-
-    Each order and its anchor point come from params (p and alpha along x1,
-    q and beta along x2); project states with project_p_symmetric.
-    """
-    return tuple(
-        SymmetrySpec(int(params[order]), axis, float(params[anchor]))
-        for order, axis, anchor in _theorem(theorem).symmetries
-    )
-
-
-def _admissible_mode_mask(theorem: str, mode_set: ModeSet, params: dict) -> np.ndarray:
-    mask = np.ones(len(mode_set), dtype=bool)
-    for order, axis, _ in _theorem(theorem).symmetries:
-        if order not in params:
-            raise ValueError(f"{theorem} requires the symmetry order {order}")
-        ks = mode_set.k1 if axis == "x1" else mode_set.k2
-        mask &= (ks % int(params[order])) != 0
-    return mask
-
-
-def _admissible_pencil(theorem: str, specs: tuple, mode_set: ModeSet, params: dict) -> Pencil:
-    mask = _admissible_mode_mask(theorem, mode_set, params)
-    return pencil(specs, EnergyWeight(1, "wave"), mode_set, mask)
-
-
-def admissible_c_min(theorem: str, spec, mode_set: ModeSet, params: dict) -> float:
-    """Smallest eigenvalue of the observation / wave-energy pencil on the admissible modes.
-
-    spec is the theorem's composite observation (one ObservationSpec or a
-    list); the modes its symmetry restriction excludes (params p and q) are
-    dropped from each real sector before the solve.
-    """
-    return _admissible_pencil(theorem, _as_spec_tuple(spec), mode_set, params).lowest()[0]
 
 
 def _check(
     theorem: str, specs: tuple, mode_set: ModeSet, params: dict, require_threshold: bool
 ) -> tuple:
     """check_theorem's result and the admissible pencil it was computed from."""
-    _check_composition(theorem, specs)
+    symmetries = theorem_symmetries(theorem, specs, params, mode_set.geometry)
     T = specs[0].T
     filled = fill_theorem_params(theorem, specs, params, mode_set.geometry)
     pred = predicted_constant(theorem, {**filled, "T": T}, bool(params.get("paper_literal")))
     c = pred["c"]
     if require_threshold and c is None:
         raise ThresholdError(f"T={T} is below the {theorem} threshold {pred['T_threshold']}")
-    pen = _admissible_pencil(theorem, specs, mode_set, filled)
+    mask = np.ones(len(mode_set), dtype=bool)
+    for sym in symmetries:
+        mask &= (mode_set.k1 if sym.axis == "x1" else mode_set.k2) % sym.p != 0
+    pen = pencil(specs, EnergyWeight(1, "wave"), mode_set, mask)
     c_min = pen.lowest()[0]
     result = {
         "theorem": theorem,
@@ -615,11 +586,12 @@ def check_theorem(
 
     spec is the theorem's composite observation (one ObservationSpec or a
     list). The regions must match the theorem; missing interval and symmetry
-    constants are filled from them. passed compares empirical_c_min, the raw
-    admissible_c_min of the composite's pencil, with c_predicted. Below the threshold
-    c_predicted is None and passed is False; empirical_c_min is still given,
-    unless require_threshold is set: then ThresholdError is raised before any
-    Gram is assembled.
+    constants are filled from them. empirical_c_min is the smallest eigenvalue
+    of the composite's observation / wave-energy pencil on the modes that
+    theorem_symmetries admits, and passed compares it with c_predicted. Below
+    the threshold c_predicted is None and passed is False; empirical_c_min is
+    still given, unless require_threshold is set: then ThresholdError is
+    raised before any Gram is assembled.
     """
     return _check(theorem, _as_spec_tuple(spec), mode_set, params, require_threshold)[0]
 

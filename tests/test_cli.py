@@ -11,13 +11,16 @@ import pytest
 
 from obslab import (
     THEOREM_IDS,
+    EnergyWeight,
     GramForm,
     ObservationSpec,
     RectangleGeometry,
+    VerticalStrip,
     __version__,
     assemble_gram,
     build_mode_set,
     cli,
+    empirical_constants,
     inequalities,
     observation,
 )
@@ -51,7 +54,7 @@ TWO_LINES = {
         {"region": {"kind": "VerticalLine", "alpha": PI / 2}, "field": "velocity"},
         {"region": {"kind": "HorizontalLine", "beta": PI / 2}, "field": "velocity"},
     ],
-    "params": {"p": 2, "q": 2, "alpha": PI / 2, "beta": PI / 2},
+    "params": {"p": 2, "q": 2},
 }
 
 CROSS = {
@@ -151,6 +154,62 @@ def test_mismatched_composition_exits_2(tmp_path, command, name):
     assert text == ""
 
 
+RECT_2_BY_PI = {
+    **TWO_LINES,
+    "geometry": [2.0, PI],
+    "specs": [
+        {"region": {"kind": "VerticalLine", "alpha": 1.0}, "field": "velocity"},
+        {"region": {"kind": "HorizontalLine", "beta": PI / 2}, "field": "velocity"},
+    ],
+}
+
+
+def test_line_anchor_is_the_region_point_in_pi_scaled_coordinates(tmp_path):
+    # x1 = 1 on a width of 2 is pi/2, an anchor of order 2, on both verify paths
+    results = []
+    for samples in (0, 10):
+        code, text = run(tmp_path, "verify", {**RECT_2_BY_PI, "samples": samples})
+        assert code == 0
+        results.append(json.loads(text)["result"])
+    assert results[0]["empirical_c_min"] == results[1]["empirical_c_min"]
+    # params alpha and beta are not read, so the raw x1 = 1 leaves the report unchanged
+    params = {"p": 2, "q": 2, "alpha": 1.0, "beta": PI / 2}
+    code, text = run(tmp_path, "verify", {**RECT_2_BY_PI, "samples": 10, "params": params})
+    assert code == 0
+    assert json.loads(text)["result"] == results[1]
+
+
+THIRD_LINE = [
+    {"region": {"kind": "VerticalLine", "alpha": PI / 3}, "field": "velocity"},
+    TWO_LINES["specs"][1],
+]
+
+
+@pytest.mark.parametrize("samples", [0, 10])
+@pytest.mark.parametrize(
+    "specs,params",
+    [
+        (TWO_LINES["specs"], {"p": 2.5, "q": 2}),
+        # pi/3 has order 3: supplied m_p and M_p do not stand in for a valid order
+        (THIRD_LINE, {"p": 2, "q": 2, "m_p": 0.75, "M_p": 0.75}),
+    ],
+    ids=["p=2.5", "p=2 at pi/3"],
+)
+def test_invalid_symmetry_order_exits_2(tmp_path, samples, specs, params):
+    config = {**TWO_LINES, "samples": samples, "specs": specs, "params": params}
+    code, text = run(tmp_path, "verify", config)
+    assert code == 2
+    assert text == ""
+
+
+def test_unknown_region_kind_exits_2(tmp_path, capsys):
+    config = {**CROSS, "spec": {"region": {"kind": "Disc", "r": 1.0}, "field": "velocity"}}
+    code, text = run(tmp_path, "verify", config)
+    assert code == 2
+    assert text == ""
+    assert "unknown region kind 'Disc'" in capsys.readouterr().err
+
+
 def test_malformed_config_exits_2(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -229,6 +288,42 @@ def test_constants(tmp_path):
     assert again == text
 
 
+@pytest.mark.parametrize("geometry", [[PI, 2.0], {"ell1": PI, "ell2": 2.0}], ids=["list", "dict"])
+def test_constants_with_per_spec_horizons(tmp_path, geometry):
+    # no top-level T: each spec keeps its own, and windows of two centres make one pencil
+    strip = {"kind": "VerticalStrip", "a": 1.0, "b": 2.0}
+    config = {
+        "geometry": geometry,
+        "truncation": [3, 2],
+        "model": "wave",
+        "specs": [{"region": strip, "field": "velocity", "T": t} for t in (2.0, 4.0)],
+    }
+    code, text = run(tmp_path, "constants", config)
+    assert code == 0
+    result = json.loads(text)["result"]
+    assert [s["T"] for s in result["specs"]] == [2.0, 4.0]
+    ms = build_mode_set(RectangleGeometry(PI, 2.0), 3, 2)
+    specs = [ObservationSpec(VerticalStrip(1.0, 2.0), "velocity", t, "wave") for t in (2.0, 4.0)]
+    report = empirical_constants(specs, EnergyWeight(1.0, "wave"), ms)
+    assert (result["c_min"], result["c_max"]) == (report.c_min, report.c_max)
+
+
+def test_underflowing_constants_exit_2(tmp_path, capsys):
+    region = {"kind": "OpenRect", "t0": 0.0, "t1": 1.0, "x0": 2e-151, "x1": 5e-151}
+    config = {
+        "geometry": [1e-150, 1e-150],
+        "truncation": [2, 2],
+        "model": "plate",
+        "T": 1.0,
+        "weight": {"s": 1},
+        "spec": {"region": region, "field": "displacement"},
+    }
+    code, text = run(tmp_path, "constants", config)
+    assert code == 2
+    assert text == ""
+    assert "underflows" in capsys.readouterr().err
+
+
 def test_diophantine(tmp_path):
     code, text = run(tmp_path, "diophantine", {"M": 1, "K_max": 1000})
     assert code == 0
@@ -271,6 +366,26 @@ def test_ingham(tmp_path):
     assert result["gamma"] == 1.0
     assert result["holds"]
     code, _ = run(tmp_path, "ingham", {**INGHAM, "T": PI})
+    assert code == 2
+
+
+def test_ingham_auto_gamma_is_one_gap_analysis(tmp_path, monkeypatch):
+    calls = []
+    real = inequalities.partial_gap_analysis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inequalities, "partial_gap_analysis", counted)
+    monkeypatch.setattr(cli, "partial_gap_analysis", counted, raising=False)
+    w = [1.0, 2.3, 3.7, 5.0, 6.2]
+    code, text = run(tmp_path, "ingham", {**INGHAM, "exponents": w})
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(text)["result"]["gamma"] == real(w, 0)["gamma"]
+    # one exponent has no gap to take
+    code, _ = run(tmp_path, "ingham", {**INGHAM, "exponents": [1.0], "coefficients": [[1, 0]]})
     assert code == 2
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from obslab import (
     CrossStrips,
-    admissible_c_min,
     BoundaryEdgeBottom,
     EnergyWeight,
     ExponentialSum,
@@ -18,6 +17,7 @@ from obslab import (
     HorizontalStrip,
     ObservationSpec,
     OpenRect,
+    RectangleGeometry,
     SpectralState,
     SymmetrySpec,
     THEOREM_IDS,
@@ -355,6 +355,16 @@ def test_empirical_constants_rejects_empty_spec_list(modes4):
         empirical_constants([], WAVE, modes4)
 
 
+def test_pencil_rejects_an_empty_mask_and_rows_of_the_wrong_length(modes4):
+    spec, n = _vspec(VerticalStrip(1.0, 2.0)), len(modes4)
+    with pytest.raises(ValueError, match=f"mask must select some of the {n} modes"):
+        pencil(spec, WAVE, modes4, np.zeros(n, dtype=bool))
+    pen = pencil(spec, WAVE, modes4)
+    for rows in (np.ones((3, n)), np.ones((3, 2 * n + 1)), np.ones(2 * n)):
+        with pytest.raises(ValueError, match=f"rows must have length {2 * n}"):
+            pen.quadratic_forms(rows)
+
+
 # ---------------------------------------------------------------------------
 # Ingham-type checks
 
@@ -563,7 +573,7 @@ def test_sweep_counts_unprojected_states_over_all_chunks(square):
         verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
 
 
-def test_admissible_c_min_serves_verify_with_one_assembly(square, monkeypatch):
+def test_check_theorem_serves_verify_with_one_assembly(square, monkeypatch):
     ms = build_mode_set(square, 6, 6)
     t = 9 * PI
     specs = [_vspec(VerticalLine(PI / 2), T=t), _vspec(HorizontalLine(PI / 2), T=t)]
@@ -577,10 +587,11 @@ def test_admissible_c_min_serves_verify_with_one_assembly(square, monkeypatch):
     states = _projected_states(ms, range(3), p=2, q=2)
     report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
     assert calls == specs
-    assert admissible_c_min("two_lines", specs, ms, {"p": 2, "q": 2}) == report["empirical_c_min"]
+    check = check_theorem("two_lines", specs, ms, {"p": 2, "q": 2})
+    assert check["empirical_c_min"] == report["empirical_c_min"]
 
     cross = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=47.84977149867659)
-    full = admissible_c_min("two_strips", cross, ms, {})
+    full = check_theorem("two_strips", cross, ms, {})["empirical_c_min"]
     assert full == pytest.approx(empirical_constants(cross, WAVE, ms).c_min, rel=1e-9)
 
 
@@ -604,7 +615,7 @@ def test_check_theorem_below_threshold_keeps_c_min(square):
     check = check_theorem("two_strips", spec, ms, {})
     assert check["c_predicted"] is None
     assert not check["passed"]
-    assert check["empirical_c_min"] == admissible_c_min("two_strips", spec, ms, {})
+    assert check["empirical_c_min"] == pencil(spec, WAVE, ms).lowest()[0]
     with pytest.raises(ValueError):
         check_theorem("two_lines", spec, ms, {"p": 2, "q": 2})
 
@@ -615,16 +626,46 @@ def test_fill_theorem_params_names_missing_line(square):
         fill_theorem_params("two_lines", (spec,), {"p": 2, "q": 2}, square)
 
 
-def test_theorem_symmetries():
-    params = {"p": 3, "alpha": PI / 3, "q": 2, "beta": PI / 2}
-    assert theorem_symmetries("two_strips", params) == ()
-    assert theorem_symmetries("line_plus_edge", params) == (SymmetrySpec(3, "x1", PI / 3),)
-    assert theorem_symmetries("two_lines", params) == (
+def test_fill_theorem_params_needs_interval_constants_off_the_square():
+    spec = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=30.0)
+    wide = RectangleGeometry(2.0 * PI, PI)
+    with pytest.raises(ValueError, match="m_ab must be supplied for non-square geometry"):
+        fill_theorem_params("two_strips", spec, {"m_cd": 0.3}, wide)
+    filled = fill_theorem_params("two_strips", spec, {"m_ab": 0.2, "m_cd": 0.3}, wide)
+    assert filled == {"m_ab": 0.2, "m_cd": 0.3}
+
+
+def test_theorem_symmetries(square):
+    params = {"p": 3, "q": 2}
+    vline, hline = _vspec(VerticalLine(PI / 3)), _vspec(HorizontalLine(PI / 2))
+    edge = ObservationSpec(BoundaryEdgeBottom(), "normal_derivative", 2.0, "wave")
+    cross = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0))
+    assert theorem_symmetries("two_strips", cross, params, square) == ()
+    assert theorem_symmetries("line_plus_edge", [edge, vline], params, square) == (
+        SymmetrySpec(3, "x1", PI / 3),
+    )
+    assert theorem_symmetries("two_lines", [hline, vline], params, square) == (
         SymmetrySpec(3, "x1", PI / 3),
         SymmetrySpec(2, "x2", PI / 2),
     )
+    # the anchor is the line's point in pi-scaled coordinates: x1 = 1 on a width of 2 is pi/2
+    specs = [_vspec(VerticalLine(1.0)), edge]
+    assert theorem_symmetries("line_plus_edge", specs, {"p": 2}, RectangleGeometry(2.0, PI)) == (
+        SymmetrySpec(2, "x1", 1.0 * PI / 2.0),
+    )
     with pytest.raises(ValueError):
-        theorem_symmetries("three_strips", params)
+        theorem_symmetries("three_strips", cross, params, square)
+    with pytest.raises(ValueError, match="expects regions"):
+        theorem_symmetries("two_lines", cross, params, square)
+    with pytest.raises(ValueError, match="requires the symmetry order q"):
+        theorem_symmetries("two_lines", [vline, hline], {"p": 3}, square)
+    with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
+        theorem_symmetries("line_plus_edge", [vline, edge], {"p": 2.5}, square)
+    with pytest.raises(ValueError, match="not an integer"):  # 2 is not an order of pi/3
+        theorem_symmetries("line_plus_edge", [vline, edge], {"p": 2}, square)
+    with pytest.raises(ValueError, match="not minimal"):
+        theorem_symmetries("line_plus_edge", [vline, edge], {"p": 6}, square)
+    assert theorem_symmetries("line_plus_edge", [vline, edge], {"p": 3.0}, square)[0].p == 3
 
 
 def test_verify_rejects_unprojected_states(square):

@@ -311,11 +311,22 @@ def test_closed_gram_sector_identity(data):
 
 def _theorem_masks(ms, p, q):
     """The admissible-mode mask of each theorem, for symmetry orders p (x1) and q (x2)."""
-    params = {"p": p, "alpha": math.pi / p, "q": q, "beta": math.pi / q}
+    g = ms.geometry
+    # lines at the anchors pi/p and pi/q of the pi-scaled coordinates
+    vline, hline, edge = VerticalLine(g.ell1 / p), HorizontalLine(g.ell2 / q), BoundaryEdgeBottom()
+    compositions = {
+        "two_strips": (CrossStrips(1.0, 2.0, 1.0, 2.0),),
+        "strip_plus_edge": (VerticalStrip(1.0, 2.0), edge),
+        "line_plus_strip": (vline, HorizontalStrip(1.0, 2.0)),
+        "line_plus_edge": (vline, edge),
+        "two_lines": (vline, hline),
+    }
+    assert set(compositions) == set(THEOREM_IDS)
     masks = []
-    for theorem in THEOREM_IDS:
+    for theorem, regions in compositions.items():
+        specs = [_spec(region) for region in regions]
         mask = np.ones(len(ms), dtype=bool)
-        for sym in theorem_symmetries(theorem, params):
+        for sym in theorem_symmetries(theorem, specs, {"p": p, "q": q}, g):
             mask &= (ms.k1 if sym.axis == "x1" else ms.k2) % sym.p != 0
         masks.append(mask)
     return masks
@@ -446,6 +457,14 @@ def test_gram_form_rejects_bad_blocks(modes4):
             GramForm(modes4, spec, x, y, a)
     good = GramForm(modes4, spec, sym, sym, angle)
     assert all(not part.flags.writeable for part in good.centred)
+
+
+def test_quadratic_form_rejects_coefficients_of_the_wrong_length(modes4):
+    gram = assemble_gram(_spec(VerticalStrip(1.0, 2.0)), modes4)
+    n = len(modes4)
+    for size in (n, 2 * n + 1):
+        with pytest.raises(ValueError, match=f"shape \\({2 * n},\\)"):
+            gram.quadratic_form(np.ones(size))
 
 
 def test_gram_json_round_trip(modes4):

@@ -1,6 +1,8 @@
 """The names the package exports: one may go only by an edit of this list."""
 
+import ast
 import types
+from pathlib import Path
 
 import obslab
 
@@ -29,7 +31,6 @@ PUBLIC = [
     "VerticalLine",
     "VerticalSegments",
     "VerticalStrip",
-    "admissible_c_min",
     "assemble_gram",
     "build_algebraic_points",
     "build_mode_set",
@@ -72,3 +73,29 @@ def test_public_names_are_pinned():
     )
     assert PUBLIC == sorted(PUBLIC)
     assert exported == PUBLIC
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports to re-export, so only the other modules are held to this
+    package = Path(obslab.__file__).parent
+    unused = {
+        path.name: _unused_imports(path.read_text())
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unused.items() if names} == {}
+    source = "from .observation import GramForm, assemble_gram\nassemble_gram()\n"
+    assert _unused_imports(source) == ["GramForm"]

@@ -196,6 +196,20 @@ def test_partial_gap_needs_two_frequencies():
         partial_gap_analysis([1.0], 0)
 
 
+def test_partial_gap_rejects_bad_indices():
+    with pytest.raises(ValueError, match="below 2\\^62"):
+        partial_gap_analysis([1.0, 2.0], 0, indices=[1, -(2**62)])
+    with pytest.raises(ValueError, match="equal length"):
+        partial_gap_analysis([1.0, 2.0, 3.0], 0, indices=[1, 2])
+
+
+def test_index_of_rejects_modes_outside_the_truncation(square):
+    ms = build_mode_set(square, 3, 2)
+    for k1, k2 in [(0, 1), (4, 1), (1, 0), (1, 3)]:
+        with pytest.raises(KeyError, match="outside truncation"):
+            ms.index_of(k1, k2)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_partial_gap_rejects_non_finite_frequencies(bad):
     # a loop's min(inf, nan) would drop the nan and report gamma 1.0
