@@ -36,6 +36,7 @@ from .states import (
     project_p_symmetric,
     symmetry_residual,
     random_state,
+    random_states,
     state_to_json,
     state_from_json,
 )
@@ -70,6 +71,7 @@ from .inequalities import (
     predicted_constant,
     verify_observability,
     check_theorem,
+    scan_theorem,
     fill_theorem_params,
     theorem_symmetries,
     mehrenberger_check,

@@ -25,13 +25,17 @@ from .inequalities import (
     empirical_constants,
     m_ab,
     mehrenberger_check,
+    scan_theorem,
     symmetry_constants,
     theorem_symmetries,
     verify_observability,
 )
 from .observation import ObservationSpec, assemble_gram, quadrature_oracle
 from .spectrum import build_mode_set, RectangleGeometry
-from .states import EnergyWeight, project_p_symmetric, random_state
+from .states import EnergyWeight, project_p_symmetric, random_state, random_states
+
+# seeds drawn per block of verify states: it bounds the states held at once
+_CHUNK = 256
 
 
 def _geometry(config: dict) -> RectangleGeometry:
@@ -70,17 +74,15 @@ def _specs(config: dict, T=None) -> list:
 
 
 def _projected_states(config: dict, specs: list, mode_set, seed: int):
-    """Random states, projected to the symmetries the theorem requires."""
+    """Random states projected to the theorem's symmetries, drawn lazily _CHUNK seeds at a time."""
     n = _integer("samples", config.get("samples", 100))
     decay = float(config.get("decay", 0.0))
     sym = theorem_symmetries(config["theorem"], specs, config.get("params", {}), mode_set.geometry)
-    states = []
-    for i in range(n):
-        st = random_state(mode_set, seed + i, decay)
+    for start in range(0, n, _CHUNK):
+        block = random_states(mode_set, range(seed + start, seed + min(start + _CHUNK, n)), decay)
         for s in sym:
-            st = project_p_symmetric(st, s)
-        states.append(st)
-    return states
+            block = project_p_symmetric(block, s)
+        yield block
 
 
 def cmd_verify(config: dict, seed: int) -> tuple:
@@ -111,10 +113,10 @@ def cmd_scan_t(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     params = dict(config.get("params", {}))
     rows = []
-    for t in ts:
-        r = check_theorem(config["theorem"], _specs(config, T=t), ms, params)
+    for r in scan_theorem(config["theorem"], _specs(config, T=ts[0]), ms, params, ts):
         c = math.nan if r["c_predicted"] is None else r["c_predicted"]
-        rows.append({"T": t, "c_min": r["empirical_c_min"], "c_predicted": c, "pass": r["passed"]})
+        row = {"T": r["T"], "c_min": r["empirical_c_min"], "c_predicted": c, "pass": r["passed"]}
+        rows.append(row)
     return {"rows": rows}, all(r["pass"] for r in rows if not math.isnan(r["c_predicted"]))
 
 

@@ -5,9 +5,11 @@ where G is an observation Gram matrix and D the diagonal energy weight; the
 predicted constants are closed-form functions of the time horizon and of the
 interval and symmetry constants m_{a,b}, m_p, M_p. Both sides meet in
 check_theorem, which compares the predicted constant with the smallest
-eigenvalue on the admissible modes, and in verify_observability, which also
-sweeps explicit states through the inequality observation >= c * energy. The
-theorems' region compositions, constants and symmetries live in one table.
+eigenvalue on the admissible modes, in scan_theorem, its run over many
+horizons T with the work that does not depend on T done once, and in
+verify_observability, which also sweeps explicit states, a chunk of rows at a
+time, through the inequality observation >= c * energy. The theorems' region
+compositions, constants and symmetries live in one table.
 
 Every solve goes through one pencil (pencil, Pencil) built from the closed
 Grams' centred blocks. Each closed Gram is a phase around [[X, Y], [Y, X]]
@@ -26,16 +28,23 @@ the complex Gram matrix.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .observation import ObservationSpec, _window_sinc, assemble_gram
+from .observation import (
+    ObservationSpec,
+    _closed_gram,
+    _spatial_sum,
+    _window_sinc,
+    assemble_gram,
+)
 from .spectrum import ModeSet, partial_gap_analysis
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq
 
@@ -76,7 +85,7 @@ _THEOREMS = {
 THEOREM_IDS = tuple(_THEOREMS)
 
 _PI = math.pi
-# states per block of the sweep: it bounds the temporaries of
+# rows per chunk of the sweep: it bounds the temporaries of
 # Pencil.quadratic_forms, so no stack of every state's coefficients is held at once
 _CHUNK = 256
 # rows per block of the sinc matrix in the Ingham forms
@@ -533,7 +542,11 @@ def fill_theorem_params(theorem: str, specs, params: dict, geometry) -> dict:
     otherwise they must be supplied.
     """
     symmetries = theorem_symmetries(theorem, specs, params, geometry)
-    specs = _as_spec_tuple(specs)
+    return _filled(theorem, _as_spec_tuple(specs), params, geometry, symmetries)
+
+
+def _filled(theorem: str, specs: tuple, params: dict, geometry, symmetries: tuple) -> dict:
+    """fill_theorem_params on specs already checked, whose symmetries are given."""
     entry = _theorem(theorem)
     p = dict(params)
     square = abs(geometry.ell1 - _PI) < 1e-12 and abs(geometry.ell2 - _PI) < 1e-12
@@ -551,32 +564,60 @@ def fill_theorem_params(theorem: str, specs, params: dict, geometry) -> dict:
     return p
 
 
+def _scan(
+    theorem: str,
+    specs: tuple,
+    mode_set: ModeSet,
+    params: dict,
+    T_values: list,
+    require_threshold: bool,
+):
+    """check_theorem's result and admissible pencil at each T of T_values, as pairs.
+
+    The composition check, the constants m_ab, m_cd, m_o and M_o, the mode
+    mask and each spec's spatial sum (observation._spatial_sum) are computed
+    once; the terms of a region do not depend on T, only its time window.
+    Per T only the time blocks, the velocity amplitude, the pencil and its
+    lowest eigenvalue are built, so every row has the bits of a run at that
+    T alone. With require_threshold, ThresholdError is raised for the first
+    T below the threshold, before any Gram is assembled.
+    """
+    geometry = mode_set.geometry
+    symmetries = theorem_symmetries(theorem, specs, params, geometry)
+    filled = _filled(theorem, specs, params, geometry, symmetries)
+    literal = bool(params.get("paper_literal"))
+    preds = [predicted_constant(theorem, {**filled, "T": T}, literal) for T in T_values]
+    for T, pred in zip(T_values, preds):
+        if require_threshold and pred["c"] is None:
+            raise ThresholdError(f"T={T} is below the {theorem} threshold {pred['T_threshold']}")
+    mask = np.ones(len(mode_set), dtype=bool)
+    for sym in symmetries:
+        mask &= (mode_set.k1 if sym.axis == "x1" else mode_set.k2) % sym.p != 0
+    d = _weight_diagonal(EnergyWeight(1, "wave"), mode_set)
+    for s in specs:
+        s.validate_geometry(geometry)
+    spatial = [_spatial_sum(s, mode_set) for s in specs]
+    for T, pred in zip(T_values, preds):
+        grams = [_closed_gram(replace(s, T=T), mode_set, sp) for s, sp in zip(specs, spatial)]
+        pen = Pencil(grams, d, mask)
+        c, c_min = pred["c"], pen.lowest()[0]
+        result = {
+            "theorem": theorem,
+            "T": T,
+            "T_threshold": pred["T_threshold"],
+            "c_predicted": c,
+            "n_states": 0,
+            "empirical_c_min": c_min,
+            "passed": c is not None and c_min >= c * (1 - 1e-9),
+        }
+        yield result, pen
+
+
 def _check(
     theorem: str, specs: tuple, mode_set: ModeSet, params: dict, require_threshold: bool
 ) -> tuple:
     """check_theorem's result and the admissible pencil it was computed from."""
-    symmetries = theorem_symmetries(theorem, specs, params, mode_set.geometry)
-    T = specs[0].T
-    filled = fill_theorem_params(theorem, specs, params, mode_set.geometry)
-    pred = predicted_constant(theorem, {**filled, "T": T}, bool(params.get("paper_literal")))
-    c = pred["c"]
-    if require_threshold and c is None:
-        raise ThresholdError(f"T={T} is below the {theorem} threshold {pred['T_threshold']}")
-    mask = np.ones(len(mode_set), dtype=bool)
-    for sym in symmetries:
-        mask &= (mode_set.k1 if sym.axis == "x1" else mode_set.k2) % sym.p != 0
-    pen = pencil(specs, EnergyWeight(1, "wave"), mode_set, mask)
-    c_min = pen.lowest()[0]
-    result = {
-        "theorem": theorem,
-        "T": T,
-        "T_threshold": pred["T_threshold"],
-        "c_predicted": c,
-        "n_states": 0,
-        "empirical_c_min": c_min,
-        "passed": c is not None and c_min >= c * (1 - 1e-9),
-    }
-    return result, pen
+    return next(_scan(theorem, specs, mode_set, params, [specs[0].T], require_threshold))
 
 
 def check_theorem(
@@ -591,40 +632,89 @@ def check_theorem(
     theorem_symmetries admits, and passed compares it with c_predicted. Below
     the threshold c_predicted is None and passed is False; empirical_c_min is
     still given, unless require_threshold is set: then ThresholdError is
-    raised before any Gram is assembled.
+    raised before any Gram is assembled. This is the one-T case of
+    scan_theorem.
     """
     return _check(theorem, _as_spec_tuple(spec), mode_set, params, require_threshold)[0]
+
+
+def scan_theorem(theorem: str, spec, mode_set: ModeSet, params: dict, T_values) -> list:
+    """check_theorem at each horizon of T_values, one result dict per T.
+
+    Every spec's horizon is set to T; row i equals check_theorem of the specs
+    at T_values[i] to the last bit. The work that does not depend on T (the
+    composition check, m_ab, m_o/M_o, the mode mask and each spec's spatial
+    sum) is done once per scan, and only one T's Grams and pencil are held at
+    a time.
+    """
+    T_values = [float(T) for T in T_values]
+    if not T_values:
+        raise ValueError("need at least one T")
+    rows = _scan(theorem, _as_spec_tuple(spec), mode_set, params, T_values, False)
+    return [result for result, _ in rows]
+
+
+def _row_chunks(blocks, mode_set: ModeSet):
+    """The doubled coefficient rows of the state blocks, regrouped _CHUNK rows at a time.
+
+    Every block is a SpectralState holding one state or a stack of rows. The
+    rows are copied into one (_CHUNK, 2n) buffer, which is yielded each time
+    it fills (and, shorter, at the end), so the chunks, and the bits of each
+    sweep, do not depend on how the states were split into blocks. The
+    buffer is reused: a chunk is valid until the next one is drawn.
+    """
+    n = len(mode_set)
+    buf = np.empty((_CHUNK, 2 * n), dtype=complex)
+    fill = 0
+    for block in blocks:
+        if block.mode_set != mode_set:
+            raise ValueError("all states must share one mode set")
+        a, b = block.a.reshape(-1, n), block.b.reshape(-1, n)
+        start = 0
+        while start < len(a):
+            take = min(_CHUNK - fill, len(a) - start)
+            buf[fill : fill + take, :n] = a[start : start + take]
+            buf[fill : fill + take, n:] = b[start : start + take]
+            fill, start = fill + take, start + take
+            if fill == _CHUNK:
+                yield buf
+                fill = 0
+    if fill:
+        yield buf[:fill]
 
 
 def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     """Sweep explicit states through observation >= c_predicted * energy.
 
     spec is one ObservationSpec or the list making up the theorem's composite
-    observation (integrals add). For the symmetry-restricted theorems every
+    observation (integrals add). states is one SpectralState, holding one
+    state or a stack of them (see random_states), or an iterable of such
+    blocks, which may be drawn lazily: the first block is drawn before the
+    threshold check, the others as the sweep reaches them, and argmin_state
+    counts rows across blocks. For the symmetry-restricted theorems every
     state must be pre-projected; the reported eigenvalue minimum is taken on
     the admissible subspace, where the inequality is meaningful. The report
-    extends check_theorem's, whose admissible pencil the states are swept
-    through in chunks (Pencil.quadratic_forms). Below the threshold it raises
-    ThresholdError before any Gram is assembled.
+    extends check_theorem's, whose admissible pencil the rows are swept
+    through _CHUNK at a time (Pencil.quadratic_forms), however they were
+    split into blocks. Below the threshold it raises ThresholdError before
+    any Gram is assembled.
     """
     specs = _as_spec_tuple(spec)
-    states = list(states)
-    if not states:
+    blocks = iter([states] if isinstance(states, SpectralState) else states)
+    first = next(blocks, None)
+    if first is None:
         raise ValueError("need at least one state")
-    ms = states[0].mode_set
-    if any(st.mode_set != ms for st in states):
-        raise ValueError("all states must share one mode set")
+    ms = first.mode_set
 
     result, pen = _check(theorem, specs, ms, params, require_threshold=True)
     c_pred = result["c_predicted"]
 
-    # chunks of states: stray mass, energies sum_k d_k (|a_k|^2 + |b_k|^2) and the sector forms
+    # chunks of rows: stray mass, energies sum_k d_k (|a_k|^2 + |b_k|^2) and the sector forms
     n = len(ms)
     excluded = ~np.concatenate([pen.mask, pen.mask])
-    ratios = np.empty(len(states))
-    stray = zero = 0
-    for start in range(0, len(states), _CHUNK):
-        coeffs = np.array([st.doubled() for st in states[start : start + _CHUNK]])
+    minima = []  # (smallest ratio, its row) per chunk
+    count = stray = zero = 0
+    for coeffs in _row_chunks(itertools.chain([first], blocks), ms):
         mag = np.abs(coeffs)
         if excluded.any():
             scale = np.maximum(mag.max(axis=1), 1e-300)
@@ -632,7 +722,12 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
         energies = (mag[:, :n] ** 2 + mag[:, n:] ** 2) @ pen.d
         zero += int(np.sum(energies <= 0))
         positive = np.where(energies > 0, energies, math.inf)
-        ratios[start : start + len(coeffs)] = pen.quadratic_forms(coeffs) / positive
+        ratios = pen.quadratic_forms(coeffs) / positive
+        i = int(np.argmin(ratios))
+        minima.append((ratios[i], count + i))
+        count += len(coeffs)
+    if not count:
+        raise ValueError("need at least one state")
     if stray:
         raise ValueError(
             f"{stray} states carry mass on symmetry-excluded modes; project them first"
@@ -640,12 +735,14 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     if zero:
         raise ValueError("zero-energy states are excluded")
 
-    min_ratio = float(ratios.min())
+    # the first chunk holding the smallest ratio, as argmin over all rows would pick it
+    min_ratio, argmin = minima[int(np.argmin([m for m, _ in minima]))]
+    min_ratio = float(min_ratio)
     return {
         **result,
-        "n_states": len(states),
+        "n_states": count,
         "min_ratio": min_ratio,
-        "argmin_state": int(np.argmin(ratios)),
+        "argmin_state": argmin,
         "passed": bool(min_ratio >= c_pred * (1 - 1e-9)),
     }
 

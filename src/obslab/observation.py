@@ -456,18 +456,17 @@ def _closed_axis_gram(factor, ks, z: float, ell: float):
     return np.stack([x, _window_sinc(f[None, :] + f[:, None], *args)])
 
 
-def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram) -> np.ndarray:
-    """Stack (A, B) of the doubled Gram [[A, B], [conj B, conj A]] over the region's pieces.
+def _spatial_sum(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram):
+    """sum sign X1 o X2 over the region's pieces: the part of a Gram that does not depend on T.
 
-    Each block is amp-weighted Kt o (sum sign X1 o X2). axis_gram(factor, ks,
-    z, ell) supplies each 1-D Gram: an exp profile (the time window, and the
-    x2 profile of OpenRect) gives the stack of its a-a and a-b blocks, every
-    other factor one matrix that serves both. A spatial factor's Gram is built
-    once per assembly, on the axis indices 1..K, and expanded to the mode set.
+    axis_gram(factor, ks, z, ell) supplies each 1-D Gram (by default the
+    closed forms): the x2 exp profile of OpenRect gives the stack of its a-a
+    and a-b blocks, every other factor one matrix that serves both. A
+    factor's Gram is built once per call, on the axis indices 1..K, and
+    expanded to the mode set. Only the time window of a region depends on T,
+    never its terms.
     """
     g = mode_set.geometry
-    w = _frequencies(spec, mode_set)
-    window, terms = spec.region.pieces(spec.T)
     axes = ((mode_set.k1, mode_set.K1, g.ell1), (mode_set.k2, mode_set.K2, g.ell2))
 
     @functools.cache
@@ -477,8 +476,23 @@ def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram) -> np.ndar
         i = ks - 1
         return gram[..., i[:, None], i[None, :]] if np.ndim(gram) else gram
 
-    sp = functools.reduce(np.add, (s * expanded(f1, 0) * expanded(f2, 1) for s, f1, f2 in terms))
-    blocks = axis_gram(("exp", *window), w, 1.0, None) * sp
+    terms = spec.region.pieces(spec.T)[1]
+    return functools.reduce(np.add, (s * expanded(f1, 0) * expanded(f2, 1) for s, f1, f2 in terms))
+
+
+def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram, spatial=None) -> np.ndarray:
+    """Stack (A, B) of the doubled Gram [[A, B], [conj B, conj A]] over the region's pieces.
+
+    Each block is amp-weighted Kt o spatial, with spatial the sum
+    _spatial_sum(spec, mode_set, axis_gram) unless it is given: a scan over T
+    builds it once. axis_gram also supplies the time window's Gram Kt, the
+    stack of its a-a and a-b blocks.
+    """
+    if spatial is None:
+        spatial = _spatial_sum(spec, mode_set, axis_gram)
+    w = _frequencies(spec, mode_set)
+    window = spec.region.pieces(spec.T)[0]
+    blocks = axis_gram(("exp", *window), w, 1.0, None) * spatial
     if spec.field == "velocity":  # amplitude i w: conj(amp_i) amp_j is w_i w_j, -w_i w_j
         blocks *= np.outer(w, w) * np.array([1.0, -1.0])[:, None, None]
     return blocks
@@ -520,6 +534,12 @@ def _centred_matrix(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> np.ndarr
     return _doubled(a, b)
 
 
+def _closed_gram(spec: ObservationSpec, mode_set: ModeSet, spatial=None) -> GramForm:
+    """assemble_gram without the geometry check, on a given spatial sum when there is one."""
+    x, y = _gram_blocks(spec, mode_set, _closed_axis_gram, spatial)
+    return GramForm(mode_set, spec, x, y, _centre_angle(spec, mode_set))
+
+
 def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
     """Closed-form Gram of the observation integral on the mode set, kept as its centred blocks.
 
@@ -528,8 +548,7 @@ def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
     Hermitian to the last bit, is built only when GramForm.matrix is read.
     """
     spec.validate_geometry(mode_set.geometry)
-    x, y = _gram_blocks(spec, mode_set, _closed_axis_gram)
-    return GramForm(mode_set, spec, x, y, _centre_angle(spec, mode_set))
+    return _closed_gram(spec, mode_set)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +606,12 @@ def quadrature_oracle(state, spec: ObservationSpec, resolution: int) -> float:
     values rounded up).
     """
     spec.validate_geometry(state.mode_set.geometry)
+    c = state.doubled()
+    if c.ndim != 1:
+        raise ValueError("the oracle takes one state, not a stack of them")
     res = _normalize_resolution(resolution)
     a, b = _gram_blocks(spec, state.mode_set, functools.partial(_sampled_axis_gram, res=res))
     g = _doubled(a, b)
-    c = state.doubled()
     return float(np.real(np.vdot(c, g @ c)))
 
 

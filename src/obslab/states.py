@@ -4,6 +4,12 @@ A state holds one complex coefficient pair (a_k, b_k) per mode; the solution it
 represents is sum_k (a_k e^{i w_k t} + b_k e^{-i w_k t}) e_k(x) with w_k the
 model frequency. Energy seminorms are diagonal in the coefficients, so they
 serve as the D side of every observability pencil.
+
+A SpectralState may also hold a stack of states, a and b of shape (N, n), one
+row per state. random_states draws such a stack from one generator per seed,
+and random_state is its one-row case; energy_seminorm_sq and
+project_p_symmetric act on every row at once, so a sweep over many seeded
+states handles arrays a block of rows at a time, never one object per state.
 """
 
 from __future__ import annotations
@@ -21,7 +27,11 @@ _MODELS = ("plate", "wave")
 
 @dataclass(frozen=True, eq=False)
 class SpectralState:
-    """Coefficients (a_k, b_k) over a mode set; equal when the mode set and the coefficient bytes are."""
+    """Coefficients (a_k, b_k) over a mode set, of one state or of a stack of them.
+
+    a and b have shape (n,) for one state or (N, n) for a stack of N states,
+    one per row. Two are equal when the mode set and the coefficient bytes are.
+    """
 
     mode_set: ModeSet
     a: np.ndarray
@@ -31,8 +41,8 @@ class SpectralState:
         a = np.ascontiguousarray(self.a, dtype=complex)
         b = np.ascontiguousarray(self.b, dtype=complex)
         n = len(self.mode_set)
-        if a.shape != (n,) or b.shape != (n,):
-            raise ValueError(f"coefficient arrays must have shape ({n},)")
+        if a.shape != b.shape or a.ndim not in (1, 2) or a.shape[-1] != n:
+            raise ValueError(f"coefficient arrays must have shape ({n},) or (N, {n})")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("coefficients must be finite")
         a.flags.writeable = False
@@ -52,8 +62,14 @@ class SpectralState:
         return hash(self._key())
 
     def doubled(self) -> np.ndarray:
-        """Coefficients over the doubled index: a-block then b-block."""
-        return np.concatenate([self.a, self.b])
+        """Coefficients over the doubled index: a-block then b-block (per row for a stack)."""
+        return np.concatenate([self.a, self.b], axis=-1)
+
+
+def _single(state: SpectralState) -> SpectralState:
+    if state.a.ndim != 1:
+        raise ValueError("expected one state, not a stack of them")
+    return state
 
 
 @dataclass(frozen=True)
@@ -109,16 +125,19 @@ class SymmetrySpec:
                 raise ValueError(f"p is not minimal: {q}*alpha/pi is already an integer")
 
 
-def energy_seminorm_sq(state: SpectralState, weight: EnergyWeight) -> float:
+def energy_seminorm_sq(state: SpectralState, weight: EnergyWeight):
+    """Weighted energy of the state: a float, or one per row for a stack of states."""
     w = weight.diagonal(state.mode_set)
-    return float(np.sum(w * (np.abs(state.a) ** 2 + np.abs(state.b) ** 2)))
+    e = np.sum(w * (np.abs(state.a) ** 2 + np.abs(state.b) ** 2), axis=-1)
+    return float(e) if e.ndim == 0 else e
 
 
 def project_p_symmetric(state: SpectralState, spec: SymmetrySpec) -> SpectralState:
     """Zero the coefficients whose index along spec.axis is a multiple of p.
 
     This is the orthogonal projection onto p-symmetric data: a sine series is
-    p-symmetric exactly when its coefficients vanish at multiples of p.
+    p-symmetric exactly when its coefficients vanish at multiples of p. A
+    stack of states is projected by one mask multiply over all its rows.
     """
     ks = state.mode_set.k1 if spec.axis == "x1" else state.mode_set.k2
     keep = (ks % spec.p) != 0
@@ -155,7 +174,7 @@ def axis_trace(state: SpectralState, axis: str, transverse: float, n_samples: in
     Returns u0 on the grid i*ell_axis/n_samples, i = 0..n_samples-1, the grid
     convention symmetry_residual expects (for the pi-length axes of the square).
     """
-    ms = state.mode_set
+    ms = _single(state).mode_set
     g = ms.geometry
     c = state.a + state.b
     if axis == "x1":
@@ -172,34 +191,44 @@ def axis_trace(state: SpectralState, axis: str, transverse: float, n_samples: in
     return table @ (c * point)
 
 
-def random_state(mode_set: ModeSet, seed: int, decay: float = 0.0) -> SpectralState:
-    """Deterministic random state with |a_k|, |b_k| <= lambda_k^(-decay).
+def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState:
+    """Deterministic random states, one row per seed, with |a_k|, |b_k| <= lambda_k^(-decay).
 
     Coefficients are uniform on the complex unit disc, then scaled; decay 0
-    gives rough data, decay >= 2 the smooth regime.
+    gives rough data, decay >= 2 the smooth regime. Row i draws 4n uniforms
+    from np.random.default_rng(seeds[i]): the radii and angles of a, then
+    those of b; the square roots, phases and scale then act on the whole
+    stack. A decay whose scale underflows to zero on every mode is rejected,
+    since its states would all be zero.
     """
-    if decay < 0:
-        raise ValueError("decay must be >= 0")
-    rng = np.random.default_rng(seed)
+    decay = float(decay)
+    if not math.isfinite(decay) or decay < 0:
+        raise ValueError(f"decay must be finite and >= 0, got {decay}")
     n = len(mode_set)
     scale = mode_set.lam ** (-decay) if decay != 0 else np.ones(n)
-
-    def disc(count: int) -> np.ndarray:
-        r = np.sqrt(rng.random(count))
-        phi = 2.0 * math.pi * rng.random(count)
-        return r * np.exp(1j * phi)
-
-    a = disc(n) * scale
-    b = disc(n) * scale
-    if not (np.any(a) or np.any(b)):  # measure-zero guard, contract requires it
-        a = a.copy()
-        a[0] = scale[0]
+    if not np.any(scale):
+        raise ValueError(f"decay {decay} underflows lambda^(-decay) to zero on every mode")
+    seeds = list(seeds)
+    u = np.empty((len(seeds), 4, n))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(out=row.reshape(-1))
+    r = np.sqrt(u[:, 0::2])
+    phi = 2.0 * math.pi * u[:, 1::2]
+    a, b = np.moveaxis(r * np.exp(1j * phi) * scale, 1, 0)
+    dead = ~(a.any(axis=1) | b.any(axis=1))
+    a[dead, 0] = scale[0]  # measure-zero guard: a state is never all zero
     return SpectralState(mode_set, a, b)
 
 
+def random_state(mode_set: ModeSet, seed: int, decay: float = 0.0) -> SpectralState:
+    """The one-row case of random_states: one state with |a_k|, |b_k| <= lambda_k^(-decay)."""
+    batch = random_states(mode_set, [seed], decay)
+    return SpectralState(mode_set, batch.a[0], batch.b[0])
+
+
 def state_to_json(state: SpectralState) -> str:
-    """Serialize to JSON; float repr makes the round trip bit-exact."""
-    ms = state.mode_set
+    """Serialize one state to JSON; float repr makes the round trip bit-exact."""
+    ms = _single(state).mode_set
     rows = [
         [k1, k2, a.real, a.imag, b.real, b.imag]
         for k1, k2, a, b in zip(ms.k1.tolist(), ms.k2.tolist(), state.a.tolist(), state.b.tolist())

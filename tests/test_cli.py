@@ -19,6 +19,7 @@ from obslab import (
     __version__,
     assemble_gram,
     build_mode_set,
+    check_theorem,
     cli,
     empirical_constants,
     inequalities,
@@ -114,17 +115,83 @@ def test_verify_below_threshold_exits_3(tmp_path):
 @pytest.mark.parametrize("samples", [0, 5])
 def test_below_threshold_verify_assembles_no_gram(tmp_path, monkeypatch, samples):
     calls = []
-    real = inequalities.assemble_gram
 
-    def counted(spec, mode_set):
-        calls.append(spec)
-        return real(spec, mode_set)
+    def counted(real):
+        def call(spec, mode_set, *args):
+            calls.append(spec)
+            return real(spec, mode_set, *args)
 
-    monkeypatch.setattr(inequalities, "assemble_gram", counted)
+        return call
+
+    # assemble_gram, and the spatial sum and time blocks a theorem check assembles from
+    for name in ("assemble_gram", "_spatial_sum", "_closed_gram"):
+        monkeypatch.setattr(inequalities, name, counted(getattr(inequalities, name)))
     code, text = run(tmp_path, "verify", {**CROSS, "T": 10.0, "samples": samples})
     assert code == 3
     assert text == ""
     assert calls == []
+
+
+def test_below_threshold_verify_draws_at_most_one_chunk(tmp_path, monkeypatch):
+    rows = []
+    real = cli.random_states
+
+    def counted(mode_set, seeds, decay=0.0):
+        batch = real(mode_set, seeds, decay)
+        rows.append(len(batch.a))
+        return batch
+
+    monkeypatch.setattr(cli, "random_states", counted)
+    config = {**CROSS, "truncation": [16, 16], "T": 10.0, "samples": 20000}
+    code, text = run(tmp_path, "verify", config)
+    assert (code, text) == (3, "")
+    assert sum(rows) <= 256
+
+    # above the threshold the states are drawn in chunks, all of them
+    rows.clear()
+    code, text = run(tmp_path, "verify", {**CROSS, "samples": 600})
+    assert code == 0 and rows == [256, 256, 88]
+    assert json.loads(text)["result"]["n_states"] == 600
+
+
+@pytest.mark.parametrize("decay", [math.inf, 1e300, math.nan], ids=["inf", "1e300", "nan"])
+@pytest.mark.parametrize("command", ["verify", "oracle-check"])
+def test_unusable_decay_exits_2(tmp_path, capsys, command, decay):
+    # json.dumps writes Infinity and NaN, which json.load reads back
+    config = {**(CROSS if command == "verify" else ORACLE), "decay": decay}
+    code, text = run(tmp_path, command, config)
+    assert (code, text) == (2, "")
+    assert "decay" in capsys.readouterr().err
+
+
+def test_scan_t_does_its_t_independent_work_once(tmp_path, monkeypatch):
+    counts = {"_spatial_sum": [], "m_ab": []}
+
+    def counted(name):
+        real = getattr(inequalities, name)
+
+        def call(*args):
+            counts[name].append(args)
+            return real(*args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(inequalities, name, counted(name))
+    ts = [47.84977149867659 + 2.5 * k for k in range(8)]
+    config = {**CROSS, "T_values": ts}
+    del config["T"]
+    code, text = run(tmp_path, "scan-t", config, fmt="json")
+    assert code == 0
+    assert len(counts["_spatial_sum"]) == 1  # one spec
+    assert sorted(counts["m_ab"]) == [(1.0, 2.0), (1.0, 2.0)]  # one per interval
+    rows = json.loads(text)["result"]["rows"]
+    ms = build_mode_set(RectangleGeometry(PI, PI), 6, 6)
+    for t, row in zip(ts, rows):
+        spec = ObservationSpec.from_dict({**CROSS["spec"], "T": t, "model": "wave"})
+        check = check_theorem("two_strips", spec, ms, {})
+        c_min, c = check["empirical_c_min"], check["c_predicted"]
+        assert row == {"T": t, "c_min": c_min, "c_predicted": c, "pass": True}
 
 
 def test_verify_unknown_theorem_exits_2(tmp_path):

@@ -37,6 +37,8 @@ from obslab import (
     predicted_constant,
     project_p_symmetric,
     random_state,
+    random_states,
+    scan_theorem,
     sin_sum_lower_bound_check,
     symmetry_constants,
     theorem_symmetries,
@@ -563,6 +565,31 @@ def test_sweep_matches_a_dense_reference_across_chunks(square, count):
     assert report["argmin_state"] == int(np.argmin(ratios))
 
 
+def test_verify_gives_the_same_report_however_the_states_are_blocked(square):
+    ms = build_mode_set(square, 6, 6)
+    t = 9 * PI
+    specs = [_vspec(VerticalLine(PI / 2), T=t), _vspec(HorizontalLine(PI / 2), T=t)]
+    params = {"p": 2, "q": 2}
+    syms = theorem_symmetries("two_lines", specs, params, square)
+
+    def projected(block):
+        for sym in syms:
+            block = project_p_symmetric(block, sym)
+        return block
+
+    blocks = ((0, 100), (100, 357), (357, 600))
+    reports = [
+        verify_observability("two_lines", specs, states, params)
+        for states in (
+            _projected_states(ms, range(600), 2, 2),  # a list of single states
+            projected(random_states(ms, range(600))),  # one stack
+            (projected(random_states(ms, range(lo, hi))) for lo, hi in blocks),  # lazy, uneven
+        )
+    ]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["n_states"] == 600
+
+
 def test_sweep_counts_unprojected_states_over_all_chunks(square):
     ms = build_mode_set(square, 6, 6)
     t = 9 * PI
@@ -577,22 +604,55 @@ def test_check_theorem_serves_verify_with_one_assembly(square, monkeypatch):
     ms = build_mode_set(square, 6, 6)
     t = 9 * PI
     specs = [_vspec(VerticalLine(PI / 2), T=t), _vspec(HorizontalLine(PI / 2), T=t)]
-    calls = []
+    sums, grams = [], []
 
-    def counted(spec, mode_set):
-        calls.append(spec)
-        return assemble_gram(spec, mode_set)
+    def counted(calls, real):
+        def call(spec, mode_set, *args):
+            calls.append(spec)
+            return real(spec, mode_set, *args)
 
-    monkeypatch.setattr(inequalities, "assemble_gram", counted)
+        return call
+
+    # the assembly is split into the spatial sum and the time blocks on it
+    monkeypatch.setattr(inequalities, "_spatial_sum", counted(sums, inequalities._spatial_sum))
+    monkeypatch.setattr(inequalities, "_closed_gram", counted(grams, inequalities._closed_gram))
     states = _projected_states(ms, range(3), p=2, q=2)
     report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
-    assert calls == specs
+    assert sums == specs and grams == specs
     check = check_theorem("two_lines", specs, ms, {"p": 2, "q": 2})
     assert check["empirical_c_min"] == report["empirical_c_min"]
 
     cross = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=47.84977149867659)
     full = check_theorem("two_strips", cross, ms, {})["empirical_c_min"]
     assert full == pytest.approx(empirical_constants(cross, WAVE, ms).c_min, rel=1e-9)
+
+
+_SCANNED = [
+    ("two_strips", [CrossStrips(1.0, 2.0, 1.2, 2.1)], {}),
+    ("strip_plus_edge", [VerticalStrip(1.0, 2.0), BoundaryEdgeBottom()], {}),
+    ("line_plus_strip", [VerticalLine(PI / 3), HorizontalStrip(1.0, 2.0)], {"p": 3}),
+    ("line_plus_edge", [VerticalLine(PI / 3), BoundaryEdgeBottom()], {"p": 3}),
+    ("two_lines", [VerticalLine(PI / 2), HorizontalLine(PI / 3)], {"p": 2, "q": 3}),
+]
+
+
+@pytest.mark.parametrize("theorem, regions, params", _SCANNED, ids=[t for t, _, _ in _SCANNED])
+def test_scan_rows_are_check_theorem_bitwise(square, theorem, regions, params):
+    ms = build_mode_set(square, 5, 5)
+
+    def specs(T):
+        field = {BoundaryEdgeBottom: "normal_derivative"}
+        return [ObservationSpec(r, field.get(type(r), "velocity"), T, "wave") for r in regions]
+
+    # below and above every threshold: the rows below carry c_predicted None
+    ts = [5.0, 20.0, 35.0, 60.0, 90.0]
+    rows = scan_theorem(theorem, specs(1.0), ms, params, ts)
+    assert [r["T"] for r in rows] == ts
+    assert any(r["c_predicted"] is None for r in rows) and any(r["passed"] for r in rows)
+    for T, row in zip(ts, rows):
+        assert repr(row) == repr(check_theorem(theorem, specs(T), ms, params))
+    with pytest.raises(ValueError):
+        scan_theorem(theorem, specs(1.0), ms, params, [])
 
 
 def test_check_theorem_matches_verify(square):

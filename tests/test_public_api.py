@@ -50,6 +50,8 @@ PUBLIC = [
     "project_p_symmetric",
     "quadrature_oracle",
     "random_state",
+    "random_states",
+    "scan_theorem",
     "sin_sum_lower_bound_check",
     "sine_dist_check",
     "sine_overlap",

@@ -14,6 +14,7 @@ from obslab import (
     energy_seminorm_sq,
     project_p_symmetric,
     random_state,
+    random_states,
     state_from_json,
     state_to_json,
     symmetry_residual,
@@ -118,6 +119,70 @@ def test_random_state_decay_bounds(modes8):
 def test_random_state_rejects_negative_decay(modes4):
     with pytest.raises(ValueError):
         random_state(modes4, 0, decay=-1.0)
+
+
+@pytest.mark.parametrize("decay", [math.inf, math.nan, 1e300])
+def test_random_states_reject_an_unusable_decay(modes4, decay):
+    # 1e300 underflows lambda^-decay to zero on every mode: the states would all be zero
+    with pytest.raises(ValueError, match="decay"):
+        random_state(modes4, 0, decay=decay)
+    with pytest.raises(ValueError, match="decay"):
+        random_states(modes4, range(3), decay=decay)
+
+
+def _four_draw_state(ms, seed, decay):
+    """The construction random_state had when it drew radii and angles in four calls."""
+    rng = np.random.default_rng(seed)
+    n = len(ms)
+    scale = ms.lam ** (-decay) if decay != 0 else np.ones(n)
+
+    def disc(count):
+        r = np.sqrt(rng.random(count))
+        phi = 2.0 * math.pi * rng.random(count)
+        return r * np.exp(1j * phi)
+
+    a = disc(n) * scale
+    b = disc(n) * scale
+    return SpectralState(ms, a, b)
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.5])
+def test_random_state_keeps_the_four_draw_stream(modes6, decay):
+    for seed in (0, 7, 2**31 - 1):
+        assert random_state(modes6, seed, decay) == _four_draw_state(modes6, seed, decay)
+
+
+@pytest.mark.parametrize("count", [1, 255, 256, 257])
+@pytest.mark.parametrize("decay", [0.0, 0.5])
+@pytest.mark.parametrize("projected", [False, True], ids=["plain", "two_lines"])
+def test_random_states_rows_are_random_state_bitwise(modes6, count, decay, projected):
+    symmetries = [SymmetrySpec(2, "x1", math.pi / 2), SymmetrySpec(3, "x2", math.pi / 3)]
+    seed = 11
+    batch = random_states(modes6, range(seed, seed + count), decay)
+    assert batch.a.shape == batch.b.shape == (count, len(modes6))
+    for sym in symmetries if projected else []:
+        batch = project_p_symmetric(batch, sym)
+    for i in range(count):
+        single = random_state(modes6, seed + i, decay)
+        for sym in symmetries if projected else []:
+            single = project_p_symmetric(single, sym)
+        assert SpectralState(modes6, batch.a[i], batch.b[i]) == single
+
+
+def test_a_stack_of_states_acts_per_row(modes4):
+    batch = random_states(modes4, [3, 4, 5], decay=0.5)
+    weight = EnergyWeight(0.0, "wave")
+    rows = [random_state(modes4, seed, decay=0.5) for seed in (3, 4, 5)]
+    energies = [energy_seminorm_sq(r, weight) for r in rows]
+    assert energy_seminorm_sq(batch, weight).tolist() == energies
+    assert np.array_equal(batch.doubled(), np.stack([r.doubled() for r in rows]))
+    assert random_states(modes4, []).a.shape == (0, len(modes4))
+    with pytest.raises(ValueError, match="one state"):
+        state_to_json(batch)
+    with pytest.raises(ValueError, match="one state"):
+        axis_trace(batch, "x1", 1.0, 16)
+    with pytest.raises(ValueError):
+        SpectralState(modes4, batch.a, batch.b[:2])
 
 
 def test_symmetry_spec_validation():
