@@ -46,7 +46,7 @@ from .observation import (
     assemble_gram,
 )
 from .spectrum import ModeSet, partial_gap_analysis
-from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq
+from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_json
 
 
 class _Theorem(NamedTuple):
@@ -187,8 +187,6 @@ class ConstantReport:
             raise ValueError("need 0 <= c_min <= c_max")
 
     def to_json(self) -> str:
-        from .states import state_to_json
-
         doc = {
             "specs": [s.to_dict() for s in self.specs],
             "weight": {"s": self.weight.s, "model": self.weight.model},

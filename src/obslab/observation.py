@@ -21,7 +21,8 @@ X + Y (states even in time) and X - Y (odd in time). Those blocks are the data
 of a Gram and of its JSON form: GramForm.quadratic_form evaluates
 v^H [[X, Y], [Y, X]] v on the phased coefficients v = p c, and the complex
 2n x 2n matrix is built only when GramForm.matrix is first read, as a dense
-reference.
+reference. The form and the oracle evaluate a stack of states by one doubled
+form, and build the time Gram on the distinct frequencies, expanded to the modes.
 """
 
 from __future__ import annotations
@@ -314,18 +315,11 @@ def sine_overlap(k: int, kp: int, interval, scale: float) -> float:
 
     scale is the wavenumber unit pi/ell; over the full axis (0, pi/scale) this
     reduces to orthogonality, (pi/(2 scale)) when k = kp and 0 otherwise.
+    It is one entry of the closed Gram's matrix form _sine_overlap_matrix.
     """
-    lo, hi = float(interval[0]), float(interval[1])
     if k < 1 or kp < 1:
         raise ValueError("mode indices must be >= 1")
-    z = float(scale)
-    if k == kp:
-        return (hi - lo) / 2.0 - (math.sin(2 * z * k * hi) - math.sin(2 * z * k * lo)) / (4 * z * k)
-    dm, dp = z * (k - kp), z * (k + kp)
-    return 0.5 * (
-        (math.sin(dm * hi) - math.sin(dm * lo)) / dm
-        - (math.sin(dp * hi) - math.sin(dp * lo)) / dp
-    )
+    return float(_sine_overlap_matrix(np.array([k, kp]), interval, scale)[0, 1])
 
 
 def _sine_overlap_matrix(ks: np.ndarray, interval, scale: float) -> np.ndarray:
@@ -340,8 +334,7 @@ def _sine_overlap_matrix(ks: np.ndarray, interval, scale: float) -> np.ndarray:
         (np.sin(dmn * hi) - np.sin(dmn * lo)) / dmn
         - (np.sin(dp * hi) - np.sin(dp * lo)) / dp
     )
-    kk = z * (ks[None, :] + ks[:, None])  # = 2 z k on the diagonal
-    diag = (hi - lo) / 2.0 - (np.sin(kk * hi) - np.sin(kk * lo)) / (2.0 * kk)
+    diag = (hi - lo) / 2.0 - (np.sin(dp * hi) - np.sin(dp * lo)) / (2.0 * dp)  # dp = 2 z k there
     return np.where(same, diag, cross)
 
 
@@ -394,17 +387,14 @@ class GramForm:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def quadratic_form(self, state_or_coeffs) -> float:
-        c = getattr(state_or_coeffs, "doubled", lambda: np.asarray(state_or_coeffs))()
-        c = np.asarray(c, dtype=complex)
-        if c.shape != (2 * len(self.mode_set),):
-            raise ValueError(f"coefficients must have shape ({2 * len(self.mode_set)},)")
-        # v^H [[X, Y], [Y, X]] v with v = p c, the phased coefficients
-        x, y, angle = self.centred
-        n = len(angle)
-        p = np.exp(1j * angle)
-        v1, v2 = p * c[:n], p.conj() * c[n:]
-        return float(np.real(np.vdot(v1, x @ v1 + y @ v2) + np.vdot(v2, y @ v1 + x @ v2)))
+    def quadratic_form(self, state_or_coeffs):
+        """c^H G c, the doubled form of [[X, Y], [Y, X]] on p c: one value per row of a stack."""
+        c = np.asarray(getattr(state_or_coeffs, "doubled", lambda: state_or_coeffs)(), dtype=complex)
+        n = len(self.mode_set)
+        if c.ndim not in (1, 2) or c.shape[-1] != 2 * n:
+            raise ValueError(f"coefficients must have shape ({2 * n},) or (N, {2 * n})")
+        p = np.exp(1j * self.centred[2])
+        return _doubled_forms(*self.centred[:2], p * c[..., :n], p.conj() * c[..., n:])
 
     def to_json(self) -> str:
         ms = self.mode_set
@@ -452,8 +442,7 @@ def _closed_axis_gram(factor, ks, z: float, ell: float):
     if kind == "ones":
         return 1.0
     f = z * ks
-    x = _window_sinc(f[None, :] - f[:, None], *args)
-    return np.stack([x, _window_sinc(f[None, :] + f[:, None], *args)])
+    return np.stack([_window_sinc(f[None, :] + sign * f[:, None], *args) for sign in (-1.0, 1.0)])
 
 
 def _spatial_sum(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram):
@@ -485,14 +474,15 @@ def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram, spatial=No
 
     Each block is amp-weighted Kt o spatial, with spatial the sum
     _spatial_sum(spec, mode_set, axis_gram) unless it is given: a scan over T
-    builds it once. axis_gram also supplies the time window's Gram Kt, the
-    stack of its a-a and a-b blocks.
+    builds it once. axis_gram also supplies the time window's Gram Kt, the stack
+    of its a-a and a-b blocks, on the distinct frequencies, expanded to the modes.
     """
     if spatial is None:
         spatial = _spatial_sum(spec, mode_set, axis_gram)
     w = _frequencies(spec, mode_set)
     window = spec.region.pieces(spec.T)[0]
-    blocks = axis_gram(("exp", *window), w, 1.0, None) * spatial
+    distinct, i = np.unique(w, return_inverse=True)
+    blocks = axis_gram(("exp", *window), distinct, 1.0, None)[:, i[:, None], i[None, :]] * spatial
     if spec.field == "velocity":  # amplitude i w: conj(amp_i) amp_j is w_i w_j, -w_i w_j
         blocks *= np.outer(w, w) * np.array([1.0, -1.0])[:, None, None]
     return blocks
@@ -511,8 +501,18 @@ def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
     return angle
 
 
-def _doubled(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.block([[a, b], [b.conj(), a.conj()]])
+def _doubled_forms(a: np.ndarray, b: np.ndarray, r1: np.ndarray, r2: np.ndarray):
+    """c^H [[A, B], [conj B, conj A]] c for c = (r1, r2), B symmetric: a float, or one per row.
+
+    It is Re(r1^H A r1) + Re(s^H A s) + 2 Re(r1^H B r2), s = conj(r2): one product with A.
+    A real block (a closed Gram's) multiplies the real and imaginary parts, never a complex copy.
+    """
+    def times(v, m):  # v @ m.T
+        return v @ m.T if np.iscomplexobj(m) else v.real @ m.T + 1j * (v.imag @ m.T)
+    u = np.stack([r1, r2.conj()])
+    diag = np.sum(u.conj() * times(u, a), axis=-1).real
+    f = diag[0] + diag[1] + 2.0 * np.sum(r1.conj() * times(r2, b), axis=-1).real
+    return float(f) if f.ndim == 0 else f
 
 
 def _centred_matrix(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> np.ndarray:
@@ -531,7 +531,7 @@ def _centred_matrix(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> np.ndarr
     b = np.empty(y.shape, dtype=complex)
     b.real = y * (rr - ii)
     b.imag = -(y * (ri + ri.T))
-    return _doubled(a, b)
+    return np.block([[a, b], [b.conj(), a.conj()]])
 
 
 def _closed_gram(spec: ObservationSpec, mode_set: ModeSet, spatial=None) -> GramForm:
@@ -565,12 +565,6 @@ def _simpson_weights(lo: float, hi: float, panels: int):
     return x, w
 
 
-def _normalize_resolution(resolution: int) -> int:
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
-    return resolution + (resolution % 2)
-
-
 def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
     """Simpson 1-D Gram sum_x w_x conj(f_i(x)) f_j(x) of one factor from pointwise samples.
 
@@ -595,24 +589,30 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
     return (f * wx) @ f.T
 
 
-def quadrature_oracle(state, spec: ObservationSpec, resolution: int) -> float:
+@functools.lru_cache(maxsize=1)
+def _sampled_blocks(spec: ObservationSpec, mode_set: ModeSet, res: int) -> np.ndarray:
+    """_gram_blocks on Simpson samples, read-only and kept for the next call on the same spec."""
+    blocks = _gram_blocks(spec, mode_set, functools.partial(_sampled_axis_gram, res=res))
+    blocks.flags.writeable = False
+    return blocks
+
+
+def quadrature_oracle(state, spec: ObservationSpec, resolution: int):
     """Composite-Simpson value of the observation integral, from pointwise samples.
 
     Runs the assembly of assemble_gram, the region's pieces and the Hadamard
     product of 1-D Grams, on Simpson sums over pointwise samples of each axis
-    profile, so it shares no closed form. Because the sampled field is a sum
-    of products over the axes, the result is the Simpson tensor-grid integral
-    of the squared field. resolution is the Simpson panel count per axis (odd
-    values rounded up).
+    profile, so it shares no closed form: the Simpson tensor-grid integral of
+    the squared field, resolution panels per axis (odd values rounded up).
+    One state gives a float, a stack one value per row. Each axis Gram is
+    sampled once per call, the time window's on the distinct frequencies, and
+    kept for the next call on the same spec, so blocks of states share it.
     """
     spec.validate_geometry(state.mode_set.geometry)
-    c = state.doubled()
-    if c.ndim != 1:
-        raise ValueError("the oracle takes one state, not a stack of them")
-    res = _normalize_resolution(resolution)
-    a, b = _gram_blocks(spec, state.mode_set, functools.partial(_sampled_axis_gram, res=res))
-    g = _doubled(a, b)
-    return float(np.real(np.vdot(c, g @ c)))
+    if resolution < 64:
+        raise ValueError("resolution must be >= 64")
+    a, b = _sampled_blocks(spec, state.mode_set, resolution + resolution % 2)
+    return _doubled_forms(a, b, state.a, state.b)
 
 
 # ---------------------------------------------------------------------------

@@ -616,12 +616,46 @@ def test_oracle_check_rejects_non_finite_input(tmp_path, change):
 
 
 def test_oracle_check_fails_on_non_finite_values(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "quadrature_oracle", lambda state, spec, resolution: math.nan)
+    def nan_per_row(states, spec, resolution):
+        return np.full(len(states.a), math.nan)
+
+    monkeypatch.setattr(cli, "quadrature_oracle", nan_per_row)
     code, text = run(tmp_path, "oracle-check", ORACLE)
     assert code == 1
     result = json.loads(text)["result"]
     assert not result["passed"]
     assert result["max_rel_err"] == math.inf
+
+
+def test_oracle_check_fails_on_infinite_values_without_warnings(tmp_path, monkeypatch):
+    def inf_per_row(states, spec, resolution):
+        return np.full(len(states.a), math.inf)
+
+    monkeypatch.setattr(cli, "quadrature_oracle", inf_per_row)
+    code, text = run(tmp_path, "oracle-check", ORACLE)
+    assert code == 1
+    assert json.loads(text)["result"]["max_rel_err"] == math.inf
+
+
+def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monkeypatch):
+    calls = []
+    real = observation._sampled_axis_gram
+
+    def counted(factor, *args, **kwargs):
+        calls.append(factor)
+        return real(factor, *args, **kwargs)
+
+    monkeypatch.setattr(observation, "_sampled_axis_gram", counted)
+    counts = []
+    for samples in (3, 300):  # 300 states span two blocks of cli._CHUNK rows
+        observation._sampled_blocks.cache_clear()
+        calls.clear()
+        code, _ = run(tmp_path, "oracle-check", {**ORACLE, "samples": samples})
+        assert code == 0
+        counts.append(len(calls))
+    assert 300 > cli._CHUNK
+    # one time window and one factor per axis of each of the two specs
+    assert counts[0] == counts[1] == 2 * 3
 
 
 def test_no_solve_path_builds_the_complex_matrix(tmp_path, monkeypatch):

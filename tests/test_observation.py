@@ -29,11 +29,13 @@ from obslab import (
     pencil,
     quadrature_oracle,
     random_state,
+    random_states,
     sine_overlap,
     theorem_symmetries,
     thm21_fourfamily_form,
     time_kernel,
 )
+from obslab import observation
 from obslab.observation import _interval_kernel, region_from_dict, region_to_dict
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
@@ -356,11 +358,14 @@ def test_pencil_matches_the_dense_complex_pencil(data):
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     coeffs = rng.standard_normal((3, 2 * len(ms))) + 1j * rng.standard_normal((3, 2 * len(ms)))
 
-    # the form from the centred blocks, per piece
+    # the form from the centred blocks, per piece, on each row and on the stack at once
     for gram in grams:
-        for c in coeffs:
+        rows = gram.quadratic_form(coeffs)
+        assert rows.shape == (len(coeffs),)
+        for c, row in zip(coeffs, rows):
             want = np.real(np.vdot(c, gram.matrix @ c))
             assert gram.quadratic_form(c) == pytest.approx(want, rel=1e-13, abs=0.0)
+            assert row == pytest.approx(want, rel=1e-13, abs=0.0)
 
     p, q = (data.draw(st.sampled_from([2, 3])) for _ in range(2))
     for mask in [None] + _theorem_masks(ms, p, q):
@@ -600,14 +605,62 @@ def _dense_oracle(state, spec, res):
     return total
 
 
-@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: type(r).__name__)
-def test_oracle_matches_dense_reference(region):
-    ms = build_mode_set(RectangleGeometry(3.4, 2.8), 4, 4)
+# the pi-square repeats frequencies (k1, k2 and k2, k1 share one); 3.4 x 2.8 has none
+GEOMETRIES = {"": RectangleGeometry(3.4, 2.8), "-square": RectangleGeometry(math.pi, math.pi)}
+REGION_GEOMETRIES = [
+    pytest.param(r, g, id=type(r).__name__ + tag) for tag, g in GEOMETRIES.items() for r in ALL_REGIONS
+]
+
+
+@pytest.mark.parametrize("region,geometry", REGION_GEOMETRIES)
+def test_oracle_matches_dense_reference(region, geometry):
+    ms = build_mode_set(geometry, 4, 4)
     spec = _spec(region)
     state = random_state(ms, 5)
     dense = _dense_oracle(state, spec, 128)
     assert dense > 0
     assert quadrature_oracle(state, spec, 128) == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("region,geometry", REGION_GEOMETRIES)
+def test_oracle_rows_of_a_stack_match_one_state_calls(region, geometry):
+    ms = build_mode_set(geometry, 4, 4)
+    spec = _spec(region)
+    for size in (1, 3, 257):
+        stack = random_states(ms, range(size), decay=0.5)
+        rows = quadrature_oracle(stack, spec, 128)
+        assert rows.shape == (size,)
+        for i, want in enumerate(rows):
+            one = quadrature_oracle(SpectralState(ms, stack.a[i], stack.b[i]), spec, 128)
+            assert isinstance(one, float)
+            assert one == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _direct_centred(spec, ms):
+    """The centred blocks with the time Gram taken on every mode's own frequency.
+
+    _gram_blocks folds repeated frequencies before the time Gram; this build
+    does not, and the sinc being elementwise, the bytes must agree.
+    """
+    w = np.sqrt(ms.lam) if spec.model == "wave" else ms.lam
+    window = spec.region.pieces(spec.T)[0]
+    kt = observation._closed_axis_gram(("exp", *window), w, 1.0, None)
+    x, y = kt * observation._spatial_sum(spec, ms)
+    if spec.field == "velocity":
+        x, y = x * np.outer(w, w), y * -np.outer(w, w)
+    return x, y
+
+
+@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: type(r).__name__)
+def test_closed_gram_bytes_do_not_depend_on_folding_repeated_frequencies(region):
+    ms = build_mode_set(RectangleGeometry(math.pi, math.pi), 6, 6)
+    spec = _spec(region, T=3.7)
+    w = np.sqrt(ms.lam) if spec.model == "wave" else ms.lam
+    assert len(np.unique(w)) < len(w)
+    x, y, _ = assemble_gram(spec, ms).centred
+    want_x, want_y = _direct_centred(spec, ms)
+    assert x.tobytes() == want_x.tobytes()
+    assert y.tobytes() == want_y.tobytes()
 
 
 def test_oracle_resolution_validation(modes4):
