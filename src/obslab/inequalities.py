@@ -23,7 +23,9 @@ solve. empirical_constants lifts the minimiser back through the sector sign,
 doubled form of each Gram. check_theorem takes the smallest eigenvalue of
 the masked sectors, and verify_observability sweeps states through the
 sector quadratic forms, a few hundred states per real GEMM. No solve builds
-the complex Gram matrix.
+the complex Gram matrix. Each sector is reduced to tridiagonal form once, and
+both its extreme eigenvalues and the minimiser come from that reduction, equal
+to scipy.linalg.eigh's subset solves to the bit.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError, lapack
 
 from .observation import (
     ObservationSpec,
     _closed_gram,
+    _into,
     _spatial_sum,
     _window_sinc,
     assemble_gram,
@@ -219,6 +222,84 @@ def _weight_diagonal(weight: EnergyWeight, mode_set: ModeSet) -> np.ndarray:
     return d
 
 
+# LAPACK dsyevr reduces a matrix unscaled when its max-norm lies in [_RMIN, _RMAX]
+_SAFMIN = lapack.dlamch("S")
+_SMLNUM = _SAFMIN / lapack.dlamch("P")
+_RMIN = math.sqrt(_SMLNUM)
+_RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(_SAFMIN)))
+
+
+def _lapack(name: str, *args, **kwargs) -> list:
+    """The outputs of LAPACK routine name but its info, which must be 0."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise LinAlgError(f"LAPACK {name} failed with info={info}")
+    return out
+
+
+class _Reduction:
+    """One real symmetric sector s reduced to tridiagonal form, as eigh reduces it for a subset.
+
+    scipy.linalg.eigh(s, subset_by_index=[i, i]) runs LAPACK dsyevr: dsytrd
+    takes s to a tridiagonal T = Q^T s Q, dstebz bisects T for its
+    eigenvalue i, dstein finds that eigenvalue's vector of T by inverse
+    iteration and dormtr multiplies it by Q. Here the reduction is done once,
+    so both extreme eigenvalues and the minimiser come from one dsytrd. Each
+    step gets dsyevr's arguments and its share of dsyevr's workspace, and
+    the finiteness check, the 1 x 1 case and the rescaling of a max-norm
+    outside [_RMIN, _RMAX] are eigh's and dsyevr's, so every value and
+    vector equals eigh's bit for bit.
+    """
+
+    def __init__(self, s: np.ndarray) -> None:
+        s = np.asarray_chkfinite(s)  # eigh's check: ValueError on a nan or an inf
+        n = self.n = len(s)
+        if n == 1:  # dsyevr returns the entry, unscaled, and the vector 1
+            self.d = s[0].copy()
+            return
+        self.lwork = int(_lapack("dsyevr_lwork", n, lower=1)[0])
+        # dsytrd reads the lower triangle of s: the upper one of s.T, without a copy
+        norm = lapack.dlantr("M", s.T, uplo="U")
+        self.sigma = _RMIN / norm if 0 < norm < _RMIN else _RMAX / norm if norm > _RMAX else None
+        a = np.array(s, order="F")
+        if self.sigma is not None:
+            a *= self.sigma
+        self.a, self.d, self.e, self.tau = _lapack(
+            "dsytrd", a, lower=1, lwork=self.lwork - 5 * n, overwrite_a=1
+        )
+
+    def _bisect(self, i: int, order: str) -> tuple:
+        """dstebz's (eigenvalues, blocks, splits) for eigenvalue i of T, with abstol 0."""
+        m, w, block, split = _lapack("dstebz", self.d, self.e, 2, 0.0, 0.0, i + 1, i + 1, 0.0, order)
+        return w[:m], block, split
+
+    def _unscaled(self, w: np.ndarray) -> float:
+        return float(w[0] if self.sigma is None else w[0] * (1.0 / self.sigma))
+
+    def lowest(self) -> tuple:
+        """eigh(s, subset_by_index=[0, 0])'s eigenvalue, and the bisection that vector reads."""
+        if self.n == 1:
+            return float(self.d[0]), None
+        bisection = self._bisect(0, "B")
+        return self._unscaled(bisection[0]), bisection
+
+    def highest(self) -> float:
+        """The largest eigenvalue of s, as eigh(s, subset_by_index=[n - 1] * 2, eigvals_only=True)."""
+        if self.n == 1:
+            return float(self.d[0])
+        return self._unscaled(self._bisect(self.n - 1, "E")[0])
+
+    def vector(self, bisection) -> np.ndarray:
+        """The unit eigenvector of lowest's eigenvalue, eigh's to the bit, from lowest's bisection."""
+        if self.n == 1:
+            return np.ones(1)
+        w, block, split = bisection
+        (z,) = _lapack("dstein", self.d, self.e, w, block, split)
+        # dormtr for the lower triangle: dormqr with the reflectors below the subdiagonal
+        z[1:] = _lapack("dormqr", "L", "N", self.a[1:, :-1], self.tau, z[1:], self.lwork - 2 * self.n)[0]
+        return z[:, 0]
+
+
 class Pencil:
     """The pencil D^{-1/2} G D^{-1/2} of summed closed Grams G, on its real sectors.
 
@@ -235,6 +316,10 @@ class Pencil:
 
     sectors lists (matrix, index) pairs, index locating the sector's rows in
     u; grams are the assembled pieces and d the energy weight diagonal.
+    lowest and extremes reduce each sector to tridiagonal form once
+    (_Reduction), read the extreme eigenvalues from it by bisection, and the
+    eigenvector of the smallest, when asked for, from the winning sector's
+    reduction alone.
     """
 
     def __init__(self, grams: list, d: np.ndarray, mask=None) -> None:
@@ -245,47 +330,77 @@ class Pencil:
             raise ValueError(f"mask must select some of the {n} modes")
         keep = np.flatnonzero(self.mask)
         sub = np.ix_(keep, keep)
-        a = b = 0.0
+        # the first piece enters as 0.0 + x, as a sum from 0.0 does (-0.0 entries become +0.0);
+        # the other pieces, the D scaling and the odd sector are then written over a and b
+        a = b = None
         for g in grams:
             x, y, theta = g.centred
             if mask is not None:
                 x, y = x[sub], y[sub]
-            if np.array_equal(theta, self.angle):
-                a, b = a + x, b + y
-            else:  # a piece centred elsewhere: rotate its phase to the reference angle
+            if not np.array_equal(theta, self.angle):
+                # a piece centred elsewhere: rotate its phase to the reference angle, by
                 # per-mode phase products, not e^{i (psi_j - psi_i)}: a rounded angle
                 # difference would be off by ulp(angle), far more than eps when |angle| >> 1
                 q = (np.exp(1j * theta) * np.exp(-1j * self.angle))[keep]
-                a = a + x * np.outer(q.conj(), q)
-                b = b + y * np.outer(q.conj(), q.conj())
+                x, y = x * np.outer(q.conj(), q), y * np.outer(q.conj(), q.conj())
+            a = np.add(0.0, x) if a is None else _into(np.add, a, x)
+            b = np.add(0.0, y) if b is None else _into(np.add, b, y)
         r = 1.0 / np.sqrt(d[keep])
         rr = np.outer(r, r)
-        a, b = a * rr, b * rr
+        a *= rr
+        b *= rr
+        del rr
         if np.iscomplexobj(a) or np.iscomplexobj(b):
             full = np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
             self.sectors = [(full, np.concatenate([keep, n + keep]))]
         else:
-            self.sectors = [(a + b, keep), (a - b, n + keep)]
+            even = a + b
+            a -= b
+            self.sectors = [(even, keep), (a, n + keep)]
 
-    def lowest(self) -> tuple:
-        """The smallest eigenvalue over the sectors and its unit eigenvector u in sector coordinates."""
-        low = None
+    def _solve(self, top: bool, vector: bool) -> tuple:
+        """(smallest eigenvalue, largest or None, u or None) from one reduction per sector.
+
+        A sector's reduction is kept only while its sector holds the smallest
+        eigenvalue so far, and u is read from the winner's alone; a tie goes
+        to the first sector.
+        """
+        low = best = None
+        highs = []
         for s, index in self.sectors:
-            evals, evecs = scipy.linalg.eigh(s, subset_by_index=[0, 0])
-            if low is None or evals[0] < low[0]:
-                u = np.zeros(2 * len(self.d))
-                u[index] = evecs[:, 0]
-                low = (float(evals[0]), u)
-        return low
+            reduced = _Reduction(s)
+            value, bisection = reduced.lowest()
+            if top:
+                highs.append(reduced.highest())
+            if low is None or value < low:
+                low, best = value, (reduced, bisection, index) if vector else None
+            del reduced  # the reduction of a sector that lost is freed here
+        u = None
+        if vector:
+            reduced, bisection, index = best
+            u = np.zeros(2 * len(self.d))
+            u[index] = reduced.vector(bisection)
+        return low, max(highs) if top else None, u
+
+    def lowest(self, vector: bool = True) -> tuple:
+        """The smallest eigenvalue over the sectors and its unit eigenvector u in sector coordinates.
+
+        Each sector is reduced once (see extremes); without vector, u is None
+        and no eigenvector is computed.
+        """
+        low, _, u = self._solve(False, vector)
+        return low, u
 
     def extremes(self) -> tuple:
-        """(smallest eigenvalue, largest eigenvalue, eigenvector u of the smallest)."""
-        c_min, u = self.lowest()
-        c_max = max(
-            float(scipy.linalg.eigh(s, subset_by_index=[len(s) - 1] * 2, eigvals_only=True)[0])
-            for s, _ in self.sectors
-        )
-        return c_min, c_max, u
+        """(smallest eigenvalue, largest eigenvalue, eigenvector u of the smallest).
+
+        One tridiagonal reduction per sector (LAPACK dsytrd) gives both
+        extremes by bisection, and u by inverse iteration and the reduction's
+        reflectors, on the sector of the smallest eigenvalue only. Each value
+        and u equal scipy.linalg.eigh's subset results on the sector to the
+        bit.
+        """
+        return self._solve(True, True)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         """Doubled coefficients D^{-1/2} conj(p) (u1 + i u2, u1 - i u2) / sqrt 2 of sector coordinates u."""
@@ -334,8 +449,10 @@ def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> Consta
     c_min certifies observation >= c_min * energy on the truncated space and
     c_max the reverse bound. The pencil is solved on its real sectors (see
     Pencil): with one window centre, D^{-1/2} (X + Y) D^{-1/2} and
-    D^{-1/2} (X - Y) D^{-1/2}, each n x n, for their extreme eigenpairs. The
-    minimiser u of a sector is lifted to the doubled coefficients
+    D^{-1/2} (X - Y) D^{-1/2}, each n x n, each reduced to tridiagonal form
+    once for both its extreme eigenvalues (Pencil.extremes); the eigenvector
+    is computed on the sector that attains c_min only. That minimiser u is
+    lifted to the doubled coefficients
     D^{-1/2} conj(p) (u1 + i u2, u1 - i u2) / sqrt 2, where (u1, u2) is (u, 0)
     in the even sector and (0, u) in the odd one. The returned argmin_state
     attains c_min with a Rayleigh quotient, taken on the doubled form of
@@ -598,7 +715,7 @@ def _scan(
     for T, pred in zip(T_values, preds):
         grams = [_closed_gram(replace(s, T=T), mode_set, sp) for s, sp in zip(specs, spatial)]
         pen = Pencil(grams, d, mask)
-        c, c_min = pred["c"], pen.lowest()[0]
+        c, c_min = pred["c"], pen.lowest(vector=False)[0]
         result = {
             "theorem": theorem,
             "T": T,
@@ -694,8 +811,10 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     the admissible subspace, where the inequality is meaningful. The report
     extends check_theorem's, whose admissible pencil the rows are swept
     through _CHUNK at a time (Pencil.quadratic_forms), however they were
-    split into blocks. Below the threshold it raises ThresholdError before
-    any Gram is assembled.
+    split into blocks. Each row is scaled by a power of two before its energy
+    and forms are taken: exact, so its ratio keeps its bits, and a row decayed
+    toward the subnormals keeps the digits of its energy. Below the threshold
+    it raises ThresholdError before any Gram is assembled.
     """
     specs = _as_spec_tuple(spec)
     blocks = iter([states] if isinstance(states, SpectralState) else states)
@@ -710,10 +829,18 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     # chunks of rows: stray mass, energies sum_k d_k (|a_k|^2 + |b_k|^2) and the sector forms
     n = len(ms)
     excluded = ~np.concatenate([pen.mask, pen.mask])
+    root = np.sqrt(np.concatenate([pen.d, pen.d]))
     minima = []  # (smallest ratio, its row) per chunk
     count = stray = zero = 0
     for coeffs in _row_chunks(itertools.chain([first], blocks), ms):
+        # each row times 2^-e, 2^e about its largest sqrt(d)-weighted modulus: exact, so its ratio
+        # keeps its bits, while the energies of a row decayed toward the subnormals keep their digits
         mag = np.abs(coeffs)
+        e = np.clip(np.frexp(np.max(mag * root, axis=1))[1], -1022, 1022)
+        power = np.ldexp(1.0, -e)[:, None]
+        parts = coeffs.view(float)
+        parts *= power
+        mag *= power
         if excluded.any():
             scale = np.maximum(mag.max(axis=1), 1e-300)
             stray += int(np.sum(mag[:, excluded].max(axis=1) > 1e-12 * scale))

@@ -465,8 +465,22 @@ def _spatial_sum(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axi
         i = ks - 1
         return gram[..., i[:, None], i[None, :]] if np.ndim(gram) else gram
 
-    terms = spec.region.pieces(spec.T)[1]
-    return functools.reduce(np.add, (s * expanded(f1, 0) * expanded(f2, 1) for s, f1, f2 in terms))
+    total = None
+    for s, f1, f2 in spec.region.pieces(spec.T)[1]:  # summed in order, in place where the shapes allow
+        term = _into(np.multiply, s * expanded(f1, 0), expanded(f2, 1))
+        total = term if total is None else _into(np.add, total, term)
+    return total
+
+
+def _into(ufunc, a, b):
+    """ufunc(a, b), written over a when a is an array of the result's shape and dtype."""
+    if (
+        isinstance(a, np.ndarray)
+        and a.shape == np.broadcast_shapes(a.shape, np.shape(b))
+        and a.dtype == np.result_type(a, b)
+    ):
+        return ufunc(a, b, out=a)
+    return ufunc(a, b)
 
 
 def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram, spatial=None) -> np.ndarray:
@@ -482,9 +496,12 @@ def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram, spatial=No
     w = _frequencies(spec, mode_set)
     window = spec.region.pieces(spec.T)[0]
     distinct, i = np.unique(w, return_inverse=True)
-    blocks = axis_gram(("exp", *window), distinct, 1.0, None)[:, i[:, None], i[None, :]] * spatial
+    blocks = axis_gram(("exp", *window), distinct, 1.0, None)[:, i[:, None], i[None, :]]
+    blocks *= spatial
     if spec.field == "velocity":  # amplitude i w: conj(amp_i) amp_j is w_i w_j, -w_i w_j
-        blocks *= np.outer(w, w) * np.array([1.0, -1.0])[:, None, None]
+        ww = np.outer(w, w)
+        blocks[0] *= ww
+        blocks[1] *= np.negative(ww, out=ww)
     return blocks
 
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from obslab import (
     CrossStrips,
     BoundaryEdgeBottom,
+    BoundaryEdgeLeft,
+    BoundaryGamma0,
     EnergyWeight,
     ExponentialSum,
     GramForm,
@@ -17,6 +19,7 @@ from obslab import (
     HorizontalStrip,
     ObservationSpec,
     OpenRect,
+    Pencil,
     RectangleGeometry,
     SpectralState,
     SymmetrySpec,
@@ -279,24 +282,103 @@ def test_empirical_constants_plate_weight(square):
     assert rep.K1 == rep.K2 == 6
 
 
-def _recorded_eigh(monkeypatch):
+def _recorded_reductions(monkeypatch):
+    """The (shape, dtype kind) of every matrix the pencil hands to LAPACK's tridiagonal reduction."""
     shapes = []
-    real = scipy.linalg.eigh
+    real = scipy.linalg.lapack.dsytrd
 
     def recorded(a, *args, **kwargs):
         shapes.append((a.shape, a.dtype.kind))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", recorded)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrd", recorded)
     return shapes
 
 
 def test_empirical_constants_solves_real_sectors(modes6, monkeypatch):
-    shapes = _recorded_eigh(monkeypatch)
+    shapes = _recorded_reductions(monkeypatch)
     spec = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=30.0)
     empirical_constants([spec, _vspec(VerticalLine(PI / 3), T=30.0)], WAVE, modes6)
     n = len(modes6)
-    assert shapes and set(shapes) == {((n, n), "f")}
+    # one reduction per sector: the even and the odd n x n sector, once each
+    assert shapes == [((n, n), "f")] * 2
+
+
+def test_check_theorem_reduces_each_masked_sector_once(modes6, monkeypatch):
+    shapes = _recorded_reductions(monkeypatch)
+    specs = [_vspec(VerticalLine(PI / 3), T=60.0), _vspec(HorizontalLine(PI / 2), T=60.0)]
+    check_theorem("two_lines", specs, modes6, {"p": 3, "q": 2})
+    kept = int(np.sum((modes6.k1 % 3 != 0) & (modes6.k2 % 2 != 0)))
+    assert shapes == [((kept, kept), "f")] * 2
+
+
+def _eigh_extremes(pen):
+    """Pencil.extremes by two scipy.linalg.eigh subset calls per sector, as the solve ran before."""
+    low, c_max = None, -math.inf
+    for s, index in pen.sectors:
+        evals, evecs = scipy.linalg.eigh(s, subset_by_index=[0, 0])
+        if low is None or evals[0] < low[0]:
+            u = np.zeros(2 * len(pen.d))
+            u[index] = evecs[:, 0]
+            low = (float(evals[0]), u)
+        top = scipy.linalg.eigh(s, subset_by_index=[len(s) - 1] * 2, eigvals_only=True)
+        c_max = max(c_max, float(top[0]))
+    return low[0], c_max, low[1]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _matching_pencil(square, case):
+    """A pencil for test_pencil_extremes_match_eigh_bitwise, by case name."""
+    ms8 = build_mode_set(square, 8, 8)
+    cross = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=30.0)
+    grams = [assemble_gram(cross, ms8)]
+    d = WAVE.diagonal(ms8)
+    one = np.arange(len(ms8)) == 5
+    if case == "n=1":
+        return Pencil(grams, d, one)
+    if case == "n=2":
+        return Pencil(grams, d, one | (np.arange(len(ms8)) == 11))
+    if case == "n=64":
+        return Pencil(grams, d)
+    if case == "masked":
+        return Pencil(grams, d, (ms8.k1 % 3 != 0) & (ms8.k2 % 2 != 0))
+    if case == "2n x 2n":
+        specs, weight = UNSHARED_CENTRES["OpenRect windows"]
+        return pencil(specs, weight, build_mode_set(square, 5, 4))
+    scale = {"scaled 2^-500": 2.0**-500, "scaled 2^300": 2.0**300}[case]
+    return Pencil(grams, d / scale)  # D^-1/2 scales each sector by exactly scale
+
+
+@pytest.mark.parametrize(
+    "case", ["n=1", "n=2", "n=64", "masked", "2n x 2n", "scaled 2^-500", "scaled 2^300"]
+)
+def test_pencil_extremes_match_eigh_bitwise(square, case):
+    pen = _matching_pencil(square, case)
+    if case.startswith("n="):
+        assert {len(s) for s, _ in pen.sectors} == {int(case[2:])}
+    if case.startswith("scaled"):  # the sectors' max-norm lies outside dsyevr's unscaled range
+        norm = max(np.max(np.abs(s)) for s, _ in pen.sectors)
+        assert not 2.0**-485 <= norm <= 2.0**255
+    c_min, c_max, u = pen.extremes()
+    want = _eigh_extremes(pen)
+    assert _bits([c_min, c_max]) == _bits(want[:2])
+    assert _bits(u) == _bits(want[2])
+    assert _bits(pen.lowest()[1]) == _bits(u)
+    assert pen.lowest(vector=False) == (c_min, None)
+
+
+def test_pencil_solve_rejects_a_non_finite_sector(square):
+    ms = build_mode_set(square, 4, 4)
+    grams = [assemble_gram(_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)), ms)]
+    d = WAVE.diagonal(ms)
+    d[3] = math.nan
+    pen = Pencil(grams, d)
+    for solve in (pen.extremes, pen.lowest):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve()
 
 
 PLATE0 = EnergyWeight(0.0, "plate")
@@ -316,10 +398,10 @@ UNSHARED_CENTRES = {
 def test_empirical_constants_without_shared_centre(square, monkeypatch, name):
     specs, weight = UNSHARED_CENTRES[name]
     ms = build_mode_set(square, 5, 4)
-    shapes = _recorded_eigh(monkeypatch)
+    shapes = _recorded_reductions(monkeypatch)
     rep = empirical_constants(specs, weight, ms)
     n = len(ms)
-    assert set(shapes) == {((2 * n, 2 * n), "f")}
+    assert shapes == [((2 * n, 2 * n), "f")]
 
     # dense complex reference: the doubled pencil D^-1/2 G D^-1/2 of the summed Gram
     g = sum(assemble_gram(s, ms).matrix for s in specs)
@@ -331,6 +413,46 @@ def test_empirical_constants_without_shared_centre(square, monkeypatch, name):
     c = rep.argmin_state.doubled()
     ratio = np.real(np.vdot(c, g @ c)) / energy_seminorm_sq(rep.argmin_state, weight)
     assert ratio == pytest.approx(rep.c_min, rel=0.0, abs=1e-8 * c_max)
+
+
+# one observation of each region kind, with the field and model it is observed in
+ONE_PER_KIND = [
+    ObservationSpec(VerticalSegments(((PI / 3, (1.0, 2.0)),)), "displacement", 2.0, "plate"),
+    ObservationSpec(BoundaryEdgeBottom(), "normal_derivative", 2.0, "wave"),
+    ObservationSpec(BoundaryEdgeLeft(), "normal_derivative", 2.0, "wave"),
+    ObservationSpec(BoundaryGamma0(), "normal_derivative", 2.0, "wave"),
+    _vspec(VerticalStrip(1.0, 2.0)),
+    _vspec(HorizontalStrip(1.0, 2.0)),
+    _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)),
+    _vspec(VerticalLine(PI / 2)),
+    _vspec(HorizontalLine(PI / 2)),
+    ObservationSpec(OpenRect(0.0, 1.0, 0.5, 1.5), "displacement", 2.0, "plate"),
+]
+
+
+@pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda s: type(s.region).__name__)
+def test_extremes_match_an_mpmath_reference(square, spec):
+    # the even and odd sectors D^-1/2 (X +- Y) D^-1/2 of the assembled blocks, formed and
+    # solved at 40 digits: a reference for the float sector build and its LAPACK solve
+    from mpmath import mp, mpf
+
+    ms = build_mode_set(square, 3, 3)
+    weight = WAVE if spec.model == "wave" else EnergyWeight(0.0, "plate")
+    rep = empirical_constants(spec, weight, ms)
+    x, y, _ = assemble_gram(spec, ms).centred
+    n = len(ms)
+    evals = []
+    with mp.workdps(40):
+        r = [1 / mp.sqrt(mpf(v)) for v in weight.diagonal(ms)]
+        for sign in (1, -1):
+            m = mp.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    m[i, j] = (mpf(x[i, j]) + sign * mpf(y[i, j])) * r[i] * r[j]
+            evals += [float(v) for v in mp.eigsy(m, eigvals_only=True)]
+    c_max = max(evals)
+    assert rep.c_max == pytest.approx(c_max, rel=0.0, abs=1e-12 * c_max)
+    assert rep.c_min == pytest.approx(max(min(evals), 0.0), rel=0.0, abs=1e-12 * c_max)
 
 
 def test_constant_report_validation(modes4):
@@ -588,6 +710,23 @@ def test_verify_gives_the_same_report_however_the_states_are_blocked(square):
     ]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0]["n_states"] == 600
+
+
+def test_verify_min_ratio_keeps_its_bits_under_decay_and_scaling(modes6):
+    # the ratio does not depend on a state's scale; the energies of rows decayed toward the
+    # subnormals once moved it at decay 520 and beyond
+    spec = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=60.0)
+
+    def sweep(states):
+        report = verify_observability("two_strips", spec, states, {})
+        return _bits(report["min_ratio"]), report["argmin_state"]
+
+    decayed = {sweep(random_states(modes6, range(1, 51), decay)) for decay in (300, 510, 520, 530)}
+    assert len(decayed) == 1
+    rows = random_states(modes6, range(1, 51))
+    want = sweep(rows)
+    for j in range(0, 1000, 100):
+        assert sweep(SpectralState(modes6, rows.a * 2.0**-j, rows.b * 2.0**-j)) == want
 
 
 def test_sweep_counts_unprojected_states_over_all_chunks(square):
