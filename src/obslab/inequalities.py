@@ -21,11 +21,11 @@ per mode, so each sector is restricted to the admissible modes before its
 solve. empirical_constants lifts the minimiser back through the sector sign,
 1/sqrt 2 and the phase, and certifies c_min by its Rayleigh quotient on the
 doubled form of each Gram. check_theorem takes the smallest eigenvalue of
-the masked sectors, and verify_observability sweeps states through the
-sector quadratic forms, a few hundred states per real GEMM. No solve builds
-the complex Gram matrix. Each sector is reduced to tridiagonal form once, and
-both its extreme eigenvalues and the minimiser come from that reduction, equal
-to scipy.linalg.eigh's subset solves to the bit.
+the masked sectors (Pencil.lowest, which computes no eigenvector), and
+verify_observability sweeps states through the sector quadratic forms, a few
+hundred states per real GEMM. Each sector is reduced to tridiagonal form
+once, and both its extreme eigenvalues and the minimiser come from that
+reduction, equal to scipy.linalg.eigh's subset solves to the bit.
 """
 
 from __future__ import annotations
@@ -317,9 +317,9 @@ class Pencil:
     sectors lists (matrix, index) pairs, index locating the sector's rows in
     u; grams are the assembled pieces and d the energy weight diagonal.
     lowest and extremes reduce each sector to tridiagonal form once
-    (_Reduction), read the extreme eigenvalues from it by bisection, and the
-    eigenvector of the smallest, when asked for, from the winning sector's
-    reduction alone.
+    (_Reduction) and read the extreme eigenvalues from it by bisection:
+    lowest only the smallest, as a float, and extremes both and the
+    eigenvector of the smallest, from the winning sector's reduction alone.
     """
 
     def __init__(self, grams: list, d: np.ndarray, mask=None) -> None:
@@ -358,10 +358,11 @@ class Pencil:
             a -= b
             self.sectors = [(even, keep), (a, n + keep)]
 
-    def _solve(self, top: bool, vector: bool) -> tuple:
-        """(smallest eigenvalue, largest or None, u or None) from one reduction per sector.
+    def _solve(self, full: bool) -> tuple:
+        """(smallest eigenvalue, largest, u) from one reduction per sector.
 
-        A sector's reduction is kept only while its sector holds the smallest
+        Without full, only the smallest is computed: (smallest, None, None). A
+        sector's reduction is kept only while its sector holds the smallest
         eigenvalue so far, and u is read from the winner's alone; a tie goes
         to the first sector.
         """
@@ -370,26 +371,21 @@ class Pencil:
         for s, index in self.sectors:
             reduced = _Reduction(s)
             value, bisection = reduced.lowest()
-            if top:
+            if full:
                 highs.append(reduced.highest())
             if low is None or value < low:
-                low, best = value, (reduced, bisection, index) if vector else None
+                low, best = value, (reduced, bisection, index) if full else None
             del reduced  # the reduction of a sector that lost is freed here
-        u = None
-        if vector:
-            reduced, bisection, index = best
-            u = np.zeros(2 * len(self.d))
-            u[index] = reduced.vector(bisection)
-        return low, max(highs) if top else None, u
+        if not full:
+            return low, None, None
+        reduced, bisection, index = best
+        u = np.zeros(2 * len(self.d))
+        u[index] = reduced.vector(bisection)
+        return low, max(highs), u
 
-    def lowest(self, vector: bool = True) -> tuple:
-        """The smallest eigenvalue over the sectors and its unit eigenvector u in sector coordinates.
-
-        Each sector is reduced once (see extremes); without vector, u is None
-        and no eigenvector is computed.
-        """
-        low, _, u = self._solve(False, vector)
-        return low, u
+    def lowest(self) -> float:
+        """The smallest eigenvalue over the sectors, from one reduction per sector and no eigenvector."""
+        return self._solve(False)[0]
 
     def extremes(self) -> tuple:
         """(smallest eigenvalue, largest eigenvalue, eigenvector u of the smallest).
@@ -400,7 +396,7 @@ class Pencil:
         and u equal scipy.linalg.eigh's subset results on the sector to the
         bit.
         """
-        return self._solve(True, True)
+        return self._solve(True)
 
     def lift(self, u: np.ndarray) -> np.ndarray:
         """Doubled coefficients D^{-1/2} conj(p) (u1 + i u2, u1 - i u2) / sqrt 2 of sector coordinates u."""
@@ -715,7 +711,7 @@ def _scan(
     for T, pred in zip(T_values, preds):
         grams = [_closed_gram(replace(s, T=T), mode_set, sp) for s, sp in zip(specs, spatial)]
         pen = Pencil(grams, d, mask)
-        c, c_min = pred["c"], pen.lowest(vector=False)[0]
+        c, c_min = pred["c"], pen.lowest()
         result = {
             "theorem": theorem,
             "T": T,

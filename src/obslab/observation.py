@@ -17,20 +17,18 @@ The e^{+-i z k2 x2} profile of OpenRect is centred on its x2 interval the same
 way. The phases then factor out of every closed Gram as a diagonal unitary
 congruence: G = conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)}
 and X, Y real symmetric, kept in GramForm.centred. Its spectrum is that of
-X + Y (states even in time) and X - Y (odd in time). Those blocks are the data
-of a Gram and of its JSON form: GramForm.quadratic_form evaluates
-v^H [[X, Y], [Y, X]] v on the phased coefficients v = p c, and the complex
-2n x 2n matrix is built only when GramForm.matrix is first read, as a dense
-reference. The form and the oracle evaluate a stack of states by one doubled
-form, and build the time Gram on the distinct frequencies, expanded to the modes.
+X + Y (states even in time) and X - Y (odd in time). Those blocks are all of
+a Gram: GramForm.quadratic_form evaluates v^H [[X, Y], [Y, X]] v on the phased
+coefficients v = p c, and no library path builds the complex 2n x 2n matrix.
+The form and the oracle evaluate a stack of states by one doubled form, and
+build the time Gram on the distinct frequencies, expanded to the modes.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import FrozenInstanceError, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -342,39 +340,39 @@ def _sine_overlap_matrix(ks: np.ndarray, interval, scale: float) -> np.ndarray:
 # Gram assembly
 
 
+@dataclass(frozen=True, eq=False)
 class GramForm:
     """Hermitian PSD form with c^H G c = observation integral of the state.
 
-    The Gram is held as centred = (X, Y, angle): its matrix is conj(p_i) p_j
-    [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)} and X, Y real n x n and
-    symmetric to the last bit, which makes it Hermitian to the last bit. The
-    blocks are kept, not copied, and made read-only. quadratic_form reads the
-    blocks; the complex matrix is built once, on the first read of .matrix.
-    Two Grams are equal when their spec, mode set and blocks agree to the
-    last bit, and the JSON form holds the blocks.
+    The Gram is held as its centred blocks X, Y and angle: its matrix is
+    conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle, -angle)} and X, Y
+    real n x n and symmetric to the last bit, which makes it Hermitian to the
+    last bit. The blocks are kept, not copied, and made read-only;
+    quadratic_form reads them. Two Grams are equal when their spec, mode set
+    and blocks agree to the last bit.
     """
 
-    def __init__(self, mode_set: ModeSet, spec: ObservationSpec, x, y, angle) -> None:
-        n = len(mode_set)
-        x, y, angle = (np.ascontiguousarray(part, dtype=float) for part in (x, y, angle))
+    mode_set: ModeSet
+    spec: ObservationSpec
+    x: np.ndarray
+    y: np.ndarray
+    angle: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.mode_set)
+        x, y, angle = (np.ascontiguousarray(part, dtype=float) for part in self.centred)
         if x.shape != (n, n) or y.shape != (n, n) or angle.shape != (n,):
             raise ValueError(f"centred blocks must be {n}x{n} with {n} angles")
         if not (np.array_equal(x, x.T) and np.array_equal(y, y.T)):
             raise ValueError("centred blocks must be symmetric")
-        for part in (x, y, angle):
+        for name, part in zip(("x", "y", "angle"), (x, y, angle)):
             part.flags.writeable = False
-        vars(self).update(mode_set=mode_set, spec=spec, centred=(x, y, angle), _matrix=None)
+            object.__setattr__(self, name, part)
 
     @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            g = _centred_matrix(*self.centred)
-            g.flags.writeable = False
-            vars(self)["_matrix"] = g
-        return self._matrix
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    def centred(self) -> tuple:
+        """(X, Y, angle)."""
+        return self.x, self.y, self.angle
 
     def _key(self) -> tuple:
         return (self.spec, self.mode_set, tuple(part.tobytes() for part in self.centred))
@@ -393,31 +391,8 @@ class GramForm:
         n = len(self.mode_set)
         if c.ndim not in (1, 2) or c.shape[-1] != 2 * n:
             raise ValueError(f"coefficients must have shape ({2 * n},) or (N, {2 * n})")
-        p = np.exp(1j * self.centred[2])
-        return _doubled_forms(*self.centred[:2], p * c[..., :n], p.conj() * c[..., n:])
-
-    def to_json(self) -> str:
-        ms = self.mode_set
-        x, y, angle = self.centred
-        doc = {
-            "geometry": {"ell1": ms.geometry.ell1, "ell2": ms.geometry.ell2},
-            "K1": ms.K1,
-            "K2": ms.K2,
-            "mode_order": np.stack([ms.k1, ms.k2], axis=1).tolist(),
-            "spec": self.spec.to_dict(),
-            "x": x.tolist(),
-            "y": y.tolist(),
-            "angle": angle.tolist(),
-        }
-        return json.dumps(doc, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "GramForm":
-        doc = json.loads(text)
-        geom = RectangleGeometry(doc["geometry"]["ell1"], doc["geometry"]["ell2"])
-        ms = build_mode_set(geom, doc["K1"], doc["K2"])
-        spec = ObservationSpec.from_dict(doc["spec"])
-        return GramForm(ms, spec, doc["x"], doc["y"], doc["angle"])
+        p = np.exp(1j * self.angle)
+        return _doubled_forms(self.x, self.y, p * c[..., :n], p.conj() * c[..., n:])
 
 
 def _frequencies(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
@@ -451,18 +426,21 @@ def _spatial_sum(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axi
     axis_gram(factor, ks, z, ell) supplies each 1-D Gram (by default the
     closed forms): the x2 exp profile of OpenRect gives the stack of its a-a
     and a-b blocks, every other factor one matrix that serves both. A
-    factor's Gram is built once per call, on the axis indices 1..K, and
-    expanded to the mode set. Only the time window of a region depends on T,
+    factor's K x K Gram is built once per call, on the axis indices 1..K, and
+    expanded to the mode set for each term that reads it, so only the terms in
+    use are held at n x n. Only the time window of a region depends on T,
     never its terms.
     """
     g = mode_set.geometry
     axes = ((mode_set.k1, mode_set.K1, g.ell1), (mode_set.k2, mode_set.K2, g.ell2))
 
     @functools.cache
+    def axis_grams(factor, axis):
+        _, K, ell = axes[axis]
+        return axis_gram(factor, np.arange(1, K + 1), math.pi / ell, ell)
+
     def expanded(factor, axis):
-        ks, K, ell = axes[axis]
-        gram = axis_gram(factor, np.arange(1, K + 1), math.pi / ell, ell)
-        i = ks - 1
+        gram, i = axis_grams(factor, axis), axes[axis][0] - 1
         return gram[..., i[:, None], i[None, :]] if np.ndim(gram) else gram
 
     total = None
@@ -532,25 +510,6 @@ def _doubled_forms(a: np.ndarray, b: np.ndarray, r1: np.ndarray, r2: np.ndarray)
     return float(f) if f.ndim == 0 else f
 
 
-def _centred_matrix(x: np.ndarray, y: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """The complex doubled Gram conj(p_i) p_j [[X, Y], [Y, X]]_ij, p = e^{i (angle, -angle)}.
-
-    Its a-a block is conj(p_i) p_j X_ij and its a-b block conj(p_i p_j) Y_ij,
-    with p = e^{i angle} here. The complex products are written out in real
-    arithmetic, so the a-a block is Hermitian and the a-b block symmetric to
-    the last bit.
-    """
-    pr, pi = np.cos(angle), np.sin(angle)
-    rr, ii, ri = np.outer(pr, pr), np.outer(pi, pi), np.outer(pr, pi)
-    a = np.empty(x.shape, dtype=complex)
-    a.real = x * (rr + ii)
-    a.imag = x * (ri - ri.T)
-    b = np.empty(y.shape, dtype=complex)
-    b.real = y * (rr - ii)
-    b.imag = -(y * (ri + ri.T))
-    return np.block([[a, b], [b.conj(), a.conj()]])
-
-
 def _closed_gram(spec: ObservationSpec, mode_set: ModeSet, spatial=None) -> GramForm:
     """assemble_gram without the geometry check, on a given spatial sum when there is one."""
     x, y = _gram_blocks(spec, mode_set, _closed_axis_gram, spatial)
@@ -561,8 +520,7 @@ def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
     """Closed-form Gram of the observation integral on the mode set, kept as its centred blocks.
 
     The Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
-    -angle)}; (X, Y, angle) is GramForm.centred, and the complex matrix,
-    Hermitian to the last bit, is built only when GramForm.matrix is read.
+    -angle)}, Hermitian to the last bit; (X, Y, angle) is GramForm.centred.
     """
     spec.validate_geometry(mode_set.geometry)
     return _closed_gram(spec, mode_set)

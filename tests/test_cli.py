@@ -12,12 +12,10 @@ import pytest
 from obslab import (
     THEOREM_IDS,
     EnergyWeight,
-    GramForm,
     ObservationSpec,
     RectangleGeometry,
     VerticalStrip,
     __version__,
-    assemble_gram,
     build_mode_set,
     check_theorem,
     cli,
@@ -656,39 +654,6 @@ def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monke
     assert 300 > cli._CHUNK
     # one time window and one factor per axis of each of the two specs
     assert counts[0] == counts[1] == 2 * 3
-
-
-def test_no_solve_path_builds_the_complex_matrix(tmp_path, monkeypatch):
-    built = []
-    real = observation._centred_matrix
-
-    def counted(*args):
-        built.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(observation, "_centred_matrix", counted)
-    scan = {**CROSS, "T_values": [47.84977149867659, 50.0]}
-    del scan["T"]
-    runs = [
-        ("verify", TWO_LINES),  # verify_observability
-        ("verify", {**TWO_LINES, "samples": 0}),  # check_theorem
-        ("scan-t", scan),
-        ("constants", CROSS),  # empirical_constants
-        ("oracle-check", ORACLE),
-    ]
-    for command, config in runs:
-        assert run(tmp_path, command, config, fmt="json")[0] == 0, command
-    assert built == []
-
-    # the matrix is still there when read: built once, complex and Hermitian to the last bit
-    spec = ObservationSpec.from_dict({**CROSS["spec"], "T": CROSS["T"], "model": "wave"})
-    gram = assemble_gram(spec, build_mode_set(RectangleGeometry(PI, PI), 6, 6))
-    back = GramForm.from_json(gram.to_json())  # JSON holds the blocks, not the matrix
-    assert back == gram and built == []
-    g = gram.matrix
-    assert gram.matrix is g and len(built) == 1
-    assert g.dtype == complex and np.array_equal(g, g.conj().T)
-    assert np.array_equal(back.matrix, g)
 
 
 def test_cli_imports_no_private_names():

@@ -1,8 +1,11 @@
 """The names the package exports: one may go only by an edit of this list."""
 
 import ast
+import dataclasses
 import types
 from pathlib import Path
+
+import pytest
 
 import obslab
 
@@ -75,6 +78,21 @@ def test_public_names_are_pinned():
     )
     assert PUBLIC == sorted(PUBLIC)
     assert exported == PUBLIC
+
+
+def test_gram_form_is_its_centred_blocks(square):
+    fields = tuple(f.name for f in dataclasses.fields(obslab.GramForm))
+    assert fields == ("mode_set", "spec", "x", "y", "angle")
+    ms = obslab.build_mode_set(square, 3, 3)
+    spec = obslab.ObservationSpec(obslab.VerticalStrip(1.0, 2.0), "velocity", 2.0, "wave")
+    gram = obslab.assemble_gram(spec, ms)
+    for name in ("matrix", "to_json", "from_json"):
+        assert not hasattr(obslab.GramForm, name) and not hasattr(gram, name)
+    for name in fields + ("centred", "matrix", "other"):
+        with pytest.raises(AttributeError):
+            setattr(gram, name, None)
+    low = obslab.Pencil([gram], obslab.EnergyWeight(1.0, "wave").diagonal(ms)).lowest()
+    assert type(low) is float
 
 
 def _unused_imports(source: str) -> list:
