@@ -126,8 +126,7 @@ def cmd_constants(config: dict, seed: int) -> tuple:
     specs = _specs(config)
     s = float(config.get("weight", {}).get("s", 1))
     weight = EnergyWeight(s, specs[0].model)
-    report = empirical_constants(specs, weight, ms)
-    return json.loads(report.to_json()), True
+    return empirical_constants(specs, weight, ms).to_dict(), True
 
 
 def cmd_diophantine(config: dict, seed: int) -> tuple:

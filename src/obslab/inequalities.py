@@ -6,7 +6,8 @@ predicted constants are closed-form functions of the time horizon and of the
 interval and symmetry constants m_{a,b}, m_p, M_p. Both sides meet in
 check_theorem, which compares the predicted constant with the smallest
 eigenvalue on the admissible modes, in scan_theorem, its run over many
-horizons T with the work that does not depend on T done once, and in
+horizons T on the Grams of observation.assemble_grams, which does the work
+that does not depend on T once, and in
 verify_observability, which also sweeps explicit states, a chunk of rows at a
 time, through the inequality observation >= c * energy. The theorems' region
 compositions, constants and symmetries live in one table.
@@ -34,22 +35,15 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
-from .observation import (
-    ObservationSpec,
-    _closed_gram,
-    _into,
-    _spatial_sum,
-    _window_sinc,
-    assemble_gram,
-)
+from .observation import ObservationSpec, _window_sinc, assemble_gram, assemble_grams
 from .spectrum import ModeSet, partial_gap_analysis
-from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_json
+from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
 
 class _Theorem(NamedTuple):
@@ -189,17 +183,19 @@ class ConstantReport:
         if not 0 <= self.c_min <= self.c_max:
             raise ValueError("need 0 <= c_min <= c_max")
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "specs": [s.to_dict() for s in self.specs],
             "weight": {"s": self.weight.s, "model": self.weight.model},
             "K1": self.K1,
             "K2": self.K2,
             "c_min": self.c_min,
             "c_max": self.c_max,
-            "argmin_state": json.loads(state_to_json(self.argmin_state)),
+            "argmin_state": state_to_dict(self.argmin_state),
         }
-        return json.dumps(doc, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +208,8 @@ def _as_spec_tuple(spec) -> tuple:
     specs = tuple(spec)
     if not specs or not all(isinstance(s, ObservationSpec) for s in specs):
         raise ValueError("spec must be an ObservationSpec or a nonempty list of them")
+    if len({s.model for s in specs}) != 1:
+        raise ValueError("all observation pieces must share one model")
     return specs
 
 
@@ -329,28 +327,27 @@ class Pencil:
         if self.mask.shape != (n,) or not self.mask.any():
             raise ValueError(f"mask must select some of the {n} modes")
         keep = np.flatnonzero(self.mask)
-        sub = np.ix_(keep, keep)
-        # the first piece enters as 0.0 + x, as a sum from 0.0 does (-0.0 entries become +0.0);
-        # the other pieces, the D scaling and the odd sector are then written over a and b
-        a = b = None
-        for g in grams:
-            x, y, theta = g.centred
-            if mask is not None:
-                x, y = x[sub], y[sub]
-            if not np.array_equal(theta, self.angle):
+        m, centred = len(keep), [np.array_equal(g.angle, self.angle) for g in grams]
+        # summed into zeros of the sum's dtype, as a sum from 0.0 is (-0.0 entries become +0.0);
+        # the D scaling and the odd sector are then written over a and b
+        dtype = float if all(centred) else complex
+        a, b = np.zeros((m, m), dtype), np.zeros((m, m), dtype)
+        for g, same in zip(grams, centred):
+            x, y = (g.x, g.y) if m == n else (g.x[np.ix_(keep, keep)], g.y[np.ix_(keep, keep)])
+            if not same:
                 # a piece centred elsewhere: rotate its phase to the reference angle, by
                 # per-mode phase products, not e^{i (psi_j - psi_i)}: a rounded angle
                 # difference would be off by ulp(angle), far more than eps when |angle| >> 1
-                q = (np.exp(1j * theta) * np.exp(-1j * self.angle))[keep]
+                q = (np.exp(1j * g.angle) * np.exp(-1j * self.angle))[keep]
                 x, y = x * np.outer(q.conj(), q), y * np.outer(q.conj(), q.conj())
-            a = np.add(0.0, x) if a is None else _into(np.add, a, x)
-            b = np.add(0.0, y) if b is None else _into(np.add, b, y)
+            a += x
+            b += y
         r = 1.0 / np.sqrt(d[keep])
         rr = np.outer(r, r)
         a *= rr
         b *= rr
         del rr
-        if np.iscomplexobj(a) or np.iscomplexobj(b):
+        if np.iscomplexobj(a):
             full = np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
             self.sectors = [(full, np.concatenate([keep, n + keep]))]
         else:
@@ -685,13 +682,13 @@ def _scan(
 ):
     """check_theorem's result and admissible pencil at each T of T_values, as pairs.
 
-    The composition check, the constants m_ab, m_cd, m_o and M_o, the mode
-    mask and each spec's spatial sum (observation._spatial_sum) are computed
-    once; the terms of a region do not depend on T, only its time window.
-    Per T only the time blocks, the velocity amplitude, the pencil and its
-    lowest eigenvalue are built, so every row has the bits of a run at that
-    T alone. With require_threshold, ThresholdError is raised for the first
-    T below the threshold, before any Gram is assembled.
+    The composition check, the constants m_ab, m_cd, m_o and M_o and the mode
+    mask are computed once, and each spec's Grams come from one
+    observation.assemble_grams, which builds its T-independent part once. Per
+    T only the time blocks, the velocity amplitude, the pencil and its lowest
+    eigenvalue are built, so every row has the bits of a run at that T alone.
+    With require_threshold, ThresholdError is raised for the first T below
+    the threshold, before any Gram is assembled.
     """
     geometry = mode_set.geometry
     symmetries = theorem_symmetries(theorem, specs, params, geometry)
@@ -705,11 +702,7 @@ def _scan(
     for sym in symmetries:
         mask &= (mode_set.k1 if sym.axis == "x1" else mode_set.k2) % sym.p != 0
     d = _weight_diagonal(EnergyWeight(1, "wave"), mode_set)
-    for s in specs:
-        s.validate_geometry(geometry)
-    spatial = [_spatial_sum(s, mode_set) for s in specs]
-    for T, pred in zip(T_values, preds):
-        grams = [_closed_gram(replace(s, T=T), mode_set, sp) for s, sp in zip(specs, spatial)]
+    for T, pred, *grams in zip(T_values, preds, *(assemble_grams(s, mode_set, T_values) for s in specs)):
         pen = Pencil(grams, d, mask)
         c, c_min = pred["c"], pen.lowest()
         result = {
@@ -722,13 +715,6 @@ def _scan(
             "passed": c is not None and c_min >= c * (1 - 1e-9),
         }
         yield result, pen
-
-
-def _check(
-    theorem: str, specs: tuple, mode_set: ModeSet, params: dict, require_threshold: bool
-) -> tuple:
-    """check_theorem's result and the admissible pencil it was computed from."""
-    return next(_scan(theorem, specs, mode_set, params, [specs[0].T], require_threshold))
 
 
 def check_theorem(
@@ -746,7 +732,8 @@ def check_theorem(
     raised before any Gram is assembled. This is the one-T case of
     scan_theorem.
     """
-    return _check(theorem, _as_spec_tuple(spec), mode_set, params, require_threshold)[0]
+    specs = _as_spec_tuple(spec)
+    return next(_scan(theorem, specs, mode_set, params, [specs[0].T], require_threshold))[0]
 
 
 def scan_theorem(theorem: str, spec, mode_set: ModeSet, params: dict, T_values) -> list:
@@ -754,15 +741,14 @@ def scan_theorem(theorem: str, spec, mode_set: ModeSet, params: dict, T_values) 
 
     Every spec's horizon is set to T; row i equals check_theorem of the specs
     at T_values[i] to the last bit. The work that does not depend on T (the
-    composition check, m_ab, m_o/M_o, the mode mask and each spec's spatial
-    sum) is done once per scan, and only one T's Grams and pencil are held at
-    a time.
+    composition check, m_ab, m_o/M_o and the mode mask here, each spec's
+    spatial sum in observation.assemble_grams) is done once per scan, and only
+    one T's Grams and pencil are held at a time.
     """
     T_values = [float(T) for T in T_values]
     if not T_values:
         raise ValueError("need at least one T")
-    rows = _scan(theorem, _as_spec_tuple(spec), mode_set, params, T_values, False)
-    return [result for result, _ in rows]
+    return [row for row, _ in _scan(theorem, _as_spec_tuple(spec), mode_set, params, T_values, False)]
 
 
 def _row_chunks(blocks, mode_set: ModeSet):
@@ -819,7 +805,7 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
         raise ValueError("need at least one state")
     ms = first.mode_set
 
-    result, pen = _check(theorem, specs, ms, params, require_threshold=True)
+    result, pen = next(_scan(theorem, specs, ms, params, [specs[0].T], True))
     c_pred = result["c_predicted"]
 
     # chunks of rows: stray mass, energies sum_k d_k (|a_k|^2 + |b_k|^2) and the sector forms

@@ -5,11 +5,12 @@ coefficient vector (a-block then b-block). Each region names its separable
 pieces: a time window and a signed sum of products of an x1 factor and an x2
 factor. The Gram is the field amplitude product times the Hadamard product of
 three 1-D Grams, over time, x1 and x2, and the doubled Gram is
-[[A, B], [conj B, conj A]] in its a-a block A and a-b block B. assemble_gram
-takes the 1-D Grams in closed form; the oracle runs the same piece list and
-factorisation on composite-Simpson sums over pointwise samples and shares no
-closed form. A dense tensor-grid reference that guards the factorisation lives
-in the tests.
+[[A, B], [conj B, conj A]] in its a-a block A and a-b block B. assemble_grams
+takes the 1-D Grams in closed form, at many horizons T on one sum of the x1
+and x2 products (only the time window depends on T); the oracle runs the same
+piece list and factorisation on composite-Simpson sums over pointwise samples
+and shares no closed form. A dense tensor-grid reference that guards the
+factorisation lives in the tests.
 
 The closed forms are written about the centre c of each window of length L:
 the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -461,16 +462,15 @@ def _into(ufunc, a, b):
     return ufunc(a, b)
 
 
-def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram, spatial=None) -> np.ndarray:
+def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram, spatial) -> np.ndarray:
     """Stack (A, B) of the doubled Gram [[A, B], [conj B, conj A]] over the region's pieces.
 
-    Each block is amp-weighted Kt o spatial, with spatial the sum
-    _spatial_sum(spec, mode_set, axis_gram) unless it is given: a scan over T
-    builds it once. axis_gram also supplies the time window's Gram Kt, the stack
-    of its a-a and a-b blocks, on the distinct frequencies, expanded to the modes.
+    Each block is amp-weighted Kt o spatial, with spatial the T-independent sum
+    _spatial_sum(spec, mode_set, axis_gram), which a caller builds once for any
+    number of horizons. axis_gram also supplies the time window's Gram Kt, the
+    stack of its a-a and a-b blocks, on the distinct frequencies, expanded to
+    the modes.
     """
-    if spatial is None:
-        spatial = _spatial_sum(spec, mode_set, axis_gram)
     w = _frequencies(spec, mode_set)
     window = spec.region.pieces(spec.T)[0]
     distinct, i = np.unique(w, return_inverse=True)
@@ -510,10 +510,18 @@ def _doubled_forms(a: np.ndarray, b: np.ndarray, r1: np.ndarray, r2: np.ndarray)
     return float(f) if f.ndim == 0 else f
 
 
-def _closed_gram(spec: ObservationSpec, mode_set: ModeSet, spatial=None) -> GramForm:
-    """assemble_gram without the geometry check, on a given spatial sum when there is one."""
-    x, y = _gram_blocks(spec, mode_set, _closed_axis_gram, spatial)
-    return GramForm(mode_set, spec, x, y, _centre_angle(spec, mode_set))
+def assemble_grams(spec: ObservationSpec, mode_set: ModeSet, T_values):
+    """Yield assemble_gram of the spec with its horizon set to each T of T_values, to the bit.
+
+    The geometry is checked and the T-independent spatial sum built once, at
+    the first Gram; per T only the time blocks, the amplitude and the angle.
+    """
+    spec.validate_geometry(mode_set.geometry)
+    spatial = _spatial_sum(spec, mode_set)
+    for T in T_values:
+        at = replace(spec, T=T)
+        x, y = _gram_blocks(at, mode_set, _closed_axis_gram, spatial)
+        yield GramForm(mode_set, at, x, y, _centre_angle(at, mode_set))
 
 
 def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
@@ -521,9 +529,9 @@ def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
 
     The Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
     -angle)}, Hermitian to the last bit; (X, Y, angle) is GramForm.centred.
+    It is the one-T case of assemble_grams.
     """
-    spec.validate_geometry(mode_set.geometry)
-    return _closed_gram(spec, mode_set)
+    return next(assemble_grams(spec, mode_set, [spec.T]))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +575,8 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
 @functools.lru_cache(maxsize=1)
 def _sampled_blocks(spec: ObservationSpec, mode_set: ModeSet, res: int) -> np.ndarray:
     """_gram_blocks on Simpson samples, read-only and kept for the next call on the same spec."""
-    blocks = _gram_blocks(spec, mode_set, functools.partial(_sampled_axis_gram, res=res))
+    axis_gram = functools.partial(_sampled_axis_gram, res=res)
+    blocks = _gram_blocks(spec, mode_set, axis_gram, _spatial_sum(spec, mode_set, axis_gram))
     blocks.flags.writeable = False
     return blocks
 

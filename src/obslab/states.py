@@ -226,20 +226,24 @@ def random_state(mode_set: ModeSet, seed: int, decay: float = 0.0) -> SpectralSt
     return SpectralState(mode_set, batch.a[0], batch.b[0])
 
 
-def state_to_json(state: SpectralState) -> str:
-    """Serialize one state to JSON; float repr makes the round trip bit-exact."""
+def state_to_dict(state: SpectralState) -> dict:
+    """One state as the JSON object state_to_json writes."""
     ms = _single(state).mode_set
     rows = [
         [k1, k2, a.real, a.imag, b.real, b.imag]
         for k1, k2, a, b in zip(ms.k1.tolist(), ms.k2.tolist(), state.a.tolist(), state.b.tolist())
     ]
-    doc = {
+    return {
         "geometry": {"ell1": ms.geometry.ell1, "ell2": ms.geometry.ell2},
         "K1": ms.K1,
         "K2": ms.K2,
         "coefficients": rows,
     }
-    return json.dumps(doc, sort_keys=True)
+
+
+def state_to_json(state: SpectralState) -> str:
+    """Serialize one state to JSON; float repr makes the round trip bit-exact."""
+    return json.dumps(state_to_dict(state), sort_keys=True)
 
 
 def state_from_json(text: str) -> SpectralState:

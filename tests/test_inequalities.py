@@ -1,6 +1,7 @@
 """Pencil constants, explicit formulas, Ingham-type checks, verification sweeps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from obslab import (
     VerticalSegments,
     VerticalStrip,
     assemble_gram,
+    assemble_grams,
     build_mode_set,
     check_theorem,
     corollary33_check,
@@ -47,7 +49,7 @@ from obslab import (
     theorem_symmetries,
     verify_observability,
 )
-from obslab import inequalities
+from obslab import inequalities, observation
 from obslab.inequalities import ConstantReport, ThresholdError
 from obslab.observation import _interval_kernel
 from gram_reference import dense_gram
@@ -431,6 +433,30 @@ ONE_PER_KIND = [
 
 
 @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda s: type(s.region).__name__)
+def test_assemble_grams_is_assemble_gram_at_each_horizon(square, spec, monkeypatch):
+    # OpenRect carries its own time window, so its Grams differ only in their spec's T
+    ms = build_mode_set(square, 4, 3)
+    ts = [0.5, 2.0, 7.3, 48.0, 2.0]
+    sums = []
+    real = observation._spatial_sum
+
+    def counted(*args):
+        sums.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(observation, "_spatial_sum", counted)
+    grams = assemble_grams(spec, ms, ts)
+    assert sums == []  # nothing is built before the first Gram is drawn
+    first = next(grams)
+    assert len(sums) == 1
+    scanned = [first, *grams]
+    assert len(sums) == 1
+    want = [assemble_gram(replace(spec, T=t), ms) for t in ts]
+    assert [g.spec.T for g in scanned] == ts
+    assert scanned == want  # GramForm equality: spec, mode set and block bytes
+
+
+@pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda s: type(s.region).__name__)
 def test_extremes_match_an_mpmath_reference(square, spec):
     # the even and odd sectors D^-1/2 (X +- Y) D^-1/2 of the assembled blocks, formed and
     # solved at 40 digits: a reference for the float sector build and its LAPACK solve
@@ -477,6 +503,16 @@ def test_constant_report_json(modes4):
 def test_empirical_constants_rejects_empty_spec_list(modes4):
     with pytest.raises(ValueError):
         empirical_constants([], WAVE, modes4)
+
+
+def test_pieces_of_two_models_are_not_summed(modes4):
+    segs = ObservationSpec(VerticalSegments(((1.1, (0.7, 2.3)),)), "displacement", 2.0, "plate")
+    strip = _vspec(VerticalStrip(1.0, 2.0))
+    for weight in (WAVE, EnergyWeight(0.0, "plate")):
+        with pytest.raises(ValueError, match="^all observation pieces must share one model$"):
+            empirical_constants([segs, strip], weight, modes4)
+    with pytest.raises(ValueError, match="share one model"):
+        pencil([strip, segs], WAVE, modes4)
 
 
 def test_pencil_rejects_an_empty_mask_and_rows_of_the_wrong_length(modes4):
@@ -753,8 +789,8 @@ def test_check_theorem_serves_verify_with_one_assembly(square, monkeypatch):
         return call
 
     # the assembly is split into the spatial sum and the time blocks on it
-    monkeypatch.setattr(inequalities, "_spatial_sum", counted(sums, inequalities._spatial_sum))
-    monkeypatch.setattr(inequalities, "_closed_gram", counted(grams, inequalities._closed_gram))
+    monkeypatch.setattr(observation, "_spatial_sum", counted(sums, observation._spatial_sum))
+    monkeypatch.setattr(observation, "_gram_blocks", counted(grams, observation._gram_blocks))
     states = _projected_states(ms, range(3), p=2, q=2)
     report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
     assert sums == specs and grams == specs

@@ -35,6 +35,7 @@ PUBLIC = [
     "VerticalSegments",
     "VerticalStrip",
     "assemble_gram",
+    "assemble_grams",
     "build_algebraic_points",
     "build_mode_set",
     "check_gap_lemma",
