@@ -115,10 +115,10 @@ def cmd_scan_t(config: dict, seed: int) -> tuple:
     params = dict(config.get("params", {}))
     rows = []
     for r in scan_theorem(config["theorem"], _specs(config, T=ts[0]), ms, params, ts):
-        c = math.nan if r["c_predicted"] is None else r["c_predicted"]
-        row = {"T": r["T"], "c_min": r["empirical_c_min"], "c_predicted": c, "pass": r["passed"]}
-        rows.append(row)
-    return {"rows": rows}, all(r["pass"] for r in rows if not math.isnan(r["c_predicted"]))
+        # c_predicted is None below the threshold: null in JSON, nan in CSV
+        c = r["c_predicted"]
+        rows.append({"T": r["T"], "c_min": r["empirical_c_min"], "c_predicted": c, "pass": r["passed"]})
+    return {"rows": rows}, all(r["pass"] for r in rows if r["c_predicted"] is not None)
 
 
 def cmd_constants(config: dict, seed: int) -> tuple:
@@ -166,6 +166,8 @@ def cmd_oracle_check(config: dict, seed: int) -> tuple:
         raise ValueError("samples must be >= 1")
     resolution = _integer("resolution", config.get("resolution", 256))
     tol = float(config.get("tolerance", 1e-6))
+    if not 0 < tol < math.inf:  # a nan tolerance fails this too
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     decay = float(config.get("decay", 0.0))
     worst = 0.0
     for spec in specs:  # spec by spec: the oracle samples a spec's Grams once for all its rows
@@ -200,7 +202,7 @@ def _csv_scan(rows, config: dict) -> str:
     lines.append("# config=" + json.dumps(config, sort_keys=True))
     lines.append("T,c_min,c_predicted,pass")
     for r in rows:
-        c = "nan" if math.isnan(r["c_predicted"]) else repr(r["c_predicted"])
+        c = "nan" if r["c_predicted"] is None else repr(r["c_predicted"])
         lines.append(f"{r['T']!r},{r['c_min']!r},{c},{str(r['pass']).lower()}")
     return "\n".join(lines) + "\n"
 

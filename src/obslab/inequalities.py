@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
 from .observation import ObservationSpec, _window_sinc, assemble_gram, assemble_grams
-from .spectrum import ModeSet, partial_gap_analysis
+from .spectrum import ModeSet, _matmul, partial_gap_analysis
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
 
@@ -421,7 +421,7 @@ class Pencil:
         out = np.zeros(len(c))
         for s, index in self.sectors:
             v = np.concatenate([u[:, index].real, u[:, index].imag])
-            f = np.sum((v @ s) * v, axis=1)
+            f = np.sum(_matmul(v, s) * v, axis=1)
             out += f[: len(c)] + f[len(c) :]
         return out
 
@@ -826,7 +826,7 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
         if excluded.any():
             scale = np.maximum(mag.max(axis=1), 1e-300)
             stray += int(np.sum(mag[:, excluded].max(axis=1) > 1e-12 * scale))
-        energies = (mag[:, :n] ** 2 + mag[:, n:] ** 2) @ pen.d
+        energies = _matmul(mag[:, :n] ** 2 + mag[:, n:] ** 2, pen.d)
         zero += int(np.sum(energies <= 0))
         positive = np.where(energies > 0, energies, math.inf)
         ratios = pen.quadratic_forms(coeffs) / positive
@@ -875,7 +875,7 @@ def _ingham_form(w: np.ndarray, coeffs: np.ndarray, T: float) -> float:
     for r0 in range(0, w.size, _INGHAM_BLOCK):
         rows = slice(r0, r0 + _INGHAM_BLOCK)
         block = _window_sinc(w[None, :] - w[rows, None], 0.0, T)
-        lhs += float(np.vdot(parts[rows], block @ parts))
+        lhs += float(_matmul(parts[rows].ravel(), _matmul(block, parts).ravel()))
     return lhs
 
 

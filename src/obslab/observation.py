@@ -33,7 +33,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, build_mode_set
+from .spectrum import ModeSet, RectangleGeometry, _matmul, build_mode_set
 
 # Factors of the separable pieces. Each is a tuple (kind, *positions on its axis):
 # the full axis, an interval, a point, the normal derivative at the x = 0 edge,
@@ -503,7 +503,9 @@ def _doubled_forms(a: np.ndarray, b: np.ndarray, r1: np.ndarray, r2: np.ndarray)
     A real block (a closed Gram's) multiplies the real and imaginary parts, never a complex copy.
     """
     def times(v, m):  # v @ m.T
-        return v @ m.T if np.iscomplexobj(m) else v.real @ m.T + 1j * (v.imag @ m.T)
+        if np.iscomplexobj(m):
+            return _matmul(v, m.T)
+        return _matmul(v.real, m.T) + 1j * _matmul(v.imag, m.T)
     u = np.stack([r1, r2.conj()])
     diag = np.sum(u.conj() * times(u, a), axis=-1).real
     f = diag[0] + diag[1] + 2.0 * np.sum(r1.conj() * times(r2, b), axis=-1).real
@@ -564,12 +566,12 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
     if kind == "exp":
         f = np.exp(1j * np.outer(z * ks, x))
         fw = np.conj(f) * wx
-        return np.stack([fw @ f.T, fw @ np.conj(f).T])
+        return np.stack([_matmul(fw, f.T), _matmul(fw, np.conj(f).T)])
     if kind == "edge":
         f = (z * ks)[:, None] * np.cos(np.outer(z * ks, x))
     else:
         f = np.sin(np.outer(z * ks, x))
-    return (f * wx) @ f.T
+    return _matmul(f * wx, f.T)
 
 
 @functools.lru_cache(maxsize=1)
@@ -621,4 +623,4 @@ def thm21_fourfamily_form(coeffs, omega: OpenRect, geometry: RectangleGeometry) 
     cvec = np.concatenate([f.reshape(-1) for f in fams])
     kt = _interval_kernel(wt[None, :] - wt[:, None], omega.t0, omega.t1)
     kx = _interval_kernel(wx[None, :] - wx[:, None], omega.x0, omega.x1)
-    return float(np.real(np.vdot(cvec, (kt * kx) @ cvec)))
+    return float(np.real(_matmul(cvec.conj(), _matmul(kt * kx, cvec))))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, build_mode_set
+from .spectrum import ModeSet, RectangleGeometry, _matmul, build_mode_set
 
 _MODELS = ("plate", "wave")
 
@@ -188,7 +188,7 @@ def axis_trace(state: SpectralState, axis: str, transverse: float, n_samples: in
     point = np.sin(across * (math.pi * transverse / ell_c))
     # (n_samples, n_modes) sine table contracted against weighted coefficients
     table = np.sin(np.outer(x, along * (math.pi / ell_a)))
-    return table @ (c * point)
+    return _matmul(table, c * point)
 
 
 def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState:
@@ -198,8 +198,11 @@ def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState
     gives rough data, decay >= 2 the smooth regime. Row i draws 4n uniforms
     from np.random.default_rng(seeds[i]): the radii and angles of a, then
     those of b; the square roots, phases and scale then act on the whole
-    stack. A decay whose scale underflows to zero on every mode is rejected,
-    since its states would all be zero.
+    stack. The phases go in as cos and sin, written into the real and
+    imaginary parts of one (2, N, n) array, which the radii and then, for a
+    nonzero decay, the scale multiply; so a and b come out contiguous. A decay
+    whose scale underflows to zero on every mode is rejected, since its
+    states would all be zero.
     """
     decay = float(decay)
     if not math.isfinite(decay) or decay < 0:
@@ -212,9 +215,14 @@ def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState
     u = np.empty((len(seeds), 4, n))
     for row, seed in zip(u, seeds):
         np.random.default_rng(seed).random(out=row.reshape(-1))
-    r = np.sqrt(u[:, 0::2])
-    phi = 2.0 * math.pi * u[:, 1::2]
-    a, b = np.moveaxis(r * np.exp(1j * phi) * scale, 1, 0)
+    phi = 2.0 * math.pi * np.moveaxis(u[:, 1::2], 1, 0)
+    z = np.empty(phi.shape, dtype=complex)
+    np.cos(phi, out=z.real)
+    np.sin(phi, out=z.imag)
+    z *= np.sqrt(np.moveaxis(u[:, 0::2], 1, 0))
+    if decay != 0:
+        z *= scale
+    a, b = z
     dead = ~(a.any(axis=1) | b.any(axis=1))
     a[dead, 0] = scale[0]  # measure-zero guard: a state is never all zero
     return SpectralState(mode_set, a, b)

@@ -324,6 +324,22 @@ def test_scan_t_json(tmp_path):
     assert rows[0]["pass"] is True
 
 
+def test_scan_t_json_writes_null_below_the_threshold(tmp_path):
+    config = {k: v for k, v in CROSS.items() if k != "T"}
+    config["T_values"] = [2.0, 60.0]
+
+    def no_constant(name):
+        raise AssertionError(f"invalid JSON constant {name}")
+
+    code, text = run(tmp_path, "scan-t", config, fmt="json")
+    below, above = json.loads(text, parse_constant=no_constant)["result"]["rows"]
+    assert below["c_predicted"] is None and below["pass"] is False
+    assert above["c_predicted"] > 0 and above["pass"] is True
+    assert code == 0  # a row below the threshold is not a failure
+    _, csv = run(tmp_path, "scan-t", config)
+    assert csv.splitlines()[3].split(",")[2:] == ["nan", "false"]
+
+
 def test_scan_t_rejects_unordered_values(tmp_path):
     config = {**TWO_LINES, "T_values": [30.0, 20.0]}
     config.pop("T")
@@ -633,6 +649,14 @@ def test_oracle_check_rejects_non_finite_input(tmp_path, change):
     assert text == ""
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+def test_oracle_check_rejects_an_unusable_tolerance(tmp_path, capsys, tolerance):
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    code, text = run(tmp_path, "oracle-check", {**ORACLE, "tolerance": tolerance})
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err.startswith("config error: tolerance must be finite and > 0")
+
+
 def test_oracle_check_fails_on_non_finite_values(tmp_path, monkeypatch):
     def nan_per_row(states, spec, resolution):
         return np.full(len(states.a), math.nan)
@@ -677,7 +701,8 @@ def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monke
 
 
 def test_cli_imports_no_private_names():
-    # nor does any other module, but inequalities, whose Ingham forms read the sinc kernel
+    # nor does any other module, but those that form products through the one BLAS helper and
+    # inequalities, whose Ingham forms read the sinc kernel
     private = {}
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -691,7 +716,11 @@ def test_cli_imports_no_private_names():
         ]
         if names:
             private[path.name] = names
-    assert private == {"inequalities.py": ["_window_sinc"]}
+    assert private == {
+        "inequalities.py": ["_window_sinc", "_matmul"],
+        "observation.py": ["_matmul"],
+        "states.py": ["_matmul"],
+    }
 
 
 def test_cli_names_no_theorem():

@@ -1,6 +1,8 @@
 """Mode sets, eigenvalues, and gap analysis on the rectangle."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from obslab import (
     build_mode_set,
     check_gap_lemma,
     partial_gap_analysis,
+    spectrum,
 )
+from obslab.spectrum import _matmul
 
 
 def test_geometry_derived_constants():
@@ -274,3 +278,69 @@ def test_partial_gap_gamma_certifies_pairs(n, size):
         for j in idx:
             if i != j and max(i, j) >= n:
                 assert abs(w[j - 1] - w[i - 1]) >= abs(j - i) * gamma * (1 - 1e-12)
+
+
+def _layout(x, layout):
+    """x as a C-ordered, an F-ordered or a strided array (the real part of a complex array, say)."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    if np.iscomplexobj(x):
+        return np.stack([x, x], axis=-1)[..., 0]
+    return (x + 1j).real
+
+
+PRODUCT_SHAPES = {
+    "matrix": ((7, 5), (5, 3)),
+    "one-row": ((1, 5), (5, 3)),
+    "one-column": ((7, 5), (5, 1)),
+    "one-entry": ((1, 5), (5, 1)),
+    "matrix-vector": ((7, 5), (5,)),
+    "vector-matrix": ((5,), (5, 3)),
+    "vector-vector": ((5,), (5,)),
+    "stack": ((2, 7, 5), (5, 3)),
+    "empty": ((0, 5), (5, 3)),
+}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize(
+    "kinds", [(float, float), (complex, complex), (float, complex)], ids=["real", "complex", "mixed"]
+)
+@pytest.mark.parametrize("shapes", PRODUCT_SHAPES.values(), ids=PRODUCT_SHAPES.keys())
+def test_matmul_matches_the_matmul_operator(layout, kinds, shapes):
+    rng = np.random.default_rng(len(layout) + 7 * len(shapes[0]))
+
+    def draw(shape, kind):
+        x = rng.standard_normal(shape)
+        return _layout(x + 1j * rng.standard_normal(shape) if kind is complex else x, layout)
+
+    a, b = (draw(shape, kind) for shape, kind in zip(shapes, kinds))
+    got, want = _matmul(a, b), a @ b
+    assert got.shape == np.shape(want) and got.dtype == np.result_type(a, b)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b))
+    assert got.flags.c_contiguous
+
+
+def test_matmul_rejects_operands_that_do_not_chain():
+    with pytest.raises(ValueError, match="do not chain"):
+        _matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+
+def test_every_product_goes_through_the_blas_helper():
+    # numpy's products run in numpy's own OpenBLAS pool, not in scipy's with the pencil's LAPACK
+    numpy_products = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+    found = []
+    for path in sorted(Path(spectrum.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            op = getattr(node, "op", None)
+            call = node.func if isinstance(node, ast.Call) else None
+            if isinstance(op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(call, ast.Attribute) and call.attr in numpy_products:
+                found.append((path.name, node.lineno, call.attr))
+            elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+                if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                    found.append((path.name, node.lineno, "np.linalg"))
+    assert found == []

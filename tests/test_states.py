@@ -152,6 +152,20 @@ def test_random_state_keeps_the_four_draw_stream(modes6, decay):
         assert random_state(modes6, seed, decay) == _four_draw_state(modes6, seed, decay)
 
 
+@pytest.mark.parametrize("decay", [0.0, 1.5])
+def test_random_states_write_the_exp_phases_within_one_ulp(modes6, decay):
+    # cos and sin in place of the complex exp: equal on this numpy, within an ulp on any other
+    seeds = range(5, 5 + 256)
+    batch = random_states(modes6, seeds, decay)
+    n = len(modes6)
+    u = np.stack([np.random.default_rng(seed).random(4 * n).reshape(4, n) for seed in seeds])
+    want = np.sqrt(u[:, 0::2]) * np.exp(1j * (2.0 * math.pi * u[:, 1::2])) * modes6.lam ** (-decay)
+    got = np.stack([batch.a, batch.b], axis=1)
+    np.testing.assert_array_max_ulp(got.real, want.real, maxulp=1)
+    np.testing.assert_array_max_ulp(got.imag, want.imag, maxulp=1)
+    assert batch.a.base is not None and batch.a.base is batch.b.base  # one array, not copied
+
+
 @pytest.mark.parametrize("count", [1, 255, 256, 257])
 @pytest.mark.parametrize("decay", [0.0, 0.5])
 @pytest.mark.parametrize("projected", [False, True], ids=["plain", "two_lines"])
