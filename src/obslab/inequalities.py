@@ -17,31 +17,36 @@ Grams' centred blocks. Each closed Gram is a phase around [[X, Y], [Y, X]]
 (see observation), so with one window centre the pencil splits into the real
 n x n sectors D^{-1/2} (X + Y) D^{-1/2} (even in time) and
 D^{-1/2} (X - Y) D^{-1/2} (odd in time); pieces centred apart are rotated to
-one centre and form one real 2n x 2n sector. A theorem's symmetry mask acts
-per mode, so each sector is restricted to the admissible modes before its
-solve. empirical_constants lifts the minimiser back through the sector sign,
-1/sqrt 2 and the phase, and certifies c_min by its Rayleigh quotient on the
-doubled form of each Gram. check_theorem takes the smallest eigenvalue of
-the masked sectors (Pencil.lowest, which computes no eigenvector), and
-verify_observability sweeps states through the sector quadratic forms, a few
-hundred states per real GEMM. Each sector is reduced to tridiagonal form
-once, and both its extreme eigenvalues and the minimiser come from that
-reduction, equal to scipy.linalg.eigh's subset solves to the bit.
+one centre and form one real 2n x 2n sector. The pieces' rows are summed, a
+block of whole k2-rows at a time, straight into A = sum X and B = sum Y, with
+no GramForm, and each D-scaled sector is written in turn into the slice that
+follows A and B in their array, where LAPACK reduces it in place. A
+theorem's symmetry mask acts per mode, so each sector is restricted to the
+admissible modes before its solve. empirical_constants lifts the minimiser
+back through the sector sign, 1/sqrt 2 and the phase, and certifies c_min by
+its Rayleigh quotient on the doubled form of the summed, unscaled blocks.
+check_theorem takes the smallest eigenvalue of the masked sectors
+(Pencil.lowest, which computes no eigenvector), and verify_observability
+sweeps states through the sector quadratic forms, a few hundred states per
+real GEMM. Each sector is reduced to tridiagonal form once, and both its
+extreme eigenvalues and the minimiser come from that reduction, equal to
+scipy.linalg.eigh's subset solves to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
-from .observation import ObservationSpec, _window_sinc, assemble_gram, assemble_grams
+from .observation import ObservationSpec, _doubled_forms, _piece_rows, _window_sinc, assemble_gram
 from .spectrum import ModeSet, _matmul, partial_gap_analysis
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
@@ -87,6 +92,8 @@ _PI = math.pi
 _CHUNK = 256
 # rows per block of the sinc matrix in the Ingham forms
 _INGHAM_BLOCK = 128
+# entries per block of sector rows written from the summed Gram blocks
+_ROW_BLOCK = 1 << 14
 
 
 class ThresholdError(ValueError):
@@ -236,7 +243,7 @@ def _lapack(name: str, *args, **kwargs) -> list:
 
 
 class _Reduction:
-    """One real symmetric sector s reduced to tridiagonal form, as eigh reduces it for a subset.
+    """One real symmetric sector reduced to tridiagonal form, as eigh reduces it for a subset.
 
     scipy.linalg.eigh(s, subset_by_index=[i, i]) runs LAPACK dsyevr: dsytrd
     takes s to a tridiagonal T = Q^T s Q, dstebz bisects T for its
@@ -246,20 +253,19 @@ class _Reduction:
     step gets dsyevr's arguments and its share of dsyevr's workspace, and
     the finiteness check, the 1 x 1 case and the rescaling of a max-norm
     outside [_RMIN, _RMAX] are eigh's and dsyevr's, so every value and
-    vector equals eigh's bit for bit.
+    vector equals eigh's bit for bit. The sector a is F-ordered, and it is
+    scaled and reduced in place: no copy is made.
     """
 
-    def __init__(self, s: np.ndarray) -> None:
-        s = np.asarray_chkfinite(s)  # eigh's check: ValueError on a nan or an inf
-        n = self.n = len(s)
+    def __init__(self, a: np.ndarray) -> None:
+        a = np.asarray_chkfinite(a)  # eigh's check: ValueError on a nan or an inf
+        n = self.n = len(a)
         if n == 1:  # dsyevr returns the entry, unscaled, and the vector 1
-            self.d = s[0].copy()
+            self.d = a[0].copy()
             return
         self.lwork = int(_lapack("dsyevr_lwork", n, lower=1)[0])
-        # dsytrd reads the lower triangle of s: the upper one of s.T, without a copy
-        norm = lapack.dlantr("M", s.T, uplo="U")
+        norm = lapack.dlantr("M", a, uplo="L")
         self.sigma = _RMIN / norm if 0 < norm < _RMIN else _RMAX / norm if norm > _RMAX else None
-        a = np.array(s, order="F")
         if self.sigma is not None:
             a *= self.sigma
         self.a, self.d, self.e, self.tau = _lapack(
@@ -289,13 +295,86 @@ class _Reduction:
 
     def vector(self, bisection) -> np.ndarray:
         """The unit eigenvector of lowest's eigenvalue, eigh's to the bit, from lowest's bisection."""
-        if self.n == 1:
+        n = self.n
+        if n == 1:
             return np.ones(1)
         w, block, split = bisection
         (z,) = _lapack("dstein", self.d, self.e, w, block, split)
-        # dormtr for the lower triangle: dormqr with the reflectors below the subdiagonal
-        z[1:] = _lapack("dormqr", "L", "N", self.a[1:, :-1], self.tau, z[1:], self.lwork - 2 * self.n)[0]
+        # dormtr for the lower triangle: dormqr with the reflectors below the subdiagonal, read in
+        # place as the n x (n - 1) F-ordered matrix one entry into a (its last row is not read)
+        v = self.a.reshape(-1, order="F")[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
+        z[1:] = _lapack("dormqr", "L", "N", v, self.tau, z[1:], self.lwork - 2 * n)[0]
         return z[:, 0]
+
+
+def _summed_blocks(sources: list, keep: np.ndarray, n: int) -> tuple:
+    """(angle, work): the pieces' Grams summed about the first piece's angle, on the modes keep.
+
+    sources holds each piece's (angle, rows), as observation._piece_rows
+    gives them. work[0] and work[1] are A and B of the sum
+    [[A, B], [conj B, conj A]] on the m sorted modes keep, into which each
+    piece's rows are added in order, the first piece's to 0.0: a sum from
+    zeros to the bit, -0.0 entries becoming +0.0, with no pass over zeroed
+    memory. When every piece shares the first one's angle, A and B are the
+    real sums of X and Y, and work[2] is a spare m x m slab for the sectors,
+    in the same allocation: one array is faulted in once, and its pages are
+    reused once it is freed, where several smaller ones fault page by page.
+    A piece centred elsewhere is rotated to that angle, and work is the
+    complex (A, B); the rotation is by per-mode phase products, not
+    e^{i (psi_j - psi_i)}: a rounded angle difference would be off by
+    ulp(angle), far more than eps when |angle| >> 1.
+    """
+    m, angle = len(keep), sources[0][0]
+    phases = [
+        None if np.array_equal(psi, angle) else (np.exp(1j * psi) * np.exp(-1j * angle))[keep]
+        for psi, _ in sources
+    ]
+    work = np.empty((3, m, m)) if all(q is None for q in phases) else np.empty((2, m, m), complex)
+    for k, ((_, rows), q) in enumerate(zip(sources, phases)):
+        for r, x, y in rows:
+            lo, hi = np.searchsorted(keep, (r.start, r.stop))
+            if m < n:
+                pick = np.ix_(keep[lo:hi] - r.start, keep)
+                x, y = x[pick], y[pick]
+            if q is not None:
+                x, y = x * (q[lo:hi, None].conj() * q), y * (q[lo:hi, None].conj() * q.conj())
+            for total, part in zip(work[:2, lo:hi], (x, y)):
+                np.add(total if k else 0.0, part, out=total)  # the first piece is added to 0.0
+    return angle, work
+
+
+def _bitwise_symmetric(blocks: np.ndarray) -> bool:
+    """Whether each m x m slice of the real stack equals its transpose to the last bit (-0.0 is not +0.0).
+
+    Each band of rows is compared with the matching band of columns from the
+    diagonal on, so the transposed reads stay within a cache-sized strip.
+    """
+    bits, m = blocks.view(np.int64), blocks.shape[-1]
+    step = max(1, _ROW_BLOCK // m)
+    bands = (slice(lo, lo + step) for lo in range(0, m, step))
+    return all(np.array_equal(bits[:, b, b.start :], bits[:, b.start :, b].transpose(0, 2, 1)) for b in bands)
+
+
+def _write_sector(blocks: np.ndarray, r: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write sector k of D^{-1/2} [[A, B], [conj B, conj A]] D^{-1/2} into out, a block of rows at a time.
+
+    blocks is (A, B) on the m kept modes and r = D^{-1/2} there; A and B are
+    scaled by rr = r r^T, one block of rows at a time. Real blocks give the
+    even sector A rr + B rr (k = 0) and the odd A rr - B rr (k = 1), m x m;
+    complex ones the one real 2m x 2m sector [[Re(A+B), Im(B-A)],
+    [Im(A+B), Re(A-B)]] of A rr and B rr.
+    """
+    m = len(r)
+    step = max(1, _ROW_BLOCK // m)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        rr = np.multiply(r[lo:hi, None], r)
+        a, b = blocks[0, lo:hi] * rr, blocks[1, lo:hi] * rr
+        if np.iscomplexobj(blocks):
+            out[lo:hi, :m], out[m + lo : m + hi, :m] = (a + b).real, (a + b).imag
+            out[lo:hi, m:], out[m + lo : m + hi, m:] = (b - a).imag, (a - b).real
+        else:
+            (np.add, np.subtract)[k](a, b, out=out[lo:hi])
 
 
 class Pencil:
@@ -312,73 +391,95 @@ class Pencil:
     sector. The mode mask acts per mode, so it commutes with that split: each
     sector keeps the rows and columns of the masked modes.
 
-    sectors lists (matrix, index) pairs, index locating the sector's rows in
-    u; grams are the assembled pieces and d the energy weight diagonal.
-    lowest and extremes reduce each sector to tridiagonal form once
+    Pencil(grams, d, mask) sums GramForms; pencil() sums ObservationSpecs,
+    assembled a block of rows at a time, with no GramForm. blocks holds
+    (A, B) on the masked modes, real blocks checked for bitwise symmetry
+    once, and d is the energy weight diagonal. sectors lists (matrix, index)
+    pairs, index locating the sector's rows in u, written from blocks on
+    first access, and grams the pieces' GramForms, assembled on first access
+    when the pencil was built from specs. lowest and extremes write each
+    D-scaled sector in turn into a slab, the slice that follows A and B in
+    their array when real, reduce it in place to tridiagonal form once
     (_Reduction) and read the extreme eigenvalues from it by bisection:
     lowest only the smallest, as a float, and extremes both and the
-    eigenvector of the smallest, from the winning sector's reduction alone.
+    eigenvector of the smallest, from the winning sector's reduction.
     """
 
     def __init__(self, grams: list, d: np.ndarray, mask=None) -> None:
+        self.grams = grams
+        self._sum(grams, grams[0].mode_set, d, mask, {})
+
+    @classmethod
+    def _of_specs(cls, specs: tuple, mode_set: ModeSet, d: np.ndarray, mask, factors: dict) -> "Pencil":
+        """The pencil of the specs' closed Grams, on axis factors shared through factors (by region)."""
+        pen = cls.__new__(cls)
+        pen._specs, pen._mode_set = specs, mode_set
+        pen._sum(specs, mode_set, d, mask, factors)
+        return pen
+
+    def _sum(self, pieces, mode_set: ModeSet, d: np.ndarray, mask, factors: dict) -> None:
         n = len(d)
-        self.grams, self.d, self.angle = grams, d, grams[0].centred[2]
+        self.d = d
         self.mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if self.mask.shape != (n,) or not self.mask.any():
             raise ValueError(f"mask must select some of the {n} modes")
-        keep = np.flatnonzero(self.mask)
-        m, centred = len(keep), [np.array_equal(g.angle, self.angle) for g in grams]
-        # summed into zeros of the sum's dtype, as a sum from 0.0 is (-0.0 entries become +0.0);
-        # the D scaling and the odd sector are then written over a and b
-        dtype = float if all(centred) else complex
-        a, b = np.zeros((m, m), dtype), np.zeros((m, m), dtype)
-        for g, same in zip(grams, centred):
-            x, y = (g.x, g.y) if m == n else (g.x[np.ix_(keep, keep)], g.y[np.ix_(keep, keep)])
-            if not same:
-                # a piece centred elsewhere: rotate its phase to the reference angle, by
-                # per-mode phase products, not e^{i (psi_j - psi_i)}: a rounded angle
-                # difference would be off by ulp(angle), far more than eps when |angle| >> 1
-                q = (np.exp(1j * g.angle) * np.exp(-1j * self.angle))[keep]
-                x, y = x * np.outer(q.conj(), q), y * np.outer(q.conj(), q.conj())
-            a += x
-            b += y
-        r = 1.0 / np.sqrt(d[keep])
-        rr = np.outer(r, r)
-        a *= rr
-        b *= rr
-        del rr
-        if np.iscomplexobj(a):
-            full = np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
-            self.sectors = [(full, np.concatenate([keep, n + keep]))]
-        else:
-            even = a + b
-            a -= b
-            self.sectors = [(even, keep), (a, n + keep)]
+        self.keep = np.flatnonzero(self.mask)
+        sources = [_piece_rows(p, mode_set, factors) for p in pieces]
+        self.angle, work = _summed_blocks(sources, self.keep, n)
+        # real sums come with a spare slice, the slab each solve writes its sectors into in turn
+        self.blocks, self._slab = work[:2], work[2] if len(work) == 3 else None
+        # real blocks are reduced in place as their own transposes, so they must be symmetric to
+        # the last bit; complex ones, rotated by rounded phases, are not, and are copied instead
+        if np.isrealobj(self.blocks) and not _bitwise_symmetric(self.blocks):
+            raise ValueError("the summed Gram blocks must be symmetric")
+
+    @functools.cached_property
+    def grams(self) -> list:
+        return [assemble_gram(s, self._mode_set) for s in self._specs]
+
+    @functools.cached_property
+    def sectors(self) -> list:
+        return list(self._sectors(None))
+
+    def _sectors(self, slab):
+        """Yield the (sector, index) pairs, each written into slab, or into a fresh array when slab is None.
+
+        slab, an m x m array, takes the even and then the odd sector, so a
+        sector is overwritten once the next one is drawn. The one 2m x 2m
+        sector of complex blocks always gets a fresh array.
+        """
+        n, keep = len(self.d), self.keep
+        r = 1.0 / np.sqrt(self.d[keep])
+        indices = [keep, n + keep] if np.isrealobj(self.blocks) else [np.concatenate([keep, n + keep])]
+        for k, index in enumerate(indices):
+            out = np.empty((len(index),) * 2) if slab is None else slab
+            _write_sector(self.blocks, r, k, out)
+            yield out, index
 
     def _solve(self, full: bool) -> tuple:
         """(smallest eigenvalue, largest, u) from one reduction per sector.
 
-        Without full, only the smallest is computed: (smallest, None, None). A
-        sector's reduction is kept only while its sector holds the smallest
-        eigenvalue so far, and u is read from the winner's alone; a tie goes
-        to the first sector.
+        Without full, only the smallest is computed: (smallest, None, None).
+        The sectors are reduced in turn in the one slab, and u is read from a
+        sector's reduction whenever it holds the smallest eigenvalue so far,
+        before the next sector overwrites it; a tie goes to the first sector.
+        LAPACK reads the lower triangle of an F-ordered matrix: a C-ordered
+        m x m sector, symmetric to the last bit, is the F-ordered view of
+        itself and is reduced in place; the 2m x 2m one is copied.
         """
-        low = best = None
-        highs = []
-        for s, index in self.sectors:
-            reduced = _Reduction(s)
+        low = high = u = None
+        for s, index in self._sectors(self._slab):
+            reduced = _Reduction(s.T if np.isrealobj(self.blocks) else np.asfortranarray(s))
             value, bisection = reduced.lowest()
             if full:
-                highs.append(reduced.highest())
+                top = reduced.highest()
+                high = top if high is None else max(high, top)
             if low is None or value < low:
-                low, best = value, (reduced, bisection, index) if full else None
-            del reduced  # the reduction of a sector that lost is freed here
-        if not full:
-            return low, None, None
-        reduced, bisection, index = best
-        u = np.zeros(2 * len(self.d))
-        u[index] = reduced.vector(bisection)
-        return low, max(highs), u
+                low = value
+                if full:
+                    u = np.zeros(2 * len(self.d))
+                    u[index] = reduced.vector(bisection)
+        return low, high, u
 
     def lowest(self) -> float:
         """The smallest eigenvalue over the sectors, from one reduction per sector and no eigenvector."""
@@ -429,11 +530,12 @@ class Pencil:
 def pencil(specs, weight: EnergyWeight, mode_set: ModeSet, mask=None) -> Pencil:
     """The observation/energy pencil of one ObservationSpec or a list of them, on its real sectors.
 
-    The pieces' closed Grams add; mask, a boolean per mode, restricts the
-    pencil to the modes it selects (all modes when None). See Pencil.
+    The pieces' closed Grams add, each assembled a block of rows at a time
+    straight into the pencil's blocks; mask, a boolean per mode, restricts
+    the pencil to the modes it selects (all modes when None). See Pencil.
     """
-    grams = [assemble_gram(s, mode_set) for s in _as_spec_tuple(specs)]
-    return Pencil(grams, _weight_diagonal(weight, mode_set), mask)
+    d = _weight_diagonal(weight, mode_set)
+    return Pencil._of_specs(_as_spec_tuple(specs), mode_set, d, mask, {})
 
 
 def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> ConstantReport:
@@ -448,8 +550,11 @@ def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> Consta
     lifted to the doubled coefficients
     D^{-1/2} conj(p) (u1 + i u2, u1 - i u2) / sqrt 2, where (u1, u2) is (u, 0)
     in the even sector and (0, u) in the odd one. The returned argmin_state
-    attains c_min with a Rayleigh quotient, taken on the doubled form of
-    GramForm.quadratic_form, within 1e-8 * c_max.
+    attains c_min with a Rayleigh quotient within 1e-8 * c_max. That quotient
+    is taken on the doubled form of the summed, unscaled blocks
+    [[A, B], [conj B, conj A]] on the phased coefficients, the sum of the
+    pieces' GramForm.quadratic_form, so it sees a fault in any sector's
+    scaling or split.
     """
     specs = _as_spec_tuple(spec)
     pen = pencil(specs, weight, mode_set)
@@ -462,7 +567,8 @@ def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> Consta
     coeffs = pen.lift(u)
     n = len(mode_set)
     state = SpectralState(mode_set, coeffs[:n], coeffs[n:])
-    observed = sum(g.quadratic_form(coeffs) for g in pen.grams)
+    p = np.exp(1j * pen.angle)
+    observed = _doubled_forms(*pen.blocks, p * coeffs[:n], p.conj() * coeffs[n:])
     rayleigh = observed / energy_seminorm_sq(state, weight)
     if abs(rayleigh - c_min) > 1e-8 * max(c_max, 1e-300):
         raise RuntimeError(
@@ -682,11 +788,11 @@ def _scan(
 ):
     """check_theorem's result and admissible pencil at each T of T_values, as pairs.
 
-    The composition check, the constants m_ab, m_cd, m_o and M_o and the mode
-    mask are computed once, and each spec's Grams come from one
-    observation.assemble_grams, which builds its T-independent part once. Per
-    T only the time blocks, the velocity amplitude, the pencil and its lowest
-    eigenvalue are built, so every row has the bits of a run at that T alone.
+    The composition check, the constants m_ab, m_cd, m_o and M_o, the mode
+    mask and each spec's axis factors, the part of its Gram that does not
+    depend on T, are computed once. Per T only the Gram rows, summed straight
+    into the pencil's blocks, and the lowest eigenvalue are built, so every
+    row has the bits of a run at that T alone.
     With require_threshold, ThresholdError is raised for the first T below
     the threshold, before any Gram is assembled.
     """
@@ -702,8 +808,9 @@ def _scan(
     for sym in symmetries:
         mask &= (mode_set.k1 if sym.axis == "x1" else mode_set.k2) % sym.p != 0
     d = _weight_diagonal(EnergyWeight(1, "wave"), mode_set)
-    for T, pred, *grams in zip(T_values, preds, *(assemble_grams(s, mode_set, T_values) for s in specs)):
-        pen = Pencil(grams, d, mask)
+    factors = {}
+    for T, pred in zip(T_values, preds):
+        pen = Pencil._of_specs(tuple(replace(s, T=T) for s in specs), mode_set, d, mask, factors)
         c, c_min = pred["c"], pen.lowest()
         result = {
             "theorem": theorem,

@@ -5,12 +5,16 @@ coefficient vector (a-block then b-block). Each region names its separable
 pieces: a time window and a signed sum of products of an x1 factor and an x2
 factor. The Gram is the field amplitude product times the Hadamard product of
 three 1-D Grams, over time, x1 and x2, and the doubled Gram is
-[[A, B], [conj B, conj A]] in its a-a block A and a-b block B. assemble_grams
-takes the 1-D Grams in closed form, at many horizons T on one sum of the x1
-and x2 products (only the time window depends on T); the oracle runs the same
-piece list and factorisation on composite-Simpson sums over pointwise samples
-and shares no closed form. A dense tensor-grid reference that guards the
-factorisation lives in the tests.
+[[A, B], [conj B, conj A]] in its a-a block A and a-b block B. The modes run
+row-major in (k2, k1), so the spatial sum of x1 and x2 products is a sum of
+Kronecker products of K x K axis Grams, and one producer (_gram_rows) writes
+every Gram a block of whole k2-rows at a time, with no n x n gather and no
+n x n temporary. assemble_grams takes the 1-D Grams in closed form, at many
+horizons T on one set of axis Grams (only the time window depends on T); the
+oracle runs the same producer on composite-Simpson sums over pointwise
+samples and shares no closed form; the pencil of inequalities sums its
+pieces' rows (_piece_rows) straight into its blocks, with no GramForm. A
+dense tensor-grid reference that guards the factorisation lives in the tests.
 
 The closed forms are written about the centre c of each window of length L:
 the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
@@ -40,6 +44,8 @@ from .spectrum import ModeSet, RectangleGeometry, _matmul, build_mode_set
 # no dependence on the axis, and the OpenRect profile e^{+-i z k2 x2} on an
 # interval, whose sign follows the a/b block.
 _FULL, _EDGE, _ONES = ("full",), ("edge",), ("ones",)
+# entries per block of Gram rows: whole k2-rows, at least one
+_ROW_BLOCK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +412,10 @@ def _closed_axis_gram(factor, ks, z: float, ell: float):
     The exp profile e^{+-i z k s} on (lo, hi) gives the stack (X, Y) of the
     a-a and a-b blocks of its doubled Gram written about the interval centre,
     without the phase: L sinc of z (k_j - k_i) L / 2 and of z (k_i + k_j) L / 2.
+    Both are computed on the upper triangle, a block of rows at a time with
+    its diagonal block whole, and mirrored: the difference is exactly
+    antisymmetric, the sum exactly symmetric and the sinc exactly even, so
+    the bytes are those of the full square.
     """
     kind, *args = factor
     if kind == "full":
@@ -417,70 +427,105 @@ def _closed_axis_gram(factor, ks, z: float, ell: float):
         return np.outer(p, p)
     if kind == "ones":
         return 1.0
-    f = z * ks
-    return np.stack([_window_sinc(f[None, :] + sign * f[:, None], *args) for sign in (-1.0, 1.0)])
+    f, n = z * ks, len(ks)
+    out = np.empty((2, n, n))
+    step = max(1, _ROW_BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        for block, sign in zip(out, (-1.0, 1.0)):
+            block[lo:hi, lo:] = _window_sinc(f[lo:] + sign * f[lo:hi, None], *args)
+            block[hi:, lo:hi] = block[lo:hi, hi:].T
+    return out
 
 
-def _spatial_sum(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram):
-    """sum sign X1 o X2 over the region's pieces: the part of a Gram that does not depend on T.
+def _axis_factors(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram) -> tuple:
+    """The region's terms as pairs (sign X1, X2) of K x K axis Grams: the T-independent part of a Gram.
 
-    axis_gram(factor, ks, z, ell) supplies each 1-D Gram (by default the
-    closed forms): the x2 exp profile of OpenRect gives the stack of its a-a
-    and a-b blocks, every other factor one matrix that serves both. A
-    factor's K x K Gram is built once per call, on the axis indices 1..K, and
-    expanded to the mode set for each term that reads it, so only the terms in
-    use are held at n x n. Only the time window of a region depends on T,
-    never its terms.
+    The geometry is checked first. axis_gram(factor, ks, z, ell) supplies
+    each 1-D Gram on the axis indices 1..K (by default the closed forms): the
+    x2 exp profile of OpenRect gives the stack of its a-a and a-b blocks, the
+    constant profile a scalar, here broadcast to K x K, every other factor
+    one matrix that serves both. A factor's Gram is built once per call. Only
+    the time window of a region depends on T, never its terms.
     """
+    spec.validate_geometry(mode_set.geometry)
     g = mode_set.geometry
-    axes = ((mode_set.k1, mode_set.K1, g.ell1), (mode_set.k2, mode_set.K2, g.ell2))
+    axes = ((mode_set.K1, g.ell1), (mode_set.K2, g.ell2))
 
     @functools.cache
-    def axis_grams(factor, axis):
-        _, K, ell = axes[axis]
+    def axis(factor, i):
+        K, ell = axes[i]
         return axis_gram(factor, np.arange(1, K + 1), math.pi / ell, ell)
 
-    def expanded(factor, axis):
-        gram, i = axis_grams(factor, axis), axes[axis][0] - 1
-        return gram[..., i[:, None], i[None, :]] if np.ndim(gram) else gram
+    def full(g, K):  # a read-only K x K view of a scalar
+        return np.broadcast_to(g, np.shape(g)[:-2] + (K, K))
 
-    total = None
-    for s, f1, f2 in spec.region.pieces(spec.T)[1]:  # summed in order, in place where the shapes allow
-        term = _into(np.multiply, s * expanded(f1, 0), expanded(f2, 1))
-        total = term if total is None else _into(np.add, total, term)
-    return total
+    return tuple(
+        (full(s * axis(f1, 0), mode_set.K1), full(axis(f2, 1), mode_set.K2))
+        for s, f1, f2 in spec.region.pieces(spec.T)[1]
+    )
 
 
-def _into(ufunc, a, b):
-    """ufunc(a, b), written over a when a is an array of the result's shape and dtype."""
-    if (
-        isinstance(a, np.ndarray)
-        and a.shape == np.broadcast_shapes(a.shape, np.shape(b))
-        and a.dtype == np.result_type(a, b)
-    ):
-        return ufunc(a, b, out=a)
-    return ufunc(a, b)
+def _gram_rows(spec: ObservationSpec, mode_set: ModeSet, factors: tuple, axis_gram=_closed_axis_gram):
+    """Yield (rows, x, y): the centred blocks X and Y of the spec's Gram, a block of whole k2-rows at a time.
 
-
-def _gram_blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram, spatial) -> np.ndarray:
-    """Stack (A, B) of the doubled Gram [[A, B], [conj B, conj A]] over the region's pieces.
-
-    Each block is amp-weighted Kt o spatial, with spatial the T-independent sum
-    _spatial_sum(spec, mode_set, axis_gram), which a caller builds once for any
-    number of horizons. axis_gram also supplies the time window's Gram Kt, the
-    stack of its a-a and a-b blocks, on the distinct frequencies, expanded to
-    the modes.
+    factors is _axis_factors(spec, mode_set, axis_gram), which a caller
+    builds once for any number of horizons. The modes run row-major in
+    (k2, k1), so on the rows of the k2-rows r the spatial sum sum sign X1 o X2
+    is a sum of Kronecker products: (sign X1)[k1, c1] X2[r, c2], one broadcast
+    product per term, summed in order, with no n x n gather. axis_gram also
+    supplies the time window's Gram Kt, the stack of its a-a and a-b blocks,
+    on the distinct frequencies; a block takes its entries with one flat take.
+    Each block is Kt o spatial, times the velocity amplitude products
+    w_i w_j (in X) and -w_i w_j (in Y); x and y are the two halves of one
+    (2, rows, n) array.
     """
+    K1, n = mode_set.K1, len(mode_set)
     w = _frequencies(spec, mode_set)
-    window = spec.region.pieces(spec.T)[0]
-    distinct, i = np.unique(w, return_inverse=True)
-    blocks = axis_gram(("exp", *window), distinct, 1.0, None)[:, i[:, None], i[None, :]]
-    blocks *= spatial
-    if spec.field == "velocity":  # amplitude i w: conj(amp_i) amp_j is w_i w_j, -w_i w_j
-        ww = np.outer(w, w)
-        blocks[0] *= ww
-        blocks[1] *= np.negative(ww, out=ww)
-    return blocks
+    distinct, inverse = np.unique(w, return_inverse=True)
+    kt = axis_gram(("exp", *spec.region.pieces(spec.T)[0]), distinct, 1.0, None).reshape(2, -1)
+    offsets = inverse * len(distinct)
+    step = K1 * max(1, _ROW_BLOCK // (K1 * n))
+    for r0 in range(0, n, step):
+        rows = slice(r0, min(r0 + step, n))
+        k2 = slice(r0 // K1, rows.stop // K1)
+        spatial = None
+        for g1, g2 in factors:  # (k2, k1, c2, c1), summed in order
+            term = g1[:, None, :] * g2[..., k2, None, :, None]
+            spatial = term if spatial is None else spatial + term
+        blocks = np.take(kt, offsets[rows, None] + inverse, axis=1)
+        blocks *= spatial.reshape(spatial.shape[:-4] + blocks.shape[1:])
+        if spec.field == "velocity":  # amplitude i w: conj(amp_i) amp_j is w_i w_j, -w_i w_j
+            amp = np.multiply(w[rows, None], w)
+            blocks[0] *= amp
+            blocks[1] *= np.negative(amp, out=amp)
+        yield rows, blocks[0], blocks[1]
+
+
+def _blocks(spec: ObservationSpec, mode_set: ModeSet, factors: tuple, axis_gram=_closed_axis_gram):
+    """The stack (X, Y) of the spec's Gram blocks, n x n each, written from _gram_rows."""
+    n = len(mode_set)
+    out = None
+    for rows, x, y in _gram_rows(spec, mode_set, factors, axis_gram):
+        if out is None:
+            out = np.empty((2, n, n), x.dtype)
+        out[0, rows], out[1, rows] = x, y
+    return out
+
+
+def _piece_rows(piece, mode_set: ModeSet, factors: dict) -> tuple:
+    """(angle, rows) of one piece of a summed Gram: its phase angle, and its rows as _gram_rows yields them.
+
+    A GramForm gives its centred blocks as one block of rows. An
+    ObservationSpec's rows come from _gram_rows, on the axis factors held in
+    factors, a dict by region that this fills, so a caller builds them once
+    for many horizons.
+    """
+    if isinstance(piece, GramForm):
+        return piece.angle, [(slice(0, len(mode_set)), piece.x, piece.y)]
+    if piece.region not in factors:
+        factors[piece.region] = _axis_factors(piece, mode_set)
+    return _centre_angle(piece, mode_set), _gram_rows(piece, mode_set, factors[piece.region])
 
 
 def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
@@ -515,14 +560,14 @@ def _doubled_forms(a: np.ndarray, b: np.ndarray, r1: np.ndarray, r2: np.ndarray)
 def assemble_grams(spec: ObservationSpec, mode_set: ModeSet, T_values):
     """Yield assemble_gram of the spec with its horizon set to each T of T_values, to the bit.
 
-    The geometry is checked and the T-independent spatial sum built once, at
-    the first Gram; per T only the time blocks, the amplitude and the angle.
+    The geometry is checked and the T-independent axis factors built once,
+    at the first Gram; per T only the rows of the time blocks, the spatial
+    sum, the amplitude and the angle.
     """
-    spec.validate_geometry(mode_set.geometry)
-    spatial = _spatial_sum(spec, mode_set)
+    factors = _axis_factors(spec, mode_set)
     for T in T_values:
         at = replace(spec, T=T)
-        x, y = _gram_blocks(at, mode_set, _closed_axis_gram, spatial)
+        x, y = _blocks(at, mode_set, factors)
         yield GramForm(mode_set, at, x, y, _centre_angle(at, mode_set))
 
 
@@ -576,9 +621,9 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
 
 @functools.lru_cache(maxsize=1)
 def _sampled_blocks(spec: ObservationSpec, mode_set: ModeSet, res: int) -> np.ndarray:
-    """_gram_blocks on Simpson samples, read-only and kept for the next call on the same spec."""
+    """_blocks on Simpson samples, read-only and kept for the next call on the same spec."""
     axis_gram = functools.partial(_sampled_axis_gram, res=res)
-    blocks = _gram_blocks(spec, mode_set, axis_gram, _spatial_sum(spec, mode_set, axis_gram))
+    blocks = _blocks(spec, mode_set, _axis_factors(spec, mode_set, axis_gram), axis_gram)
     blocks.flags.writeable = False
     return blocks
 

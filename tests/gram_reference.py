@@ -1,10 +1,20 @@
-"""The dense complex doubled Gram of a GramForm, as a test reference.
+"""Dense references for the library's Gram assembly, as the tests see it.
 
-The library keeps a Gram as its centred blocks only; the tests compare those
-blocks, and every form and pencil built from them, with this matrix.
+The library keeps a Gram as its centred blocks only, assembles them a block
+of rows at a time from Kronecker products of the axis Grams, and sums a
+pencil's pieces straight into its blocks. The tests compare those blocks, and
+every form and pencil built from them, with the dense complex doubled Gram,
+the spatial sum gathered to n x n and the sectors summed piece by piece
+below.
 """
 
+import functools
+import math
+
 import numpy as np
+
+from obslab import assemble_gram
+from obslab.observation import _closed_axis_gram
 
 
 def dense_gram(gram) -> np.ndarray:
@@ -25,3 +35,56 @@ def dense_gram(gram) -> np.ndarray:
     b.real = y * (rr - ii)
     b.imag = -(y * (ri + ri.T))
     return np.block([[a, b], [b.conj(), a.conj()]])
+
+
+def spatial_sum(spec, mode_set) -> np.ndarray:
+    """sum sign X1 o X2 over the region's terms, each closed K x K axis Gram gathered to the modes.
+
+    (sign X1)[k1_i, k1_j] times X2[k2_i, k2_j], by fancy indexing on the mode
+    set's k1 and k2, the terms summed in order: the bytes the Kronecker rows
+    of the library must give.
+    """
+    g = mode_set.geometry
+    axes = ((mode_set.k1, mode_set.K1, g.ell1), (mode_set.k2, mode_set.K2, g.ell2))
+
+    @functools.cache
+    def gathered(factor, axis):
+        k, K, ell = axes[axis]
+        gram = _closed_axis_gram(factor, np.arange(1, K + 1), math.pi / ell, ell)
+        return gram[..., k[:, None] - 1, k[None, :] - 1] if np.ndim(gram) else gram
+
+    total = None
+    for s, f1, f2 in spec.region.pieces(spec.T)[1]:
+        term = (s * gathered(f1, 0)) * gathered(f2, 1)
+        total = term if total is None else total + term
+    return total
+
+
+def piecewise_sectors(specs, weight, mode_set, mask=None) -> list:
+    """The pencil's (sector, index) pairs, summed Gram by Gram from assemble_gram's blocks.
+
+    Each piece's X and Y, restricted to the masked modes and rotated to the
+    first piece's angle when centred elsewhere, is added into zeros in order;
+    the sums are scaled by D^{-1/2} on both sides and split into the even and
+    odd sectors, or the one real 2m x 2m sector when the sums are complex.
+    """
+    grams = [assemble_gram(s, mode_set) for s in specs]
+    d, n = weight.diagonal(mode_set), len(mode_set)
+    keep = np.flatnonzero(np.ones(n, dtype=bool) if mask is None else mask)
+    angle = grams[0].angle
+    centred = [np.array_equal(g.angle, angle) for g in grams]
+    dtype = float if all(centred) else complex
+    a, b = np.zeros((len(keep),) * 2, dtype), np.zeros((len(keep),) * 2, dtype)
+    for g, same in zip(grams, centred):
+        x, y = g.x[np.ix_(keep, keep)], g.y[np.ix_(keep, keep)]
+        if not same:
+            q = (np.exp(1j * g.angle) * np.exp(-1j * angle))[keep]
+            x, y = x * np.outer(q.conj(), q), y * np.outer(q.conj(), q.conj())
+        a += x
+        b += y
+    r = 1.0 / np.sqrt(d[keep])
+    a, b = a * np.outer(r, r), b * np.outer(r, r)
+    if dtype is complex:
+        full = np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
+        return [(full, np.concatenate([keep, n + keep]))]
+    return [(a + b, keep), (a - b, n + keep)]

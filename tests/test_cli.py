@@ -121,8 +121,8 @@ def test_below_threshold_verify_assembles_no_gram(tmp_path, monkeypatch, samples
 
         return call
 
-    # every closed Gram, one T's or a scan's, is a spatial sum and the time blocks on it
-    for name in ("_spatial_sum", "_gram_blocks"):
+    # every closed Gram, one T's or a scan's, is built from axis factors by the row producer
+    for name in ("_axis_factors", "_gram_rows"):
         monkeypatch.setattr(observation, name, counted(getattr(observation, name)))
     code, text = run(tmp_path, "verify", {**CROSS, "T": 10.0, "samples": samples})
     assert code == 3
@@ -163,7 +163,7 @@ def test_unusable_decay_exits_2(tmp_path, capsys, command, decay):
 
 
 def test_scan_t_does_its_t_independent_work_once(tmp_path, monkeypatch):
-    counts = {"_spatial_sum": [], "m_ab": []}
+    counts = {"_axis_factors": [], "m_ab": []}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -174,14 +174,14 @@ def test_scan_t_does_its_t_independent_work_once(tmp_path, monkeypatch):
 
         return call
 
-    for module, name in ((observation, "_spatial_sum"), (inequalities, "m_ab")):
+    for module, name in ((observation, "_axis_factors"), (inequalities, "m_ab")):
         monkeypatch.setattr(module, name, counted(module, name))
     ts = [47.84977149867659 + 2.5 * k for k in range(8)]
     config = {**CROSS, "T_values": ts}
     del config["T"]
     code, text = run(tmp_path, "scan-t", config, fmt="json")
     assert code == 0
-    assert len(counts["_spatial_sum"]) == 1  # one spec
+    assert len(counts["_axis_factors"]) == 1  # one spec
     assert sorted(counts["m_ab"]) == [(1.0, 2.0), (1.0, 2.0)]  # one per interval
     rows = json.loads(text)["result"]["rows"]
     ms = build_mode_set(RectangleGeometry(PI, PI), 6, 6)
@@ -702,7 +702,8 @@ def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monke
 
 def test_cli_imports_no_private_names():
     # nor does any other module, but those that form products through the one BLAS helper and
-    # inequalities, whose Ingham forms read the sinc kernel
+    # inequalities, whose Ingham forms read the sinc kernel and whose pencil sums the Gram rows
+    # into its blocks and certifies its minimiser on their doubled form
     private = {}
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -717,7 +718,7 @@ def test_cli_imports_no_private_names():
         if names:
             private[path.name] = names
     assert private == {
-        "inequalities.py": ["_window_sinc", "_matmul"],
+        "inequalities.py": ["_doubled_forms", "_piece_rows", "_window_sinc", "_matmul"],
         "observation.py": ["_matmul"],
         "states.py": ["_matmul"],
     }

@@ -1,6 +1,7 @@
 """Pencil constants, explicit formulas, Ingham-type checks, verification sweeps."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -52,7 +53,7 @@ from obslab import (
 from obslab import inequalities, observation
 from obslab.inequalities import ConstantReport, ThresholdError
 from obslab.observation import _interval_kernel
-from gram_reference import dense_gram
+from gram_reference import dense_gram, piecewise_sectors
 
 PI = math.pi
 WAVE = EnergyWeight(1.0, "wave")
@@ -232,14 +233,21 @@ def test_constant_defined_iff_above_threshold(t):
 # eigenvalue pencil
 
 
-def test_pencil_of_matching_gram_is_identity(square, monkeypatch):
+def test_pencil_of_matching_gram_is_identity(square):
     ms = build_mode_set(square, 2, 2)
     d = WAVE.diagonal(ms)
     spec = _vspec(VerticalStrip(1.0, 2.0))
     gram = GramForm(ms, spec, np.diag(d), np.zeros((4, 4)), np.zeros(4))
-    monkeypatch.setattr(inequalities, "assemble_gram", lambda s, mode_set: gram)
-    for p, _ in pencil(spec, WAVE, ms).sectors:
+    for p, _ in Pencil([gram], d).sectors:
         assert np.allclose(p, np.eye(4), atol=1e-15)
+
+
+def test_pencil_of_specs_assembles_its_grams_on_first_access(modes4):
+    # the pencil sums Gram rows without GramForms; its grams attribute still gives them
+    specs = [_vspec(VerticalStrip(1.0, 2.0)), _vspec(HorizontalLine(PI / 2))]
+    pen = pencil(specs, WAVE, modes4)
+    assert "grams" not in vars(pen)
+    assert pen.grams == [assemble_gram(s, modes4) for s in specs]
 
 
 def test_empirical_constants_scale_with_gram(modes4):
@@ -438,13 +446,13 @@ def test_assemble_grams_is_assemble_gram_at_each_horizon(square, spec, monkeypat
     ms = build_mode_set(square, 4, 3)
     ts = [0.5, 2.0, 7.3, 48.0, 2.0]
     sums = []
-    real = observation._spatial_sum
+    real = observation._axis_factors
 
     def counted(*args):
         sums.append(args)
         return real(*args)
 
-    monkeypatch.setattr(observation, "_spatial_sum", counted)
+    monkeypatch.setattr(observation, "_axis_factors", counted)
     grams = assemble_grams(spec, ms, ts)
     assert sums == []  # nothing is built before the first Gram is drawn
     first = next(grams)
@@ -454,6 +462,64 @@ def test_assemble_grams_is_assemble_gram_at_each_horizon(square, spec, monkeypat
     want = [assemble_gram(replace(spec, T=t), ms) for t in ts]
     assert [g.spec.T for g in scanned] == ts
     assert scanned == want  # GramForm equality: spec, mode set and block bytes
+
+
+SECTOR_CASES = {type(s.region).__name__: [s] for s in ONE_PER_KIND}
+SECTOR_CASES["VerticalSegments + OpenRect"] = [ONE_PER_KIND[0], ONE_PER_KIND[-1]]  # two window centres
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all modes", "masked"])
+@pytest.mark.parametrize("K1, K2", [(7, 5), (5, 7)])
+@pytest.mark.parametrize("name", list(SECTOR_CASES))
+def test_sectors_are_the_piecewise_sum_to_the_bit(name, K1, K2, masked):
+    # K1 != K2 on a non-square rectangle, so that a slip in the (k2, k1) ordering cannot hide
+    specs = SECTOR_CASES[name]
+    ms = build_mode_set(RectangleGeometry(PI, 2.7), K1, K2)
+    weight = WAVE if specs[0].model == "wave" else EnergyWeight(-1.0, "plate")
+    mask = (ms.k1 % 3 != 0) & (ms.k2 % 2 != 0) if masked else None
+    got, want = pencil(specs, weight, ms, mask).sectors, piecewise_sectors(specs, weight, ms, mask)
+    assert len(got) == len(want) == (1 if len(specs) == 2 else 2)
+    for (s, index), (t, want_index) in zip(got, want):
+        assert s.dtype == t.dtype == np.float64
+        assert s.tobytes() == t.tobytes()
+        assert np.array_equal(index, want_index)
+
+
+def test_eigensolver_certificate_sees_a_sector_without_its_scaling(monkeypatch):
+    # D = lambda^-1 < 1 on every mode: a sector left unscaled only falls, so it keeps c_min
+    ms = build_mode_set(RectangleGeometry(PI, PI), 6, 6)
+    segs = VerticalSegments(((PI * (math.sqrt(2) - 1), (1.0, 2.0)),))
+    spec, weight = ObservationSpec(segs, "displacement", 2.0, "plate"), EnergyWeight(-1.0, "plate")
+    n = len(ms)
+    rep = empirical_constants(spec, weight, ms)
+    assert rep.c_min > 0
+    u = pencil(spec, weight, ms).extremes()[2]
+    sector = int(np.any(u[n:] != 0.0))  # the sector that holds c_min
+    real = inequalities._write_sector
+
+    def unscaled(blocks, r, k, out):
+        real(blocks, np.ones_like(r) if k == sector else r, k, out)
+
+    monkeypatch.setattr(inequalities, "_write_sector", unscaled)
+    assert pencil(spec, weight, ms).lowest() < rep.c_min
+    with pytest.raises(RuntimeError, match="^eigensolver certificate failed"):
+        empirical_constants(spec, weight, ms)
+
+
+def test_empirical_constants_peak_memory_stays_below_four_sectors():
+    # the bench's K = 24 two_lines op: the sums A and B and the slab its sectors take in turn are
+    # 3 n^2 floats; the per-piece Grams, summed sectors and Fortran copies of old peaked at 8.1 n^2
+    ms = build_mode_set(RectangleGeometry(PI, PI), 24, 24)
+    specs = [_vspec(VerticalLine(1.1), T=35.0), _vspec(HorizontalLine(2.0), T=35.0)]
+    n = len(ms)
+    empirical_constants(specs, WAVE, ms)
+    tracemalloc.start()
+    try:
+        empirical_constants(specs, WAVE, ms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * n * n * 8
 
 
 @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda s: type(s.region).__name__)
@@ -788,9 +854,9 @@ def test_check_theorem_serves_verify_with_one_assembly(square, monkeypatch):
 
         return call
 
-    # the assembly is split into the spatial sum and the time blocks on it
-    monkeypatch.setattr(observation, "_spatial_sum", counted(sums, observation._spatial_sum))
-    monkeypatch.setattr(observation, "_gram_blocks", counted(grams, observation._gram_blocks))
+    # the assembly is split into the axis factors and the rows built on them at one T
+    monkeypatch.setattr(observation, "_axis_factors", counted(sums, observation._axis_factors))
+    monkeypatch.setattr(observation, "_gram_rows", counted(grams, observation._gram_rows))
     states = _projected_states(ms, range(3), p=2, q=2)
     report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
     assert sums == specs and grams == specs

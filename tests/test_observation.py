@@ -38,7 +38,7 @@ from obslab import (
 )
 from obslab import observation
 from obslab.observation import _interval_kernel, region_from_dict, region_to_dict
-from gram_reference import dense_gram
+from gram_reference import dense_gram, spatial_sum
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
 
@@ -606,15 +606,16 @@ def test_oracle_rows_of_a_stack_match_one_state_calls(region, geometry):
 
 
 def _direct_centred(spec, ms):
-    """The centred blocks with the time Gram taken on every mode's own frequency.
+    """The centred blocks from the time Gram on every mode's own frequency and the gathered spatial sum.
 
-    _gram_blocks folds repeated frequencies before the time Gram; this build
-    does not, and the sinc being elementwise, the bytes must agree.
+    _gram_rows folds repeated frequencies before the time Gram and forms the
+    spatial sum from Kronecker rows; this build does neither, and every
+    product being elementwise, the bytes must agree.
     """
     w = np.sqrt(ms.lam) if spec.model == "wave" else ms.lam
     window = spec.region.pieces(spec.T)[0]
     kt = observation._closed_axis_gram(("exp", *window), w, 1.0, None)
-    x, y = kt * observation._spatial_sum(spec, ms)
+    x, y = kt * spatial_sum(spec, ms)
     if spec.field == "velocity":
         x, y = x * np.outer(w, w), y * -np.outer(w, w)
     return x, y
@@ -632,17 +633,32 @@ def test_closed_gram_bytes_do_not_depend_on_folding_repeated_frequencies(region)
     assert y.tobytes() == want_y.tobytes()
 
 
-def test_spatial_sum_expands_each_factor_only_for_its_term():
-    # CrossStrips reads four factors; held expanded at once they peak near seven sums
+@pytest.mark.parametrize("K1, K2", [(7, 5), (5, 7)])
+@pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: type(r).__name__)
+def test_kronecker_rows_are_the_gathered_spatial_sum_to_the_bit(region, K1, K2):
+    # K1 != K2 on a non-square rectangle, so that a slip in the (k2, k1) ordering cannot hide
+    ms = build_mode_set(RectangleGeometry(math.pi, 2.7), K1, K2)
+    x, y, _ = assemble_gram(_spec(region, T=3.7), ms).centred
+    want_x, want_y = _direct_centred(_spec(region, T=3.7), ms)
+    assert x.tobytes() == want_x.tobytes()
+    assert y.tobytes() == want_y.tobytes()
+
+
+def test_gram_rows_hold_no_n_by_n_temporary():
+    # CrossStrips reads four factors in three terms; the rows of X and Y are drawn and dropped, and
+    # the time Gram on the 254 distinct frequencies and the rows in flight stay below one n x n array
     ms = build_mode_set(RectangleGeometry(math.pi, math.pi), 24, 24)
     spec = _spec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=48.0)
+    n = len(ms)
     tracemalloc.start()
     try:
-        total = observation._spatial_sum(spec, ms)
+        factors = observation._axis_factors(spec, ms)
+        rows = sum(x.shape[0] for _, x, _ in observation._gram_rows(spec, ms, factors))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * total.nbytes
+    assert rows == n
+    assert peak <= n * n * 8
 
 
 def test_oracle_resolution_validation(modes4):
