@@ -56,7 +56,6 @@ from .observation import (
     time_kernel,
     sine_overlap,
     assemble_gram,
-    assemble_grams,
     quadrature_oracle,
     thm21_fourfamily_form,
 )

@@ -6,21 +6,22 @@ predicted constants are closed-form functions of the time horizon and of the
 interval and symmetry constants m_{a,b}, m_p, M_p. Both sides meet in
 check_theorem, which compares the predicted constant with the smallest
 eigenvalue on the admissible modes, in scan_theorem, its run over many
-horizons T on the Grams of observation.assemble_grams, which does the work
-that does not depend on T once, and in
-verify_observability, which also sweeps explicit states, a chunk of rows at a
-time, through the inequality observation >= c * energy. The theorems' region
-compositions, constants and symmetries live in one table.
+horizons T, which builds each region's axis Grams, the part of a Gram that
+does not depend on T, once per scan, and in verify_observability, which also
+sweeps explicit states, a chunk of rows at a time, through the inequality
+observation >= c * energy. The theorems' region compositions, constants and
+symmetries live in one table.
 
 Every solve goes through one pencil (pencil, Pencil) built from the closed
-Grams' centred blocks. Each closed Gram is a phase around [[X, Y], [Y, X]]
-(see observation), so with one window centre the pencil splits into the real
-n x n sectors D^{-1/2} (X + Y) D^{-1/2} (even in time) and
-D^{-1/2} (X - Y) D^{-1/2} (odd in time); pieces centred apart are rotated to
-one centre and form one real 2n x 2n sector. The pieces' rows are summed, a
-block of whole k2-rows at a time, straight into A = sum X and B = sum Y, with
-no GramForm, and each D-scaled sector is written in turn into the slice that
-follows A and B in their array, where LAPACK reduces it in place. A
+Grams' centred blocks of its ObservationSpecs. Each closed Gram is a phase
+around [[X, Y], [Y, X]] (see observation), so with one window centre the
+pencil splits into the real n x n sectors D^{-1/2} (X + Y) D^{-1/2} (even in
+time) and D^{-1/2} (X - Y) D^{-1/2} (odd in time); pieces centred apart are
+rotated to one centre and form one real 2n x 2n sector. The pieces' rows
+are summed, a block of whole k2-rows at a time, straight into A = sum X and
+B = sum Y, with no GramForm, and each D-scaled sector is written in turn
+into the slice that follows A and B in their array, where LAPACK reduces it
+in place. A
 theorem's symmetry mask acts per mode, so each sector is restricted to the
 admissible modes before its solve. empirical_constants lifts the minimiser
 back through the sector sign, 1/sqrt 2 and the phase, and certifies c_min by
@@ -258,13 +259,16 @@ class _Reduction:
     """
 
     def __init__(self, a: np.ndarray) -> None:
-        a = np.asarray_chkfinite(a)  # eigh's check: ValueError on a nan or an inf
         n = self.n = len(a)
+        # dsyevr's max-norm of the lower triangle, all that LAPACK reads: nan or inf when an
+        # entry there is, which eigh rejects with this error
+        norm = lapack.dlantr("M", a, uplo="L")
+        if not math.isfinite(norm):
+            raise ValueError("array must not contain infs or NaNs")
         if n == 1:  # dsyevr returns the entry, unscaled, and the vector 1
             self.d = a[0].copy()
             return
         self.lwork = int(_lapack("dsyevr_lwork", n, lower=1)[0])
-        norm = lapack.dlantr("M", a, uplo="L")
         self.sigma = _RMIN / norm if 0 < norm < _RMIN else _RMAX / norm if norm > _RMAX else None
         if self.sigma is not None:
             a *= self.sigma
@@ -391,40 +395,30 @@ class Pencil:
     sector. The mode mask acts per mode, so it commutes with that split: each
     sector keeps the rows and columns of the masked modes.
 
-    Pencil(grams, d, mask) sums GramForms; pencil() sums ObservationSpecs,
-    assembled a block of rows at a time, with no GramForm. blocks holds
-    (A, B) on the masked modes, real blocks checked for bitwise symmetry
-    once, and d is the energy weight diagonal. sectors lists (matrix, index)
-    pairs, index locating the sector's rows in u, written from blocks on
-    first access, and grams the pieces' GramForms, assembled on first access
-    when the pencil was built from specs. lowest and extremes write each
-    D-scaled sector in turn into a slab, the slice that follows A and B in
-    their array when real, reduce it in place to tridiagonal form once
-    (_Reduction) and read the extreme eigenvalues from it by bisection:
-    lowest only the smallest, as a float, and extremes both and the
-    eigenvector of the smallest, from the winning sector's reduction.
+    Pencil(specs, mode_set, d, mask, factors) sums the Grams of the
+    ObservationSpecs specs, assembled a block of rows at a time, with no
+    GramForm, on the axis factors in the dict factors (by region, filled as
+    needed: a scan shares it over its horizons); pencil() builds it from an
+    energy weight. blocks holds (A, B) on the masked modes, real blocks
+    checked for bitwise symmetry once, and d is the energy weight diagonal.
+    sectors lists (matrix, index) pairs, index locating the sector's rows in
+    u, written from blocks on first access, and grams the pieces' GramForms,
+    assembled on first access. lowest and extremes write each D-scaled
+    sector in turn into a slab, the slice that follows A and B in their array
+    when real, reduce it in place to tridiagonal form once (_Reduction) and
+    read the extreme eigenvalues from it by bisection: lowest only the
+    smallest, as a float, and extremes both and the eigenvector of the
+    smallest, from the winning sector's reduction.
     """
 
-    def __init__(self, grams: list, d: np.ndarray, mask=None) -> None:
-        self.grams = grams
-        self._sum(grams, grams[0].mode_set, d, mask, {})
-
-    @classmethod
-    def _of_specs(cls, specs: tuple, mode_set: ModeSet, d: np.ndarray, mask, factors: dict) -> "Pencil":
-        """The pencil of the specs' closed Grams, on axis factors shared through factors (by region)."""
-        pen = cls.__new__(cls)
-        pen._specs, pen._mode_set = specs, mode_set
-        pen._sum(specs, mode_set, d, mask, factors)
-        return pen
-
-    def _sum(self, pieces, mode_set: ModeSet, d: np.ndarray, mask, factors: dict) -> None:
+    def __init__(self, specs: tuple, mode_set: ModeSet, d: np.ndarray, mask, factors: dict) -> None:
         n = len(d)
-        self.d = d
+        self._specs, self._mode_set, self.d = specs, mode_set, d
         self.mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if self.mask.shape != (n,) or not self.mask.any():
             raise ValueError(f"mask must select some of the {n} modes")
         self.keep = np.flatnonzero(self.mask)
-        sources = [_piece_rows(p, mode_set, factors) for p in pieces]
+        sources = [_piece_rows(s, mode_set, factors) for s in specs]
         self.angle, work = _summed_blocks(sources, self.keep, n)
         # real sums come with a spare slice, the slab each solve writes its sectors into in turn
         self.blocks, self._slab = work[:2], work[2] if len(work) == 3 else None
@@ -535,7 +529,7 @@ def pencil(specs, weight: EnergyWeight, mode_set: ModeSet, mask=None) -> Pencil:
     the pencil to the modes it selects (all modes when None). See Pencil.
     """
     d = _weight_diagonal(weight, mode_set)
-    return Pencil._of_specs(_as_spec_tuple(specs), mode_set, d, mask, {})
+    return Pencil(_as_spec_tuple(specs), mode_set, d, mask, {})
 
 
 def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> ConstantReport:
@@ -810,7 +804,7 @@ def _scan(
     d = _weight_diagonal(EnergyWeight(1, "wave"), mode_set)
     factors = {}
     for T, pred in zip(T_values, preds):
-        pen = Pencil._of_specs(tuple(replace(s, T=T) for s in specs), mode_set, d, mask, factors)
+        pen = Pencil(tuple(replace(s, T=T) for s in specs), mode_set, d, mask, factors)
         c, c_min = pred["c"], pen.lowest()
         result = {
             "theorem": theorem,
@@ -848,9 +842,9 @@ def scan_theorem(theorem: str, spec, mode_set: ModeSet, params: dict, T_values) 
 
     Every spec's horizon is set to T; row i equals check_theorem of the specs
     at T_values[i] to the last bit. The work that does not depend on T (the
-    composition check, m_ab, m_o/M_o and the mode mask here, each spec's
-    spatial sum in observation.assemble_grams) is done once per scan, and only
-    one T's Grams and pencil are held at a time.
+    composition check, m_ab, m_o/M_o, the mode mask and each region's axis
+    Grams, shared by _scan's pencils through one dict) is done once per scan,
+    and only one T's pencil is held at a time.
     """
     T_values = [float(T) for T in T_values]
     if not T_values:

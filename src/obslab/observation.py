@@ -9,12 +9,13 @@ three 1-D Grams, over time, x1 and x2, and the doubled Gram is
 row-major in (k2, k1), so the spatial sum of x1 and x2 products is a sum of
 Kronecker products of K x K axis Grams, and one producer (_gram_rows) writes
 every Gram a block of whole k2-rows at a time, with no n x n gather and no
-n x n temporary. assemble_grams takes the 1-D Grams in closed form, at many
-horizons T on one set of axis Grams (only the time window depends on T); the
+n x n temporary. assemble_gram takes the 1-D Grams in closed form; the
 oracle runs the same producer on composite-Simpson sums over pointwise
 samples and shares no closed form; the pencil of inequalities sums its
-pieces' rows (_piece_rows) straight into its blocks, with no GramForm. A
-dense tensor-grid reference that guards the factorisation lives in the tests.
+pieces' rows (_piece_rows) straight into its blocks, with no GramForm, on
+axis Grams it builds once for any number of horizons T (only the time window
+depends on T). A dense tensor-grid reference that guards the factorisation
+lives in the tests.
 
 The closed forms are written about the centre c of each window of length L:
 the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -513,19 +514,15 @@ def _blocks(spec: ObservationSpec, mode_set: ModeSet, factors: tuple, axis_gram=
     return out
 
 
-def _piece_rows(piece, mode_set: ModeSet, factors: dict) -> tuple:
+def _piece_rows(spec: ObservationSpec, mode_set: ModeSet, factors: dict) -> tuple:
     """(angle, rows) of one piece of a summed Gram: its phase angle, and its rows as _gram_rows yields them.
 
-    A GramForm gives its centred blocks as one block of rows. An
-    ObservationSpec's rows come from _gram_rows, on the axis factors held in
-    factors, a dict by region that this fills, so a caller builds them once
-    for many horizons.
+    The rows are built on the axis factors held in factors, a dict by region
+    that this fills, so a caller builds them once for many horizons.
     """
-    if isinstance(piece, GramForm):
-        return piece.angle, [(slice(0, len(mode_set)), piece.x, piece.y)]
-    if piece.region not in factors:
-        factors[piece.region] = _axis_factors(piece, mode_set)
-    return _centre_angle(piece, mode_set), _gram_rows(piece, mode_set, factors[piece.region])
+    if spec.region not in factors:
+        factors[spec.region] = _axis_factors(spec, mode_set)
+    return _centre_angle(spec, mode_set), _gram_rows(spec, mode_set, factors[spec.region])
 
 
 def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
@@ -557,28 +554,14 @@ def _doubled_forms(a: np.ndarray, b: np.ndarray, r1: np.ndarray, r2: np.ndarray)
     return float(f) if f.ndim == 0 else f
 
 
-def assemble_grams(spec: ObservationSpec, mode_set: ModeSet, T_values):
-    """Yield assemble_gram of the spec with its horizon set to each T of T_values, to the bit.
-
-    The geometry is checked and the T-independent axis factors built once,
-    at the first Gram; per T only the rows of the time blocks, the spatial
-    sum, the amplitude and the angle.
-    """
-    factors = _axis_factors(spec, mode_set)
-    for T in T_values:
-        at = replace(spec, T=T)
-        x, y = _blocks(at, mode_set, factors)
-        yield GramForm(mode_set, at, x, y, _centre_angle(at, mode_set))
-
-
 def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
     """Closed-form Gram of the observation integral on the mode set, kept as its centred blocks.
 
     The Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
     -angle)}, Hermitian to the last bit; (X, Y, angle) is GramForm.centred.
-    It is the one-T case of assemble_grams.
     """
-    return next(assemble_grams(spec, mode_set, [spec.T]))
+    x, y = _blocks(spec, mode_set, _axis_factors(spec, mode_set))
+    return GramForm(mode_set, spec, x, y, _centre_angle(spec, mode_set))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Pencil constants, explicit formulas, Ingham-type checks, verification sweeps."""
 
+import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from obslab import (
     BoundaryGamma0,
     EnergyWeight,
     ExponentialSum,
-    GramForm,
     HorizontalLine,
     HorizontalStrip,
     ObservationSpec,
@@ -30,7 +29,6 @@ from obslab import (
     VerticalSegments,
     VerticalStrip,
     assemble_gram,
-    assemble_grams,
     build_mode_set,
     check_theorem,
     corollary33_check,
@@ -233,15 +231,6 @@ def test_constant_defined_iff_above_threshold(t):
 # eigenvalue pencil
 
 
-def test_pencil_of_matching_gram_is_identity(square):
-    ms = build_mode_set(square, 2, 2)
-    d = WAVE.diagonal(ms)
-    spec = _vspec(VerticalStrip(1.0, 2.0))
-    gram = GramForm(ms, spec, np.diag(d), np.zeros((4, 4)), np.zeros(4))
-    for p, _ in Pencil([gram], d).sectors:
-        assert np.allclose(p, np.eye(4), atol=1e-15)
-
-
 def test_pencil_of_specs_assembles_its_grams_on_first_access(modes4):
     # the pencil sums Gram rows without GramForms; its grams attribute still gives them
     specs = [_vspec(VerticalStrip(1.0, 2.0)), _vspec(HorizontalLine(PI / 2))]
@@ -345,22 +334,21 @@ def _matching_pencil(square, case):
     """A pencil for test_pencil_extremes_match_eigh_bitwise, by case name."""
     ms8 = build_mode_set(square, 8, 8)
     cross = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=30.0)
-    grams = [assemble_gram(cross, ms8)]
-    d = WAVE.diagonal(ms8)
     one = np.arange(len(ms8)) == 5
     if case == "n=1":
-        return Pencil(grams, d, one)
+        return pencil(cross, WAVE, ms8, one)
     if case == "n=2":
-        return Pencil(grams, d, one | (np.arange(len(ms8)) == 11))
+        return pencil(cross, WAVE, ms8, one | (np.arange(len(ms8)) == 11))
     if case == "n=64":
-        return Pencil(grams, d)
+        return pencil(cross, WAVE, ms8)
     if case == "masked":
-        return Pencil(grams, d, (ms8.k1 % 3 != 0) & (ms8.k2 % 2 != 0))
+        return pencil(cross, WAVE, ms8, (ms8.k1 % 3 != 0) & (ms8.k2 % 2 != 0))
     if case == "2n x 2n":
         specs, weight = UNSHARED_CENTRES["OpenRect windows"]
         return pencil(specs, weight, build_mode_set(square, 5, 4))
     scale = {"scaled 2^-500": 2.0**-500, "scaled 2^300": 2.0**300}[case]
-    return Pencil(grams, d / scale)  # D^-1/2 scales each sector by exactly scale
+    # D^-1/2 scales each sector by exactly scale
+    return Pencil((cross,), ms8, WAVE.diagonal(ms8) / scale, None, {})
 
 
 @pytest.mark.parametrize(
@@ -381,14 +369,18 @@ def test_pencil_extremes_match_eigh_bitwise(square, case):
 
 
 def test_pencil_solve_rejects_a_non_finite_sector(square):
+    # a nan weight, or a zero one (D^-1/2 = inf), makes row 3 of each sector non-finite; the
+    # one-mode mask leaves a 1 x 1 sector, which LAPACK does not reduce
     ms = build_mode_set(square, 4, 4)
-    grams = [assemble_gram(_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)), ms)]
-    d = WAVE.diagonal(ms)
-    d[3] = math.nan
-    pen = Pencil(grams, d)
-    for solve in (pen.extremes, pen.lowest):
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve()
+    specs = (_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)),)
+    for value, mask in itertools.product((math.nan, 0.0), (None, np.arange(len(ms)) == 3)):
+        d = WAVE.diagonal(ms)
+        d[3] = value
+        pen = Pencil(specs, ms, d, mask, {})
+        for solve in (pen.extremes, pen.lowest):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    solve()
 
 
 PLATE0 = EnergyWeight(0.0, "plate")
@@ -438,30 +430,6 @@ ONE_PER_KIND = [
     _vspec(HorizontalLine(PI / 2)),
     ObservationSpec(OpenRect(0.0, 1.0, 0.5, 1.5), "displacement", 2.0, "plate"),
 ]
-
-
-@pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda s: type(s.region).__name__)
-def test_assemble_grams_is_assemble_gram_at_each_horizon(square, spec, monkeypatch):
-    # OpenRect carries its own time window, so its Grams differ only in their spec's T
-    ms = build_mode_set(square, 4, 3)
-    ts = [0.5, 2.0, 7.3, 48.0, 2.0]
-    sums = []
-    real = observation._axis_factors
-
-    def counted(*args):
-        sums.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(observation, "_axis_factors", counted)
-    grams = assemble_grams(spec, ms, ts)
-    assert sums == []  # nothing is built before the first Gram is drawn
-    first = next(grams)
-    assert len(sums) == 1
-    scanned = [first, *grams]
-    assert len(sums) == 1
-    want = [assemble_gram(replace(spec, T=t), ms) for t in ts]
-    assert [g.spec.T for g in scanned] == ts
-    assert scanned == want  # GramForm equality: spec, mode set and block bytes
 
 
 SECTOR_CASES = {type(s.region).__name__: [s] for s in ONE_PER_KIND}

@@ -35,7 +35,6 @@ PUBLIC = [
     "VerticalSegments",
     "VerticalStrip",
     "assemble_gram",
-    "assemble_grams",
     "build_algebraic_points",
     "build_mode_set",
     "check_gap_lemma",
@@ -92,7 +91,7 @@ def test_gram_form_is_its_centred_blocks(square):
     for name in fields + ("centred", "matrix", "other"):
         with pytest.raises(AttributeError):
             setattr(gram, name, None)
-    low = obslab.Pencil([gram], obslab.EnergyWeight(1.0, "wave").diagonal(ms)).lowest()
+    low = obslab.pencil(spec, obslab.EnergyWeight(1.0, "wave"), ms).lowest()
     assert type(low) is float
 
 
