@@ -6,32 +6,30 @@ predicted constants are closed-form functions of the time horizon and of the
 interval and symmetry constants m_{a,b}, m_p, M_p. Both sides meet in
 check_theorem, which compares the predicted constant with the smallest
 eigenvalue on the admissible modes, in scan_theorem, its run over many
-horizons T, which builds each region's axis Grams, the part of a Gram that
-does not depend on T, once per scan, and in verify_observability, which also
-sweeps explicit states, a chunk of rows at a time, through the inequality
-observation >= c * energy. The theorems' region compositions, constants and
-symmetries live in one table.
+horizons T, which computes the constants and the mode mask once per scan,
+and in verify_observability, which also sweeps explicit states, a chunk of
+rows at a time, through the inequality observation >= c * energy. The
+theorems' region compositions, constants and symmetries live in one table.
 
 Every solve goes through one pencil (pencil, Pencil) built from the closed
 Grams' centred blocks of its ObservationSpecs. Each closed Gram is a phase
 around [[X, Y], [Y, X]] (see observation), so with one window centre the
 pencil splits into the real n x n sectors D^{-1/2} (X + Y) D^{-1/2} (even in
 time) and D^{-1/2} (X - Y) D^{-1/2} (odd in time); pieces centred apart are
-rotated to one centre and form one real 2n x 2n sector. The pieces' rows
-are summed, a block of whole k2-rows at a time, straight into A = sum X and
-B = sum Y, with no GramForm, and each D-scaled sector is written in turn
-into the slice that follows A and B in their array, where LAPACK reduces it
-in place. A
-theorem's symmetry mask acts per mode, so each sector is restricted to the
-admissible modes before its solve. empirical_constants lifts the minimiser
-back through the sector sign, 1/sqrt 2 and the phase, and certifies c_min by
-its Rayleigh quotient on the doubled form of the summed, unscaled blocks.
-check_theorem takes the smallest eigenvalue of the masked sectors
-(Pencil.lowest, which computes no eigenvector), and verify_observability
-sweeps states through the sector quadratic forms, a few hundred states per
-real GEMM. Each sector is reduced to tridiagonal form once, and both its
-extreme eigenvalues and the minimiser come from that reduction, equal to
-scipy.linalg.eigh's subset solves to the bit.
+rotated to one centre and form one real 2n x 2n sector. The pieces' rows are
+summed, a block of whole k2-rows at a time, straight into A = sum X and B =
+sum Y, with no GramForm, and each D-scaled sector is written in turn into
+the one slab that follows real A and B in their array, where LAPACK reduces
+it in place. A theorem's symmetry mask acts per mode, so each sector is
+restricted to the admissible modes before its solve. empirical_constants
+lifts the minimiser back through the sector sign, 1/sqrt 2 and the phase,
+and certifies c_min by its Rayleigh quotient on the doubled form of the
+summed, unscaled blocks. check_theorem takes the smallest eigenvalue of the
+masked sectors (Pencil.lowest, which computes no eigenvector), and
+verify_observability sweeps states through the sector quadratic forms, a few
+hundred states per real GEMM. Each sector is reduced to tridiagonal form
+once, and both its extreme eigenvalues and the minimiser come from that
+reduction, equal to scipy.linalg.eigh's subset solves to the bit.
 """
 
 from __future__ import annotations
@@ -221,13 +219,6 @@ def _as_spec_tuple(spec) -> tuple:
     return specs
 
 
-def _weight_diagonal(weight: EnergyWeight, mode_set: ModeSet) -> np.ndarray:
-    d = weight.diagonal(mode_set)
-    if not np.all(d > 0):
-        raise ValueError("energy weight must be strictly positive on every mode")
-    return d
-
-
 # LAPACK dsyevr reduces a matrix unscaled when its max-norm lies in [_RMIN, _RMAX]
 _SAFMIN = lapack.dlamch("S")
 _SMLNUM = _SAFMIN / lapack.dlamch("P")
@@ -395,12 +386,12 @@ class Pencil:
     sector. The mode mask acts per mode, so it commutes with that split: each
     sector keeps the rows and columns of the masked modes.
 
-    Pencil(specs, mode_set, d, mask, factors) sums the Grams of the
-    ObservationSpecs specs, assembled a block of rows at a time, with no
-    GramForm, on the axis factors in the dict factors (by region, filled as
-    needed: a scan shares it over its horizons); pencil() builds it from an
-    energy weight. blocks holds (A, B) on the masked modes, real blocks
-    checked for bitwise symmetry once, and d is the energy weight diagonal.
+    Pencil(specs, mode_set, d, mask) sums the Grams of the ObservationSpecs
+    specs, each assembled a block of rows at a time, with no GramForm;
+    pencil() builds it from an energy weight. d is the energy weight
+    diagonal, one positive entry per mode, checked before any Gram is
+    assembled. blocks holds (A, B) on the masked modes, real blocks checked
+    for bitwise symmetry once.
     sectors lists (matrix, index) pairs, index locating the sector's rows in
     u, written from blocks on first access, and grams the pieces' GramForms,
     assembled on first access. lowest and extremes write each D-scaled
@@ -411,14 +402,16 @@ class Pencil:
     smallest, from the winning sector's reduction.
     """
 
-    def __init__(self, specs: tuple, mode_set: ModeSet, d: np.ndarray, mask, factors: dict) -> None:
-        n = len(d)
+    def __init__(self, specs: tuple, mode_set: ModeSet, d: np.ndarray, mask) -> None:
+        n = len(mode_set)
+        if np.shape(d) != (n,) or not np.all(d > 0):  # nan fails d > 0, with no warning
+            raise ValueError("energy weight must be strictly positive on every mode")
         self._specs, self._mode_set, self.d = specs, mode_set, d
         self.mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
         if self.mask.shape != (n,) or not self.mask.any():
             raise ValueError(f"mask must select some of the {n} modes")
         self.keep = np.flatnonzero(self.mask)
-        sources = [_piece_rows(s, mode_set, factors) for s in specs]
+        sources = [_piece_rows(s, mode_set) for s in specs]
         self.angle, work = _summed_blocks(sources, self.keep, n)
         # real sums come with a spare slice, the slab each solve writes its sectors into in turn
         self.blocks, self._slab = work[:2], work[2] if len(work) == 3 else None
@@ -528,8 +521,7 @@ def pencil(specs, weight: EnergyWeight, mode_set: ModeSet, mask=None) -> Pencil:
     straight into the pencil's blocks; mask, a boolean per mode, restricts
     the pencil to the modes it selects (all modes when None). See Pencil.
     """
-    d = _weight_diagonal(weight, mode_set)
-    return Pencil(_as_spec_tuple(specs), mode_set, d, mask, {})
+    return Pencil(_as_spec_tuple(specs), mode_set, weight.diagonal(mode_set), mask)
 
 
 def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> ConstantReport:
@@ -783,11 +775,10 @@ def _scan(
     """check_theorem's result and admissible pencil at each T of T_values, as pairs.
 
     The composition check, the constants m_ab, m_cd, m_o and M_o, the mode
-    mask and each spec's axis factors, the part of its Gram that does not
-    depend on T, are computed once. Per T only the Gram rows, summed straight
-    into the pencil's blocks, and the lowest eigenvalue are built, so every
-    row has the bits of a run at that T alone.
-    With require_threshold, ThresholdError is raised for the first T below
+    mask and the energy weight diagonal are computed once. Per T the pencil,
+    its Gram rows summed straight into its blocks, and its lowest eigenvalue
+    are built, so every row has the bits of a run at that T alone. With
+    require_threshold, ThresholdError is raised for the first T below
     the threshold, before any Gram is assembled.
     """
     geometry = mode_set.geometry
@@ -801,10 +792,9 @@ def _scan(
     mask = np.ones(len(mode_set), dtype=bool)
     for sym in symmetries:
         mask &= (mode_set.k1 if sym.axis == "x1" else mode_set.k2) % sym.p != 0
-    d = _weight_diagonal(EnergyWeight(1, "wave"), mode_set)
-    factors = {}
+    d = EnergyWeight(1, "wave").diagonal(mode_set)
     for T, pred in zip(T_values, preds):
-        pen = Pencil(tuple(replace(s, T=T) for s in specs), mode_set, d, mask, factors)
+        pen = Pencil(tuple(replace(s, T=T) for s in specs), mode_set, d, mask)
         c, c_min = pred["c"], pen.lowest()
         result = {
             "theorem": theorem,
@@ -842,9 +832,8 @@ def scan_theorem(theorem: str, spec, mode_set: ModeSet, params: dict, T_values) 
 
     Every spec's horizon is set to T; row i equals check_theorem of the specs
     at T_values[i] to the last bit. The work that does not depend on T (the
-    composition check, m_ab, m_o/M_o, the mode mask and each region's axis
-    Grams, shared by _scan's pencils through one dict) is done once per scan,
-    and only one T's pencil is held at a time.
+    composition check, m_ab, m_o/M_o and the mode mask) is done once per
+    scan, and only one T's pencil is held at a time.
     """
     T_values = [float(T) for T in T_values]
     if not T_values:

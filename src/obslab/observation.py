@@ -12,10 +12,9 @@ every Gram a block of whole k2-rows at a time, with no n x n gather and no
 n x n temporary. assemble_gram takes the 1-D Grams in closed form; the
 oracle runs the same producer on composite-Simpson sums over pointwise
 samples and shares no closed form; the pencil of inequalities sums its
-pieces' rows (_piece_rows) straight into its blocks, with no GramForm, on
-axis Grams it builds once for any number of horizons T (only the time window
-depends on T). A dense tensor-grid reference that guards the factorisation
-lives in the tests.
+pieces' rows (_piece_rows) straight into its blocks, with no GramForm. A
+dense tensor-grid reference that guards the factorisation lives in the
+tests.
 
 The closed forms are written about the centre c of each window of length L:
 the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
@@ -467,21 +466,22 @@ def _axis_factors(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_ax
     )
 
 
-def _gram_rows(spec: ObservationSpec, mode_set: ModeSet, factors: tuple, axis_gram=_closed_axis_gram):
+def _gram_rows(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram):
     """Yield (rows, x, y): the centred blocks X and Y of the spec's Gram, a block of whole k2-rows at a time.
 
-    factors is _axis_factors(spec, mode_set, axis_gram), which a caller
-    builds once for any number of horizons. The modes run row-major in
-    (k2, k1), so on the rows of the k2-rows r the spatial sum sum sign X1 o X2
-    is a sum of Kronecker products: (sign X1)[k1, c1] X2[r, c2], one broadcast
-    product per term, summed in order, with no n x n gather. axis_gram also
-    supplies the time window's Gram Kt, the stack of its a-a and a-b blocks,
-    on the distinct frequencies; a block takes its entries with one flat take.
+    The axis factors, _axis_factors(spec, mode_set, axis_gram), are built
+    when the first block is drawn. The modes run row-major in (k2, k1), so on
+    the rows of the k2-rows r the spatial sum sum sign X1 o X2 is a sum of
+    Kronecker products: (sign X1)[k1, c1] X2[r, c2], one broadcast product
+    per term, summed in order, with no n x n gather. axis_gram also supplies
+    the time window's Gram Kt, the stack of its a-a and a-b blocks, on the
+    distinct frequencies; a block takes its entries with one flat take.
     Each block is Kt o spatial, times the velocity amplitude products
     w_i w_j (in X) and -w_i w_j (in Y); x and y are the two halves of one
     (2, rows, n) array.
     """
     K1, n = mode_set.K1, len(mode_set)
+    factors = _axis_factors(spec, mode_set, axis_gram)
     w = _frequencies(spec, mode_set)
     distinct, inverse = np.unique(w, return_inverse=True)
     kt = axis_gram(("exp", *spec.region.pieces(spec.T)[0]), distinct, 1.0, None).reshape(2, -1)
@@ -503,26 +503,20 @@ def _gram_rows(spec: ObservationSpec, mode_set: ModeSet, factors: tuple, axis_gr
         yield rows, blocks[0], blocks[1]
 
 
-def _blocks(spec: ObservationSpec, mode_set: ModeSet, factors: tuple, axis_gram=_closed_axis_gram):
+def _blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram):
     """The stack (X, Y) of the spec's Gram blocks, n x n each, written from _gram_rows."""
     n = len(mode_set)
     out = None
-    for rows, x, y in _gram_rows(spec, mode_set, factors, axis_gram):
+    for rows, x, y in _gram_rows(spec, mode_set, axis_gram):
         if out is None:
             out = np.empty((2, n, n), x.dtype)
         out[0, rows], out[1, rows] = x, y
     return out
 
 
-def _piece_rows(spec: ObservationSpec, mode_set: ModeSet, factors: dict) -> tuple:
-    """(angle, rows) of one piece of a summed Gram: its phase angle, and its rows as _gram_rows yields them.
-
-    The rows are built on the axis factors held in factors, a dict by region
-    that this fills, so a caller builds them once for many horizons.
-    """
-    if spec.region not in factors:
-        factors[spec.region] = _axis_factors(spec, mode_set)
-    return _centre_angle(spec, mode_set), _gram_rows(spec, mode_set, factors[spec.region])
+def _piece_rows(spec: ObservationSpec, mode_set: ModeSet) -> tuple:
+    """(angle, rows) of one piece of a summed Gram: its phase angle, and its rows as _gram_rows yields them."""
+    return _centre_angle(spec, mode_set), _gram_rows(spec, mode_set)
 
 
 def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
@@ -560,7 +554,7 @@ def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
     The Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
     -angle)}, Hermitian to the last bit; (X, Y, angle) is GramForm.centred.
     """
-    x, y = _blocks(spec, mode_set, _axis_factors(spec, mode_set))
+    x, y = _blocks(spec, mode_set)
     return GramForm(mode_set, spec, x, y, _centre_angle(spec, mode_set))
 
 
@@ -605,8 +599,7 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
 @functools.lru_cache(maxsize=1)
 def _sampled_blocks(spec: ObservationSpec, mode_set: ModeSet, res: int) -> np.ndarray:
     """_blocks on Simpson samples, read-only and kept for the next call on the same spec."""
-    axis_gram = functools.partial(_sampled_axis_gram, res=res)
-    blocks = _blocks(spec, mode_set, _axis_factors(spec, mode_set, axis_gram), axis_gram)
+    blocks = _blocks(spec, mode_set, functools.partial(_sampled_axis_gram, res=res))
     blocks.flags.writeable = False
     return blocks
 

@@ -121,7 +121,7 @@ def test_below_threshold_verify_assembles_no_gram(tmp_path, monkeypatch, samples
 
         return call
 
-    # every closed Gram, one T's or a scan's, is built from axis factors by the row producer
+    # every closed Gram, one T's or a scan's, is built by the row producer from its axis factors
     for name in ("_axis_factors", "_gram_rows"):
         monkeypatch.setattr(observation, name, counted(getattr(observation, name)))
     code, text = run(tmp_path, "verify", {**CROSS, "T": 10.0, "samples": samples})
@@ -162,27 +162,21 @@ def test_unusable_decay_exits_2(tmp_path, capsys, command, decay):
     assert "decay" in capsys.readouterr().err
 
 
-def test_scan_t_does_its_t_independent_work_once(tmp_path, monkeypatch):
-    counts = {"_axis_factors": [], "m_ab": []}
+def test_scan_t_computes_m_ab_once_per_interval_and_rows_equal_check_theorem(tmp_path, monkeypatch):
+    calls = []
+    real = inequalities.m_ab
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-        def call(*args):
-            counts[name].append(args)
-            return real(*args)
-
-        return call
-
-    for module, name in ((observation, "_axis_factors"), (inequalities, "m_ab")):
-        monkeypatch.setattr(module, name, counted(module, name))
+    monkeypatch.setattr(inequalities, "m_ab", counted)
     ts = [47.84977149867659 + 2.5 * k for k in range(8)]
     config = {**CROSS, "T_values": ts}
     del config["T"]
     code, text = run(tmp_path, "scan-t", config, fmt="json")
     assert code == 0
-    assert len(counts["_axis_factors"]) == 1  # one spec
-    assert sorted(counts["m_ab"]) == [(1.0, 2.0), (1.0, 2.0)]  # one per interval
+    assert sorted(calls) == [(1.0, 2.0), (1.0, 2.0)]  # one per interval, not per T
     rows = json.loads(text)["result"]["rows"]
     ms = build_mode_set(RectangleGeometry(PI, PI), 6, 6)
     for t, row in zip(ts, rows):

@@ -1,8 +1,8 @@
 """Pencil constants, explicit formulas, Ingham-type checks, verification sweeps."""
 
-import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -348,7 +348,7 @@ def _matching_pencil(square, case):
         return pencil(specs, weight, build_mode_set(square, 5, 4))
     scale = {"scaled 2^-500": 2.0**-500, "scaled 2^300": 2.0**300}[case]
     # D^-1/2 scales each sector by exactly scale
-    return Pencil((cross,), ms8, WAVE.diagonal(ms8) / scale, None, {})
+    return Pencil((cross,), ms8, WAVE.diagonal(ms8) / scale, None)
 
 
 @pytest.mark.parametrize(
@@ -369,18 +369,36 @@ def test_pencil_extremes_match_eigh_bitwise(square, case):
 
 
 def test_pencil_solve_rejects_a_non_finite_sector(square):
-    # a nan weight, or a zero one (D^-1/2 = inf), makes row 3 of each sector non-finite; the
-    # one-mode mask leaves a 1 x 1 sector, which LAPACK does not reduce
+    # a positive subnormal weight passes the constructor, but D^-1/2 squares to inf, so entry
+    # (3, 3) of each sector is not finite; the one-mode mask leaves a 1 x 1 sector, which LAPACK
+    # does not reduce
     ms = build_mode_set(square, 4, 4)
     specs = (_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)),)
-    for value, mask in itertools.product((math.nan, 0.0), (None, np.arange(len(ms)) == 3)):
-        d = WAVE.diagonal(ms)
-        d[3] = value
-        pen = Pencil(specs, ms, d, mask, {})
+    d = WAVE.diagonal(ms)
+    d[3] = 5e-324
+    for mask in (None, np.arange(len(ms)) == 3):
+        pen = Pencil(specs, ms, d, mask)
         for solve in (pen.extremes, pen.lowest):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(ValueError, match="infs or NaNs"):
                     solve()
+
+
+@pytest.mark.parametrize("case", ["zero", "negative", "nan", "short", "long"])
+def test_pencil_rejects_a_weight_diagonal_that_is_not_positive_per_mode(square, case):
+    # rejected at construction, with no RuntimeWarning: a zero entry would make D^-1/2 inf, a
+    # negative or nan one nan
+    ms = build_mode_set(square, 4, 4)
+    specs = (_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)),)
+    d = WAVE.diagonal(ms)
+    if case in ("short", "long"):
+        d = d[:-1] if case == "short" else np.append(d, 1.0)
+    else:
+        d[3] = {"zero": 0.0, "negative": -1.0, "nan": math.nan}[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^energy weight must be strictly positive on every mode$"):
+            Pencil(specs, ms, d, None)
 
 
 PLATE0 = EnergyWeight(0.0, "plate")
@@ -822,7 +840,7 @@ def test_check_theorem_serves_verify_with_one_assembly(square, monkeypatch):
 
         return call
 
-    # the assembly is split into the axis factors and the rows built on them at one T
+    # the row producer builds each spec's axis factors, then its rows at one T
     monkeypatch.setattr(observation, "_axis_factors", counted(sums, observation._axis_factors))
     monkeypatch.setattr(observation, "_gram_rows", counted(grams, observation._gram_rows))
     states = _projected_states(ms, range(3), p=2, q=2)

@@ -652,8 +652,7 @@ def test_gram_rows_hold_no_n_by_n_temporary():
     n = len(ms)
     tracemalloc.start()
     try:
-        factors = observation._axis_factors(spec, ms)
-        rows = sum(x.shape[0] for _, x, _ in observation._gram_rows(spec, ms, factors))
+        rows = sum(x.shape[0] for _, x, _ in observation._gram_rows(spec, ms))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

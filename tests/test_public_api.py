@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import types
 from pathlib import Path
 
@@ -93,6 +94,13 @@ def test_gram_form_is_its_centred_blocks(square):
             setattr(gram, name, None)
     low = obslab.pencil(spec, obslab.EnergyWeight(1.0, "wave"), ms).lowest()
     assert type(low) is float
+
+
+def test_pencil_constructor_is_pinned():
+    # the one constructor: every parameter is given, none has a default
+    params = inspect.signature(obslab.Pencil).parameters
+    assert list(params) == ["specs", "mode_set", "d", "mask"]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
 
 
 def _unused_imports(source: str) -> list:
