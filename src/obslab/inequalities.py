@@ -30,6 +30,9 @@ verify_observability sweeps states through the sector quadratic forms, a few
 hundred states per real GEMM. Each sector is reduced to tridiagonal form
 once, and both its extreme eigenvalues and the minimiser come from that
 reduction, equal to scipy.linalg.eigh's subset solves to the bit.
+
+The Ingham-type checks take their time integral from the real blocked form
+of observation (_exponential_form) on the one axis (0, T).
 """
 
 from __future__ import annotations
@@ -45,7 +48,14 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
 
-from .observation import ObservationSpec, _doubled_forms, _piece_rows, _window_sinc, assemble_gram
+from .observation import (
+    ObservationSpec,
+    _centre_angle,
+    _doubled_forms,
+    _exponential_form,
+    _gram_rows,
+    assemble_gram,
+)
 from .spectrum import ModeSet, _matmul, partial_gap_analysis
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
@@ -89,8 +99,6 @@ _PI = math.pi
 # rows per chunk of the sweep: it bounds the temporaries of
 # Pencil.quadratic_forms, so no stack of every state's coefficients is held at once
 _CHUNK = 256
-# rows per block of the sinc matrix in the Ingham forms
-_INGHAM_BLOCK = 128
 # entries per block of sector rows written from the summed Gram blocks
 _ROW_BLOCK = 1 << 14
 
@@ -305,12 +313,12 @@ class _Reduction:
 def _summed_blocks(sources: list, keep: np.ndarray, n: int) -> tuple:
     """(angle, work): the pieces' Grams summed about the first piece's angle, on the modes keep.
 
-    sources holds each piece's (angle, rows), as observation._piece_rows
-    gives them. work[0] and work[1] are A and B of the sum
-    [[A, B], [conj B, conj A]] on the m sorted modes keep, into which each
-    piece's rows are added in order, the first piece's to 0.0: a sum from
-    zeros to the bit, -0.0 entries becoming +0.0, with no pass over zeroed
-    memory. When every piece shares the first one's angle, A and B are the
+    sources holds each piece's (angle, rows): its observation._centre_angle,
+    and its rows as observation._gram_rows yields them. work[0] and work[1]
+    are A and B of the sum [[A, B], [conj B, conj A]] on the m sorted modes
+    keep, into which each piece's rows are added in order, the first piece's
+    to 0.0: a sum from zeros to the bit, -0.0 entries becoming +0.0, with no
+    pass over zeroed memory. When every piece shares the first one's angle, A and B are the
     real sums of X and Y, and work[2] is a spare m x m slab for the sectors,
     in the same allocation: one array is faulted in once, and its pages are
     reused once it is freed, where several smaller ones fault page by page.
@@ -357,19 +365,22 @@ def _write_sector(blocks: np.ndarray, r: np.ndarray, k: int, out: np.ndarray) ->
     scaled by rr = r r^T, one block of rows at a time. Real blocks give the
     even sector A rr + B rr (k = 0) and the odd A rr - B rr (k = 1), m x m;
     complex ones the one real 2m x 2m sector [[Re(A+B), Im(B-A)],
-    [Im(A+B), Re(A-B)]] of A rr and B rr.
+    [Im(A+B), Re(A-B)]] of A rr and B rr. A weight entry so small that the
+    scaling overflows writes inf or nan, with no warning: the solve rejects
+    the sector (_Reduction), so the fault is reported once, as a ValueError.
     """
     m = len(r)
     step = max(1, _ROW_BLOCK // m)
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        rr = np.multiply(r[lo:hi, None], r)
-        a, b = blocks[0, lo:hi] * rr, blocks[1, lo:hi] * rr
-        if np.iscomplexobj(blocks):
-            out[lo:hi, :m], out[m + lo : m + hi, :m] = (a + b).real, (a + b).imag
-            out[lo:hi, m:], out[m + lo : m + hi, m:] = (b - a).imag, (a - b).real
-        else:
-            (np.add, np.subtract)[k](a, b, out=out[lo:hi])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            rr = np.multiply(r[lo:hi, None], r)
+            a, b = blocks[0, lo:hi] * rr, blocks[1, lo:hi] * rr
+            if np.iscomplexobj(blocks):
+                out[lo:hi, :m], out[m + lo : m + hi, :m] = (a + b).real, (a + b).imag
+                out[lo:hi, m:], out[m + lo : m + hi, m:] = (b - a).imag, (a - b).real
+            else:
+                (np.add, np.subtract)[k](a, b, out=out[lo:hi])
 
 
 class Pencil:
@@ -411,7 +422,7 @@ class Pencil:
         if self.mask.shape != (n,) or not self.mask.any():
             raise ValueError(f"mask must select some of the {n} modes")
         self.keep = np.flatnonzero(self.mask)
-        sources = [_piece_rows(s, mode_set) for s in specs]
+        sources = [(_centre_angle(s, mode_set), _gram_rows(s, mode_set)) for s in specs]
         self.angle, work = _summed_blocks(sources, self.keep, n)
         # real sums come with a spare slice, the slab each solve writes its sectors into in turn
         self.blocks, self._slab = work[:2], work[2] if len(work) == 3 else None
@@ -948,27 +959,6 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
 # Ingham-type checks
 
 
-def _ingham_form(w: np.ndarray, coeffs: np.ndarray, T: float) -> float:
-    """integral over (0, T) of |sum_k c_k e^{i w_k t}|^2 dt for finite exponents w.
-
-    About the window centre T/2 the time kernel is e^{i (w_k - w_j) T/2} times
-    the real symmetric sinc block S (observation._window_sinc), so with
-    b = c e^{i (w - min w) T/2} the form is Re(b)' S Re(b) + Im(b)' S Im(b).
-    S is built a block of rows at a time; it and the phases need the
-    arguments |w_k - w_j| T / 2, which must stay finite.
-    """
-    if not math.isfinite((float(w.max()) - float(w.min())) * T):
-        raise ValueError(f"the horizon T={T} overflows the time kernel of these exponents")
-    b = coeffs * np.exp(1j * ((w - w.min()) * (T / 2.0)))
-    parts = np.stack([b.real, b.imag], axis=1)
-    lhs = 0.0
-    for r0 in range(0, w.size, _INGHAM_BLOCK):
-        rows = slice(r0, r0 + _INGHAM_BLOCK)
-        block = _window_sinc(w[None, :] - w[rows, None], 0.0, T)
-        lhs += float(_matmul(parts[rows].ravel(), _matmul(block, parts).ravel()))
-    return lhs
-
-
 def _ingham_result(lhs: float, rhs: float) -> dict:
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise ValueError(f"the horizon overflows the bound: lhs={lhs}, rhs={rhs}")
@@ -987,7 +977,7 @@ def mehrenberger_check(es: ExponentialSum, T: float) -> dict:
         raise ValueError("need a finite T > 2*pi/gamma")
     w = np.array(es.exponents)
     a = np.array(es.coefficients)
-    lhs = _ingham_form(w, a, T)
+    lhs = _exponential_form(a, [(w, 0.0, T)])
     idx = np.array(es.indices)
     total = float(np.sum(np.abs(a) ** 2))
     tail = float(np.sum(np.abs(a[np.abs(idx) >= es.n]) ** 2))
@@ -1015,7 +1005,7 @@ def corollary33_check(k2: int, a, b, T: float) -> dict:
     freq = np.sqrt(k1**2 + float(k2) ** 2)
     w = np.concatenate([freq, -freq])
     coeffs = np.concatenate([a, b])
-    lhs = _ingham_form(w, coeffs, T)
+    lhs = _exponential_form(coeffs, [(w, 0.0, T)])
     mass = np.abs(a) ** 2 + np.abs(b) ** 2
     strong = float(mass[k1 >= k2].sum())
     weak = float(mass[k1 < k2].sum())

@@ -12,9 +12,9 @@ every Gram a block of whole k2-rows at a time, with no n x n gather and no
 n x n temporary. assemble_gram takes the 1-D Grams in closed form; the
 oracle runs the same producer on composite-Simpson sums over pointwise
 samples and shares no closed form; the pencil of inequalities sums its
-pieces' rows (_piece_rows) straight into its blocks, with no GramForm. A
-dense tensor-grid reference that guards the factorisation lives in the
-tests.
+pieces' rows (_gram_rows, about _centre_angle) straight into its blocks,
+with no GramForm. A dense tensor-grid reference that guards the
+factorisation lives in the tests.
 
 The closed forms are written about the centre c of each window of length L:
 the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
@@ -27,13 +27,18 @@ a Gram: GramForm.quadratic_form evaluates v^H [[X, Y], [Y, X]] v on the phased
 coefficients v = p c, and no library path builds the complex 2n x 2n matrix.
 The form and the oracle evaluate a stack of states by one doubled form, and
 build the time Gram on the distinct frequencies, expanded to the modes.
+
+Every exponential-sum integral over a box, the four-family form here and the
+Ingham checks of inequalities, is one real form about the box centre
+(_exponential_form): the product of the axes' sinc blocks, a block of rows
+at a time, on the phased coefficients. No complex kernel is built for them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,27 +51,30 @@ from .spectrum import ModeSet, RectangleGeometry, _matmul, build_mode_set
 _FULL, _EDGE, _ONES = ("full",), ("edge",), ("ones",)
 # entries per block of Gram rows: whole k2-rows, at least one
 _ROW_BLOCK = 1 << 14
+# rows per block of the real kernel of _exponential_form
+_INGHAM_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
 # regions
 
 
-def _numbers(values):
-    for v in values:
-        if isinstance(v, tuple):
-            yield from _numbers(v)
-        else:
-            yield v
-
-
 @dataclass(frozen=True)
 class _Region:
-    """Base of the regions. pieces(T) returns (time window, ((sign, x1, x2), ...))."""
+    """Base of the regions. pieces(T) returns (time window, ((sign, x1, x2), ...)).
+
+    A region is checked through its pieces: every position must be finite,
+    and the time window and every interval and exp profile nondegenerate.
+    """
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(x) for x in _numbers(astuple(self))):
-            raise ValueError(f"{type(self).__name__} parameters must be finite")
+        window, terms = self.pieces(1.0)
+        factors = [("interval", *window)] + [f for _, *pair in terms for f in pair]
+        kind = type(self).__name__
+        if not all(math.isfinite(x) for _, *xs in factors for x in xs):
+            raise ValueError(f"{kind} parameters must be finite")
+        if not all(xs[0] < xs[1] for k, *xs in factors if k in ("interval", "exp")):
+            raise ValueError(f"{kind} intervals must be nondegenerate")
 
 
 @dataclass(frozen=True)
@@ -79,9 +87,6 @@ class VerticalSegments(_Region):
         segs = tuple((float(a), (float(lo), float(hi))) for a, (lo, hi) in self.segments)
         if not segs:
             raise ValueError("need at least one segment")
-        for _, (lo, hi) in segs:
-            if not lo < hi:
-                raise ValueError("segment intervals must be nondegenerate")
         object.__setattr__(self, "segments", segs)
         super().__post_init__()
 
@@ -114,11 +119,6 @@ class VerticalStrip(_Region):
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.a < self.b:
-            raise ValueError("strip interval must be nondegenerate")
-
     def pieces(self, T):
         return (0.0, T), ((1.0, ("interval", self.a, self.b), _FULL),)
 
@@ -127,11 +127,6 @@ class VerticalStrip(_Region):
 class HorizontalStrip(_Region):
     c: float
     d: float
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.c < self.d:
-            raise ValueError("strip interval must be nondegenerate")
 
     def pieces(self, T):
         return (0.0, T), ((1.0, _FULL, ("interval", self.c, self.d)),)
@@ -149,11 +144,6 @@ class CrossStrips(_Region):
     b: float
     c: float
     d: float
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (self.a < self.b and self.c < self.d):
-            raise ValueError("strip intervals must be nondegenerate")
 
     @property
     def vertical(self) -> VerticalStrip:
@@ -195,11 +185,6 @@ class OpenRect(_Region):
     t1: float
     x0: float
     x1: float
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (self.t0 < self.t1 and self.x0 < self.x1):
-            raise ValueError("rectangle must be nondegenerate")
 
     def pieces(self, T):
         return (self.t0, self.t1), ((1.0, _ONES, ("exp", self.x0, self.x1)),)
@@ -291,28 +276,43 @@ def _window_sinc(delta, lo: float, hi: float):
     return (2.0 * h) * np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0.0)
 
 
-def _interval_kernel(delta, lo: float, hi: float):
-    """integral over (lo, hi) of e^{i delta s} ds, elementwise in delta.
+def _exponential_form(coeffs: np.ndarray, axes) -> float:
+    """integral over the box of |sum_k c_k e^{i sum_a w_ak x_a}|^2, axes = [(w, lo, hi), ...].
 
-    Written about the window centre c = (lo + hi)/2 as e^{i delta c} times
-    the real modulus _window_sinc. The value at -delta is the exact
-    floating-point conjugate, so Gram matrices built from it are Hermitian to
-    the last bit.
+    Each axis a carries the exponents w_a of the sum on it and its interval
+    (lo, hi). About the box centre x_c the kernel is e^{i (w_k - w_j) . x_c}
+    times the real symmetric product S of the axes' sinc blocks
+    (_window_sinc), so with b = c e^{i sum_a (w_a - min w_a) x_ca} the form is
+    Re(b)' S Re(b) + Im(b)' S Im(b). S is built a block of rows at a time; it
+    and the phases need the arguments |w_ak - w_aj| (hi - lo) / 2, which must
+    stay finite.
     """
-    d = np.asarray(delta, dtype=float)
-    mag = _window_sinc(d, lo, hi)
-    angle = d * ((lo + hi) / 2.0)
-    out = np.empty(d.shape, dtype=complex)
-    out.real = mag * np.cos(angle)
-    out.imag = mag * np.sin(angle)
-    return out
+    for w, lo, hi in axes:
+        if not math.isfinite((float(w.max()) - float(w.min())) * (hi - lo)):
+            raise ValueError(f"the interval ({lo}, {hi}) overflows the kernel of these exponents")
+    b = coeffs * np.exp(1j * sum((w - w.min()) * ((lo + hi) / 2.0) for w, lo, hi in axes))
+    parts = np.stack([b.real, b.imag], axis=1)
+    lhs = 0.0
+    for r0 in range(0, b.size, _INGHAM_BLOCK):
+        rows = slice(r0, r0 + _INGHAM_BLOCK)
+        block = functools.reduce(
+            np.multiply, (_window_sinc(w[None, :] - w[rows, None], lo, hi) for w, lo, hi in axes)
+        )
+        lhs += float(_matmul(parts[rows].ravel(), _matmul(block, parts).ravel()))
+    return lhs
 
 
 def time_kernel(w1: float, w2: float, T: float) -> complex:
-    """integral over (0, T) of e^{i (w1 - w2) t} dt; equals T when w1 = w2."""
+    """integral over (0, T) of e^{i (w1 - w2) t} dt; equals T when w1 = w2.
+
+    Written about the window centre T/2 as e^{i delta T/2} times the real
+    modulus _window_sinc, so the value at w2, w1 is the exact conjugate.
+    """
     if not (T > 0 and math.isfinite(T)):
         raise ValueError("T must be positive and finite")
-    return complex(_interval_kernel(np.float64(w1) - np.float64(w2), 0.0, T))
+    delta = np.float64(w1) - np.float64(w2)
+    mag, angle = _window_sinc(delta, 0.0, T), delta * (T / 2.0)
+    return complex(mag * np.cos(angle), mag * np.sin(angle))
 
 
 def sine_overlap(k: int, kp: int, interval, scale: float) -> float:
@@ -514,11 +514,6 @@ def _blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gra
     return out
 
 
-def _piece_rows(spec: ObservationSpec, mode_set: ModeSet) -> tuple:
-    """(angle, rows) of one piece of a summed Gram: its phase angle, and its rows as _gram_rows yields them."""
-    return _centre_angle(spec, mode_set), _gram_rows(spec, mode_set)
-
-
 def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
     """Per-mode phase angle of a closed Gram: w t_c, plus z k2 x_c for an exp profile on x2.
 
@@ -631,7 +626,8 @@ def thm21_fourfamily_form(coeffs, omega: OpenRect, geometry: RectangleGeometry) 
 
     coeffs is a 4-tuple of arrays shaped (K2, K1), indexed [k2-1, k1-1], for
     the families with exponents +zx-lt signs (+,+), (-,+), (+,-), (-,-) in
-    (z k2 x2, lambda_k t). All kernels are the closed interval forms.
+    (z k2 x2, lambda_k t). It is the real blocked form _exponential_form on
+    the time and x2 axes of omega, about its centre.
     """
     fams = [np.ascontiguousarray(f, dtype=complex) for f in coeffs]
     if len(fams) != 4 or any(f.shape != fams[0].shape or f.ndim != 2 for f in fams):
@@ -642,6 +638,4 @@ def thm21_fourfamily_form(coeffs, omega: OpenRect, geometry: RectangleGeometry) 
     wx = np.concatenate([sx * geometry.z * ms.k2 for sx, _ in signs])
     wt = np.concatenate([st * ms.lam for _, st in signs])
     cvec = np.concatenate([f.reshape(-1) for f in fams])
-    kt = _interval_kernel(wt[None, :] - wt[:, None], omega.t0, omega.t1)
-    kx = _interval_kernel(wx[None, :] - wx[:, None], omega.x0, omega.x1)
-    return float(np.real(_matmul(cvec.conj(), _matmul(kt * kx, cvec))))
+    return _exponential_form(cvec, [(wt, omega.t0, omega.t1), (wx, omega.x0, omega.x1)])

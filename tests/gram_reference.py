@@ -5,7 +5,9 @@ of rows at a time from Kronecker products of the axis Grams, and sums a
 pencil's pieces straight into its blocks. The tests compare those blocks, and
 every form and pencil built from them, with the dense complex doubled Gram,
 the spatial sum gathered to n x n and the sectors summed piece by piece
-below.
+below. The exponential-sum integrals, which the library forms from real sinc
+blocks about the box centre, are compared with dense products of the complex
+interval kernel.
 """
 
 import functools
@@ -14,7 +16,24 @@ import math
 import numpy as np
 
 from obslab import assemble_gram
-from obslab.observation import _closed_axis_gram
+from obslab.observation import _closed_axis_gram, _window_sinc
+
+
+def _interval_kernel(delta, lo: float, hi: float):
+    """integral over (lo, hi) of e^{i delta s} ds, elementwise in delta.
+
+    Written about the window centre c = (lo + hi)/2 as e^{i delta c} times
+    the real modulus _window_sinc. The value at -delta is the exact
+    floating-point conjugate, so Gram matrices built from it are Hermitian to
+    the last bit.
+    """
+    d = np.asarray(delta, dtype=float)
+    mag = _window_sinc(d, lo, hi)
+    angle = d * ((lo + hi) / 2.0)
+    out = np.empty(d.shape, dtype=complex)
+    out.real = mag * np.cos(angle)
+    out.imag = mag * np.sin(angle)
+    return out
 
 
 def dense_gram(gram) -> np.ndarray:

@@ -121,9 +121,11 @@ def test_below_threshold_verify_assembles_no_gram(tmp_path, monkeypatch, samples
 
         return call
 
-    # every closed Gram, one T's or a scan's, is built by the row producer from its axis factors
-    for name in ("_axis_factors", "_gram_rows"):
-        monkeypatch.setattr(observation, name, counted(getattr(observation, name)))
+    # every closed Gram, one T's or a scan's, is built by the row producer from its axis factors;
+    # the pencil calls the producer by the name inequalities imports
+    patched = ((observation, "_axis_factors"), (observation, "_gram_rows"), (inequalities, "_gram_rows"))
+    for module, name in patched:
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     code, text = run(tmp_path, "verify", {**CROSS, "T": 10.0, "samples": samples})
     assert code == 3
     assert text == ""
@@ -696,8 +698,9 @@ def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monke
 
 def test_cli_imports_no_private_names():
     # nor does any other module, but those that form products through the one BLAS helper and
-    # inequalities, whose Ingham forms read the sinc kernel and whose pencil sums the Gram rows
-    # into its blocks and certifies its minimiser on their doubled form
+    # inequalities, whose Ingham checks call the blocked exponential-sum form and whose pencil sums
+    # the Gram rows about their centre angle into its blocks and certifies its minimiser on their
+    # doubled form
     private = {}
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -712,7 +715,7 @@ def test_cli_imports_no_private_names():
         if names:
             private[path.name] = names
     assert private == {
-        "inequalities.py": ["_doubled_forms", "_piece_rows", "_window_sinc", "_matmul"],
+        "inequalities.py": ["_centre_angle", "_doubled_forms", "_exponential_form", "_gram_rows", "_matmul"],
         "observation.py": ["_matmul"],
         "states.py": ["_matmul"],
     }

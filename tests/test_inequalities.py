@@ -46,12 +46,12 @@ from obslab import (
     sin_sum_lower_bound_check,
     symmetry_constants,
     theorem_symmetries,
+    thm21_fourfamily_form,
     verify_observability,
 )
 from obslab import inequalities, observation
 from obslab.inequalities import ConstantReport, ThresholdError
-from obslab.observation import _interval_kernel
-from gram_reference import dense_gram, piecewise_sectors
+from gram_reference import _interval_kernel, dense_gram, piecewise_sectors
 
 PI = math.pi
 WAVE = EnergyWeight(1.0, "wave")
@@ -369,19 +369,22 @@ def test_pencil_extremes_match_eigh_bitwise(square, case):
 
 
 def test_pencil_solve_rejects_a_non_finite_sector(square):
-    # a positive subnormal weight passes the constructor, but D^-1/2 squares to inf, so entry
-    # (3, 3) of each sector is not finite; the one-mode mask leaves a 1 x 1 sector, which LAPACK
-    # does not reduce
+    # a tiny positive weight passes the constructor, but the D-scaled entry (3, 3) of each sector
+    # is not finite: D^-1/2 squares to inf for a subnormal entry, and the Gram entry times
+    # D^-1/2 squared overflows for a normal one. The solve rejects the sector once, with no
+    # RuntimeWarning; the one-mode mask leaves a 1 x 1 sector, which LAPACK does not reduce
     ms = build_mode_set(square, 4, 4)
     specs = (_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)),)
-    d = WAVE.diagonal(ms)
-    d[3] = 5e-324
-    for mask in (None, np.arange(len(ms)) == 3):
-        pen = Pencil(specs, ms, d, mask)
-        for solve in (pen.extremes, pen.lowest):
-            with np.errstate(over="ignore", invalid="ignore"):
-                with pytest.raises(ValueError, match="infs or NaNs"):
-                    solve()
+    for tiny in (5e-324, 2.5e-308):
+        d = WAVE.diagonal(ms)
+        d[3] = tiny
+        for mask in (None, np.arange(len(ms)) == 3):
+            pen = Pencil(specs, ms, d, mask)
+            for solve in (pen.extremes, pen.lowest):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    with pytest.raises(ValueError, match="infs or NaNs"):
+                        solve()
 
 
 @pytest.mark.parametrize("case", ["zero", "negative", "nan", "short", "long"])
@@ -665,6 +668,30 @@ def test_corollary33_lhs_matches_the_dense_kernel(size, k2, T, seed):
     assert corollary33_check(k2, a, b, T)["lhs"] == pytest.approx(want, rel=1e-13)
 
 
+def test_exponential_sum_integrals_share_one_form(square, monkeypatch):
+    calls = []
+    real = observation._exponential_form
+
+    def counted(coeffs, axes):
+        calls.append(len(axes))
+        return real(coeffs, axes)
+
+    # inequalities calls the form by the name it imports
+    for module in (observation, inequalities):
+        monkeypatch.setattr(module, "_exponential_form", counted)
+    es = ExponentialSum((1.0, 2.0, 3.5), (1.0, 1j, -2.0), 0, 1.0)
+    fams = [np.ones((2, 3)) for _ in range(4)]
+    runs = [
+        lambda: mehrenberger_check(es, 3 * PI),
+        lambda: corollary33_check(2, [1.0, 2.0], [0.5, 1j], 20.0),
+        lambda: thm21_fourfamily_form(fams, OpenRect(0.2, 1.7, 0.5, 2.0), square),
+    ]
+    for run, axes in zip(runs, (1, 1, 2)):
+        calls.clear()
+        run()
+        assert calls == [axes]
+
+
 def test_mehrenberger_requires_long_horizon():
     es = ExponentialSum((1.0, 2.0), (1, 1), 0, 1.0)
     for t in (2 * PI, math.inf, 1e308):  # 1e308 overflows the integral
@@ -840,9 +867,12 @@ def test_check_theorem_serves_verify_with_one_assembly(square, monkeypatch):
 
         return call
 
-    # the row producer builds each spec's axis factors, then its rows at one T
+    # the row producer builds each spec's axis factors, then its rows at one T; the pencil calls
+    # it by the name inequalities imports
     monkeypatch.setattr(observation, "_axis_factors", counted(sums, observation._axis_factors))
-    monkeypatch.setattr(observation, "_gram_rows", counted(grams, observation._gram_rows))
+    rows = counted(grams, observation._gram_rows)
+    for module in (observation, inequalities):
+        monkeypatch.setattr(module, "_gram_rows", rows)
     states = _projected_states(ms, range(3), p=2, q=2)
     report = verify_observability("two_lines", specs, states, {"p": 2, "q": 2})
     assert sums == specs and grams == specs

@@ -37,8 +37,8 @@ from obslab import (
     time_kernel,
 )
 from obslab import observation
-from obslab.observation import _interval_kernel, region_from_dict, region_to_dict
-from gram_reference import dense_gram, spatial_sum
+from obslab.observation import region_from_dict, region_to_dict
+from gram_reference import _interval_kernel, dense_gram, spatial_sum
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
 
@@ -179,31 +179,35 @@ def test_pairing_rules():
 
 
 def test_region_construction_rejects_degenerate():
-    with pytest.raises(ValueError):
-        VerticalStrip(2.0, 1.0)
-    with pytest.raises(ValueError):
-        HorizontalStrip(1.0, 1.0)
-    with pytest.raises(ValueError):
-        CrossStrips(1.0, 2.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        OpenRect(0.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    cases = [
+        (VerticalStrip, (2.0, 1.0)),
+        (HorizontalStrip, (1.0, 1.0)),
+        (CrossStrips, (1.0, 2.0, 2.0, 1.0)),
+        (OpenRect, (0.0, 0.0, 0.0, 1.0)),
+        (OpenRect, (0.0, 1.0, 1.0, 1.0)),
+        (VerticalSegments, (((1.0, (0.5, 1.0)), (2.0, (2.0, 1.0))),)),
+    ]
+    for kind, args in cases:
+        with pytest.raises(ValueError, match=f"^{kind.__name__} intervals must be nondegenerate$"):
+            kind(*args)
+    with pytest.raises(ValueError, match="^need at least one segment$"):
         VerticalSegments(())
-    with pytest.raises(ValueError):
-        VerticalSegments(((1.0, (2.0, 1.0)),))
 
 
 def test_region_construction_rejects_non_finite():
-    with pytest.raises(ValueError):
-        VerticalLine(math.inf)
-    with pytest.raises(ValueError):
-        HorizontalLine(math.nan)
-    with pytest.raises(ValueError):
-        VerticalStrip(1.0, math.inf)
-    with pytest.raises(ValueError):
-        OpenRect(0.0, math.inf, 0.5, 1.5)
-    with pytest.raises(ValueError):
-        VerticalSegments(((1.0, (0.5, math.inf)),))
+    # a nan end is reported as not finite, before the order of the ends is read
+    cases = [
+        (VerticalLine, (math.inf,)),
+        (HorizontalLine, (math.nan,)),
+        (VerticalStrip, (1.0, math.inf)),
+        (CrossStrips, (1.0, 2.0, math.nan, 1.0)),
+        (OpenRect, (0.0, math.inf, 0.5, 1.5)),
+        (VerticalSegments, (((1.0, (0.5, math.inf)),),)),
+        (VerticalSegments, (((math.nan, (0.5, 1.0)),),)),
+    ]
+    for kind, args in cases:
+        with pytest.raises(ValueError, match=f"^{kind.__name__} parameters must be finite$"):
+            kind(*args)
 
 
 @pytest.mark.parametrize("region", ALL_REGIONS, ids=lambda r: type(r).__name__)
@@ -725,3 +729,21 @@ def test_fourfamily_large_rectangle_density(square):
     mass = sum(float(np.sum(np.abs(f) ** 2)) for f in fams)
     ratio = v / (100 * math.pi**2 * mass)
     assert abs(ratio - 1.0) <= 0.10
+
+
+@pytest.mark.parametrize("K1, K2", [(3, 5), (5, 3)])
+def test_fourfamily_matches_the_dense_kernel(K1, K2):
+    # a window away from the origin in t and in x2, on unequal sides: the form is taken about the
+    # window centre, the dense product of the complex interval kernels about the origin
+    geometry = RectangleGeometry(math.pi, 2.7)
+    rng = np.random.default_rng(10 * K1 + K2)
+    fams = [rng.standard_normal((K2, K1)) + 1j * rng.standard_normal((K2, K1)) for _ in range(4)]
+    omega = OpenRect(0.4, 2.9, 0.3, 2.2)
+    ms = build_mode_set(geometry, K1, K2)
+    wt = np.concatenate([s * ms.lam for s in (1, 1, -1, -1)])
+    wx = np.concatenate([s * geometry.z * ms.k2 for s in (1, -1, 1, -1)])
+    c = np.concatenate([f.ravel() for f in fams])
+    kt = _interval_kernel(wt[None, :] - wt[:, None], omega.t0, omega.t1)
+    kx = _interval_kernel(wx[None, :] - wx[:, None], omega.x0, omega.x1)
+    want = float(np.real(np.vdot(c, (kt * kx) @ c)))
+    assert thm21_fourfamily_form(fams, omega, geometry) == pytest.approx(want, rel=1e-13)
