@@ -3,7 +3,8 @@
 All parameters come from one JSON config file; reports embed that config plus
 the library version and contain no timestamps, so identical config and seed
 give byte-identical output. Exit codes: 0 pass, 1 verification failure,
-2 config error, 3 theorem precondition (time horizon below threshold).
+2 config error (a malformed value, or sizes whose arrays cannot be allocated),
+3 theorem precondition (time horizon below threshold).
 """
 
 from __future__ import annotations
@@ -252,8 +253,10 @@ def main(argv=None) -> int:
     except ThresholdError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 3
-    # OverflowError: int() of an infinite config value
-    except (ValueError, KeyError, TypeError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    # OverflowError: int() of an infinite config value; MemoryError: sizes too large to allocate
+    except (
+        ValueError, KeyError, TypeError, OverflowError, MemoryError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

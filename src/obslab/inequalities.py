@@ -508,7 +508,8 @@ class Pencil:
 
         The rows go to sector coordinates u at once, and each sector S gives
         Re(u)^T S Re(u) + Im(u)^T S Im(u) from one real GEMM; callers bound the
-        temporaries by the number of rows they pass.
+        temporaries by the number of rows they pass. A sector's coordinates
+        are gathered from u once, as a slice when the mask keeps every mode.
         """
         c = np.asarray(coeffs, dtype=complex)
         n = len(self.d)
@@ -518,8 +519,10 @@ class Pencil:
         z1, z2 = c[:, :n] * scale, c[:, n:] * scale.conj()
         u = np.concatenate([z1 + z2, 1j * (z2 - z1)], axis=1) / math.sqrt(2)
         out = np.zeros(len(c))
+        every = len(self.keep) == n  # then each index is a run of consecutive coordinates
         for s, index in self.sectors:
-            v = np.concatenate([u[:, index].real, u[:, index].imag])
+            part = u[:, index[0] : index[-1] + 1] if every else u[:, index]
+            v = np.concatenate([part.real, part.imag])
             f = np.sum(_matmul(v, s) * v, axis=1)
             out += f[: len(c)] + f[len(c) :]
         return out

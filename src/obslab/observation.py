@@ -11,10 +11,12 @@ Kronecker products of K x K axis Grams, and one producer (_gram_rows) writes
 every Gram a block of whole k2-rows at a time, with no n x n gather and no
 n x n temporary. assemble_gram takes the 1-D Grams in closed form; the
 oracle runs the same producer on composite-Simpson sums over pointwise
-samples and shares no closed form; the pencil of inequalities sums its
-pieces' rows (_gram_rows, about _centre_angle) straight into its blocks,
-with no GramForm. A dense tensor-grid reference that guards the
-factorisation lives in the tests.
+samples and shares no closed form: it forms each sampled Gram with one real
+dsyrk over a table of sin samples, or of cos over sin samples for the
+exp profiles, whose complex blocks it reads off that Gram's 2 x 2 blocks.
+The pencil of inequalities sums its pieces' rows (_gram_rows, about
+_centre_angle) straight into its blocks, with no GramForm. A dense
+tensor-grid reference that guards the factorisation lives in the tests.
 
 The closed forms are written about the centre c of each window of length L:
 the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
@@ -42,7 +44,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, _matmul, build_mode_set
+from .spectrum import ModeSet, RectangleGeometry, _matmul, _weighted_gram, build_mode_set
 
 # Factors of the separable pieces. Each is a tuple (kind, *positions on its axis):
 # the full axis, an interval, a point, the normal derivative at the x = 0 edge,
@@ -570,8 +572,15 @@ def _simpson_weights(lo: float, hi: float, panels: int):
 def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
     """Simpson 1-D Gram sum_x w_x conj(f_i(x)) f_j(x) of one factor from pointwise samples.
 
-    The exp profile gives the stack of the a-a and a-b blocks of its doubled
-    Gram, from the samples of e^{i z k x} and of e^{-i z k x}.
+    Each factor fills one real table of samples in place, sin(z k x), or
+    z k cos(z k x) at the x = 0 edge, and its Gram is one real dsyrk
+    (_weighted_gram). The exp profile e^{i z k x} is sampled as the table of
+    C = cos(z k x) over S = sin(z k x), the real and imaginary parts of the
+    samples to the bit, and gives the stack of the a-a and a-b blocks of its
+    doubled Gram from the 2 x 2 blocks of that table's Gram:
+    A = CC + SS + i (CS - SC) and B = CC - SS - i (CS + SC), with
+    CS_ij = sum_x w_x C_i(x) S_j(x). That Gram is symmetric to the last bit,
+    so A is Hermitian and B symmetric to the last bit.
     """
     kind, *args = factor
     if kind == "ones":
@@ -580,15 +589,25 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
         x, wx = _simpson_weights(*(args or (0.0, ell)), res)
     else:  # one node of unit weight: the point, or the x = 0 edge
         x, wx = np.array(args or [0.0]), np.ones(1)
+    n = len(ks)
+    table = np.empty((2 * n if kind == "exp" else n, len(x)))
+    last = np.outer(z * ks, x, out=table[-n:])  # the angles, in the rows of S or of the whole table
     if kind == "exp":
-        f = np.exp(1j * np.outer(z * ks, x))
-        fw = np.conj(f) * wx
-        return np.stack([_matmul(fw, f.T), _matmul(fw, np.conj(f).T)])
+        np.cos(last, out=table[:n])
     if kind == "edge":
-        f = (z * ks)[:, None] * np.cos(np.outer(z * ks, x))
+        np.cos(last, out=last)
+        last *= (z * ks)[:, None]
     else:
-        f = np.sin(np.outer(z * ks, x))
-    return _matmul(f * wx, f.T)
+        np.sin(last, out=last)
+    gram = _weighted_gram(table, wx)
+    if kind != "exp":
+        return gram
+    del table, last  # freed before the complex blocks are allocated
+    cc, cs, sc, ss = gram[:n, :n], gram[:n, n:], gram[n:, :n], gram[n:, n:]
+    out = np.empty((2, n, n), complex)
+    out[0].real, out[0].imag = cc + ss, cs - sc
+    out[1].real, out[1].imag = cc - ss, -(cs + sc)
+    return out
 
 
 @functools.lru_cache(maxsize=1)

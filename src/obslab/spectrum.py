@@ -76,8 +76,8 @@ def _matmul(a, b) -> np.ndarray:
 
     numpy and scipy each bundle an OpenBLAS with its own thread pool, and the
     pencil's LAPACK runs in scipy's; every dense product of the package comes
-    here, so one pool serves all of it and no idle pool spins on the cores the
-    other needs. The call is the one numpy makes for a @ b: dot for a 1 x 1
+    here, or to _weighted_gram, so one pool serves all of it and no idle pool
+    spins on the cores the other needs. The call is the one numpy makes for a @ b: dot for a 1 x 1
     result, gemv when a has one row or b one column, else gemm, each operand
     an F-contiguous view with a transpose flag (for C-ordered operands a @ b is
     gemm(1, b.T, a.T).T), and a stack a is multiplied slice by slice. So
@@ -109,6 +109,21 @@ def _matmul(a, b) -> np.ndarray:
         (f, trans_f), (g, trans_g) = _blas_operand(b2.T), _blas_operand(a2.T)
         out = getattr(blas, kind + "gemm")(1.0, f, g, trans_a=trans_f, trans_b=trans_g).T
     return np.reshape(out, shape)
+
+
+def _weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """f diag(w) f^T for a C-contiguous real m x k table f and k positive weights w, through scipy's BLAS.
+
+    f is scaled in place to f sqrt(w), its F-ordered transpose goes to one
+    dsyrk with trans=1, so f2py copies nothing, and the upper triangle the
+    call writes is mirrored: the m x m result is C-contiguous and symmetric
+    to the last bit.
+    """
+    f *= np.sqrt(w)
+    gram = blas.dsyrk(1.0, f.T, trans=1).T  # dsyrk fills the upper triangle, the lower of the view
+    upper = np.triu_indices(len(f), 1)
+    gram[upper] = gram.T[upper]
+    return gram
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ every form and pencil built from them, with the dense complex doubled Gram,
 the spatial sum gathered to n x n and the sectors summed piece by piece
 below. The exponential-sum integrals, which the library forms from real sinc
 blocks about the box centre, are compared with dense products of the complex
-interval kernel.
+interval kernel. The oracle's sampled exp-profile Gram, which the library forms
+from one real Gram of a cos/sin table, is compared with the dense complex
+Simpson sums of the profile's samples.
 """
 
 import functools
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from obslab import assemble_gram
-from obslab.observation import _closed_axis_gram, _window_sinc
+from obslab.observation import _closed_axis_gram, _simpson_weights, _window_sinc
 
 
 def _interval_kernel(delta, lo: float, hi: float):
@@ -34,6 +36,18 @@ def _interval_kernel(delta, lo: float, hi: float):
     out.real = mag * np.cos(angle)
     out.imag = mag * np.sin(angle)
     return out
+
+
+def sampled_exp_sums(ks, z: float, lo: float, hi: float, res: int):
+    """The Simpson sums of f = e^{i z k x} on (lo, hi): sum_x w_x conj(f_i) f_j and sum_x w_x conj(f_i) conj(f_j).
+
+    The samples are taken with one complex exp and the sums formed by two
+    complex products, the a-a and a-b blocks of the profile's doubled Gram.
+    """
+    x, w = _simpson_weights(lo, hi, res)
+    f = np.exp(1j * np.outer(z * ks, x))
+    fw = f.conj() * w
+    return fw @ f.T, fw @ f.conj().T
 
 
 def dense_gram(gram) -> np.ndarray:

@@ -560,6 +560,19 @@ ORACLE = {
 }
 
 
+@pytest.mark.parametrize(
+    "command,config",
+    [("oracle-check", {**ORACLE, "resolution": 10**15}), ("constants", {**CROSS, "truncation": [2, 2**50]})],
+    ids=["resolution", "truncation"],
+)
+def test_sizes_too_large_to_allocate_exit_2(tmp_path, capsys, command, config):
+    # the first array these sizes ask for exceeds any address space, so nothing is allocated
+    code, text = run(tmp_path, command, config)
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate") and err.count("\n") == 1
+
+
 SCAN = {
     **{k: v for k, v in CROSS.items() if k != "T"},
     "T_start": 47.84977149867659,
@@ -697,7 +710,7 @@ def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monke
 
 
 def test_cli_imports_no_private_names():
-    # nor does any other module, but those that form products through the one BLAS helper and
+    # nor does any other module, but those that form products through the BLAS helpers and
     # inequalities, whose Ingham checks call the blocked exponential-sum form and whose pencil sums
     # the Gram rows about their centre angle into its blocks and certifies its minimiser on their
     # doubled form
@@ -716,7 +729,7 @@ def test_cli_imports_no_private_names():
             private[path.name] = names
     assert private == {
         "inequalities.py": ["_centre_angle", "_doubled_forms", "_exponential_form", "_gram_rows", "_matmul"],
-        "observation.py": ["_matmul"],
+        "observation.py": ["_matmul", "_weighted_gram"],
         "states.py": ["_matmul"],
     }
 

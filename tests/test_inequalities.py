@@ -51,6 +51,7 @@ from obslab import (
 )
 from obslab import inequalities, observation
 from obslab.inequalities import ConstantReport, ThresholdError
+from obslab.spectrum import _matmul
 from gram_reference import _interval_kernel, dense_gram, piecewise_sectors
 
 PI = math.pi
@@ -578,6 +579,29 @@ def test_pencil_rejects_an_empty_mask_and_rows_of_the_wrong_length(modes4):
     for rows in (np.ones((3, n)), np.ones((3, 2 * n + 1)), np.ones(2 * n)):
         with pytest.raises(ValueError, match=f"rows must have length {2 * n}"):
             pen.quadratic_forms(rows)
+
+
+def _gathered_forms(pen, c):
+    """Pencil.quadratic_forms with each sector's coordinates fancy-indexed from u twice, as it ran before."""
+    n = len(pen.d)
+    scale = np.exp(1j * pen.angle) * np.sqrt(pen.d)
+    z1, z2 = c[:, :n] * scale, c[:, n:] * scale.conj()
+    u = np.concatenate([z1 + z2, 1j * (z2 - z1)], axis=1) / math.sqrt(2)
+    out = np.zeros(len(c))
+    for s, index in pen.sectors:
+        v = np.concatenate([u[:, index].real, u[:, index].imag])
+        f = np.sum(_matmul(v, s) * v, axis=1)
+        out += f[: len(c)] + f[len(c) :]
+    return out
+
+
+@pytest.mark.parametrize("case", ["n=64", "masked", "2n x 2n"])
+def test_pencil_forms_gather_each_sector_once_to_the_bit(square, case):
+    # a full mask reads each sector as a slice of u, a partial one by one gather: the same bytes
+    pen = _matching_pencil(square, case)
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal((5, 2 * len(pen.d))) + 1j * rng.standard_normal((5, 2 * len(pen.d)))
+    assert pen.quadratic_forms(c).tobytes() == _gathered_forms(pen, c).tobytes()
 
 
 # ---------------------------------------------------------------------------

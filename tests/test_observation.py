@@ -38,7 +38,7 @@ from obslab import (
 )
 from obslab import observation
 from obslab.observation import region_from_dict, region_to_dict
-from gram_reference import _interval_kernel, dense_gram, spatial_sum
+from gram_reference import _interval_kernel, dense_gram, sampled_exp_sums, spatial_sum
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
 
@@ -662,6 +662,49 @@ def test_gram_rows_hold_no_n_by_n_temporary():
         tracemalloc.stop()
     assert rows == n
     assert peak <= n * n * 8
+
+
+def _exp_profile(case):
+    """(ks, z, lo, hi) of an exp profile the oracle samples: a time window, or OpenRect's x2 profile."""
+    if case == "OpenRect x2":
+        geometry = RectangleGeometry(3.4, 2.8)
+        return np.arange(1, 9), math.pi / geometry.ell2, 0.5, 1.5
+    ell1, ell2 = {"time, pi-square": (math.pi, math.pi), "time, 3.4 x 2.8": (3.4, 2.8)}[case]
+    ms = build_mode_set(RectangleGeometry(ell1, ell2), 8, 8)
+    return np.unique(np.sqrt(ms.lam)), 1.0, 0.0, 9.5
+
+
+@pytest.mark.parametrize("case", ["time, pi-square", "time, 3.4 x 2.8", "OpenRect x2"])
+def test_sampled_exp_gram_is_hermitian_and_the_dense_simpson_sums(case):
+    ks, z, lo, hi = _exp_profile(case)
+    a, b = observation._sampled_axis_gram(("exp", lo, hi), ks, z, None, 2048)
+    assert np.array_equal(a, a.conj().T)
+    assert np.array_equal(b, b.T)
+    for got, want in zip((a, b), sampled_exp_sums(ks, z, lo, hi, 2048)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("factor", [("point", 1.3), ("edge",)])
+def test_sampled_one_node_gram_is_the_outer_product_of_its_samples(factor):
+    ks, z = np.arange(1, 9), math.pi / 2.8
+    p = np.sin(np.outer(z * ks, factor[1:])) if factor[0] == "point" else (z * ks)[:, None]
+    gram = observation._sampled_axis_gram(factor, ks, z, 2.8, 64)
+    assert gram.tobytes() == np.outer(p, p).tobytes()
+
+
+@pytest.mark.parametrize("K", [8, 24])
+def test_sampled_time_gram_holds_at_most_two_real_tables(K):
+    # the cos/sin table of the distinct frequencies is filled in place and goes to BLAS uncopied
+    ms = build_mode_set(RectangleGeometry(math.pi, math.pi), K, K)
+    distinct = np.unique(np.sqrt(ms.lam))
+    table = 2 * len(distinct) * 2049 * 8
+    tracemalloc.start()
+    try:
+        observation._sampled_axis_gram(("exp", 0.0, 4.0), distinct, 1.0, None, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table
 
 
 def test_oracle_resolution_validation(modes4):

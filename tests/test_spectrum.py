@@ -16,7 +16,7 @@ from obslab import (
     partial_gap_analysis,
     spectrum,
 )
-from obslab.spectrum import _matmul
+from obslab.spectrum import _matmul, _weighted_gram
 
 
 def test_geometry_derived_constants():
@@ -328,8 +328,21 @@ def test_matmul_rejects_operands_that_do_not_chain():
         _matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
+def _reads_blas(node) -> bool:
+    """Whether node imports scipy.linalg.blas, or reads it or its routine lookup as an attribute."""
+    blas_names = ("blas", "get_blas_funcs")
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        named = module == "scipy.linalg" and any(alias.name in blas_names for alias in node.names)
+        return named or module.startswith("scipy.linalg.blas")
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("scipy.linalg.blas") for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr in blas_names
+
+
 def test_every_product_goes_through_the_blas_helper():
-    # numpy's products run in numpy's own OpenBLAS pool, not in scipy's with the pencil's LAPACK
+    # numpy's products run in numpy's own OpenBLAS pool, not in scipy's with the pencil's LAPACK;
+    # and only spectrum reaches scipy's BLAS, so every dense product stays behind its helpers
     numpy_products = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
     found = []
     for path in sorted(Path(spectrum.__file__).parent.glob("*.py")):
@@ -343,4 +356,31 @@ def test_every_product_goes_through_the_blas_helper():
             elif isinstance(node, ast.Attribute) and node.attr == "linalg":
                 if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
                     found.append((path.name, node.lineno, "np.linalg"))
+            elif path.name != "spectrum.py" and _reads_blas(node):
+                found.append((path.name, node.lineno, "scipy.linalg.blas"))
     assert found == []
+
+
+def test_the_blas_guard_sees_each_way_to_reach_scipy_blas():
+    sources = [
+        "from scipy.linalg import blas",
+        "from scipy.linalg import get_blas_funcs",
+        "from scipy.linalg.blas import dsyrk",
+        "import scipy.linalg.blas",
+        "import scipy.linalg\nscipy.linalg.blas.dsyrk(1.0, a)",
+    ]
+    for source in sources:
+        assert any(_reads_blas(node) for node in ast.walk(ast.parse(source))), source
+    clean = "from scipy.linalg import LinAlgError, lapack\nlapack.dsytrd(a)"
+    assert not any(_reads_blas(node) for node in ast.walk(ast.parse(clean)))
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (5, 1), (7, 33), (40, 129)])
+def test_weighted_gram_is_the_weighted_product_symmetric_to_the_bit(m, k):
+    rng = np.random.default_rng(m * k)
+    f, w = rng.standard_normal((m, k)), rng.uniform(0.1, 2.0, k)
+    want = (f * w) @ f.T
+    got = _weighted_gram(f.copy(), w)
+    assert got.shape == (m, m) and got.flags.c_contiguous
+    assert np.array_equal(got, got.T)
+    assert np.all(np.abs(got - want) <= 1e-13 * ((np.abs(f) * w) @ np.abs(f).T))
