@@ -19,17 +19,17 @@ time) and D^{-1/2} (X - Y) D^{-1/2} (odd in time); pieces centred apart are
 rotated to one centre and form one real 2n x 2n sector. The pieces' rows are
 summed, a block of whole k2-rows at a time, straight into A = sum X and B =
 sum Y, with no GramForm, and each D-scaled sector is written in turn into
-the one slab that follows real A and B in their array, where LAPACK reduces
-it in place. A theorem's symmetry mask acts per mode, so each sector is
-restricted to the admissible modes before its solve. empirical_constants
-lifts the minimiser back through the sector sign, 1/sqrt 2 and the phase,
-and certifies c_min by its Rayleigh quotient on the doubled form of the
-summed, unscaled blocks. check_theorem takes the smallest eigenvalue of the
-masked sectors (Pencil.lowest, which computes no eigenvector), and
-verify_observability sweeps states through the sector quadratic forms, a few
-hundred states per real GEMM. Each sector is reduced to tridiagonal form
-once, and both its extreme eigenvalues and the minimiser come from that
-reduction, equal to scipy.linalg.eigh's subset solves to the bit.
+one slab, where LAPACK reduces it in place; A, B and the sectors hold only
+the C-order upper triangle, all that any reader reads. A theorem's symmetry
+mask acts per mode, so each sector is restricted to the admissible modes
+before its solve. empirical_constants lifts the minimiser back through the
+sector sign, 1/sqrt 2 and the phase, and certifies c_min by its Rayleigh
+quotient on the doubled form of the summed, unscaled blocks. check_theorem
+takes the smallest eigenvalue of the masked sectors (Pencil.lowest, which
+computes no eigenvector), and verify_observability sweeps states through
+the sector quadratic forms, a few hundred states per symmetric product. Each
+sector is reduced to tridiagonal form once, and both its extreme eigenvalues
+and the minimiser come from it, equal to scipy.linalg.eigh's to the bit.
 
 The Ingham-type checks take their time integral from the real blocked form
 of observation (_exponential_form) on the one axis (0, T).
@@ -56,7 +56,7 @@ from .observation import (
     _gram_rows,
     assemble_gram,
 )
-from .spectrum import ModeSet, _matmul, partial_gap_analysis
+from .spectrum import ModeSet, _matmul, _symmetric_product, partial_gap_analysis
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
 
@@ -316,16 +316,16 @@ def _summed_blocks(sources: list, keep: np.ndarray, n: int) -> tuple:
     sources holds each piece's (angle, rows): its observation._centre_angle,
     and its rows as observation._gram_rows yields them. work[0] and work[1]
     are A and B of the sum [[A, B], [conj B, conj A]] on the m sorted modes
-    keep, into which each piece's rows are added in order, the first piece's
-    to 0.0: a sum from zeros to the bit, -0.0 entries becoming +0.0, with no
-    pass over zeroed memory. When every piece shares the first one's angle, A and B are the
-    real sums of X and Y, and work[2] is a spare m x m slab for the sectors,
-    in the same allocation: one array is faulted in once, and its pages are
-    reused once it is freed, where several smaller ones fault page by page.
-    A piece centred elsewhere is rotated to that angle, and work is the
-    complex (A, B); the rotation is by per-mode phase products, not
-    e^{i (psi_j - psi_i)}: a rounded angle difference would be off by
-    ulp(angle), far more than eps when |angle| >> 1.
+    keep, into whose upper triangles each piece's rows are added in order,
+    the first piece's to 0.0: a sum from zeros to the bit, -0.0 entries
+    becoming +0.0, with no pass over zeroed memory. When every piece shares
+    the first one's angle, A and B are the real sums of X and Y, and work[2]
+    is a spare m x m slab for the sectors, in the same allocation: one array
+    is faulted in once, and its pages are reused once it is freed, where
+    several smaller ones fault page by page. A piece centred elsewhere is
+    rotated to that angle, and work is the complex (A, B); the rotation is by
+    per-mode phase products, not e^{i (psi_j - psi_i)}: a rounded angle
+    difference would be off by ulp(angle), far more than eps when |angle| >> 1.
     """
     m, angle = len(keep), sources[0][0]
     phases = [
@@ -337,35 +337,24 @@ def _summed_blocks(sources: list, keep: np.ndarray, n: int) -> tuple:
         for r, x, y in rows:
             lo, hi = np.searchsorted(keep, (r.start, r.stop))
             if m < n:
-                pick = np.ix_(keep[lo:hi] - r.start, keep)
+                pick = np.ix_(keep[lo:hi] - r.start, keep[lo:] - r.start)
                 x, y = x[pick], y[pick]
             if q is not None:
-                x, y = x * (q[lo:hi, None].conj() * q), y * (q[lo:hi, None].conj() * q.conj())
-            for total, part in zip(work[:2, lo:hi], (x, y)):
+                x, y = x * (q[lo:hi, None].conj() * q[lo:]), y * (q[lo:hi, None].conj() * q[lo:].conj())
+            for total, part in zip(work[:2, lo:hi, lo:], (x, y)):
                 np.add(total if k else 0.0, part, out=total)  # the first piece is added to 0.0
     return angle, work
 
 
-def _bitwise_symmetric(blocks: np.ndarray) -> bool:
-    """Whether each m x m slice of the real stack equals its transpose to the last bit (-0.0 is not +0.0).
-
-    Each band of rows is compared with the matching band of columns from the
-    diagonal on, so the transposed reads stay within a cache-sized strip.
-    """
-    bits, m = blocks.view(np.int64), blocks.shape[-1]
-    step = max(1, _ROW_BLOCK // m)
-    bands = (slice(lo, lo + step) for lo in range(0, m, step))
-    return all(np.array_equal(bits[:, b, b.start :], bits[:, b.start :, b].transpose(0, 2, 1)) for b in bands)
-
-
 def _write_sector(blocks: np.ndarray, r: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Write sector k of D^{-1/2} [[A, B], [conj B, conj A]] D^{-1/2} into out, a block of rows at a time.
+    """Write the upper triangle of sector k of D^{-1/2} [[A, B], [conj B, conj A]] D^{-1/2} into out.
 
-    blocks is (A, B) on the m kept modes and r = D^{-1/2} there; A and B are
-    scaled by rr = r r^T, one block of rows at a time. Real blocks give the
-    even sector A rr + B rr (k = 0) and the odd A rr - B rr (k = 1), m x m;
-    complex ones the one real 2m x 2m sector [[Re(A+B), Im(B-A)],
-    [Im(A+B), Re(A-B)]] of A rr and B rr. A weight entry so small that the
+    blocks is (A, B) on the m kept modes, in their upper triangles, and r =
+    D^{-1/2} there; A and B are scaled by rr = r r^T a block of rows at a time.
+    Real blocks give the even sector A rr + B rr (k = 0) and the odd A rr -
+    B rr (k = 1); complex ones the real 2m x 2m [[Re(A+B), Im(B-A)], [Im(A+B),
+    Re(A-B)]], its upper-right block Im(A+B)^T below its diagonal, as A is
+    Hermitian and B symmetric. A weight entry so small that the
     scaling overflows writes inf or nan, with no warning: the solve rejects
     the sector (_Reduction), so the fault is reported once, as a ValueError.
     """
@@ -374,13 +363,15 @@ def _write_sector(blocks: np.ndarray, r: np.ndarray, k: int, out: np.ndarray) ->
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, m, step):
             hi = min(lo + step, m)
-            rr = np.multiply(r[lo:hi, None], r)
-            a, b = blocks[0, lo:hi] * rr, blocks[1, lo:hi] * rr
+            rr = np.multiply(r[lo:hi, None], r[lo:])
+            a, b = blocks[0, lo:hi, lo:] * rr, blocks[1, lo:hi, lo:] * rr
             if np.iscomplexobj(blocks):
-                out[lo:hi, :m], out[m + lo : m + hi, :m] = (a + b).real, (a + b).imag
-                out[lo:hi, m:], out[m + lo : m + hi, m:] = (b - a).imag, (a - b).real
+                out[lo:hi, lo:m], out[m + lo : m + hi, m + lo :] = (a + b).real, (a - b).real
+                out[lo:hi, m + lo :] = (b - a).imag
+                below = np.arange(lo, m)[:, None] > np.arange(lo, hi)
+                np.copyto(out[lo:m, m + lo : m + hi], (a + b).imag.T, where=below)
             else:
-                (np.add, np.subtract)[k](a, b, out=out[lo:hi])
+                (np.add, np.subtract)[k](a, b, out=out[lo:hi, lo:])
 
 
 class Pencil:
@@ -401,16 +392,15 @@ class Pencil:
     specs, each assembled a block of rows at a time, with no GramForm;
     pencil() builds it from an energy weight. d is the energy weight
     diagonal, one positive entry per mode, checked before any Gram is
-    assembled. blocks holds (A, B) on the masked modes, real blocks checked
-    for bitwise symmetry once.
-    sectors lists (matrix, index) pairs, index locating the sector's rows in
-    u, written from blocks on first access, and grams the pieces' GramForms,
-    assembled on first access. lowest and extremes write each D-scaled
-    sector in turn into a slab, the slice that follows A and B in their array
-    when real, reduce it in place to tridiagonal form once (_Reduction) and
-    read the extreme eigenvalues from it by bisection: lowest only the
-    smallest, as a float, and extremes both and the eigenvector of the
-    smallest, from the winning sector's reduction.
+    assembled. blocks holds (A, B) on the masked modes in their upper
+    triangles; the strict lower triangles are not defined. grams lists the
+    pieces' GramForms, assembled on first access. Each D-scaled sector is
+    written, its upper triangle only, into one slab: the slice that follows
+    A and B in their array when real, its own 2m x 2m array when complex.
+    lowest and extremes reduce each sector in turn in place to tridiagonal
+    form once (_Reduction) and read the extreme eigenvalues from it by
+    bisection: lowest only the smallest, as a float, and extremes both and
+    the eigenvector of the smallest, from the winning sector's reduction.
     """
 
     def __init__(self, specs: tuple, mode_set: ModeSet, d: np.ndarray, mask) -> None:
@@ -424,35 +414,26 @@ class Pencil:
         self.keep = np.flatnonzero(self.mask)
         sources = [(_centre_angle(s, mode_set), _gram_rows(s, mode_set)) for s in specs]
         self.angle, work = _summed_blocks(sources, self.keep, n)
-        # real sums come with a spare slice, the slab each solve writes its sectors into in turn
-        self.blocks, self._slab = work[:2], work[2] if len(work) == 3 else None
-        # real blocks are reduced in place as their own transposes, so they must be symmetric to
-        # the last bit; complex ones, rotated by rounded phases, are not, and are copied instead
-        if np.isrealobj(self.blocks) and not _bitwise_symmetric(self.blocks):
-            raise ValueError("the summed Gram blocks must be symmetric")
+        # the slab each sector is written into in turn: the spare slice of real sums, or its own
+        m = len(self.keep)
+        self.blocks, self._slab = work[:2], work[2] if np.isrealobj(work) else np.empty((2 * m, 2 * m))
 
     @functools.cached_property
     def grams(self) -> list:
         return [assemble_gram(s, self._mode_set) for s in self._specs]
 
-    @functools.cached_property
-    def sectors(self) -> list:
-        return list(self._sectors(None))
+    def _sectors(self):
+        """Yield the (sector, index) pairs, the upper triangle of each written into the one slab.
 
-    def _sectors(self, slab):
-        """Yield the (sector, index) pairs, each written into slab, or into a fresh array when slab is None.
-
-        slab, an m x m array, takes the even and then the odd sector, so a
-        sector is overwritten once the next one is drawn. The one 2m x 2m
-        sector of complex blocks always gets a fresh array.
+        The slab takes the even and then the odd sector, so a sector is
+        overwritten once the next one is drawn, or once the slab is reduced.
         """
         n, keep = len(self.d), self.keep
         r = 1.0 / np.sqrt(self.d[keep])
         indices = [keep, n + keep] if np.isrealobj(self.blocks) else [np.concatenate([keep, n + keep])]
         for k, index in enumerate(indices):
-            out = np.empty((len(index),) * 2) if slab is None else slab
-            _write_sector(self.blocks, r, k, out)
-            yield out, index
+            _write_sector(self.blocks, r, k, self._slab)
+            yield self._slab, index
 
     def _solve(self, full: bool) -> tuple:
         """(smallest eigenvalue, largest, u) from one reduction per sector.
@@ -461,13 +442,13 @@ class Pencil:
         The sectors are reduced in turn in the one slab, and u is read from a
         sector's reduction whenever it holds the smallest eigenvalue so far,
         before the next sector overwrites it; a tie goes to the first sector.
-        LAPACK reads the lower triangle of an F-ordered matrix: a C-ordered
-        m x m sector, symmetric to the last bit, is the F-ordered view of
-        itself and is reduced in place; the 2m x 2m one is copied.
+        LAPACK reads the lower triangle of an F-ordered matrix, which for the
+        transposed view of the C-ordered slab is the upper triangle the
+        sector was written to, so the slab is reduced in place.
         """
         low = high = u = None
-        for s, index in self._sectors(self._slab):
-            reduced = _Reduction(s.T if np.isrealobj(self.blocks) else np.asfortranarray(s))
+        for s, index in self._sectors():
+            reduced = _Reduction(s.T)
             value, bisection = reduced.lowest()
             if full:
                 top = reduced.highest()
@@ -507,7 +488,7 @@ class Pencil:
         """Observation c^H G c of each row c of coeffs, restricted to the masked modes.
 
         The rows go to sector coordinates u at once, and each sector S gives
-        Re(u)^T S Re(u) + Im(u)^T S Im(u) from one real GEMM; callers bound the
+        Re(u)^T S Re(u) + Im(u)^T S Im(u) from one real _symmetric_product; callers bound the
         temporaries by the number of rows they pass. A sector's coordinates
         are gathered from u once, as a slice when the mask keeps every mode.
         """
@@ -520,10 +501,10 @@ class Pencil:
         u = np.concatenate([z1 + z2, 1j * (z2 - z1)], axis=1) / math.sqrt(2)
         out = np.zeros(len(c))
         every = len(self.keep) == n  # then each index is a run of consecutive coordinates
-        for s, index in self.sectors:
+        for s, index in self._sectors():
             part = u[:, index[0] : index[-1] + 1] if every else u[:, index]
             v = np.concatenate([part.real, part.imag])
-            f = np.sum(_matmul(v, s) * v, axis=1)
+            f = np.sum(_symmetric_product(v, s) * v, axis=1)
             out += f[: len(c)] + f[len(c) :]
         return out
 

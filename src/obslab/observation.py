@@ -8,15 +8,15 @@ three 1-D Grams, over time, x1 and x2, and the doubled Gram is
 [[A, B], [conj B, conj A]] in its a-a block A and a-b block B. The modes run
 row-major in (k2, k1), so the spatial sum of x1 and x2 products is a sum of
 Kronecker products of K x K axis Grams, and one producer (_gram_rows) writes
-every Gram a block of whole k2-rows at a time, with no n x n gather and no
-n x n temporary. assemble_gram takes the 1-D Grams in closed form; the
-oracle runs the same producer on composite-Simpson sums over pointwise
+the upper triangle of every Gram a block of whole k2-rows at a time, with no
+n x n gather or temporary. assemble_gram takes the 1-D Grams in closed form;
+the oracle runs the same producer on composite-Simpson sums over pointwise
 samples and shares no closed form: it forms each sampled Gram with one real
 dsyrk over a table of sin samples, or of cos over sin samples for the
 exp profiles, whose complex blocks it reads off that Gram's 2 x 2 blocks.
-The pencil of inequalities sums its pieces' rows (_gram_rows, about
-_centre_angle) straight into its blocks, with no GramForm. A dense
-tensor-grid reference that guards the factorisation lives in the tests.
+Both mirror the rows (_blocks); the pencil of inequalities sums them, about
+_centre_angle, into the upper triangles of its blocks, all that _doubled_forms
+reads. A dense tensor-grid reference guarding the factorisation is in the tests.
 
 The closed forms are written about the centre c of each window of length L:
 the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, _matmul, _weighted_gram, build_mode_set
+from .spectrum import ModeSet, RectangleGeometry, _matmul, _symmetric_product, _weighted_gram, build_mode_set
 
 # Factors of the separable pieces. Each is a tuple (kind, *positions on its axis):
 # the full axis, an interval, a point, the normal derivative at the x = 0 edge,
@@ -479,8 +479,8 @@ def _gram_rows(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_
     the time window's Gram Kt, the stack of its a-a and a-b blocks, on the
     distinct frequencies; a block takes its entries with one flat take.
     Each block is Kt o spatial, times the velocity amplitude products
-    w_i w_j (in X) and -w_i w_j (in Y); x and y are the two halves of one
-    (2, rows, n) array.
+    w_i w_j (in X) and -w_i w_j (in Y), from the block's diagonal block on:
+    x and y are the two halves of one (2, rows, n - rows.start) array.
     """
     K1, n = mode_set.K1, len(mode_set)
     factors = _axis_factors(spec, mode_set, axis_gram)
@@ -494,25 +494,27 @@ def _gram_rows(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_
         k2 = slice(r0 // K1, rows.stop // K1)
         spatial = None
         for g1, g2 in factors:  # (k2, k1, c2, c1), summed in order
-            term = g1[:, None, :] * g2[..., k2, None, :, None]
+            term = g1[:, None, :] * g2[..., k2, None, k2.start :, None]
             spatial = term if spatial is None else spatial + term
-        blocks = np.take(kt, offsets[rows, None] + inverse, axis=1)
+        blocks = np.take(kt, offsets[rows, None] + inverse[r0:], axis=1)
         blocks *= spatial.reshape(spatial.shape[:-4] + blocks.shape[1:])
         if spec.field == "velocity":  # amplitude i w: conj(amp_i) amp_j is w_i w_j, -w_i w_j
-            amp = np.multiply(w[rows, None], w)
+            amp = np.multiply(w[rows, None], w[r0:])
             blocks[0] *= amp
             blocks[1] *= np.negative(amp, out=amp)
         yield rows, blocks[0], blocks[1]
 
 
 def _blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram):
-    """The stack (X, Y) of the spec's Gram blocks, n x n each, written from _gram_rows."""
+    """The stack (X, Y) of the spec's Gram blocks, n x n each: _gram_rows' upper rows, mirrored."""
     n = len(mode_set)
     out = None
     for rows, x, y in _gram_rows(spec, mode_set, axis_gram):
         if out is None:
             out = np.empty((2, n, n), x.dtype)
-        out[0, rows], out[1, rows] = x, y
+        lo, hi = rows.start, rows.stop
+        out[0, lo:hi, lo:], out[1, lo:hi, lo:] = x, y
+        out[0, hi:, lo:hi], out[1, hi:, lo:hi] = x[:, hi - lo :].conj().T, y[:, hi - lo :].T
     return out
 
 
@@ -530,18 +532,19 @@ def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
 
 
 def _doubled_forms(a: np.ndarray, b: np.ndarray, r1: np.ndarray, r2: np.ndarray):
-    """c^H [[A, B], [conj B, conj A]] c for c = (r1, r2), B symmetric: a float, or one per row.
+    """c^H [[A, B], [conj B, conj A]] c for c = (r1, r2), A Hermitian, B symmetric: a float, or one per row.
 
-    It is Re(r1^H A r1) + Re(s^H A s) + 2 Re(r1^H B r2), s = conj(r2): one product with A.
-    A real block (a closed Gram's) multiplies the real and imaginary parts, never a complex copy.
+    It is Re(r1^H A r1) + Re(s^H A s) + 2 Re(r1^H B r2), s = conj(r2): one _symmetric_product with each,
+    reading the upper triangles of a and b. A real block multiplies the real and imaginary parts stacked.
     """
-    def times(v, m):  # v @ m.T
+    def form(m, u, w, hermitian):  # Re(u^H M w) over the last axis
         if np.iscomplexobj(m):
-            return _matmul(v, m.T)
-        return _matmul(v.real, m.T) + 1j * _matmul(v.imag, m.T)
+            return np.sum(_symmetric_product(u.conj(), m, hermitian) * w, axis=-1).real
+        f = np.sum(_symmetric_product(np.stack([u.real, u.imag]), m) * np.stack([w.real, w.imag]), axis=-1)
+        return f[0] + f[1]
     u = np.stack([r1, r2.conj()])
-    diag = np.sum(u.conj() * times(u, a), axis=-1).real
-    f = diag[0] + diag[1] + 2.0 * np.sum(r1.conj() * times(r2, b), axis=-1).real
+    diag = form(a, u, u, True)
+    f = diag[0] + diag[1] + 2.0 * form(b, r1, r2, False)
     return float(f) if f.ndim == 0 else f
 
 

@@ -76,7 +76,7 @@ def _matmul(a, b) -> np.ndarray:
 
     numpy and scipy each bundle an OpenBLAS with its own thread pool, and the
     pencil's LAPACK runs in scipy's; every dense product of the package comes
-    here, or to _weighted_gram, so one pool serves all of it and no idle pool
+    here, to _symmetric_product or to _weighted_gram, so one pool serves all of it and no idle pool
     spins on the cores the other needs. The call is the one numpy makes for a @ b: dot for a 1 x 1
     result, gemv when a has one row or b one column, else gemm, each operand
     an F-contiguous view with a transpose flag (for C-ordered operands a @ b is
@@ -109,6 +109,17 @@ def _matmul(a, b) -> np.ndarray:
         (f, trans_f), (g, trans_g) = _blas_operand(b2.T), _blas_operand(a2.T)
         out = getattr(blas, kind + "gemm")(1.0, f, g, trans_a=trans_f, trans_b=trans_g).T
     return np.reshape(out, shape)
+
+
+def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False) -> np.ndarray:
+    """v @ S for the symmetric S, or Hermitian with hermitian, in the upper triangle of the C-ordered s.
+
+    One dsymm, zsymm or zhemm (side L, lower 1) on the F-ordered views s.T and
+    v.T gives (v S)^T; the strict lower triangle of s is never read.
+    """
+    rows = np.ascontiguousarray(v).reshape(-1, len(s))
+    name = "z" + ("hemm" if hermitian else "symm") if np.iscomplexobj(s) else "dsymm"
+    return getattr(blas, name)(1.0, s.T, rows.T, lower=1).T.reshape(np.shape(v))
 
 
 def _weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ of rows at a time from Kronecker products of the axis Grams, and sums a
 pencil's pieces straight into its blocks. The tests compare those blocks, and
 every form and pencil built from them, with the dense complex doubled Gram,
 the spatial sum gathered to n x n and the sectors summed piece by piece
-below. The exponential-sum integrals, which the library forms from real sinc
-blocks about the box centre, are compared with dense products of the complex
-interval kernel. The oracle's sampled exp-profile Gram, which the library forms
+below; a pencil writes only the upper triangle of each sector, mirrored here
+for the dense solvers. The exponential-sum integrals, which the library
+forms from real sinc blocks about the box centre, are compared with dense
+products of the complex interval kernel. The oracle's sampled exp-profile Gram, which the library forms
 from one real Gram of a cos/sin table, is compared with the dense complex
 Simpson sums of the profile's samples.
 """
@@ -93,13 +94,31 @@ def spatial_sum(spec, mode_set) -> np.ndarray:
     return total
 
 
+def _mirrored(s) -> np.ndarray:
+    """A copy of s whose strict lower triangle is the transpose of its upper one, to the bit."""
+    full = np.array(s)
+    lower = np.tril_indices(len(full), -1)
+    full[lower] = full.T[lower]
+    return full
+
+
+def pencil_sectors(pen) -> list:
+    """The pencil's (sector, index) pairs: full symmetric copies of the upper triangles pen._sectors() writes.
+
+    Each sector is copied before the next one overwrites the slab.
+    """
+    return [(_mirrored(s), index) for s, index in pen._sectors()]
+
+
 def piecewise_sectors(specs, weight, mode_set, mask=None) -> list:
     """The pencil's (sector, index) pairs, summed Gram by Gram from assemble_gram's blocks.
 
     Each piece's X and Y, restricted to the masked modes and rotated to the
     first piece's angle when centred elsewhere, is added into zeros in order;
     the sums are scaled by D^{-1/2} on both sides and split into the even and
-    odd sectors, or the one real 2m x 2m sector when the sums are complex.
+    odd sectors, or the one real 2m x 2m sector when the sums are complex,
+    whose upper-right block is Im(A+B)^T below its diagonal, as the pencil
+    writes it from the upper triangles of A and B.
     """
     grams = [assemble_gram(s, mode_set) for s in specs]
     d, n = weight.diagonal(mode_set), len(mode_set)
@@ -118,6 +137,9 @@ def piecewise_sectors(specs, weight, mode_set, mask=None) -> list:
     r = 1.0 / np.sqrt(d[keep])
     a, b = a * np.outer(r, r), b * np.outer(r, r)
     if dtype is complex:
-        full = np.block([[(a + b).real, (b - a).imag], [(a + b).imag, (a - b).real]])
+        upper_right = (b - a).imag
+        below = np.tril_indices(len(keep), -1)
+        upper_right[below] = (a + b).imag.T[below]
+        full = np.block([[(a + b).real, upper_right], [(a + b).imag, (a - b).real]])
         return [(full, np.concatenate([keep, n + keep]))]
     return [(a + b, keep), (a - b, n + keep)]

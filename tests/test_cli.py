@@ -728,8 +728,15 @@ def test_cli_imports_no_private_names():
         if names:
             private[path.name] = names
     assert private == {
-        "inequalities.py": ["_centre_angle", "_doubled_forms", "_exponential_form", "_gram_rows", "_matmul"],
-        "observation.py": ["_matmul", "_weighted_gram"],
+        "inequalities.py": [
+            "_centre_angle",
+            "_doubled_forms",
+            "_exponential_form",
+            "_gram_rows",
+            "_matmul",
+            "_symmetric_product",
+        ],
+        "observation.py": ["_matmul", "_symmetric_product", "_weighted_gram"],
         "states.py": ["_matmul"],
     }
 

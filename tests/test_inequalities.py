@@ -51,8 +51,8 @@ from obslab import (
 )
 from obslab import inequalities, observation
 from obslab.inequalities import ConstantReport, ThresholdError
-from obslab.spectrum import _matmul
-from gram_reference import _interval_kernel, dense_gram, piecewise_sectors
+from obslab.spectrum import _symmetric_product
+from gram_reference import _interval_kernel, dense_gram, pencil_sectors, piecewise_sectors
 
 PI = math.pi
 WAVE = EnergyWeight(1.0, "wave")
@@ -316,7 +316,7 @@ def test_check_theorem_reduces_each_masked_sector_once(modes6, monkeypatch):
 def _eigh_extremes(pen):
     """Pencil.extremes by two scipy.linalg.eigh subset calls per sector, as the solve ran before."""
     low, c_max = None, -math.inf
-    for s, index in pen.sectors:
+    for s, index in pencil_sectors(pen):
         evals, evecs = scipy.linalg.eigh(s, subset_by_index=[0, 0])
         if low is None or evals[0] < low[0]:
             u = np.zeros(2 * len(pen.d))
@@ -358,9 +358,9 @@ def _matching_pencil(square, case):
 def test_pencil_extremes_match_eigh_bitwise(square, case):
     pen = _matching_pencil(square, case)
     if case.startswith("n="):
-        assert {len(s) for s, _ in pen.sectors} == {int(case[2:])}
+        assert {len(s) for s, _ in pencil_sectors(pen)} == {int(case[2:])}
     if case.startswith("scaled"):  # the sectors' max-norm lies outside dsyevr's unscaled range
-        norm = max(np.max(np.abs(s)) for s, _ in pen.sectors)
+        norm = max(np.max(np.abs(s)) for s, _ in pencil_sectors(pen))
         assert not 2.0**-485 <= norm <= 2.0**255
     c_min, c_max, u = pen.extremes()
     want = _eigh_extremes(pen)
@@ -467,11 +467,12 @@ def test_sectors_are_the_piecewise_sum_to_the_bit(name, K1, K2, masked):
     ms = build_mode_set(RectangleGeometry(PI, 2.7), K1, K2)
     weight = WAVE if specs[0].model == "wave" else EnergyWeight(-1.0, "plate")
     mask = (ms.k1 % 3 != 0) & (ms.k2 % 2 != 0) if masked else None
-    got, want = pencil(specs, weight, ms, mask).sectors, piecewise_sectors(specs, weight, ms, mask)
+    got, want = pencil_sectors(pencil(specs, weight, ms, mask)), piecewise_sectors(specs, weight, ms, mask)
     assert len(got) == len(want) == (1 if len(specs) == 2 else 2)
     for (s, index), (t, want_index) in zip(got, want):
         assert s.dtype == t.dtype == np.float64
-        assert s.tobytes() == t.tobytes()
+        upper = np.triu_indices(len(s))  # the one triangle the pencil writes
+        assert s[upper].tobytes() == t[upper].tobytes()
         assert np.array_equal(index, want_index)
 
 
@@ -510,6 +511,55 @@ def test_empirical_constants_peak_memory_stays_below_four_sectors():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * n * n * 8
+
+
+def test_verify_peak_memory_holds_one_layout_of_the_pencil():
+    # the K = 24 pencil's sums A and B and the one slab its solve and its sweep both write the
+    # sectors into are 3 n^2 floats, and the sweep's (_CHUNK, 2n) complex buffer about 1.8 n^2;
+    # a second, fresh copy of both sectors for the sweep made the peak 7.2 n^2
+    ms = build_mode_set(RectangleGeometry(PI, PI), 24, 24)
+    specs = [_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=48.0)]
+    n = len(ms)
+    verify_observability("two_strips", specs, random_states(ms, range(8)), {})
+    tracemalloc.start()
+    try:
+        verify_observability("two_strips", specs, random_states(ms, range(8)), {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * n * n * 8
+
+
+def _nan_below(pen):
+    """pen, its blocks A and B nan in their strict lower triangles."""
+    pen.blocks[(slice(None), *np.tril_indices(len(pen.keep), -1))] = np.nan
+    return pen
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all modes", "masked"])
+@pytest.mark.parametrize("name", ["VerticalSegments", "VerticalSegments + OpenRect"])
+def test_no_pencil_reader_touches_the_lower_triangle(monkeypatch, name, masked):
+    # the producer writes the upper triangle of A and B only: the solves, the sweep's forms and
+    # the certificate of a real and of a two-centre pencil keep their bits with the rest nan
+    specs, ms = SECTOR_CASES[name], build_mode_set(RectangleGeometry(PI, 2.7), 7, 5)
+    weight = EnergyWeight(-1.0, "plate")
+    mask = (ms.k1 % 3 != 0) & (ms.k2 % 2 != 0) if masked else None
+    rows = random_states(ms, range(5)).doubled()
+
+    def readings(pen):
+        return [_bits(x) for x in (*pen.extremes(), pen.lowest(), pen.quadratic_forms(rows))]
+
+    assert readings(_nan_below(pencil(specs, weight, ms, mask))) == readings(pencil(specs, weight, ms, mask))
+    if masked:  # empirical_constants solves the pencil on every mode
+        return
+    certified, forms, build = [], inequalities._doubled_forms, inequalities.pencil
+    monkeypatch.setattr(inequalities, "_doubled_forms", lambda *args: certified.append(forms(*args)) or certified[-1])
+    reports = []
+    for fill in (False, True):
+        monkeypatch.setattr(inequalities, "pencil", lambda *args: _nan_below(build(*args)) if fill else build(*args))
+        reports.append(empirical_constants(specs, weight, ms))
+    assert len(certified) == 2 and _bits(certified[0]) == _bits(certified[1])
+    assert reports[0].to_json() == reports[1].to_json()
 
 
 @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda s: type(s.region).__name__)
@@ -588,9 +638,9 @@ def _gathered_forms(pen, c):
     z1, z2 = c[:, :n] * scale, c[:, n:] * scale.conj()
     u = np.concatenate([z1 + z2, 1j * (z2 - z1)], axis=1) / math.sqrt(2)
     out = np.zeros(len(c))
-    for s, index in pen.sectors:
+    for s, index in pencil_sectors(pen):
         v = np.concatenate([u[:, index].real, u[:, index].imag])
-        f = np.sum(_matmul(v, s) * v, axis=1)
+        f = np.sum(_symmetric_product(v, s) * v, axis=1)
         out += f[: len(c)] + f[len(c) :]
     return out
 
