@@ -253,8 +253,9 @@ class _Reduction:
     step gets dsyevr's arguments and its share of dsyevr's workspace, and
     the finiteness check, the 1 x 1 case and the rescaling of a max-norm
     outside [_RMIN, _RMAX] are eigh's and dsyevr's, so every value and
-    vector equals eigh's bit for bit. The sector a is F-ordered, and it is
-    scaled and reduced in place: no copy is made.
+    vector equals eigh's bit for bit. The sector a is F-ordered, and its
+    lower triangle is scaled and reduced in place, the strict upper one
+    never read: no copy is made.
     """
 
     def __init__(self, a: np.ndarray) -> None:
@@ -269,8 +270,9 @@ class _Reduction:
             return
         self.lwork = int(_lapack("dsyevr_lwork", n, lower=1)[0])
         self.sigma = _RMIN / norm if 0 < norm < _RMIN else _RMAX / norm if norm > _RMAX else None
-        if self.sigma is not None:
-            a *= self.sigma
+        if self.sigma is not None:  # dsyevr's dscal of each column of the lower triangle, none other
+            for j in range(n):
+                a[j:, j] *= self.sigma
         self.a, self.d, self.e, self.tau = _lapack(
             "dsytrd", a, lower=1, lwork=self.lwork - 5 * n, overwrite_a=1
         )

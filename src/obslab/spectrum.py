@@ -115,8 +115,11 @@ def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False) ->
     """v @ S for the symmetric S, or Hermitian with hermitian, in the upper triangle of the C-ordered s.
 
     One dsymm, zsymm or zhemm (side L, lower 1) on the F-ordered views s.T and
-    v.T gives (v S)^T; the strict lower triangle of s is never read.
+    v.T gives (v S)^T; the strict lower triangle of s is never read. v is
+    complex only when s is.
     """
+    if not np.size(v):
+        return np.zeros(np.shape(v), np.result_type(v, s))
     rows = np.ascontiguousarray(v).reshape(-1, len(s))
     name = "z" + ("hemm" if hermitian else "symm") if np.iscomplexobj(s) else "dsymm"
     return getattr(blas, name)(1.0, s.T, rows.T, lower=1).T.reshape(np.shape(v))

@@ -369,6 +369,35 @@ def test_pencil_extremes_match_eigh_bitwise(square, case):
     assert pen.lowest() == c_min
 
 
+@pytest.mark.parametrize("scale", [2.0**-500, 2.0**300], ids=["2^-500", "2^300"])
+@pytest.mark.parametrize("layout", ["m x m", "2n x 2n"])
+def test_a_scaled_solve_reads_no_entry_outside_the_sector_triangle(monkeypatch, square, layout, scale):
+    # the slab's memory outside the triangle each sector is written to holds whatever was there:
+    # a signalling nan, or a value the rescaling would overflow, must raise no RuntimeWarning and
+    # leave every value and vector eigh's to the bit. Sectors are written 8 rows at a time, so the
+    # lower triangle has entries outside every row block's diagonal block
+    monkeypatch.setattr(inequalities, "_ROW_BLOCK", 8 * 64)
+    if layout == "m x m":
+        specs, weight = (_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=30.0),), WAVE
+        ms = build_mode_set(square, 8, 8)
+    else:
+        (specs, weight), ms = UNSHARED_CENTRES["OpenRect windows"], build_mode_set(square, 5, 4)
+    fills = [lambda slab: slab.view(np.int64).fill(0x7FF0000000000001), lambda slab: slab.fill(1e308)]
+    for fill in fills:
+        pen = Pencil(tuple(specs), ms, weight.diagonal(ms) / scale, None)
+        want = _eigh_extremes(pen)
+        norm = max(np.max(np.abs(s)) for s, _ in pencil_sectors(pen))
+        assert not 2.0**-485 <= norm <= 2.0**255
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fill(pen._slab)
+            c_min, c_max, u = pen.extremes()
+            fill(pen._slab)
+            low = pen.lowest()
+        assert _bits([c_min, c_max, low]) == _bits([want[0], want[1], want[0]])
+        assert _bits(u) == _bits(want[2])
+
+
 def test_pencil_solve_rejects_a_non_finite_sector(square):
     # a tiny positive weight passes the constructor, but the D-scaled entry (3, 3) of each sector
     # is not finite: D^-1/2 squares to inf for a subnormal entry, and the Gram entry times

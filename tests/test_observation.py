@@ -609,6 +609,15 @@ def test_oracle_rows_of_a_stack_match_one_state_calls(region, geometry):
             assert one == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+def test_a_stack_of_no_states_gives_no_forms(modes4):
+    # random_states(ms, []) is a stack of no rows; the forms' symmetric products give no rows
+    spec = _spec(CrossStrips(1.0, 2.0, 1.0, 2.0))
+    stack = random_states(modes4, [])
+    gram = assemble_gram(spec, modes4)
+    for forms in (gram.quadratic_form(stack.doubled()), quadrature_oracle(stack, spec, 64)):
+        assert forms.shape == (0,) and forms.dtype == float
+
+
 def _direct_centred(spec, ms):
     """The centred blocks from the time Gram on every mode's own frequency and the gathered spatial sum.
 
