@@ -253,9 +253,8 @@ class _Reduction:
     step gets dsyevr's arguments and its share of dsyevr's workspace, and
     the finiteness check, the 1 x 1 case and the rescaling of a max-norm
     outside [_RMIN, _RMAX] are eigh's and dsyevr's, so every value and
-    vector equals eigh's bit for bit. The sector a is F-ordered, and its
-    lower triangle is scaled and reduced in place, the strict upper one
-    never read: no copy is made.
+    vector equals eigh's bit for bit. The F-ordered sector a is scaled and
+    reduced in place, its lower triangle only: no copy is made.
     """
 
     def __init__(self, a: np.ndarray) -> None:

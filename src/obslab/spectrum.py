@@ -115,8 +115,7 @@ def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False) ->
     """v @ S for the symmetric S, or Hermitian with hermitian, in the upper triangle of the C-ordered s.
 
     One dsymm, zsymm or zhemm (side L, lower 1) on the F-ordered views s.T and
-    v.T gives (v S)^T; the strict lower triangle of s is never read. v is
-    complex only when s is.
+    v.T gives (v S)^T, reading only the upper triangle of s; v is complex only if s is.
     """
     if not np.size(v):
         return np.zeros(np.shape(v), np.result_type(v, s))
