@@ -841,18 +841,23 @@ def _row_chunks(blocks, mode_set: ModeSet):
     """The doubled coefficient rows of the state blocks, regrouped _CHUNK rows at a time.
 
     Every block is a SpectralState holding one state or a stack of rows. The
-    rows are copied into one (_CHUNK, 2n) buffer, which is yielded each time
-    it fills (and, shorter, at the end), so the chunks, and the bits of each
-    sweep, do not depend on how the states were split into blocks. The
-    buffer is reused: a chunk is valid until the next one is drawn.
+    rows are copied into one buffer, yielded each time _CHUNK rows fill it
+    (and, shorter, at the end), so the chunks, and the bits of each sweep, do
+    not depend on how the states were split into blocks. The buffer grows, at
+    least twofold and up to _CHUNK rows, only when a block brings more rows.
+    It is reused: a chunk is valid until the next one is drawn.
     """
     n = len(mode_set)
-    buf = np.empty((_CHUNK, 2 * n), dtype=complex)
+    buf = np.empty((0, 2 * n), dtype=complex)
     fill = 0
     for block in blocks:
         if block.mode_set != mode_set:
             raise ValueError("all states must share one mode set")
         a, b = block.a.reshape(-1, n), block.b.reshape(-1, n)
+        if min(_CHUNK, fill + len(a)) > len(buf):
+            grown = np.empty((min(_CHUNK, max(fill + len(a), 2 * len(buf))), 2 * n), dtype=complex)
+            grown[:fill] = buf[:fill]
+            buf = grown
         start = 0
         while start < len(a):
             take = min(_CHUNK - fill, len(a) - start)

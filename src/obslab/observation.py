@@ -11,12 +11,12 @@ Kronecker products of K x K axis Grams, and one producer (_gram_rows) writes
 the upper triangle of every Gram a block of whole k2-rows at a time, with no
 n x n gather or temporary. assemble_gram takes the 1-D Grams in closed form;
 the oracle runs the same producer on composite-Simpson sums over pointwise
-samples and shares no closed form: it forms each sampled Gram with one real
-dsyrk over a table of sin samples, or of cos over sin samples for the
-exp profiles, whose complex blocks it reads off that Gram's 2 x 2 blocks.
-Both mirror the rows (_blocks); the pencil of inequalities sums them, about
-_centre_angle, into the upper triangles of its blocks, all that _doubled_forms
-reads. A dense tensor-grid reference guarding the factorisation is in the tests.
+samples and shares no closed form: it samples each interval on the half of
+its grid about the centre, in the real centred layout of the closed forms.
+Both mirror the rows into a GramForm about _centre_angle (_gram_form); the
+pencil of inequalities sums them, about the same angle, into the upper
+triangles of its blocks, all that _doubled_forms reads. A dense tensor-grid
+reference guarding the factorisation and the shared phase is in the tests.
 
 The closed forms are written about the centre c of each window of length L:
 the integral over (lo, hi) of e^{i delta s} ds is e^{i delta c} L sinc(delta L / 2).
@@ -505,17 +505,15 @@ def _gram_rows(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_
         yield rows, blocks[0], blocks[1]
 
 
-def _blocks(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram):
-    """The stack (X, Y) of the spec's Gram blocks, n x n each: _gram_rows' upper rows, mirrored."""
+def _gram_form(spec: ObservationSpec, mode_set: ModeSet, axis_gram=_closed_axis_gram) -> GramForm:
+    """The GramForm of _gram_rows' upper rows, mirrored, about _centre_angle."""
     n = len(mode_set)
-    out = None
+    out = np.empty((2, n, n))
     for rows, x, y in _gram_rows(spec, mode_set, axis_gram):
-        if out is None:
-            out = np.empty((2, n, n), x.dtype)
         lo, hi = rows.start, rows.stop
         out[0, lo:hi, lo:], out[1, lo:hi, lo:] = x, y
-        out[0, hi:, lo:hi], out[1, hi:, lo:hi] = x[:, hi - lo :].conj().T, y[:, hi - lo :].T
-    return out
+        out[0, hi:, lo:hi], out[1, hi:, lo:hi] = x[:, hi - lo :].T, y[:, hi - lo :].T
+    return GramForm(mode_set, spec, out[0], out[1], _centre_angle(spec, mode_set))
 
 
 def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
@@ -554,8 +552,7 @@ def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
     The Gram is conj(p_i) p_j [[X, Y], [Y, X]]_ij with p = e^{i (angle,
     -angle)}, Hermitian to the last bit; (X, Y, angle) is GramForm.centred.
     """
-    x, y = _blocks(spec, mode_set)
-    return GramForm(mode_set, spec, x, y, _centre_angle(spec, mode_set))
+    return _gram_form(spec, mode_set)
 
 
 # ---------------------------------------------------------------------------
@@ -575,50 +572,46 @@ def _simpson_weights(lo: float, hi: float, panels: int):
 def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
     """Simpson 1-D Gram sum_x w_x conj(f_i(x)) f_j(x) of one factor from pointwise samples.
 
-    Each factor fills one real table of samples in place, sin(z k x), or
-    z k cos(z k x) at the x = 0 edge, and its Gram is one real dsyrk
-    (_weighted_gram). The exp profile e^{i z k x} is sampled as the table of
-    C = cos(z k x) over S = sin(z k x), the real and imaginary parts of the
-    samples to the bit, and gives the stack of the a-a and a-b blocks of its
-    doubled Gram from the 2 x 2 blocks of that table's Gram:
-    A = CC + SS + i (CS - SC) and B = CC - SS - i (CS + SC), with
-    CS_ij = sum_x w_x C_i(x) S_j(x). That Gram is symmetric to the last bit,
-    so A is Hermitian and B symmetric to the last bit.
+    A point, or z k cos(z k x) at the x = 0 edge, is one node of unit weight
+    and has the outer product of its samples. Any other factor is sampled at
+    the Simpson nodes c + s_m, m = 0..res/2, about its interval centre c, each
+    weighted also for c - s_m. With f = z k, the tables C = cos(f s) and
+    S = sin(f s), filled in turn, give CC and SS by one dsyrk each
+    (_weighted_gram). Cross terms cancel on each node pair: sin(f x) has the
+    Gram (sigma sigma') o CC + (kappa kappa') o SS, sigma = sin(f c) and
+    kappa = cos(f c), and e^{i f x} the stack (CC + SS, CC - SS), the a-a and
+    a-b blocks of its doubled Gram without the phase, as _closed_axis_gram
+    gives them. All are symmetric to the last bit.
     """
     kind, *args = factor
     if kind == "ones":
         return 1.0  # the constant profile at one node of unit weight
-    if kind in ("full", "interval", "exp"):
-        x, wx = _simpson_weights(*(args or (0.0, ell)), res)
-    else:  # one node of unit weight: the point, or the x = 0 edge
-        x, wx = np.array(args or [0.0]), np.ones(1)
-    n = len(ks)
-    table = np.empty((2 * n if kind == "exp" else n, len(x)))
-    last = np.outer(z * ks, x, out=table[-n:])  # the angles, in the rows of S or of the whole table
+    f = z * ks
+    if kind in ("point", "edge"):
+        p = np.sin(f * args[0]) if kind == "point" else f
+        return np.outer(p, p)
+    lo, hi = args or (0.0, ell)
+    half = res // 2
+    wx = _simpson_weights(lo, hi, res)[1][half:]
+    wx[1:] *= 2.0
+    s = np.arange(half + 1) * ((hi - lo) / res)
+
+    def gram(trig):  # one table, filled in place and dropped on return
+        table = np.outer(f, s)
+        return _weighted_gram(trig(table, out=table), wx)
+
+    cc, ss = gram(np.cos), gram(np.sin)
     if kind == "exp":
-        np.cos(last, out=table[:n])
-    if kind == "edge":
-        np.cos(last, out=last)
-        last *= (z * ks)[:, None]
-    else:
-        np.sin(last, out=last)
-    gram = _weighted_gram(table, wx)
-    if kind != "exp":
-        return gram
-    del table, last  # freed before the complex blocks are allocated
-    cc, cs, sc, ss = gram[:n, :n], gram[:n, n:], gram[n:, :n], gram[n:, n:]
-    out = np.empty((2, n, n), complex)
-    out[0].real, out[0].imag = cc + ss, cs - sc
-    out[1].real, out[1].imag = cc - ss, -(cs + sc)
-    return out
+        return np.stack([cc + ss, cc - ss])
+    c = (lo + hi) / 2.0
+    sigma, kappa = np.sin(f * c), np.cos(f * c)
+    return np.outer(sigma, sigma) * cc + np.outer(kappa, kappa) * ss
 
 
 @functools.lru_cache(maxsize=1)
-def _sampled_blocks(spec: ObservationSpec, mode_set: ModeSet, res: int) -> np.ndarray:
-    """_blocks on Simpson samples, read-only and kept for the next call on the same spec."""
-    blocks = _blocks(spec, mode_set, functools.partial(_sampled_axis_gram, res=res))
-    blocks.flags.writeable = False
-    return blocks
+def _sampled_blocks(spec: ObservationSpec, mode_set: ModeSet, res: int) -> GramForm:
+    """The GramForm of _gram_form on Simpson samples, kept for the next call on the same spec."""
+    return _gram_form(spec, mode_set, functools.partial(_sampled_axis_gram, res=res))
 
 
 def quadrature_oracle(state, spec: ObservationSpec, resolution: int):
@@ -628,15 +621,16 @@ def quadrature_oracle(state, spec: ObservationSpec, resolution: int):
     product of 1-D Grams, on Simpson sums over pointwise samples of each axis
     profile, so it shares no closed form: the Simpson tensor-grid integral of
     the squared field, resolution panels per axis (odd values rounded up).
-    One state gives a float, a stack one value per row. Each axis Gram is
-    sampled once per call, the time window's on the distinct frequencies, and
-    kept for the next call on the same spec, so blocks of states share it.
+    Its centred blocks share the closed Gram's centre angle, and
+    GramForm.quadratic_form evaluates them: one state gives a float, a stack
+    one value per row. Each axis Gram is sampled once per call, the time
+    window's on the distinct frequencies, and kept for the next call on the
+    same spec, so blocks of states share it.
     """
     spec.validate_geometry(state.mode_set.geometry)
     if resolution < 64:
         raise ValueError("resolution must be >= 64")
-    a, b = _sampled_blocks(spec, state.mode_set, resolution + resolution % 2)
-    return _doubled_forms(a, b, state.a, state.b)
+    return _sampled_blocks(spec, state.mode_set, resolution + resolution % 2).quadratic_form(state)
 
 
 # ---------------------------------------------------------------------------

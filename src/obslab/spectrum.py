@@ -129,13 +129,12 @@ def _weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     f is scaled in place to f sqrt(w), its F-ordered transpose goes to one
     dsyrk with trans=1, so f2py copies nothing, and the upper triangle the
-    call writes is mirrored: the m x m result is C-contiguous and symmetric
-    to the last bit.
+    call writes is mirrored by one masked copy: the m x m result is
+    C-contiguous and symmetric to the last bit.
     """
     f *= np.sqrt(w)
     gram = blas.dsyrk(1.0, f.T, trans=1).T  # dsyrk fills the upper triangle, the lower of the view
-    upper = np.triu_indices(len(f), 1)
-    gram[upper] = gram.T[upper]
+    np.copyto(gram, gram.T, where=np.tri(len(f), k=-1, dtype=bool).T)
     return gram
 
 

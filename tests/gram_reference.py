@@ -8,9 +8,10 @@ the spatial sum gathered to n x n and the sectors summed piece by piece
 below; a pencil writes only the upper triangle of each sector, mirrored here
 for the dense solvers. The exponential-sum integrals, which the library
 forms from real sinc blocks about the box centre, are compared with dense
-products of the complex interval kernel. The oracle's sampled exp-profile Gram, which the library forms
-from one real Gram of a cos/sin table, is compared with the dense complex
-Simpson sums of the profile's samples.
+products of the complex interval kernel. The oracle's sampled axis Grams,
+which the library forms from real cos and sin tables on the half of the
+Simpson grid about the interval centre, are compared with dense Simpson sums
+over every node of the grid.
 """
 
 import functools
@@ -49,6 +50,13 @@ def sampled_exp_sums(ks, z: float, lo: float, hi: float, res: int):
     f = np.exp(1j * np.outer(z * ks, x))
     fw = f.conj() * w
     return fw @ f.T, fw @ f.conj().T
+
+
+def sampled_sine_sum(ks, z: float, lo: float, hi: float, res: int):
+    """The Simpson sum of f = sin(z k x) on (lo, hi): sum_x w_x f_i f_j, by one product of the samples."""
+    x, w = _simpson_weights(lo, hi, res)
+    f = np.sin(np.outer(z * ks, x))
+    return (f * w) @ f.T
 
 
 def dense_gram(gram) -> np.ndarray:

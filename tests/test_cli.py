@@ -3,6 +3,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -686,6 +689,33 @@ def test_oracle_check_fails_on_infinite_values_without_warnings(tmp_path, monkey
     code, text = run(tmp_path, "oracle-check", ORACLE)
     assert code == 1
     assert json.loads(text)["result"]["max_rel_err"] == math.inf
+
+
+def test_oracle_check_prints_the_same_bytes_at_one_and_two_threads(tmp_path):
+    # the thread count is fixed at import, so each count runs in its own interpreter; the BLAS
+    # variables are cleared so that OBSLAB_THREADS sets them
+    open_rect = {"kind": "OpenRect", "t0": 0.2, "t1": 1.7, "x0": 0.5, "x1": 2.5}
+    specs = [
+        *ORACLE["specs"],
+        {"region": open_rect, "field": "displacement", "model": "plate"},
+        {"region": {"kind": "BoundaryGamma0"}, "field": "normal_derivative", "model": "wave"},
+    ]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**ORACLE, "truncation": [4, 4], "samples": 8, "resolution": 256, "specs": specs}))
+    blas_vars = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "obslab.cli", "oracle-check", "--config", str(cfg)],
+            env={**env, "OBSLAB_THREADS": threads},
+            capture_output=True,
+            check=True,
+        )
+        outputs.append(done.stdout)
+    assert json.loads(outputs[0])["result"]["passed"]
+    assert outputs[0] == outputs[1]
 
 
 def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monkeypatch):

@@ -544,8 +544,9 @@ def test_empirical_constants_peak_memory_stays_below_four_sectors():
 
 def test_verify_peak_memory_holds_one_layout_of_the_pencil():
     # the K = 24 pencil's sums A and B and the one slab its solve and its sweep both write the
-    # sectors into are 3 n^2 floats, and the sweep's (_CHUNK, 2n) complex buffer about 1.8 n^2;
-    # a second, fresh copy of both sectors for the sweep made the peak 7.2 n^2
+    # sectors into are 3 n^2 floats, and the sweep's buffer holds the 8 rows present (3.84 n^2 in
+    # all); a buffer of _CHUNK rows whatever the sweep held made the peak 5.28 n^2, and a second,
+    # fresh copy of both sectors for the sweep 7.2 n^2
     ms = build_mode_set(RectangleGeometry(PI, PI), 24, 24)
     specs = [_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=48.0)]
     n = len(ms)
@@ -556,7 +557,7 @@ def test_verify_peak_memory_holds_one_layout_of_the_pencil():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * n * n * 8
+    assert peak <= 4 * n * n * 8
 
 
 def _nan_below(pen):
@@ -928,6 +929,19 @@ def test_verify_gives_the_same_report_however_the_states_are_blocked(square):
     ]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0]["n_states"] == 600
+
+
+@pytest.mark.parametrize("sizes", [[8], [600], [1] * 600, [3, 250, 347]], ids=["8", "600", "singles", "uneven"])
+def test_row_chunks_cut_at_every_chunk_rows_in_a_buffer_of_the_rows_present(modes4, sizes):
+    stack = random_states(modes4, range(sum(sizes)))
+    starts = np.cumsum([0, *sizes])
+    blocks = (SpectralState(modes4, stack.a[lo:hi], stack.b[lo:hi]) for lo, hi in zip(starts, starts[1:]))
+    # a full chunk is the buffer itself, a shorter last one a view of it
+    chunks = [(c.copy(), len(c if c.base is None else c.base)) for c in inequalities._row_chunks(blocks, modes4)]
+    cuts = [inequalities._CHUNK] * (sum(sizes) // inequalities._CHUNK) + [sum(sizes) % inequalities._CHUNK]
+    assert [len(rows) for rows, _ in chunks] == [c for c in cuts if c]
+    assert np.concatenate([rows for rows, _ in chunks]).tobytes() == stack.doubled().tobytes()
+    assert max(size for _, size in chunks) == min(inequalities._CHUNK, sum(sizes))
 
 
 def test_verify_min_ratio_keeps_its_bits_under_decay_and_scaling(modes6):

@@ -38,7 +38,7 @@ from obslab import (
 )
 from obslab import observation
 from obslab.observation import region_from_dict, region_to_dict
-from gram_reference import _interval_kernel, dense_gram, sampled_exp_sums, spatial_sum
+from gram_reference import _interval_kernel, dense_gram, sampled_exp_sums, sampled_sine_sum, spatial_sum
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
 
@@ -683,14 +683,30 @@ def _exp_profile(case):
     return np.unique(np.sqrt(ms.lam)), 1.0, 0.0, 9.5
 
 
+# the centre node c of the Simpson grid has weight 2 at res = 2048 and 4 at res = 2050
 @pytest.mark.parametrize("case", ["time, pi-square", "time, 3.4 x 2.8", "OpenRect x2"])
 def test_sampled_exp_gram_is_hermitian_and_the_dense_simpson_sums(case):
+    # the real centred blocks, symmetric to the bit, give a Hermitian a-a and a symmetric a-b block
     ks, z, lo, hi = _exp_profile(case)
-    a, b = observation._sampled_axis_gram(("exp", lo, hi), ks, z, None, 2048)
-    assert np.array_equal(a, a.conj().T)
-    assert np.array_equal(b, b.T)
-    for got, want in zip((a, b), sampled_exp_sums(ks, z, lo, hi, 2048)):
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    p = np.exp(1j * (z * ks) * ((lo + hi) / 2.0))  # the phase about the centre, as _centre_angle takes it
+    for res in (2048, 2050):
+        x, y = observation._sampled_axis_gram(("exp", lo, hi), ks, z, None, res)
+        assert x.dtype == y.dtype == float
+        assert np.array_equal(x, x.T) and np.array_equal(y, y.T)
+        phased = (p.conj()[:, None] * p * x, p.conj()[:, None] * p.conj() * y)
+        for got, want in zip(phased, sampled_exp_sums(ks, z, lo, hi, res)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("factor", [("interval", 0.4, 1.9), ("full",)], ids=["interval", "full"])
+def test_sampled_sine_gram_is_symmetric_and_the_dense_simpson_sum(factor):
+    ks, ell = np.arange(1, 13), 2.8
+    z = math.pi / ell
+    for res in (2048, 2050):
+        gram = observation._sampled_axis_gram(factor, ks, z, ell, res)
+        assert np.array_equal(gram, gram.T)
+        want = sampled_sine_sum(ks, z, *(factor[1:] or (0.0, ell)), res)
+        assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("factor", [("point", 1.3), ("edge",)])
@@ -703,17 +719,17 @@ def test_sampled_one_node_gram_is_the_outer_product_of_its_samples(factor):
 
 @pytest.mark.parametrize("K", [8, 24])
 def test_sampled_time_gram_holds_at_most_two_real_tables(K):
-    # the cos/sin table of the distinct frequencies is filled in place and goes to BLAS uncopied
+    # the cos and the sin table on the res/2 + 1 nodes c + s_m are filled in turn, in place, and go
+    # to BLAS uncopied
     ms = build_mode_set(RectangleGeometry(math.pi, math.pi), K, K)
     distinct = np.unique(np.sqrt(ms.lam))
-    table = 2 * len(distinct) * 2049 * 8
     tracemalloc.start()
     try:
         observation._sampled_axis_gram(("exp", 0.0, 4.0), distinct, 1.0, None, 2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * table
+    assert peak <= 2 * len(distinct) * 1025 * 8
 
 
 def test_oracle_resolution_validation(modes4):
