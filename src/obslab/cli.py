@@ -76,15 +76,23 @@ def _specs(config: dict, T=None) -> list:
 
 
 def _projected_states(config: dict, specs: list, mode_set, seed: int):
-    """Random states projected to the theorem's symmetries, drawn lazily _CHUNK seeds at a time."""
+    """Random states projected to the theorem's symmetries, drawn lazily _CHUNK seeds at a time.
+
+    Each projection lets the block it was given go, and no block is held here
+    once it is yielded: not while it is swept, nor while the next is drawn.
+    """
     n = _integer("samples", config.get("samples", 100))
     decay = float(config.get("decay", 0.0))
     sym = theorem_symmetries(config["theorem"], specs, config.get("params", {}), mode_set.geometry)
-    for start in range(0, n, _CHUNK):
+
+    def drawn(start: int):
         block = random_states(mode_set, range(seed + start, seed + min(start + _CHUNK, n)), decay)
         for s in sym:
             block = project_p_symmetric(block, s)
-        yield block
+        return block
+
+    for start in range(0, n, _CHUNK):
+        yield drawn(start)
 
 
 def cmd_verify(config: dict, seed: int) -> tuple:

@@ -559,14 +559,19 @@ def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
 # quadrature oracle
 
 
-def _simpson_weights(lo: float, hi: float, panels: int):
-    """Composite Simpson nodes and weights with the given even panel count."""
-    x = np.linspace(lo, hi, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
+def _simpson_weights(lo: float, hi: float, panels: int) -> np.ndarray:
+    """Composite Simpson weights of the nodes c + s_m, m = 0..panels/2, about the centre c.
+
+    Node m is node panels/2 + m of the even panel count's grid on (lo, hi),
+    weighted 1, 4 or 2 times h/3 as that grid weighs it, and doubled for m >
+    0, since it also stands for its mirror node c - s_m.
+    """
+    half = panels // 2
+    w = np.where(np.arange(half, panels + 1) % 2, 4.0, 2.0)
+    w[-1] = 1.0
     w *= (hi - lo) / panels / 3.0
-    return x, w
+    w[1:] *= 2.0
+    return w
 
 
 def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
@@ -592,8 +597,7 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
         return np.outer(p, p)
     lo, hi = args or (0.0, ell)
     half = res // 2
-    wx = _simpson_weights(lo, hi, res)[1][half:]
-    wx[1:] *= 2.0
+    wx = _simpson_weights(lo, hi, res)
     s = np.arange(half + 1) * ((hi - lo) / res)
 
     def gram(trig):  # one table, filled in place and dropped on return

@@ -111,17 +111,21 @@ def _matmul(a, b) -> np.ndarray:
     return np.reshape(out, shape)
 
 
-def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False) -> np.ndarray:
+def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False, out=None) -> np.ndarray:
     """v @ S for the symmetric S, or Hermitian with hermitian, in the upper triangle of the C-ordered s.
 
     One dsymm, zsymm or zhemm (side L, lower 1) on the F-ordered views s.T and
     v.T gives (v S)^T, reading only the upper triangle of s; v is complex only if s is.
+    out, a C-contiguous 2-D array of v's shape and type, takes the product in place of a new array.
     """
     if not np.size(v):
-        return np.zeros(np.shape(v), np.result_type(v, s))
+        return np.zeros(np.shape(v), np.result_type(v, s)) if out is None else out
     rows = np.ascontiguousarray(v).reshape(-1, len(s))
     name = "z" + ("hemm" if hermitian else "symm") if np.iscomplexobj(s) else "dsymm"
-    return getattr(blas, name)(1.0, s.T, rows.T, lower=1).T.reshape(np.shape(v))
+    if out is None:
+        return getattr(blas, name)(1.0, s.T, rows.T, lower=1).T.reshape(np.shape(v))
+    getattr(blas, name)(1.0, s.T, rows.T, c=out.T, overwrite_c=1, lower=1)  # beta 0: out is only written
+    return out
 
 
 def _weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:

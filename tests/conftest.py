@@ -1,8 +1,19 @@
 import math
+import tracemalloc
 
 import pytest
 
 from obslab import RectangleGeometry, build_mode_set
+
+
+def peak_bytes(fn) -> int:
+    """The peak of the memory traced while fn() runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from obslab import assemble_gram
-from obslab.observation import _closed_axis_gram, _simpson_weights, _window_sinc
+from obslab.observation import _closed_axis_gram, _window_sinc
 
 
 def _interval_kernel(delta, lo: float, hi: float):
@@ -40,13 +40,22 @@ def _interval_kernel(delta, lo: float, hi: float):
     return out
 
 
+def _simpson_grid(lo: float, hi: float, res: int):
+    """Every node of the composite Simpson grid of res (even) panels on (lo, hi), and its weight."""
+    x = np.linspace(lo, hi, res + 1)
+    w = np.ones(res + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return x, w * ((hi - lo) / res / 3.0)
+
+
 def sampled_exp_sums(ks, z: float, lo: float, hi: float, res: int):
     """The Simpson sums of f = e^{i z k x} on (lo, hi): sum_x w_x conj(f_i) f_j and sum_x w_x conj(f_i) conj(f_j).
 
     The samples are taken with one complex exp and the sums formed by two
     complex products, the a-a and a-b blocks of the profile's doubled Gram.
     """
-    x, w = _simpson_weights(lo, hi, res)
+    x, w = _simpson_grid(lo, hi, res)
     f = np.exp(1j * np.outer(z * ks, x))
     fw = f.conj() * w
     return fw @ f.T, fw @ f.conj().T
@@ -54,7 +63,7 @@ def sampled_exp_sums(ks, z: float, lo: float, hi: float, res: int):
 
 def sampled_sine_sum(ks, z: float, lo: float, hi: float, res: int):
     """The Simpson sum of f = sin(z k x) on (lo, hi): sum_x w_x f_i f_j, by one product of the samples."""
-    x, w = _simpson_weights(lo, hi, res)
+    x, w = _simpson_grid(lo, hi, res)
     f = np.sin(np.outer(z * ks, x))
     return (f * w) @ f.T
 

@@ -27,6 +27,7 @@ from obslab import (
     observation,
 )
 from obslab.cli import main
+from conftest import peak_bytes
 
 PI = math.pi
 
@@ -155,6 +156,15 @@ def test_below_threshold_verify_draws_at_most_one_chunk(tmp_path, monkeypatch):
     code, text = run(tmp_path, "verify", {**CROSS, "samples": 600})
     assert code == 0 and rows == [256, 256, 88]
     assert json.loads(text)["result"]["n_states"] == 600
+
+
+def test_a_projected_verify_holds_at_most_three_chunks(tmp_path):
+    # while a block is projected the sweep holds its chunk buffer, that block and its projection;
+    # a block kept through the next projection, or through its own sweep, makes four chunks
+    config = {**TWO_LINES, "truncation": [24, 24], "samples": 600}
+    chunk = cli._CHUNK * 2 * 576 * 16
+    assert run(tmp_path, "verify", config)[0] == 0
+    assert peak_bytes(lambda: run(tmp_path, "verify", config)) <= 3.5 * chunk
 
 
 @pytest.mark.parametrize("decay", [math.inf, 1e300, math.nan], ids=["inf", "1e300", "nan"])

@@ -1,7 +1,7 @@
 """Pencil constants, explicit formulas, Ingham-type checks, verification sweeps."""
 
+import functools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -51,7 +51,8 @@ from obslab import (
 )
 from obslab import inequalities, observation
 from obslab.inequalities import ConstantReport, ThresholdError
-from obslab.spectrum import _symmetric_product
+from obslab.spectrum import _matmul, _symmetric_product
+from conftest import peak_bytes
 from gram_reference import _interval_kernel, dense_gram, pencil_sectors, piecewise_sectors
 
 PI = math.pi
@@ -533,13 +534,7 @@ def test_empirical_constants_peak_memory_stays_below_four_sectors():
     specs = [_vspec(VerticalLine(1.1), T=35.0), _vspec(HorizontalLine(2.0), T=35.0)]
     n = len(ms)
     empirical_constants(specs, WAVE, ms)
-    tracemalloc.start()
-    try:
-        empirical_constants(specs, WAVE, ms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * n * n * 8
+    assert peak_bytes(lambda: empirical_constants(specs, WAVE, ms)) <= 4 * n * n * 8
 
 
 def test_verify_peak_memory_holds_one_layout_of_the_pencil():
@@ -551,13 +546,23 @@ def test_verify_peak_memory_holds_one_layout_of_the_pencil():
     specs = [_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=48.0)]
     n = len(ms)
     verify_observability("two_strips", specs, random_states(ms, range(8)), {})
-    tracemalloc.start()
-    try:
-        verify_observability("two_strips", specs, random_states(ms, range(8)), {})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * n * n * 8
+    assert peak_bytes(lambda: verify_observability("two_strips", specs, random_states(ms, range(8)), {})) <= 4 * n * n * 8
+
+
+def test_verify_of_many_states_holds_about_two_chunks():
+    # 1000 states drawn 256 at a time, as the CLI draws them: the pencil's 3 n^2 floats, the chunk
+    # buffer (1.8 n^2) and either the block being drawn or the forms' two arrays, 6.9 n^2 in all;
+    # consumed blocks held and seven chunk-sized temporaries per chunk made it 15.5 n^2
+    ms = build_mode_set(RectangleGeometry(PI, PI), 24, 24)
+    specs = [_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=48.0)]
+    n = len(ms)
+
+    def sweep():
+        blocks = (random_states(ms, range(lo, min(lo + 256, 1000))) for lo in range(0, 1000, 256))
+        assert verify_observability("two_strips", specs, blocks, {})["n_states"] == 1000
+
+    sweep()
+    assert peak_bytes(sweep) <= 9 * n * n * 8
 
 
 def _nan_below(pen):
@@ -929,6 +934,55 @@ def test_verify_gives_the_same_report_however_the_states_are_blocked(square):
     ]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0]["n_states"] == 600
+
+
+def _reference_sweep(pen, stack) -> tuple:
+    """(min_ratio bits, argmin_state) of the stack's rows, swept densely through the pencil.
+
+    The rows are copied whole, each scaled by 2^-e as verify_observability
+    scales it, and their energies and forms (_gathered_forms) taken at once.
+    """
+    n = len(pen.d)
+    c = stack.doubled()
+    root = np.sqrt(np.concatenate([pen.d, pen.d]))
+    e = np.clip(np.frexp(np.max(np.abs(c) * root, axis=1))[1], -1022, 1022)
+    parts = c.view(float)
+    parts *= np.ldexp(1.0, -e)[:, None]
+    mag = np.abs(c)
+    ratios = _gathered_forms(pen, c) / _matmul(mag[:, :n] ** 2 + mag[:, n:] ** 2, pen.d)
+    i = int(np.argmin(ratios))
+    return _bits(ratios[i]), i
+
+
+@pytest.mark.parametrize(
+    "theorem,regions,params",
+    [
+        ("two_strips", [CrossStrips(1.0, 2.0, 1.0, 2.0)], {}),
+        ("two_lines", [VerticalLine(PI / 2), HorizontalLine(PI / 2)], {"p": 2, "q": 2}),
+    ],
+    ids=["two_strips", "two_lines"],
+)
+def test_sweep_gives_the_bits_of_a_dense_reference_sweep(square, theorem, regions, params):
+    ms = build_mode_set(square, 8, 8)
+    specs = [_vspec(r, T=60.0) for r in regions]
+    syms = theorem_symmetries(theorem, specs, params, square)
+    mask = np.ones(len(ms), dtype=bool)
+    for sym in syms:
+        mask &= (ms.k1 if sym.axis == "x1" else ms.k2) % sym.p != 0
+    assert mask.all() == (theorem == "two_strips")
+
+    def drawn(lo, hi):
+        return functools.reduce(project_p_symmetric, syms, random_states(ms, range(lo, hi)))
+
+    pen = pencil(specs, WAVE, ms, mask)
+    rows = drawn(0, 600).doubled()
+    rows.flags.writeable = False  # the forms only read the rows they are given
+    assert pen.quadratic_forms(rows).tobytes() == _gathered_forms(pen, rows).tobytes()
+    want = _reference_sweep(pen, drawn(0, 600))
+    blocks = ((0, 100), (100, 357), (357, 600))
+    for states in (drawn(0, 600), (drawn(lo, hi) for lo, hi in blocks)):  # one stack; lazy, uneven
+        report = verify_observability(theorem, specs, states, params)
+        assert (_bits(report["min_ratio"]), report["argmin_state"]) == want
 
 
 @pytest.mark.parametrize("sizes", [[8], [600], [1] * 600, [3, 250, 347]], ids=["8", "600", "singles", "uneven"])

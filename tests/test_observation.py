@@ -2,7 +2,6 @@
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from obslab import (
 )
 from obslab import observation
 from obslab.observation import region_from_dict, region_to_dict
+from conftest import peak_bytes
 from gram_reference import _interval_kernel, dense_gram, sampled_exp_sums, sampled_sine_sum, spatial_sum
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
@@ -663,13 +663,9 @@ def test_gram_rows_hold_no_n_by_n_temporary():
     ms = build_mode_set(RectangleGeometry(math.pi, math.pi), 24, 24)
     spec = _spec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=48.0)
     n = len(ms)
-    tracemalloc.start()
-    try:
-        rows = sum(x.shape[0] for _, x, _ in observation._gram_rows(spec, ms))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rows == n
+    rows = []
+    peak = peak_bytes(lambda: rows.extend(x.shape[0] for _, x, _ in observation._gram_rows(spec, ms)))
+    assert sum(rows) == n
     assert peak <= n * n * 8
 
 
@@ -723,12 +719,7 @@ def test_sampled_time_gram_holds_at_most_two_real_tables(K):
     # to BLAS uncopied
     ms = build_mode_set(RectangleGeometry(math.pi, math.pi), K, K)
     distinct = np.unique(np.sqrt(ms.lam))
-    tracemalloc.start()
-    try:
-        observation._sampled_axis_gram(("exp", 0.0, 4.0), distinct, 1.0, None, 2048)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: observation._sampled_axis_gram(("exp", 0.0, 4.0), distinct, 1.0, None, 2048))
     assert peak <= 2 * len(distinct) * 1025 * 8
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from obslab import (
     EnergyWeight,
+    RectangleGeometry,
     SpectralState,
     SymmetrySpec,
     build_mode_set,
@@ -19,7 +20,9 @@ from obslab import (
     state_to_json,
     symmetry_residual,
 )
+from obslab import states
 from obslab.states import axis_trace
+from conftest import peak_bytes
 
 
 def _unit_state(ms, k1, k2):
@@ -166,21 +169,53 @@ def test_random_states_write_the_exp_phases_within_one_ulp(modes6, decay):
     assert batch.a.base is not None and batch.a.base is batch.b.base  # one array, not copied
 
 
-@pytest.mark.parametrize("count", [1, 255, 256, 257])
+def _documented_row(ms, seed, decay, symmetries):
+    """(a, b) of one seed as random_states documents them, from default_rng(seed).random(4n), then projected."""
+    n = len(ms)
+    u = np.random.default_rng(seed).random(4 * n).reshape(4, n)
+    phi = 2.0 * math.pi * u[1::2]
+    z = np.empty((2, n), dtype=complex)
+    np.cos(phi, out=z.real)
+    np.sin(phi, out=z.imag)
+    z *= np.sqrt(u[0::2])
+    if decay != 0:
+        z *= ms.lam ** (-decay)
+    a, b = z
+    for sym in symmetries:
+        keep = ((ms.k1 if sym.axis == "x1" else ms.k2) % sym.p) != 0
+        a, b = a * keep, b * keep
+    return a, b
+
+
+# the stack is drawn states._DRAW_ROWS rows at a time: counts on both sides of one and two blocks
+_R = states._DRAW_ROWS
+
+
+@pytest.mark.parametrize("count", [1, _R - 1, _R, _R + 1, 2 * _R + 1, 255, 256, 257])
 @pytest.mark.parametrize("decay", [0.0, 0.5])
 @pytest.mark.parametrize("projected", [False, True], ids=["plain", "two_lines"])
 def test_random_states_rows_are_random_state_bitwise(modes6, count, decay, projected):
-    symmetries = [SymmetrySpec(2, "x1", math.pi / 2), SymmetrySpec(3, "x2", math.pi / 3)]
+    symmetries = [SymmetrySpec(2, "x1", math.pi / 2), SymmetrySpec(3, "x2", math.pi / 3)] if projected else []
     seed = 11
     batch = random_states(modes6, range(seed, seed + count), decay)
     assert batch.a.shape == batch.b.shape == (count, len(modes6))
-    for sym in symmetries if projected else []:
+    for sym in symmetries:
         batch = project_p_symmetric(batch, sym)
     for i in range(count):
         single = random_state(modes6, seed + i, decay)
-        for sym in symmetries if projected else []:
+        for sym in symmetries:
             single = project_p_symmetric(single, sym)
         assert SpectralState(modes6, batch.a[i], batch.b[i]) == single
+        a, b = _documented_row(modes6, seed + i, decay, symmetries)
+        assert batch.a[i].tobytes() == a.tobytes() and batch.b[i].tobytes() == b.tobytes()
+
+
+def test_random_states_holds_its_output_and_one_block_of_scratch():
+    # K = 24, 256 rows: the uniforms, phases and square roots of the whole stack held 3.03 times
+    # the output; a scratch of _DRAW_ROWS rows and the finiteness checks add 0.13 of it
+    ms = build_mode_set(RectangleGeometry(math.pi, math.pi), 24, 24)
+    batch = random_states(ms, range(256))
+    assert peak_bytes(lambda: random_states(ms, range(256))) <= 1.25 * (batch.a.nbytes + batch.b.nbytes)
 
 
 def test_a_stack_of_states_acts_per_row(modes4):
