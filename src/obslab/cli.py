@@ -69,8 +69,6 @@ def _specs(config: dict, T=None) -> list:
         override = T if T is not None else config.get("T")
         if override is not None:
             merged["T"] = override
-        else:
-            merged.setdefault("T", d.get("T"))
         out.append(ObservationSpec.from_dict(merged))
     return out
 
@@ -262,9 +260,7 @@ def main(argv=None) -> int:
         print(f"precondition: {exc}", file=sys.stderr)
         return 3
     # OverflowError: int() of an infinite config value; MemoryError: sizes too large to allocate
-    except (
-        ValueError, KeyError, TypeError, OverflowError, MemoryError, OSError, json.JSONDecodeError
-    ) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, MemoryError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -628,22 +628,19 @@ def m_ab(a: float, b: float) -> dict:
 
 
 def symmetry_constants(p: int, alpha: float) -> SymmetryConstants:
-    """Min and max of the nonzero sin^2(k1 alpha) over k1 = 1..p-1.
+    """Min and max of sin^2(k1 alpha) over k1 = 1..p-1, the indices SymmetrySpec admits below p.
 
     p must be the smallest positive integer with p*alpha/pi integer, which
-    makes the scan of p-1 values exhaustive by periodicity.
+    makes the scan of p-1 values exhaustive by periodicity; SymmetrySpec
+    checks that, so none of the p-1 values is zero and none is filtered out.
+    An integral float p is taken as its integer.
     """
-    if p != int(p) or p < 2:
-        raise ValueError("p must be an integer >= 2")
-    p = int(p)
     alpha = float(alpha)
     if not 0 < alpha < _PI:
         raise ValueError("alpha must lie in (0, pi)")
-    SymmetrySpec(p, "x1", alpha)  # rejects a p that is not the minimal order of alpha
-    k = np.arange(1, p)
-    values = np.sin(k * alpha) ** 2
-    nonzero = values[values > 1e-12]
-    return SymmetryConstants(p, alpha, float(nonzero.min()), float(nonzero.max()))
+    p = SymmetrySpec(p, "x1", alpha).p  # an integer >= 2, the minimal order of alpha
+    values = np.sin(np.arange(1, p) * alpha) ** 2
+    return SymmetryConstants(p, alpha, float(values.min()), float(values.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +742,7 @@ def theorem_symmetries(theorem: str, specs, params: dict, geometry) -> tuple:
             raise ValueError(f"{order} must be an integer, got {value}")
         (x,) = _factor(specs, axis, "point")
         ell = geometry.ell1 if axis == "x1" else geometry.ell2
-        out.append(SymmetrySpec(int(value), axis, x * _PI / ell))
+        out.append(SymmetrySpec(value, axis, x * _PI / ell))
     return tuple(out)
 
 
@@ -791,9 +788,10 @@ def _scan(
     """check_theorem's result and admissible pencil at each T of T_values, as pairs.
 
     The composition check, the constants m_ab, m_cd, m_o and M_o, the mode
-    mask and the energy weight diagonal are computed once. Per T the pencil,
-    its Gram rows summed straight into its blocks, and its lowest eigenvalue
-    are built, so every row has the bits of a run at that T alone. With
+    mask (the modes every symmetry admits, SymmetrySpec.admits) and the
+    energy weight diagonal are computed once. Per T the pencil, its Gram rows
+    summed straight into its blocks, and its lowest eigenvalue are built, so
+    every row has the bits of a run at that T alone. With
     require_threshold, ThresholdError is raised for the first T below
     the threshold, before any Gram is assembled.
     """
@@ -805,9 +803,7 @@ def _scan(
     for T, pred in zip(T_values, preds):
         if require_threshold and pred["c"] is None:
             raise ThresholdError(f"T={T} is below the {theorem} threshold {pred['T_threshold']}")
-    mask = np.ones(len(mode_set), dtype=bool)
-    for sym in symmetries:
-        mask &= (mode_set.k1 if sym.axis == "x1" else mode_set.k2) % sym.p != 0
+    mask = np.logical_and.reduce([sym.admits(mode_set) for sym in symmetries]) if symmetries else None
     d = EnergyWeight(1, "wave").diagonal(mode_set)
     for T, pred in zip(T_values, preds):
         pen = Pencil(tuple(replace(s, T=T) for s in specs), mode_set, d, mask)
@@ -940,7 +936,7 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     n = len(ms)
     excluded = ~np.concatenate([pen.mask, pen.mask])
     root = np.sqrt(np.concatenate([pen.d, pen.d]))
-    minima = []  # (smallest ratio, its row) per chunk
+    min_ratio, argmin = math.inf, 0  # the smallest ratio so far and its row
     count = stray = zero = 0
     for coeffs in _row_chunks(drawn(), ms):
         # each row times 2^-e, 2^e about its largest sqrt(d)-weighted modulus: exact, so its ratio
@@ -961,7 +957,8 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
         positive = np.where(energies > 0, energies, math.inf)
         ratios = pen.quadratic_forms(coeffs) / positive
         i = int(np.argmin(ratios))
-        minima.append((ratios[i], count + i))
+        if ratios[i] < min_ratio:  # strict: the first row of the smallest ratio wins, as argmin's
+            min_ratio, argmin = float(ratios[i]), count + i
         count += len(coeffs)
     if not count:
         raise ValueError("need at least one state")
@@ -972,9 +969,6 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     if zero:
         raise ValueError("zero-energy states are excluded")
 
-    # the first chunk holding the smallest ratio, as argmin over all rows would pick it
-    min_ratio, argmin = minima[int(np.argmin([m for m, _ in minima]))]
-    min_ratio = float(min_ratio)
     return {
         **result,
         "n_states": count,

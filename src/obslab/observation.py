@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -233,8 +234,8 @@ class ObservationSpec:
             raise ValueError(f"field must be one of {FIELDS}")
         if self.model not in ("plate", "wave"):
             raise ValueError("model must be 'plate' or 'wave'")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError("time horizon must be positive and finite")
+        if not (isinstance(self.T, numbers.Real) and self.T > 0 and math.isfinite(self.T)):
+            raise ValueError(f"time horizon must be positive and finite, got {self.T!r}")
         kinds, model = _PAIRINGS[self.field]
         if not (isinstance(self.region, kinds) and self.model == model):
             raise ValueError(
@@ -261,7 +262,7 @@ class ObservationSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ObservationSpec":
-        return ObservationSpec(region_from_dict(d["region"]), d["field"], d["T"], d["model"])
+        return ObservationSpec(region_from_dict(d["region"]), d["field"], d.get("T"), d["model"])
 
 
 # ---------------------------------------------------------------------------

@@ -62,36 +62,26 @@ def _wavenumber_sq(ell: float) -> float:
     return math.pi**2 / ell**2
 
 
-def _blas_operand(x: np.ndarray) -> tuple:
-    """An F-contiguous f and the transpose flag for which op(f) is x; only a strided x is copied."""
-    if x.flags.f_contiguous:
-        return x, 0
-    if x.flags.c_contiguous:
-        return x.T, 1
-    return np.asfortranarray(x), 0
-
-
 def _matmul(a, b) -> np.ndarray:
-    """a @ b for real or complex a of any rank >= 1 and b of rank 1 or 2, through scipy's BLAS.
+    """a @ b for real or complex a and b, each of rank 1 or 2, through scipy's BLAS.
 
     numpy and scipy each bundle an OpenBLAS with its own thread pool, and the
     pencil's LAPACK runs in scipy's; every dense product of the package comes
     here, to _symmetric_product or to _weighted_gram, so one pool serves all of it and no idle pool
     spins on the cores the other needs. The call is the one numpy makes for a @ b: dot for a 1 x 1
-    result, gemv when a has one row or b one column, else gemm, each operand
-    an F-contiguous view with a transpose flag (for C-ordered operands a @ b is
-    gemm(1, b.T, a.T).T), and a stack a is multiplied slice by slice. So
-    contiguous operands give numpy's bits without a copy; a 2-D result is
-    C-contiguous.
+    result, gemv when a has one row or b one column, else gemm, on the
+    F-ordered transposes of the C-ordered operands (a @ b is gemm(1, b.T, a.T).T).
+    Each operand is taken through np.ascontiguousarray, which copies only one
+    that is not C-contiguous or not of the product's type; so C-ordered operands
+    give numpy's bits without a copy. A 2-D result is C-contiguous.
     """
     a, b = np.asarray(a), np.asarray(b)
-    if a.ndim > 2:
-        return np.stack([_matmul(x, b) for x in a])
+    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
+        raise ValueError(f"operands of rank {a.ndim} and {b.ndim}: each must have rank 1 or 2")
     kind = "z" if np.iscomplexobj(a) or np.iscomplexobj(b) else "d"
     dtype = complex if kind == "z" else float
-    shape = a.shape[:-1] + b.shape[1:]
-    a2 = a.astype(dtype, copy=False).reshape(a.shape if a.ndim == 2 else (1, -1))
-    b2 = b.astype(dtype, copy=False).reshape(b.shape if b.ndim == 2 else (-1, 1))
+    a2 = np.ascontiguousarray(a, dtype).reshape(a.shape if a.ndim == 2 else (1, -1))
+    b2 = np.ascontiguousarray(b, dtype).reshape(b.shape if b.ndim == 2 else (-1, 1))
     (m, k), n = a2.shape, b2.shape[1]
     if b2.shape[0] != k:
         raise ValueError(f"operands of shape {a.shape} and {b.shape} do not chain")
@@ -100,15 +90,12 @@ def _matmul(a, b) -> np.ndarray:
     elif m == 1 and n == 1:
         out = (blas.zdotu if kind == "z" else blas.ddot)(a2[0], b2[:, 0])
     elif n == 1:
-        f, trans = _blas_operand(a2)
-        out = getattr(blas, kind + "gemv")(1.0, f, b2[:, 0], trans=trans)
+        out = getattr(blas, kind + "gemv")(1.0, a2.T, b2[:, 0], trans=1)
     elif m == 1:
-        f, trans = _blas_operand(b2.T)
-        out = getattr(blas, kind + "gemv")(1.0, f, a2[0], trans=trans)
+        out = getattr(blas, kind + "gemv")(1.0, b2.T, a2[0])
     else:
-        (f, trans_f), (g, trans_g) = _blas_operand(b2.T), _blas_operand(a2.T)
-        out = getattr(blas, kind + "gemm")(1.0, f, g, trans_a=trans_f, trans_b=trans_g).T
-    return np.reshape(out, shape)
+        out = getattr(blas, kind + "gemm")(1.0, b2.T, a2.T).T
+    return np.reshape(out, a.shape[:-1] + b.shape[1:])
 
 
 def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False, out=None) -> np.ndarray:

@@ -100,12 +100,22 @@ class EnergyWeight:
         return 0.5 * g.ell1 * g.ell2 * lam
 
 
+def _order(p) -> int:
+    """A symmetry order as an int: an integral float is taken, a fractional p rejected, never truncated."""
+    if p != int(p):
+        raise ValueError(f"p must be an integer, got {p}")
+    return int(p)
+
+
 @dataclass(frozen=True)
 class SymmetrySpec:
     """Order-p translation symmetry along one axis, anchored at the point alpha.
 
     p must be the smallest positive integer with p*alpha/pi an integer; then
-    sin(n*alpha) vanishes exactly for the multiples of p and nowhere else.
+    sin(n*alpha) vanishes exactly for the multiples of p and nowhere else. An
+    integral float p is taken as its integer. admits holds the one rule that
+    the projection and the admissible pencil share: a p-symmetric state has
+    no mode whose index along the axis is a multiple of p.
     """
 
     p: int
@@ -113,6 +123,7 @@ class SymmetrySpec:
     alpha: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", _order(self.p))
         if self.p < 2:
             raise ValueError("p must be >= 2")
         if self.axis not in ("x1", "x2"):
@@ -125,6 +136,11 @@ class SymmetrySpec:
             if abs(r - round(r)) <= 1e-9:
                 raise ValueError(f"p is not minimal: {q}*alpha/pi is already an integer")
 
+    def admits(self, mode_set: ModeSet) -> np.ndarray:
+        """Per-mode booleans: True where the index along the axis is not a multiple of p."""
+        ks = mode_set.k1 if self.axis == "x1" else mode_set.k2
+        return ks % self.p != 0
+
 
 def energy_seminorm_sq(state: SpectralState, weight: EnergyWeight):
     """Weighted energy of the state: a float, or one per row for a stack of states."""
@@ -134,14 +150,13 @@ def energy_seminorm_sq(state: SpectralState, weight: EnergyWeight):
 
 
 def project_p_symmetric(state: SpectralState, spec: SymmetrySpec) -> SpectralState:
-    """Zero the coefficients whose index along spec.axis is a multiple of p.
+    """Zero the coefficients of the modes that spec does not admit (SymmetrySpec.admits).
 
     This is the orthogonal projection onto p-symmetric data: a sine series is
-    p-symmetric exactly when its coefficients vanish at multiples of p. A
-    stack of states is projected by one mask multiply over all its rows.
+    p-symmetric exactly when its coefficients vanish at multiples of p along
+    the axis. A stack of states is projected by one mask multiply over all its rows.
     """
-    ks = state.mode_set.k1 if spec.axis == "x1" else state.mode_set.k2
-    keep = (ks % spec.p) != 0
+    keep = spec.admits(state.mode_set)
     return SpectralState(state.mode_set, state.a * keep, state.b * keep)
 
 
@@ -150,10 +165,12 @@ def symmetry_residual(f_samples, p: int) -> float:
 
     f_samples[i] = f(i*pi/N) for i = 0..N-1 samples a function on (0, pi); it is
     extended to a 2pi-periodic odd function, which the shifts then permute. N
-    must be a multiple of 2p so every shifted point is again a grid node.
+    must be a multiple of 2p so every shifted point is again a grid node; an
+    integral float p is taken as its integer, a fractional one rejected.
     """
     f = np.asarray(f_samples)
     n = f.shape[0]
+    p = _order(p)
     if p < 1:
         raise ValueError("p must be a positive integer")
     if n == 0 or n % (2 * p) != 0:
@@ -263,13 +280,21 @@ def state_to_json(state: SpectralState) -> str:
 
 
 def state_from_json(text: str) -> SpectralState:
+    """The one state of a state_to_json document.
+
+    A mode without a row stays zero. A fractional (k1, k2), or a mode that
+    two rows give, raises ValueError; a mode outside the truncation KeyError.
+    """
     doc = json.loads(text)
     geom = RectangleGeometry(doc["geometry"]["ell1"], doc["geometry"]["ell2"])
     ms = build_mode_set(geom, doc["K1"], doc["K2"])
-    a = np.zeros(len(ms), dtype=complex)
-    b = np.zeros(len(ms), dtype=complex)
-    for k1, k2, ra, ia, rb, ib in doc["coefficients"]:
-        i = ms.index_of(int(k1), int(k2))
-        a[i] = complex(ra, ia)
-        b[i] = complex(rb, ib)
+    # one row per mode: k1, k2, Re a, Im a, Re b, Im b
+    rows = np.array(doc["coefficients"], dtype=float).reshape(len(doc["coefficients"]), 6)
+    if np.any(rows[:, :2] != np.trunc(rows[:, :2])):
+        raise ValueError("mode indices (k1, k2) must be integers")
+    index = [ms.index_of(int(k1), int(k2)) for k1, k2 in rows[:, :2]]
+    if len(set(index)) < len(index):
+        raise ValueError("a mode is given by two rows")
+    a, b = np.zeros((2, len(ms)), dtype=complex)
+    a.real[index], a.imag[index], b.real[index], b.imag[index] = rows[:, 2:].T
     return SpectralState(ms, a, b)

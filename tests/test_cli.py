@@ -398,6 +398,19 @@ def test_constants_with_per_spec_horizons(tmp_path, geometry):
     assert (result["c_min"], result["c_max"]) == (report.c_min, report.c_max)
 
 
+def test_constants_without_a_horizon_exit_2_naming_it(tmp_path, capsys):
+    # neither the spec nor the top level gives T
+    config = {
+        "geometry": [PI, PI],
+        "truncation": [3, 3],
+        "model": "wave",
+        "spec": {"region": {"kind": "VerticalStrip", "a": 1.0, "b": 2.0}, "field": "velocity"},
+    }
+    code, text = run(tmp_path, "constants", config)
+    assert (code, text) == (2, "")
+    assert "time horizon must be positive and finite" in capsys.readouterr().err
+
+
 def test_constants_of_mixed_models_exit_2(tmp_path, capsys):
     # a plate Gram and a wave Gram have no common energy weight to be summed on
     config = {

@@ -49,7 +49,7 @@ from obslab import (
     thm21_fourfamily_form,
     verify_observability,
 )
-from obslab import inequalities, observation
+from obslab import inequalities, observation, states
 from obslab.inequalities import ConstantReport, ThresholdError
 from obslab.spectrum import _matmul, _symmetric_product
 from conftest import peak_bytes
@@ -87,6 +87,19 @@ def test_symmetry_constants_validation():
         symmetry_constants(3, 1.0)  # 3/pi is not an integer
     with pytest.raises(ValueError):
         symmetry_constants(2, 3 * PI / 2)
+
+
+def test_symmetry_constants_take_an_integral_float_order():
+    sc = symmetry_constants(3.0, PI / 3)
+    assert sc == symmetry_constants(3, PI / 3) and type(sc.p) is int
+    with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
+        symmetry_constants(2.5, PI / 3)
+
+
+def test_symmetry_constants_keep_the_smallest_value_of_a_large_order():
+    # sin^2(pi/p) < 1e-12 here: a float filter of "nonzero" values would drop the true minimum
+    p = 3_200_000
+    assert symmetry_constants(p, PI / p).m_p == math.sin(PI / p) ** 2
 
 
 def test_m_ab_full_interval():
@@ -983,6 +996,49 @@ def test_sweep_gives_the_bits_of_a_dense_reference_sweep(square, theorem, region
     for states in (drawn(0, 600), (drawn(lo, hi) for lo, hi in blocks)):  # one stack; lazy, uneven
         report = verify_observability(theorem, specs, states, params)
         assert (_bits(report["min_ratio"]), report["argmin_state"]) == want
+
+
+def _two_lines(T=60.0):
+    """A two_lines composite with orders 3 along x1 and 2 along x2, and its params."""
+    return [_vspec(VerticalLine(PI / 3), T), _vspec(HorizontalLine(PI / 2), T)], {"p": 3, "q": 2}
+
+
+def test_the_admissible_pencil_keeps_the_modes_every_symmetry_admits(square):
+    ms = build_mode_set(square, 7, 6)
+    specs, params = _two_lines()
+    syms = theorem_symmetries("two_lines", specs, params, square)
+    _, pen = next(inequalities._scan("two_lines", tuple(specs), ms, params, [60.0], False))
+    want = syms[0].admits(ms) & syms[1].admits(ms)
+    assert 0 < want.sum() < len(ms)
+    assert np.array_equal(pen.mask, want)
+
+
+def test_no_library_product_copies_an_operand(square, monkeypatch):
+    # _matmul copies an operand that is not C-contiguous; no caller in the library hands it one
+    calls = {}
+
+    def guarded(name):
+        def product(a, b):
+            assert a.flags.c_contiguous and b.flags.c_contiguous, (name, a.strides, b.strides)
+            calls[name] = calls.get(name, 0) + 1
+            return _matmul(a, b)
+
+        return product
+
+    for module in (inequalities, observation, states):
+        monkeypatch.setattr(module, "_matmul", guarded(module.__name__))
+    ms = build_mode_set(square, 8, 8)
+    specs, params = _two_lines()
+    syms = theorem_symmetries("two_lines", specs, params, square)
+    blocks = ((0, 100), (100, 357), (357, 600))
+    lazy = (functools.reduce(project_p_symmetric, syms, random_states(ms, range(lo, hi))) for lo, hi in blocks)
+    assert verify_observability("two_lines", specs, lazy, params)["n_states"] == 600
+    mehrenberger_check(ExponentialSum((1.0, 2.0, 3.5), (1.0, 1j, -2.0), 0, 1.0), 3 * PI)
+    corollary33_check(2, [1.0, 2.0], [0.5, 1j], 20.0)
+    fams = [np.random.default_rng(i).standard_normal((2, 3)) for i in range(4)]
+    thm21_fourfamily_form(fams, OpenRect(0.2, 1.7, 0.5, 2.0), square)
+    states.axis_trace(random_state(ms, 1), "x1", 1.0, 16)
+    assert set(calls) == {"obslab.inequalities", "obslab.observation", "obslab.states"}
 
 
 @pytest.mark.parametrize("sizes", [[8], [600], [1] * 600, [3, 250, 347]], ids=["8", "600", "singles", "uneven"])

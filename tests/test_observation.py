@@ -178,6 +178,18 @@ def test_pairing_rules():
         ObservationSpec(VerticalLine(1.0), "velocity", math.inf, "wave")
 
 
+@pytest.mark.parametrize("T", [None, "2.0", [2.0]], ids=["missing", "text", "list"])
+def test_a_missing_or_non_real_horizon_is_named(T):
+    # not a TypeError from comparing None or a string with 0
+    d = ObservationSpec(VerticalLine(1.0), "velocity", 2.0, "wave").to_dict()
+    if T is None:
+        del d["T"]
+    else:
+        d["T"] = T
+    with pytest.raises(ValueError, match="time horizon must be positive and finite"):
+        ObservationSpec.from_dict(d)
+
+
 def test_region_construction_rejects_degenerate():
     cases = [
         (VerticalStrip, (2.0, 1.0)),

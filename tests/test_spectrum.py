@@ -299,7 +299,6 @@ PRODUCT_SHAPES = {
     "matrix-vector": ((7, 5), (5,)),
     "vector-matrix": ((5,), (5, 3)),
     "vector-vector": ((5,), (5,)),
-    "stack": ((2, 7, 5), (5, 3)),
     "empty": ((0, 5), (5, 3)),
 }
 
@@ -326,6 +325,13 @@ def test_matmul_matches_the_matmul_operator(layout, kinds, shapes):
 def test_matmul_rejects_operands_that_do_not_chain():
     with pytest.raises(ValueError, match="do not chain"):
         _matmul(np.ones((2, 3)), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("shapes", [((2, 7, 5), (5, 3)), ((7, 5), (2, 5, 3)), ((), (3,)), ((3,), ())])
+def test_matmul_rejects_operands_of_rank_other_than_one_or_two(shapes):
+    # no caller multiplies a stack or a scalar: such a product is an error, not a loop
+    with pytest.raises(ValueError, match="rank 1 or 2"):
+        _matmul(*(np.ones(shape) for shape in shapes))
 
 
 def _reads_blas(node) -> bool:

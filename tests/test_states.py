@@ -1,5 +1,6 @@
 """Coefficient states, energy seminorms, symmetry projection, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -256,6 +257,32 @@ def test_projection_zeroes_multiples(modes6):
             assert proj.a[i] == st_.a[i] and proj.b[i] == st_.b[i]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("axis", ["x1", "x2"])
+def test_admits_is_the_index_not_a_multiple_of_p_and_the_projection_keeps_just_those(axis, p):
+    ms = build_mode_set(RectangleGeometry(math.pi, 2.0), 7, 6)
+    spec = SymmetrySpec(p, axis, math.pi / p)
+    keep = spec.admits(ms)
+    ks = ms.k1 if axis == "x1" else ms.k2
+    assert keep.dtype == bool and np.array_equal(keep, ks % p != 0)
+    stack = random_states(ms, range(4))
+    proj = project_p_symmetric(stack, spec)
+    for got, drawn in ((proj.a, stack.a), (proj.b, stack.b)):
+        assert not got[:, ~keep].any()
+        assert np.array_equal(got[:, keep], drawn[:, keep])
+
+
+def test_symmetry_orders_take_an_integral_float_and_reject_a_fraction():
+    spec = SymmetrySpec(3.0, "x1", math.pi / 3)
+    assert spec == SymmetrySpec(3, "x1", math.pi / 3) and type(spec.p) is int
+    f = np.sin(_pi_grid(240)) + 0.5 * np.sin(3 * _pi_grid(240))
+    assert symmetry_residual(f, 3.0) == symmetry_residual(f, 3)
+    with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
+        SymmetrySpec(2.5, "x1", math.pi / 3)
+    with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
+        symmetry_residual(f, 2.5)
+
+
 def test_projection_idempotent_and_contractive(modes6):
     spec = SymmetrySpec(3, "x2", math.pi / 3)
     st_ = random_state(modes6, 11)
@@ -334,3 +361,36 @@ def test_json_round_trip_bit_exact(modes6):
     assert np.array_equal(back.a, st_.a)
     assert np.array_equal(back.b, st_.b)
     assert state_to_json(back) == state_to_json(st_)
+
+
+def _json_doc(K1=2, K2=2):
+    ms = build_mode_set(RectangleGeometry(math.pi, math.pi), K1, K2)
+    return json.loads(state_to_json(random_state(ms, 5)))
+
+
+def test_state_from_json_rejects_a_fractional_or_repeated_mode():
+    doc = _json_doc()
+    assert [row[:2] for row in doc["coefficients"]] == [[1, 1], [2, 1], [1, 2], [2, 2]]
+    fractional = _json_doc()
+    fractional["coefficients"][1][0] = 1.5  # once truncated to mode (1, 1), overwriting its row
+    with pytest.raises(ValueError, match="must be integers"):
+        state_from_json(json.dumps(fractional))
+    repeated = _json_doc()
+    repeated["coefficients"][1][:2] = [1, 1]
+    with pytest.raises(ValueError, match="given by two rows"):
+        state_from_json(json.dumps(repeated))
+    outside = _json_doc()
+    outside["coefficients"][1][:2] = [3, 1]
+    with pytest.raises(KeyError):
+        state_from_json(json.dumps(outside))
+    wide = _json_doc(3, 2)  # six rows of seven numbers hold as many as seven rows of six
+    for row in wide["coefficients"]:
+        row.append(0.0)
+    with pytest.raises(ValueError):
+        state_from_json(json.dumps(wide))
+    # an integral float names its mode, and a mode without a row stays zero
+    doc["coefficients"][1][:2] = [2.0, 1.0]
+    del doc["coefficients"][3]
+    back = state_from_json(json.dumps(doc))
+    whole = state_from_json(json.dumps(_json_doc()))
+    assert np.array_equal(back.a[:3], whole.a[:3]) and back.a[3] == back.b[3] == 0
