@@ -53,10 +53,17 @@ def _mode_set(config: dict):
 
 
 def _integer(name: str, value) -> int:
-    """An integer config field; a fractional value is an error, never truncated."""
-    if value != int(value):
+    """An integer config field; a fractional value is an error, never truncated, and a JSON true never 1."""
+    if isinstance(value, bool) or value != int(value):
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """A real config field as a float; a JSON true or false is an error, never 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value}")
+    return float(value)
 
 
 def _specs(config: dict, T=None) -> list:
@@ -80,7 +87,7 @@ def _projected_states(config: dict, specs: list, mode_set, seed: int):
     once it is yielded: not while it is swept, nor while the next is drawn.
     """
     n = _integer("samples", config.get("samples", 100))
-    decay = float(config.get("decay", 0.0))
+    decay = _real("decay", config.get("decay", 0.0))
     sym = theorem_symmetries(config["theorem"], specs, config.get("params", {}), mode_set.geometry)
 
     def drawn(start: int):
@@ -109,11 +116,11 @@ def cmd_verify(config: dict, seed: int) -> tuple:
 
 def cmd_scan_t(config: dict, seed: int) -> tuple:
     if "T_values" in config:
-        ts = [float(t) for t in config["T_values"]]
+        ts = [_real("T_values", t) for t in config["T_values"]]
     else:
         ts = np.linspace(
-            float(config["T_start"]),
-            float(config["T_stop"]),
+            _real("T_start", config["T_start"]),
+            _real("T_stop", config["T_stop"]),
             _integer("T_count", config["T_count"]),
         ).tolist()
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0:
@@ -131,36 +138,36 @@ def cmd_scan_t(config: dict, seed: int) -> tuple:
 def cmd_constants(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     specs = _specs(config)
-    s = float(config.get("weight", {}).get("s", 1))
+    s = _real("weight.s", config.get("weight", {}).get("s", 1))
     weight = EnergyWeight(s, specs[0].model)
     return empirical_constants(specs, weight, ms).to_dict(), True
 
 
 def cmd_diophantine(config: dict, seed: int) -> tuple:
     # integer fields go through as given: the library rejects a fractional value
-    points = build_algebraic_points(config["M"], float(config.get("ell1", math.pi)))
+    points = build_algebraic_points(config["M"], _real("ell1", config.get("ell1", math.pi)))
     report = estimate_gamma(points, config["K_max"])
     return json.loads(report.to_json()), True
 
 
 def cmd_mab(config: dict, seed: int) -> tuple:
-    return m_ab(float(config["a"]), float(config["b"])), True
+    return m_ab(_real("a", config["a"]), _real("b", config["b"])), True
 
 
 def cmd_symmetry(config: dict, seed: int) -> tuple:
-    sc = symmetry_constants(config["p"], float(config["alpha"]))
+    sc = symmetry_constants(config["p"], _real("alpha", config["alpha"]))
     return asdict(sc), True
 
 
 def cmd_ingham(config: dict, seed: int) -> tuple:
-    w = [float(x) for x in config["exponents"]]
-    coeffs = [complex(re, im) for re, im in config["coefficients"]]
+    w = [_real("exponents", x) for x in config["exponents"]]
+    coeffs = [complex(*(_real("coefficients", x) for x in (re, im))) for re, im in config["coefficients"]]
     n = config["n"]
     indices = config.get("indices")
     gamma = config.get("gamma", "auto")
-    gamma = None if gamma == "auto" else float(gamma)  # None: the gap of the exponents
+    gamma = None if gamma == "auto" else _real("gamma", gamma)  # None: the gap of the exponents
     es = ExponentialSum(tuple(w), tuple(coeffs), n, gamma, indices)
-    result = mehrenberger_check(es, float(config["T"]))
+    result = mehrenberger_check(es, _real("T", config["T"]))
     result["gamma"] = es.gamma
     return result, result["holds"]
 
@@ -172,10 +179,10 @@ def cmd_oracle_check(config: dict, seed: int) -> tuple:
     if n < 1:
         raise ValueError("samples must be >= 1")
     resolution = _integer("resolution", config.get("resolution", 256))
-    tol = float(config.get("tolerance", 1e-6))
+    tol = _real("tolerance", config.get("tolerance", 1e-6))
     if not 0 < tol < math.inf:  # a nan tolerance fails this too
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    decay = float(config.get("decay", 0.0))
+    decay = _real("decay", config.get("decay", 0.0))
     worst = 0.0
     for spec in specs:  # spec by spec: the oracle samples a spec's Grams once for all its rows
         gram = assemble_gram(spec, ms)

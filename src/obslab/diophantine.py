@@ -60,7 +60,7 @@ class AlgebraicPointSet:
     def __post_init__(self) -> None:
         theta = tuple(float(t) for t in self.theta)
         alphas = tuple(float(a) for a in self.alphas)
-        if self.M < 1 or len(theta) != self.M or len(alphas) != self.M:
+        if isinstance(self.M, bool) or self.M < 1 or len(theta) != self.M or len(alphas) != self.M:
             raise ValueError("need M >= 1 points with matching alphas")
         if not all(0 < t < 1 for t in theta):
             raise ValueError("theta values must lie in (0, 1)")
@@ -116,8 +116,8 @@ def build_algebraic_points(M: int, ell1: float) -> AlgebraicPointSet:
     The fixed-point values floor(2^(j/(M+1)) * 2^96) are computed by integer
     root extraction, so they are exact floors, not rounded floats.
     """
-    if M != int(M) or M < 1:
-        raise ValueError("M must be an integer >= 1")
+    if isinstance(M, bool) or M != int(M) or M < 1:
+        raise ValueError(f"M must be an integer >= 1, got {M}")
     if not 0 < ell1 < math.inf:
         raise ValueError("ell1 must be positive and finite")
     M = int(M)
@@ -190,8 +190,8 @@ def estimate_gamma(points: AlgebraicPointSet, K_max: int) -> DiophantineReport:
     them and the first k of the minimum wins. Only the final gamma_hat is
     converted to float.
     """
-    if K_max != int(K_max) or K_max < 1:
-        raise ValueError("K_max must be an integer >= 1")
+    if isinstance(K_max, bool) or K_max != int(K_max) or K_max < 1:
+        raise ValueError(f"K_max must be an integer >= 1, got {K_max}")
     K_max = int(K_max)
     M = points.M
     fps = points.theta_fp

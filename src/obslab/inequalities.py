@@ -30,9 +30,13 @@ computes no eigenvector), and verify_observability sweeps states through
 the sector quadratic forms, a few hundred states per symmetric product. Each
 sector is reduced to tridiagonal form once, and both its extreme eigenvalues
 and the minimiser come from it, equal to scipy.linalg.eigh's to the bit.
+Its LAPACK calls go through spectrum._lapack, which imports scipy on its
+first call; this module imports no scipy.
 
 The Ingham-type checks take their time integral from the real blocked form
-of observation (_exponential_form) on the one axis (0, T).
+of observation (_exponential_form) on the one axis (0, T), which makes no
+BLAS or LAPACK call, so m_ab, the symmetry constants and the Ingham checks
+never load scipy.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, lapack
 
 from .observation import (
     ObservationSpec,
@@ -55,7 +58,7 @@ from .observation import (
     _gram_rows,
     assemble_gram,
 )
-from .spectrum import ModeSet, _matmul, _symmetric_product, partial_gap_analysis
+from .spectrum import ModeSet, _lapack, _matmul, _symmetric_product, partial_gap_analysis
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
 
@@ -151,7 +154,7 @@ class ExponentialSum:
         a = tuple(complex(x) for x in self.coefficients)
         if len(w) != len(a):
             raise ValueError("exponents and coefficients must have equal length")
-        if self.n < 0 or self.n != int(self.n):
+        if isinstance(self.n, bool) or self.n < 0 or self.n != int(self.n):
             raise ValueError("n must be a nonnegative integer")
         if not w:
             raise ValueError("need at least one exponent")
@@ -226,19 +229,12 @@ def _as_spec_tuple(spec) -> tuple:
     return specs
 
 
-# LAPACK dsyevr reduces a matrix unscaled when its max-norm lies in [_RMIN, _RMAX]
-_SAFMIN = lapack.dlamch("S")
-_SMLNUM = _SAFMIN / lapack.dlamch("P")
+# LAPACK dsyevr reduces a matrix unscaled when its max-norm lies in [_RMIN, _RMAX]; dlamch("S")
+# is the smallest normal double and dlamch("P") the machine epsilon, numpy's tiny and eps
+_SAFMIN = float(np.finfo(float).tiny)
+_SMLNUM = _SAFMIN / float(np.finfo(float).eps)
 _RMIN = math.sqrt(_SMLNUM)
 _RMAX = min(math.sqrt(1.0 / _SMLNUM), 1.0 / math.sqrt(math.sqrt(_SAFMIN)))
-
-
-def _lapack(name: str, *args, **kwargs) -> list:
-    """The outputs of LAPACK routine name but its info, which must be 0."""
-    *out, info = getattr(lapack, name)(*args, **kwargs)
-    if info != 0:
-        raise LinAlgError(f"LAPACK {name} failed with info={info}")
-    return out
 
 
 class _Reduction:
@@ -260,7 +256,7 @@ class _Reduction:
         n = self.n = len(a)
         # dsyevr's max-norm of the lower triangle, all that LAPACK reads: nan or inf when an
         # entry there is, which eigh rejects with this error
-        norm = lapack.dlantr("M", a, uplo="L")
+        norm = _lapack("dlantr", "M", a, uplo="L")
         if not math.isfinite(norm):
             raise ValueError("array must not contain infs or NaNs")
         if n == 1:  # dsyevr returns the entry, unscaled, and the vector 1

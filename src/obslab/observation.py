@@ -33,7 +33,10 @@ build the time Gram on the distinct frequencies, expanded to the modes.
 Every exponential-sum integral over a box, the four-family form here and the
 Ingham checks of inequalities, is one real form about the box centre
 (_exponential_form): the product of the axes' sinc blocks, a block of rows
-at a time, on the phased coefficients. No complex kernel is built for them.
+of its upper triangle at a time, on the phased coefficients. No complex
+kernel is built for them, and no BLAS call is made: the Ingham commands
+never load scipy, which only the Gram and oracle products here reach,
+through the helpers of spectrum.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, _matmul, _symmetric_product, _weighted_gram, build_mode_set
+from .spectrum import ModeSet, RectangleGeometry, _symmetric_product, _weighted_gram, build_mode_set
 
 # Factors of the separable pieces. Each is a tuple (kind, *positions on its axis):
 # the full axis, an interval, a point, the normal derivative at the x = 0 edge,
@@ -234,8 +237,10 @@ class ObservationSpec:
             raise ValueError(f"field must be one of {FIELDS}")
         if self.model not in ("plate", "wave"):
             raise ValueError("model must be 'plate' or 'wave'")
-        if not (isinstance(self.T, numbers.Real) and self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"time horizon must be positive and finite, got {self.T!r}")
+        # a JSON true is a numbers.Real too, and would read as the horizon 1
+        real = isinstance(self.T, numbers.Real) and not isinstance(self.T, bool)
+        if not (real and self.T > 0 and math.isfinite(self.T)):
+            raise ValueError(f"time horizon must be positive and finite, got T={self.T!r}")
         kinds, model = _PAIRINGS[self.field]
         if not (isinstance(self.region, kinds) and self.model == model):
             raise ValueError(
@@ -286,22 +291,28 @@ def _exponential_form(coeffs: np.ndarray, axes) -> float:
     (lo, hi). About the box centre x_c the kernel is e^{i (w_k - w_j) . x_c}
     times the real symmetric product S of the axes' sinc blocks
     (_window_sinc), so with b = c e^{i sum_a (w_a - min w_a) x_ca} the form is
-    Re(b)' S Re(b) + Im(b)' S Im(b). S is built a block of rows at a time; it
-    and the phases need the arguments |w_ak - w_aj| (hi - lo) / 2, which must
-    stay finite.
+    Re(b)' S Re(b) + Im(b)' S Im(b). S is built a block of rows at a time from
+    the diagonal on, its upper triangle of blocks: the diagonal block counts
+    once and the part to its right twice, for its mirror below the diagonal.
+    Each block meets the parts by elementwise products and sums, with no BLAS
+    call, so the value depends on no thread pool. S and the phases need the
+    arguments |w_ak - w_aj| (hi - lo) / 2, which must stay finite.
     """
     for w, lo, hi in axes:
         if not math.isfinite((float(w.max()) - float(w.min())) * (hi - lo)):
             raise ValueError(f"the interval ({lo}, {hi}) overflows the kernel of these exponents")
     b = coeffs * np.exp(1j * sum((w - w.min()) * ((lo + hi) / 2.0) for w, lo, hi in axes))
-    parts = np.stack([b.real, b.imag], axis=1)
+    parts = np.stack([b.real, b.imag])
     lhs = 0.0
     for r0 in range(0, b.size, _INGHAM_BLOCK):
-        rows = slice(r0, r0 + _INGHAM_BLOCK)
+        r1 = min(r0 + _INGHAM_BLOCK, b.size)
         block = functools.reduce(
-            np.multiply, (_window_sinc(w[None, :] - w[rows, None], lo, hi) for w, lo, hi in axes)
+            np.multiply, (_window_sinc(w[None, r0:] - w[r0:r1, None], lo, hi) for w, lo, hi in axes)
         )
-        lhs += float(_matmul(parts[rows].ravel(), _matmul(block, parts).ravel()))
+        right = parts[:, r0:].copy()
+        right[:, r1 - r0 :] *= 2.0
+        for part, cols in zip(parts[:, r0:r1], right):
+            lhs += float(np.sum(part * np.sum(block * cols, axis=1)))
     return lhs
 
 

@@ -4,15 +4,20 @@ Eigenfunctions on (0, l1) x (0, l2) with Dirichlet conditions are
 sin(k1 pi x1 / l1) sin(k2 pi x2 / l2) with eigenvalue
 lambda_k = u k1^2 + v k2^2, u = pi^2/l1^2, v = pi^2/l2^2. The membrane
 oscillates at sqrt(lambda_k), the hinged plate at lambda_k itself.
+
+Every dense product and LAPACK call of the package goes through the helpers
+here (_matmul, _symmetric_product, _weighted_gram, _lapack), the one place
+that knows scipy; they import scipy.linalg on their first call, not before.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas
+from numpy.linalg import LinAlgError
 
 # rows of the pair triangle per block of partial_gap_analysis
 _GAP_BLOCK = 256
@@ -62,13 +67,41 @@ def _wavenumber_sq(ell: float) -> float:
     return math.pi**2 / ell**2
 
 
+@functools.cache
+def _scipy_linalg():
+    """scipy.linalg, imported on the first BLAS or LAPACK call and not before.
+
+    Only this module reaches scipy. Its import and its OpenBLAS cost about
+    0.25 s and 28 MB, which a command that makes no dense product or solve
+    (the Diophantine, interval-constant, symmetry and Ingham commands) never pays.
+    """
+    import scipy.linalg
+
+    return scipy.linalg
+
+
+def _lapack(name: str, *args, **kwargs):
+    """The outputs of scipy's LAPACK routine name but its info, which must be 0.
+
+    A routine that reports no info, the norm dlantr, gives its one output as it is.
+    """
+    out = getattr(_scipy_linalg().lapack, name)(*args, **kwargs)
+    if not isinstance(out, tuple):
+        return out
+    *out, info = out
+    if info != 0:
+        raise LinAlgError(f"LAPACK {name} failed with info={info}")
+    return out
+
+
 def _matmul(a, b) -> np.ndarray:
     """a @ b for real or complex a and b, each of rank 1 or 2, through scipy's BLAS.
 
     numpy and scipy each bundle an OpenBLAS with its own thread pool, and the
     pencil's LAPACK runs in scipy's; every dense product of the package comes
     here, to _symmetric_product or to _weighted_gram, so one pool serves all of it and no idle pool
-    spins on the cores the other needs. The call is the one numpy makes for a @ b: dot for a 1 x 1
+    spins on the cores the other needs. The exponential-sum form of observation makes no product
+    and uses no pool. The call is the one numpy makes for a @ b: dot for a 1 x 1
     result, gemv when a has one row or b one column, else gemm, on the
     F-ordered transposes of the C-ordered operands (a @ b is gemm(1, b.T, a.T).T).
     Each operand is taken through np.ascontiguousarray, which copies only one
@@ -85,6 +118,7 @@ def _matmul(a, b) -> np.ndarray:
     (m, k), n = a2.shape, b2.shape[1]
     if b2.shape[0] != k:
         raise ValueError(f"operands of shape {a.shape} and {b.shape} do not chain")
+    blas = _scipy_linalg().blas
     if not (m and n and k):
         out = np.zeros((m, n), dtype)
     elif m == 1 and n == 1:
@@ -109,6 +143,7 @@ def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False, ou
         return np.zeros(np.shape(v), np.result_type(v, s)) if out is None else out
     rows = np.ascontiguousarray(v).reshape(-1, len(s))
     name = "z" + ("hemm" if hermitian else "symm") if np.iscomplexobj(s) else "dsymm"
+    blas = _scipy_linalg().blas
     if out is None:
         return getattr(blas, name)(1.0, s.T, rows.T, lower=1).T.reshape(np.shape(v))
     getattr(blas, name)(1.0, s.T, rows.T, c=out.T, overwrite_c=1, lower=1)  # beta 0: out is only written
@@ -124,7 +159,8 @@ def _weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
     C-contiguous and symmetric to the last bit.
     """
     f *= np.sqrt(w)
-    gram = blas.dsyrk(1.0, f.T, trans=1).T  # dsyrk fills the upper triangle, the lower of the view
+    # dsyrk fills the upper triangle, the lower of the view
+    gram = _scipy_linalg().blas.dsyrk(1.0, f.T, trans=1).T
     np.copyto(gram, gram.T, where=np.tri(len(f), k=-1, dtype=bool).T)
     return gram
 
@@ -148,7 +184,7 @@ class ModeSet:
 
     def __post_init__(self) -> None:
         K1, K2 = self.K1, self.K2
-        if K1 != int(K1) or K2 != int(K2) or K1 < 1 or K2 < 1:
+        if any(isinstance(k, bool) or k != int(k) or k < 1 for k in (K1, K2)):  # a JSON true is no bound
             raise ValueError(f"truncation bounds must be integers >= 1, got K1={K1}, K2={K2}")
         K1, K2 = int(K1), int(K2)
         k1 = np.tile(np.arange(1, K1 + 1), K2)

@@ -102,7 +102,7 @@ class EnergyWeight:
 
 def _order(p) -> int:
     """A symmetry order as an int: an integral float is taken, a fractional p rejected, never truncated."""
-    if p != int(p):
+    if isinstance(p, bool) or p != int(p):
         raise ValueError(f"p must be an integer, got {p}")
     return int(p)
 

@@ -356,25 +356,27 @@ def test_scan_t_rejects_unordered_values(tmp_path):
     assert code == 2
 
 
+CONSTANTS = {
+    "geometry": [PI, PI],
+    "truncation": [4, 4],
+    "model": "wave",
+    "T": 2.0,
+    "weight": {"s": 1},
+    "spec": {
+        "region": {"kind": "VerticalStrip", "a": 1.0, "b": 2.0},
+        "field": "velocity",
+    },
+}
+
+
 def test_constants(tmp_path):
-    config = {
-        "geometry": [PI, PI],
-        "truncation": [4, 4],
-        "model": "wave",
-        "T": 2.0,
-        "weight": {"s": 1},
-        "spec": {
-            "region": {"kind": "VerticalStrip", "a": 1.0, "b": 2.0},
-            "field": "velocity",
-        },
-    }
-    code, text = run(tmp_path, "constants", config)
+    code, text = run(tmp_path, "constants", CONSTANTS)
     assert code == 0
     result = json.loads(text)["result"]
     assert 0 <= result["c_min"] <= result["c_max"]
     assert result["K1"] == 4 and result["K2"] == 4
     assert result["specs"][0]["region"]["kind"] == "VerticalStrip"
-    _, again = run(tmp_path, "constants", config)
+    _, again = run(tmp_path, "constants", CONSTANTS)
     assert again == text
 
 
@@ -558,6 +560,30 @@ def test_integral_float_field_runs_the_same_problem(tmp_path, command, config, f
     assert _result_bytes(text_f) == _result_bytes(text)
 
 
+@pytest.mark.parametrize(
+    "command,config,named",
+    [
+        ("constants", {**CONSTANTS, "T": True}, "T=True"),
+        ("constants", {**CONSTANTS, "truncation": [True, 4]}, "K1=True"),
+        ("constants", {**CONSTANTS, "weight": {"s": True}}, "weight.s must"),
+        ("diophantine", {**DIOPHANTINE, "M": True}, "M must"),
+        ("diophantine", {**DIOPHANTINE, "K_max": True}, "K_max must"),
+        ("mab", {"a": True, "b": 2.0}, "a must"),
+        ("symmetry", {"p": True, "alpha": PI / 3}, "p must"),
+        ("ingham", {**INGHAM, "n": True}, "n must"),
+        ("ingham", {**INGHAM, "T": True}, "T must"),
+        ("verify", {**TWO_LINES, "samples": True}, "samples must"),
+    ],
+    ids=["constants.T", "truncation", "weight.s", "M", "K_max", "mab.a", "p", "n", "ingham.T", "samples"],
+)
+def test_a_json_boolean_in_a_numeric_field_exits_2_naming_it(tmp_path, capsys, command, config, named):
+    # a JSON true is a Python bool, so an int and a numbers.Real: read as 1, it ran another problem
+    code, text = run(tmp_path, command, config)
+    assert (code, text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
 def _result_bytes(text):
     # re-dumping keeps 4 and 4.0 apart, so this compares the result's bytes
     return json.dumps(json.loads(text)["result"], sort_keys=True)
@@ -714,31 +740,85 @@ def test_oracle_check_fails_on_infinite_values_without_warnings(tmp_path, monkey
     assert json.loads(text)["result"]["max_rel_err"] == math.inf
 
 
+def _fresh_interpreter_env(threads: str) -> dict:
+    """The environment of a new interpreter that imports this obslab with OBSLAB_THREADS=threads.
+
+    The BLAS variables are cleared so that OBSLAB_THREADS sets them.
+    """
+    blas_vars = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    return {**env, "OBSLAB_THREADS": threads}
+
+
 def test_oracle_check_prints_the_same_bytes_at_one_and_two_threads(tmp_path):
-    # the thread count is fixed at import, so each count runs in its own interpreter; the BLAS
-    # variables are cleared so that OBSLAB_THREADS sets them
+    # the thread count is fixed at import, so each count runs in its own interpreter. The Ingham
+    # form sums its row blocks without BLAS, over 300 exponents here, so it takes no thread count
     open_rect = {"kind": "OpenRect", "t0": 0.2, "t1": 1.7, "x0": 0.5, "x1": 2.5}
     specs = [
         *ORACLE["specs"],
         {"region": open_rect, "field": "displacement", "model": "plate"},
         {"region": {"kind": "BoundaryGamma0"}, "field": "normal_derivative", "model": "wave"},
     ]
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**ORACLE, "truncation": [4, 4], "samples": 8, "resolution": 256, "specs": specs}))
-    blas_vars = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    outputs = []
-    for threads in ("1", "2"):
-        done = subprocess.run(
-            [sys.executable, "-m", "obslab.cli", "oracle-check", "--config", str(cfg)],
-            env={**env, "OBSLAB_THREADS": threads},
-            capture_output=True,
-            check=True,
-        )
-        outputs.append(done.stdout)
-    assert json.loads(outputs[0])["result"]["passed"]
-    assert outputs[0] == outputs[1]
+    k = np.arange(1, 301)
+    runs = {
+        "oracle-check": {**ORACLE, "truncation": [4, 4], "samples": 8, "resolution": 256, "specs": specs},
+        "ingham": {
+            **INGHAM,
+            "exponents": (k + 0.2 * np.sin(k)).tolist(),
+            "coefficients": np.stack([np.cos(k), np.sin(2 * k)], axis=1).tolist(),
+        },
+    }
+    for command, config in runs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-m", "obslab.cli", command, "--config", str(cfg)],
+                env=_fresh_interpreter_env(threads),
+                capture_output=True,
+                check=True,  # exit 0: the oracle matches and the Ingham bound holds
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1], command
+
+
+def test_number_theory_commands_load_no_scipy(tmp_path):
+    # scipy.linalg and its OpenBLAS load on the first BLAS or LAPACK call; the Diophantine,
+    # interval-constant, symmetry and Ingham commands make none, so they never pay for them
+    configs = {
+        "diophantine": DIOPHANTINE,
+        "mab": {"a": 1.0, "b": 2.0},
+        "symmetry": {"p": 3, "alpha": PI / 3},
+        "ingham": INGHAM,
+        "constants": CONSTANTS,
+    }
+    for command, config in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(config))
+    script = "\n".join([
+        "import json, sys",
+        "import obslab",
+        "from obslab.cli import main",
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        "def run(c): return main([c, '--config', c + '.json', '--out', c + '.out'])",
+        "codes = [run(c) for c in ('diophantine', 'mab', 'symmetry', 'ingham')]",
+        "before = loaded()",
+        "codes.append(run('constants'))",
+        "print(json.dumps({'codes': codes, 'before': before, 'after': loaded()}))",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=_fresh_interpreter_env("1"),
+        capture_output=True,
+        check=True,
+    )
+    seen = json.loads(done.stdout)
+    assert seen["codes"] == [0] * 5
+    assert seen["before"] == []
+    assert "scipy.linalg" in seen["after"]
+    assert json.loads((tmp_path / "constants.out").read_text())["result"]["c_min"] > 0
 
 
 def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monkeypatch):
@@ -764,9 +844,9 @@ def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monke
 
 def test_cli_imports_no_private_names():
     # nor does any other module, but those that form products through the BLAS helpers and
-    # inequalities, whose Ingham checks call the blocked exponential-sum form and whose pencil sums
-    # the Gram rows about their centre angle into its blocks and certifies its minimiser on their
-    # doubled form
+    # inequalities, which solves through the LAPACK helper, whose Ingham checks call the blocked
+    # exponential-sum form and whose pencil sums the Gram rows about their centre angle into its
+    # blocks and certifies its minimiser on their doubled form
     private = {}
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -786,10 +866,11 @@ def test_cli_imports_no_private_names():
             "_doubled_forms",
             "_exponential_form",
             "_gram_rows",
+            "_lapack",
             "_matmul",
             "_symmetric_product",
         ],
-        "observation.py": ["_matmul", "_symmetric_product", "_weighted_gram"],
+        "observation.py": ["_symmetric_product", "_weighted_gram"],
         "states.py": ["_matmul"],
     }
 

@@ -327,6 +327,14 @@ def test_check_theorem_reduces_each_masked_sector_once(modes6, monkeypatch):
     assert shapes == [((kept, kept), "f")] * 2
 
 
+def test_the_rescaling_window_takes_lapacks_machine_constants():
+    # numpy's tiny and eps stand for dlamch("S") and dlamch("P"), so that the package need not load
+    # scipy to know dsyevr's unscaled range [_RMIN, _RMAX]; they must be LAPACK's to the bit
+    lapack = scipy.linalg.lapack
+    assert inequalities._SAFMIN.hex() == lapack.dlamch("S").hex()
+    assert inequalities._SMLNUM.hex() == (lapack.dlamch("S") / lapack.dlamch("P")).hex()
+
+
 def _eigh_extremes(pen):
     """Pencil.extremes by two scipy.linalg.eigh subset calls per sector, as the solve ran before."""
     low, c_max = None, -math.inf
@@ -1014,7 +1022,8 @@ def test_the_admissible_pencil_keeps_the_modes_every_symmetry_admits(square):
 
 
 def test_no_library_product_copies_an_operand(square, monkeypatch):
-    # _matmul copies an operand that is not C-contiguous; no caller in the library hands it one
+    # _matmul copies an operand that is not C-contiguous; no caller in the library hands it one.
+    # The exponential-sum form of the Ingham checks and the four-family form makes no product
     calls = {}
 
     def guarded(name):
@@ -1025,7 +1034,7 @@ def test_no_library_product_copies_an_operand(square, monkeypatch):
 
         return product
 
-    for module in (inequalities, observation, states):
+    for module in (inequalities, states):
         monkeypatch.setattr(module, "_matmul", guarded(module.__name__))
     ms = build_mode_set(square, 8, 8)
     specs, params = _two_lines()
@@ -1038,7 +1047,7 @@ def test_no_library_product_copies_an_operand(square, monkeypatch):
     fams = [np.random.default_rng(i).standard_normal((2, 3)) for i in range(4)]
     thm21_fourfamily_form(fams, OpenRect(0.2, 1.7, 0.5, 2.0), square)
     states.axis_trace(random_state(ms, 1), "x1", 1.0, 16)
-    assert set(calls) == {"obslab.inequalities", "obslab.observation", "obslab.states"}
+    assert set(calls) == {"obslab.inequalities", "obslab.states"}
 
 
 @pytest.mark.parametrize("sizes", [[8], [600], [1] * 600, [3, 250, 347]], ids=["8", "600", "singles", "uneven"])

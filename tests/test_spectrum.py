@@ -334,21 +334,33 @@ def test_matmul_rejects_operands_of_rank_other_than_one_or_two(shapes):
         _matmul(*(np.ones(shape) for shape in shapes))
 
 
-def _reads_blas(node) -> bool:
-    """Whether node imports scipy.linalg.blas, or reads it or its routine lookup as an attribute."""
-    blas_names = ("blas", "get_blas_funcs")
+# the ways to reach scipy.linalg's BLAS and LAPACK, its error class, or spectrum's import of them
+_SCIPY_NAMES = ("blas", "lapack", "get_blas_funcs", "get_lapack_funcs", "LinAlgError", "_scipy_linalg")
+
+
+def _reads_scipy(node) -> bool:
+    """Whether node imports scipy, or reads its BLAS, its LAPACK or its error class as an attribute."""
     if isinstance(node, ast.ImportFrom):
         module = node.module or ""
-        named = module == "scipy.linalg" and any(alias.name in blas_names for alias in node.names)
-        return named or module.startswith("scipy.linalg.blas")
+        return module.split(".")[0] == "scipy" or any(alias.name == "_scipy_linalg" for alias in node.names)
     if isinstance(node, ast.Import):
-        return any(alias.name.startswith("scipy.linalg.blas") for alias in node.names)
-    return isinstance(node, ast.Attribute) and node.attr in blas_names
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr in _SCIPY_NAMES
+
+
+def _import_time_nodes(tree):
+    """The nodes of a module that run when it is imported: all but those inside a function."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def test_every_product_goes_through_the_blas_helper():
     # numpy's products run in numpy's own OpenBLAS pool, not in scipy's with the pencil's LAPACK;
-    # and only spectrum reaches scipy's BLAS, so every dense product stays behind its helpers
+    # and only spectrum reaches scipy, so every dense product and solve stays behind its helpers
     numpy_products = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
     found = []
     for path in sorted(Path(spectrum.__file__).parent.glob("*.py")):
@@ -362,9 +374,18 @@ def test_every_product_goes_through_the_blas_helper():
             elif isinstance(node, ast.Attribute) and node.attr == "linalg":
                 if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
                     found.append((path.name, node.lineno, "np.linalg"))
-            elif path.name != "spectrum.py" and _reads_blas(node):
-                found.append((path.name, node.lineno, "scipy.linalg.blas"))
+            elif path.name != "spectrum.py" and _reads_scipy(node):
+                found.append((path.name, node.lineno, "scipy"))
     assert found == []
+
+
+def test_spectrum_imports_scipy_on_first_use_only():
+    # importing scipy.linalg and its OpenBLAS costs a command that makes no product or solve about
+    # 0.25 s and 28 MB; spectrum imports it inside its cached accessor, never at import time
+    tree = ast.parse(Path(spectrum.__file__).read_text())
+    assert [node.lineno for node in _import_time_nodes(tree) if _reads_scipy(node)] == []
+    inside = [node for node in ast.walk(tree) if isinstance(node, ast.Import) and _reads_scipy(node)]
+    assert len(inside) == 1
 
 
 def test_the_blas_guard_sees_each_way_to_reach_scipy_blas():
@@ -374,11 +395,26 @@ def test_the_blas_guard_sees_each_way_to_reach_scipy_blas():
         "from scipy.linalg.blas import dsyrk",
         "import scipy.linalg.blas",
         "import scipy.linalg\nscipy.linalg.blas.dsyrk(1.0, a)",
+        "from scipy.linalg import lapack",
+        "from scipy.linalg import get_lapack_funcs",
+        "from scipy.linalg.lapack import dsytrd",
+        "import scipy.linalg.lapack",
+        "import scipy.linalg\nscipy.linalg.lapack.dsytrd(a)",
+        "from scipy.linalg import LinAlgError",
+        "from scipy import linalg",
+        "import scipy",
+        "from .spectrum import _scipy_linalg",
+        "from . import spectrum\nspectrum._scipy_linalg().lapack.dlantr('M', a)",
     ]
     for source in sources:
-        assert any(_reads_blas(node) for node in ast.walk(ast.parse(source))), source
-    clean = "from scipy.linalg import LinAlgError, lapack\nlapack.dsytrd(a)"
-    assert not any(_reads_blas(node) for node in ast.walk(ast.parse(clean)))
+        assert any(_reads_scipy(node) for node in ast.walk(ast.parse(source))), source
+    clean = "from numpy.linalg import LinAlgError\nfrom .spectrum import _lapack\n_lapack('dsytrd', a)"
+    assert not any(_reads_scipy(node) for node in ast.walk(ast.parse(clean)))
+    # a function's body does not run at import; a class body and a module-level branch do
+    lazy = "def f():\n    import scipy.linalg\n    return scipy.linalg"
+    assert not any(_reads_scipy(node) for node in _import_time_nodes(ast.parse(lazy)))
+    for eager in ("class C:\n    import scipy.linalg", "if True:\n    from scipy.linalg import blas"):
+        assert any(_reads_scipy(node) for node in _import_time_nodes(ast.parse(eager))), eager
 
 
 @pytest.mark.parametrize("m, k", [(1, 1), (5, 1), (7, 33), (40, 129)])
