@@ -5,6 +5,9 @@ the library version and contain no timestamps, so identical config and seed
 give byte-identical output. Exit codes: 0 pass, 1 verification failure,
 2 config error (a malformed value, or sizes whose arrays cannot be allocated),
 3 theorem precondition (time horizon below threshold).
+Config values go to the library as given, which checks them; only the
+numbers read here (seed, samples, resolution, tolerance, the scan-t T grid,
+the ingham coefficients) are checked here, by the same spectrum.number.
 """
 
 from __future__ import annotations
@@ -33,37 +36,18 @@ from .inequalities import (
     verify_observability,
 )
 from .observation import ObservationSpec, assemble_gram, quadrature_oracle
-from .spectrum import build_mode_set, RectangleGeometry
+from .spectrum import build_mode_set, number, RectangleGeometry
 from .states import EnergyWeight, SpectralState, project_p_symmetric, random_state, random_states
 
 # seeds drawn per block of verify and oracle-check states: it bounds the states held at once
 _CHUNK = 256
 
 
-def _geometry(config: dict) -> RectangleGeometry:
-    g = config["geometry"]
-    if isinstance(g, dict):
-        return RectangleGeometry(g["ell1"], g["ell2"])
-    return RectangleGeometry(g[0], g[1])
-
-
 def _mode_set(config: dict):
+    g = config["geometry"]  # exactly two sides: a third entry or key is a TypeError
+    geometry = RectangleGeometry(**g) if isinstance(g, dict) else RectangleGeometry(*g)
     K1, K2 = config["truncation"]  # ModeSet rejects a fractional bound
-    return build_mode_set(_geometry(config), K1, K2)
-
-
-def _integer(name: str, value) -> int:
-    """An integer config field; a fractional value is an error, never truncated, and a JSON true never 1."""
-    if isinstance(value, bool) or value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
-
-
-def _real(name: str, value) -> float:
-    """A real config field as a float; a JSON true or false is an error, never 1.0 or 0.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value}")
-    return float(value)
+    return build_mode_set(geometry, K1, K2)
 
 
 def _specs(config: dict, T=None) -> list:
@@ -80,14 +64,13 @@ def _specs(config: dict, T=None) -> list:
     return out
 
 
-def _projected_states(config: dict, specs: list, mode_set, seed: int):
-    """Random states projected to the theorem's symmetries, drawn lazily _CHUNK seeds at a time.
+def _projected_states(config: dict, specs: list, mode_set, seed: int, n: int):
+    """n random states projected to the theorem's symmetries, drawn lazily _CHUNK seeds at a time.
 
     Each projection lets the block it was given go, and no block is held here
     once it is yielded: not while it is swept, nor while the next is drawn.
     """
-    n = _integer("samples", config.get("samples", 100))
-    decay = _real("decay", config.get("decay", 0.0))
+    decay = config.get("decay", 0.0)
     sym = theorem_symmetries(config["theorem"], specs, config.get("params", {}), mode_set.geometry)
 
     def drawn(start: int):
@@ -105,23 +88,24 @@ def cmd_verify(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     specs = _specs(config)
     params = dict(config.get("params", {}))
-    if _integer("samples", config.get("samples", 100)) == 0:
+    n = number(config.get("samples", 100), "samples", integer=True)
+    if n == 0:
         # eigen-certificate only: the truncated-space minimizer is the check
         result = check_theorem(theorem, specs, ms, params, require_threshold=True)
     else:
-        states = _projected_states(config, specs, ms, seed)
+        states = _projected_states(config, specs, ms, seed, n)
         result = verify_observability(theorem, specs, states, params)
     return result, result["passed"]
 
 
 def cmd_scan_t(config: dict, seed: int) -> tuple:
     if "T_values" in config:
-        ts = [_real("T_values", t) for t in config["T_values"]]
+        ts = [float(number(t, "T_values")) for t in config["T_values"]]
     else:
         ts = np.linspace(
-            _real("T_start", config["T_start"]),
-            _real("T_stop", config["T_stop"]),
-            _integer("T_count", config["T_count"]),
+            float(number(config["T_start"], "T_start")),
+            float(number(config["T_stop"], "T_stop")),
+            number(config["T_count"], "T_count", integer=True),
         ).tolist()
     if not ts or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0:
         raise ValueError("T values must be positive and increasing")
@@ -138,36 +122,30 @@ def cmd_scan_t(config: dict, seed: int) -> tuple:
 def cmd_constants(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     specs = _specs(config)
-    s = _real("weight.s", config.get("weight", {}).get("s", 1))
-    weight = EnergyWeight(s, specs[0].model)
+    weight = EnergyWeight(config.get("weight", {}).get("s", 1), specs[0].model)
     return empirical_constants(specs, weight, ms).to_dict(), True
 
 
 def cmd_diophantine(config: dict, seed: int) -> tuple:
-    # integer fields go through as given: the library rejects a fractional value
-    points = build_algebraic_points(config["M"], _real("ell1", config.get("ell1", math.pi)))
+    points = build_algebraic_points(config["M"], config.get("ell1", math.pi))
     report = estimate_gamma(points, config["K_max"])
     return json.loads(report.to_json()), True
 
 
 def cmd_mab(config: dict, seed: int) -> tuple:
-    return m_ab(_real("a", config["a"]), _real("b", config["b"])), True
+    return m_ab(config["a"], config["b"]), True
 
 
 def cmd_symmetry(config: dict, seed: int) -> tuple:
-    sc = symmetry_constants(config["p"], _real("alpha", config["alpha"]))
+    sc = symmetry_constants(config["p"], config["alpha"])
     return asdict(sc), True
 
 
 def cmd_ingham(config: dict, seed: int) -> tuple:
-    w = [_real("exponents", x) for x in config["exponents"]]
-    coeffs = [complex(*(_real("coefficients", x) for x in (re, im))) for re, im in config["coefficients"]]
-    n = config["n"]
-    indices = config.get("indices")
-    gamma = config.get("gamma", "auto")
-    gamma = None if gamma == "auto" else _real("gamma", gamma)  # None: the gap of the exponents
-    es = ExponentialSum(tuple(w), tuple(coeffs), n, gamma, indices)
-    result = mehrenberger_check(es, _real("T", config["T"]))
+    coeffs = [complex(*(number(x, "coefficients") for x in (re, im))) for re, im in config["coefficients"]]
+    gamma = None if config.get("gamma", "auto") == "auto" else config["gamma"]  # None: the gap of the exponents
+    es = ExponentialSum(tuple(config["exponents"]), tuple(coeffs), config["n"], gamma, config.get("indices"))
+    result = mehrenberger_check(es, config["T"])
     result["gamma"] = es.gamma
     return result, result["holds"]
 
@@ -175,14 +153,14 @@ def cmd_ingham(config: dict, seed: int) -> tuple:
 def cmd_oracle_check(config: dict, seed: int) -> tuple:
     ms = _mode_set(config)
     specs = _specs(config)
-    n = _integer("samples", config.get("samples", 5))
+    n = number(config.get("samples", 5), "samples", integer=True)
     if n < 1:
         raise ValueError("samples must be >= 1")
-    resolution = _integer("resolution", config.get("resolution", 256))
-    tol = _real("tolerance", config.get("tolerance", 1e-6))
-    if not 0 < tol < math.inf:  # a nan tolerance fails this too
-        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-    decay = _real("decay", config.get("decay", 0.0))
+    resolution = number(config.get("resolution", 256), "resolution", integer=True)
+    tol = float(number(config.get("tolerance", 1e-6), "tolerance"))
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {tol}")
+    decay = config.get("decay", 0.0)
     worst = 0.0
     for spec in specs:  # spec by spec: the oracle samples a spec's Grams once for all its rows
         gram = assemble_gram(spec, ms)
@@ -256,7 +234,7 @@ def main(argv=None) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config must be a JSON object")
-        seed = args.seed if args.seed is not None else _integer("seed", config.get("seed", 0))
+        seed = args.seed if args.seed is not None else number(config.get("seed", 0), "seed", integer=True)
         if args.fmt == "csv" and args.command != "scan-t":
             raise ValueError("csv output is only defined for scan-t")
         result, passed = COMMANDS[args.command](config, seed)
@@ -266,7 +244,7 @@ def main(argv=None) -> int:
     except ThresholdError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 3
-    # OverflowError: int() of an infinite config value; MemoryError: sizes too large to allocate
+    # OverflowError: a size beyond a C long; MemoryError: sizes too large to allocate
     except (ValueError, KeyError, TypeError, OverflowError, MemoryError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

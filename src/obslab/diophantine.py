@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectrum import number
+
 _FP_BITS = 96
 _FP_ONE = 1 << _FP_BITS
 _FP_MASK = _FP_ONE - 1
@@ -58,22 +60,23 @@ class AlgebraicPointSet:
     theta_fp: tuple = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        theta = tuple(float(t) for t in self.theta)
-        alphas = tuple(float(a) for a in self.alphas)
-        if isinstance(self.M, bool) or self.M < 1 or len(theta) != self.M or len(alphas) != self.M:
+        M = number(self.M, "M", integer=True)
+        theta = tuple(float(number(t, "theta")) for t in self.theta)
+        alphas = tuple(float(number(a, "alphas")) for a in self.alphas)
+        if M < 1 or len(theta) != M or len(alphas) != M:
             raise ValueError("need M >= 1 points with matching alphas")
         if not all(0 < t < 1 for t in theta):
             raise ValueError("theta values must lie in (0, 1)")
-        if len(set(theta)) != self.M:
+        if len(set(theta)) != M:
             raise ValueError("theta values must be pairwise distinct")
-        if not all(0 < a < math.inf for a in alphas):
-            raise ValueError("alphas must be positive and finite")
+        if not all(a > 0 for a in alphas):
+            raise ValueError("alphas must be positive")
         fp = self.theta_fp
         fp = tuple(int(t * _FP_ONE) for t in theta) if fp is None else tuple(int(v) for v in fp)
-        if len(fp) != self.M or not all(0 < v < _FP_ONE for v in fp):
+        if len(fp) != M or not all(0 < v < _FP_ONE for v in fp):
             raise ValueError("theta_fp must hold M scaled values in (0, 2^96)")
         # an integral float M would turn the scan's exact k * d^M into a float
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", M)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "theta_fp", fp)
@@ -116,11 +119,11 @@ def build_algebraic_points(M: int, ell1: float) -> AlgebraicPointSet:
     The fixed-point values floor(2^(j/(M+1)) * 2^96) are computed by integer
     root extraction, so they are exact floors, not rounded floats.
     """
-    if isinstance(M, bool) or M != int(M) or M < 1:
-        raise ValueError(f"M must be an integer >= 1, got {M}")
-    if not 0 < ell1 < math.inf:
-        raise ValueError("ell1 must be positive and finite")
-    M = int(M)
+    M, ell1 = number(M, "M", integer=True), number(ell1, "ell1")
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    if not ell1 > 0:
+        raise ValueError(f"ell1 must be > 0, got {ell1!r}")
     fps = []
     for j in range(1, M + 1):
         root = _int_nth_root(1 << (j + _FP_BITS * (M + 1)), M + 1)
@@ -190,9 +193,9 @@ def estimate_gamma(points: AlgebraicPointSet, K_max: int) -> DiophantineReport:
     them and the first k of the minimum wins. Only the final gamma_hat is
     converted to float.
     """
-    if isinstance(K_max, bool) or K_max != int(K_max) or K_max < 1:
-        raise ValueError(f"K_max must be an integer >= 1, got {K_max}")
-    K_max = int(K_max)
+    K_max = number(K_max, "K_max", integer=True)
+    if K_max < 1:
+        raise ValueError(f"K_max must be >= 1, got {K_max}")
     M = points.M
     fps = points.theta_fp
     margin = 1.0 + 8 * (M + 2) * 2.0**-53
@@ -221,8 +224,7 @@ def estimate_gamma(points: AlgebraicPointSet, K_max: int) -> DiophantineReport:
 
 def sine_dist_check(x, k: int) -> bool:
     """Check |sin(kx)| >= 2 dist(kx/pi, Z) - 1e-12, over all given x."""
-    if k != int(k):
-        raise ValueError("k must be an integer")
+    k = number(k, "k", integer=True)
     arr = np.asarray(x, dtype=float)
     lhs = np.abs(np.sin(k * arr))
     rhs = 2.0 * np.abs(k * arr / math.pi - np.rint(k * arr / math.pi))

@@ -58,7 +58,7 @@ from .observation import (
     _gram_rows,
     assemble_gram,
 )
-from .spectrum import ModeSet, _lapack, _matmul, _symmetric_product, partial_gap_analysis
+from .spectrum import ModeSet, _lapack, _matmul, _symmetric_product, number, partial_gap_analysis
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
 
@@ -150,19 +150,20 @@ class ExponentialSum:
     indices: tuple = None
 
     def __post_init__(self) -> None:
-        w = tuple(float(x) for x in self.exponents)
+        w = tuple(float(number(x, "exponents")) for x in self.exponents)
         a = tuple(complex(x) for x in self.coefficients)
         if len(w) != len(a):
             raise ValueError("exponents and coefficients must have equal length")
-        if isinstance(self.n, bool) or self.n < 0 or self.n != int(self.n):
-            raise ValueError("n must be a nonnegative integer")
+        n = number(self.n, "n", integer=True)
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         if not w:
             raise ValueError("need at least one exponent")
         idx = self.indices
-        idx = tuple(range(1, len(w) + 1)) if idx is None else tuple(int(k) for k in idx)
-        gamma = self.gamma
+        idx = tuple(range(1, len(w) + 1)) if idx is None else tuple(number(k, "indices", integer=True) for k in idx)
+        gamma = self.gamma if self.gamma is None else number(self.gamma, "gamma")
         if gamma is None or len(w) >= 2:  # a single exponential satisfies the gap vacuously
-            actual = partial_gap_analysis(w, self.n, indices=idx)["gamma"]
+            actual = partial_gap_analysis(w, n, indices=None if self.indices is None else idx)["gamma"]
             gamma = actual if gamma is None else gamma
             if not actual >= gamma * (1 - 1e-12):
                 raise ValueError(
@@ -173,7 +174,7 @@ class ExponentialSum:
             raise ValueError("gamma must be positive")
         object.__setattr__(self, "exponents", w)
         object.__setattr__(self, "coefficients", a)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "gamma", float(gamma))
         object.__setattr__(self, "indices", idx)
 
@@ -589,7 +590,7 @@ def m_ab(a: float, b: float) -> dict:
     best value seen (clamped by the limit) is returned with attained_n =
     "limit".
     """
-    a, b = float(a), float(b)
+    a, b = float(number(a, "a")), float(number(b, "b"))
     if not (0 <= a < b <= _PI):
         raise ValueError("need 0 <= a < b <= pi")
     half = (b - a) / 2.0
@@ -631,7 +632,7 @@ def symmetry_constants(p: int, alpha: float) -> SymmetryConstants:
     checks that, so none of the p-1 values is zero and none is filtered out.
     An integral float p is taken as its integer.
     """
-    alpha = float(alpha)
+    alpha = float(number(alpha, "alpha"))
     if not 0 < alpha < _PI:
         raise ValueError("alpha must lie in (0, pi)")
     p = SymmetrySpec(p, "x1", alpha).p  # an integer >= 2, the minimal order of alpha
@@ -651,44 +652,44 @@ def predicted_constant(theorem: str, params: dict, paper_literal: bool = False) 
     paper_literal switches the two_strips constant to the uncorrected printed
     form whose middle sign disagrees with its own derivation.
     """
-    missing = [k for k in _theorem(theorem).constants + ("T",) if k not in params]
+    keys = _theorem(theorem).constants + ("T",)
+    missing = [k for k in keys if k not in params]
     if missing:
         raise ValueError(f"missing params for {theorem}: {missing}")
-    T = float(params["T"])
+    v = {k: float(number(params[k], k)) for k in keys}
+    T = v["T"]
     if not T > 0:
-        raise ValueError("T must be positive")
+        raise ValueError(f"T must be > 0, got {T}")
     pi2 = _PI**2
     pi3 = _PI**3
     out = {"theorem": theorem, "T": T}
 
     if theorem == "two_strips":
-        m = min(float(params["m_ab"]), float(params["m_cd"]))
+        m = min(v["m_ab"], v["m_cd"])
         thr2 = 32 * pi2 + 16 * pi3 / m
         sign = 1.0 if paper_literal else -1.0
         c = (2 * m / (pi2 * T)) * (T**2 - 32 * pi2 + sign * 16 * pi3 / m)
     elif theorem == "strip_plus_edge":
-        m = float(params["m_ab"])
+        m = v["m_ab"]
         thr2 = max(32 * pi2 + 32 * pi3, 32 * pi2 + 32 * pi2 / m)
         c = (1 / (pi2 * T)) * min(
             T**2 - 32 * pi2 - 32 * pi3, 2 * T**2 * m - 64 * pi2 * m - 64 * pi2
         )
     elif theorem == "line_plus_strip":
-        mp, Mp = float(params["m_p"]), float(params["M_p"])
-        mcd = float(params["m_cd"])
+        mp, Mp, mcd = v["m_p"], v["M_p"], v["m_cd"]
         thr2 = max(32 * pi2 + 16 * pi3 / mp, 32 * pi2 + 32 * pi2 * Mp / mcd)
         c = (2 / (pi2 * T)) * min(
             T**2 * mp - 32 * pi2 * mp - 16 * pi3,
             T**2 * mcd - 32 * pi2 * mcd - 32 * pi2 * Mp,
         )
     elif theorem == "line_plus_edge":
-        mp, Mp = float(params["m_p"]), float(params["M_p"])
+        mp, Mp = v["m_p"], v["M_p"]
         thr2 = 32 * pi2 * max(1 + 2 * Mp, 1 + 1 / mp)
         c = (1 / (pi2 * T)) * min(
             T**2 - 32 * pi2 - 64 * pi2 * Mp, 2 * T**2 * mp - 64 * pi2 * mp - 64 * pi2
         )
     else:  # two_lines
-        mp, Mp = float(params["m_p"]), float(params["M_p"])
-        mq, Mq = float(params["m_q"]), float(params["M_q"])
+        mp, Mp, mq, Mq = v["m_p"], v["M_p"], v["m_q"], v["M_q"]
         Mpq = max(mp + Mq, mq + Mp)
         thr2 = 32 * pi2 * Mpq
         c = (2 / (pi2 * T)) * (T**2 - 32 * pi2 * Mpq)
@@ -733,9 +734,7 @@ def theorem_symmetries(theorem: str, specs, params: dict, geometry) -> tuple:
     for order, axis in entry.symmetries:
         if order not in params:
             raise ValueError(f"{theorem} requires the symmetry order {order}")
-        value = params[order]
-        if value != int(value):
-            raise ValueError(f"{order} must be an integer, got {value}")
+        value = number(params[order], order, integer=True)
         (x,) = _factor(specs, axis, "point")
         ell = geometry.ell1 if axis == "x1" else geometry.ell2
         out.append(SymmetrySpec(value, axis, x * _PI / ell))
@@ -843,7 +842,7 @@ def scan_theorem(theorem: str, spec, mode_set: ModeSet, params: dict, T_values) 
     composition check, m_ab, m_o/M_o and the mode mask) is done once per
     scan, and only one T's pencil is held at a time.
     """
-    T_values = [float(T) for T in T_values]
+    T_values = [float(number(T, "T_values")) for T in T_values]
     if not T_values:
         raise ValueError("need at least one T")
     return [row for row, _ in _scan(theorem, _as_spec_tuple(spec), mode_set, params, T_values, False)]
@@ -991,9 +990,9 @@ def mehrenberger_check(es: ExponentialSum, T: float) -> dict:
     lower bound from the gap data (n, gamma). Requires a finite T > 2 pi / gamma
     small enough that both sides stay finite.
     """
-    T = float(T)
-    if not (math.isfinite(T) and T > 2 * _PI / es.gamma):
-        raise ValueError("need a finite T > 2*pi/gamma")
+    T = float(number(T, "T"))
+    if not T > 2 * _PI / es.gamma:
+        raise ValueError(f"need T > 2*pi/gamma, got T={T}")
     w = np.array(es.exponents)
     a = np.array(es.coefficients)
     lhs = _exponential_form(a, [(w, 0.0, T)])
@@ -1011,11 +1010,11 @@ def corollary33_check(k2: int, a, b, T: float) -> dict:
     universal horizon T > 4*sqrt(2)*pi coming from the gap 1/(2*sqrt(2)), and
     a finite T small enough that both sides stay finite.
     """
-    T = float(T)
-    if k2 != int(k2) or k2 < 1:
-        raise ValueError("k2 must be a positive integer")
-    if not (math.isfinite(T) and T > 4 * math.sqrt(2) * _PI):
-        raise ValueError("need a finite T > 4*sqrt(2)*pi")
+    k2, T = number(k2, "k2", integer=True), float(number(T, "T"))
+    if k2 < 1:
+        raise ValueError(f"k2 must be >= 1, got {k2}")
+    if not T > 4 * math.sqrt(2) * _PI:
+        raise ValueError(f"need T > 4*sqrt(2)*pi, got T={T}")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
@@ -1034,8 +1033,10 @@ def corollary33_check(k2: int, a, b, T: float) -> dict:
 
 def sin_sum_lower_bound_check(k1: int, alphas, ell1: float, M: int, gamma_hat: float) -> bool:
     """Check sum_j sin^2(k1 alpha_j pi / ell1) >= 4 gamma_hat^2 k1^(-2/M)."""
+    k1, M = number(k1, "k1", integer=True), number(M, "M", integer=True)
+    ell1, gamma_hat = number(ell1, "ell1"), number(gamma_hat, "gamma_hat")
     if k1 < 1:
-        raise ValueError("k1 must be a positive integer")
+        raise ValueError(f"k1 must be >= 1, got {k1}")
     alphas = np.asarray(alphas, dtype=float)
     lhs = float(np.sum(np.sin(k1 * alphas * _PI / float(ell1)) ** 2))
     rhs = 4.0 * float(gamma_hat) ** 2 * float(k1) ** (-2.0 / M)

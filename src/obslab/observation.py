@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, _symmetric_product, _weighted_gram, build_mode_set
+from .spectrum import ModeSet, RectangleGeometry, _symmetric_product, _weighted_gram, build_mode_set, number
 
 # Factors of the separable pieces. Each is a tuple (kind, *positions on its axis):
 # the full axis, an interval, a point, the normal derivative at the x = 0 edge,
@@ -69,32 +68,40 @@ _INGHAM_BLOCK = 128
 class _Region:
     """Base of the regions. pieces(T) returns (time window, ((sign, x1, x2), ...)).
 
-    A region is checked through its pieces: every position must be finite,
-    and the time window and every interval and exp profile nondegenerate.
+    Every number of every field (each position of a tuple of segments too)
+    must be finite and real, named as kind.field; then the region is checked
+    through its pieces: the time window and every interval and exp profile
+    must be nondegenerate.
     """
 
     def __post_init__(self) -> None:
+        kind = type(self).__name__
+        for f in fields(self):
+            for x in _entries(getattr(self, f.name)):
+                number(x, f"{kind}.{f.name}")
         window, terms = self.pieces(1.0)
         factors = [("interval", *window)] + [f for _, *pair in terms for f in pair]
-        kind = type(self).__name__
-        if not all(math.isfinite(x) for _, *xs in factors for x in xs):
-            raise ValueError(f"{kind} parameters must be finite")
         if not all(xs[0] < xs[1] for k, *xs in factors if k in ("interval", "exp")):
             raise ValueError(f"{kind} intervals must be nondegenerate")
 
 
+def _entries(value) -> list:
+    """The numbers of a region field: the value itself, or those of each entry of a tuple or list."""
+    return [x for v in value for x in _entries(v)] if isinstance(value, (tuple, list)) else [value]
+
+
 @dataclass(frozen=True)
 class VerticalSegments(_Region):
-    """Segments {alpha_j} x I_j: displacement traces on interior vertical cuts."""
+    """Segments {alpha_j} x I_j: displacement traces on interior vertical cuts; positions held as floats."""
 
     segments: tuple  # of (alpha, (lo, hi))
 
     def __post_init__(self) -> None:
-        segs = tuple((float(a), (float(lo), float(hi))) for a, (lo, hi) in self.segments)
-        if not segs:
+        if not self.segments:
             raise ValueError("need at least one segment")
-        object.__setattr__(self, "segments", segs)
         super().__post_init__()
+        segs = tuple((float(a), (float(lo), float(hi))) for a, (lo, hi) in self.segments)
+        object.__setattr__(self, "segments", segs)
 
     def pieces(self, T):
         return (0.0, T), tuple((1.0, ("point", a), ("interval", *iv)) for a, iv in self.segments)
@@ -237,10 +244,8 @@ class ObservationSpec:
             raise ValueError(f"field must be one of {FIELDS}")
         if self.model not in ("plate", "wave"):
             raise ValueError("model must be 'plate' or 'wave'")
-        # a JSON true is a numbers.Real too, and would read as the horizon 1
-        real = isinstance(self.T, numbers.Real) and not isinstance(self.T, bool)
-        if not (real and self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"time horizon must be positive and finite, got T={self.T!r}")
+        if not number(self.T, "T") > 0:
+            raise ValueError(f"T must be > 0, got {self.T!r}")
         kinds, model = _PAIRINGS[self.field]
         if not (isinstance(self.region, kinds) and self.model == model):
             raise ValueError(
@@ -322,8 +327,9 @@ def time_kernel(w1: float, w2: float, T: float) -> complex:
     Written about the window centre T/2 as e^{i delta T/2} times the real
     modulus _window_sinc, so the value at w2, w1 is the exact conjugate.
     """
-    if not (T > 0 and math.isfinite(T)):
-        raise ValueError("T must be positive and finite")
+    w1, w2, T = number(w1, "w1"), number(w2, "w2"), number(T, "T")
+    if not T > 0:
+        raise ValueError(f"T must be > 0, got {T!r}")
     delta = np.float64(w1) - np.float64(w2)
     mag, angle = _window_sinc(delta, 0.0, T), delta * (T / 2.0)
     return complex(mag * np.cos(angle), mag * np.sin(angle))
@@ -336,9 +342,9 @@ def sine_overlap(k: int, kp: int, interval, scale: float) -> float:
     reduces to orthogonality, (pi/(2 scale)) when k = kp and 0 otherwise.
     It is one entry of the closed Gram's matrix form _sine_overlap_matrix.
     """
-    if k < 1 or kp < 1:
+    if number(k, "k", integer=True) < 1 or number(kp, "kp", integer=True) < 1:
         raise ValueError("mode indices must be >= 1")
-    return float(_sine_overlap_matrix(np.array([k, kp]), interval, scale)[0, 1])
+    return float(_sine_overlap_matrix(np.array([k, kp]), interval, number(scale, "scale"))[0, 1])
 
 
 def _sine_overlap_matrix(ks: np.ndarray, interval, scale: float) -> np.ndarray:
@@ -644,8 +650,9 @@ def quadrature_oracle(state, spec: ObservationSpec, resolution: int):
     same spec, so blocks of states share it.
     """
     spec.validate_geometry(state.mode_set.geometry)
+    resolution = number(resolution, "resolution", integer=True)
     if resolution < 64:
-        raise ValueError("resolution must be >= 64")
+        raise ValueError(f"resolution must be >= 64, got {resolution}")
     return _sampled_blocks(spec, state.mode_set, resolution + resolution % 2).quadratic_form(state)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,26 @@ from numpy.linalg import LinAlgError
 _GAP_BLOCK = 256
 # index magnitudes below this keep every index difference inside int64
 _MAX_INDEX = 1 << 62
+
+
+def number(value, name: str, *, integer: bool = False):
+    """value if it is a finite real number (with integer, an integral one), else a ValueError naming name.
+
+    The one check of every number that enters the package, from a caller or a
+    JSON config. A bool (numpy's too), a non-real value (str, None, complex,
+    an array) and a non-finite one, an int beyond the float range included,
+    are rejected: a JSON true is never read as 1. With integer a fraction is
+    rejected, never truncated, and an integral value such as 4.0 is returned
+    as the int 4; without it the value is returned unchanged. Ranges (T > 0,
+    K >= 1) are checked by the caller.
+    """
+    try:  # float and int first: they skip the slower check of the numbers.Real ABC
+        ok = isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not (ok and (not integer or value == int(value))):
+        raise ValueError(f"{name} must be a finite {'integer' if integer else 'real number'}, got {value!r}")
+    return int(value) if integer else value
 
 
 @dataclass(frozen=True)
@@ -37,18 +58,14 @@ class RectangleGeometry:
     ell2: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.ell1 < math.inf and 0 < self.ell2 < math.inf):
-            raise ValueError(
-                f"side lengths must be positive and finite, got ({self.ell1}, {self.ell2})"
-            )
         for name in ("ell1", "ell2"):
-            ell = getattr(self, name)
+            ell = number(getattr(self, name), name)
             try:
                 unit = _wavenumber_sq(ell)
             except ArithmeticError:  # ell^2 overflows, or underflows to 0
                 unit = math.inf
-            if not 0 < unit < math.inf:
-                raise ValueError(f"side {name}={ell} is out of range: pi^2/{name}^2 is not finite")
+            if not (ell > 0 and 0 < unit < math.inf):
+                raise ValueError(f"side {name}={ell!r} is out of range: it must be > 0 with pi^2/{name}^2 finite")
 
     @property
     def u(self) -> float:
@@ -183,10 +200,9 @@ class ModeSet:
     lam: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        K1, K2 = self.K1, self.K2
-        if any(isinstance(k, bool) or k != int(k) or k < 1 for k in (K1, K2)):  # a JSON true is no bound
-            raise ValueError(f"truncation bounds must be integers >= 1, got K1={K1}, K2={K2}")
-        K1, K2 = int(K1), int(K2)
+        K1, K2 = number(self.K1, "K1", integer=True), number(self.K2, "K2", integer=True)
+        if not (K1 >= 1 and K2 >= 1):
+            raise ValueError(f"truncation bounds must be >= 1, got K1={K1}, K2={K2}")
         k1 = np.tile(np.arange(1, K1 + 1), K2)
         k2 = np.repeat(np.arange(1, K2 + 1), K1)
         g = self.geometry
@@ -218,6 +234,7 @@ def check_gap_lemma(k1: int, k1p: int, k2: int) -> dict:
     The bound requires max(k1, k1p) >= k2 and two distinct positive first
     indices; anything else is a misuse, not a counterexample.
     """
+    k1, k1p, k2 = (number(k, name, integer=True) for k, name in ((k1, "k1"), (k1p, "k1p"), (k2, "k2")))
     if k1 < 1 or k1p < 1 or k2 < 1:
         raise ValueError("indices must be positive integers")
     if k1 == k1p:
@@ -242,21 +259,19 @@ def partial_gap_analysis(frequencies, n: int, indices=None) -> dict:
     Frequencies must be finite, and an admissible pair of equal indices is an
     error.
     """
-    w = np.array([float(x) for x in frequencies])
+    w = np.array([float(number(x, "frequencies")) for x in frequencies])
     if w.size < 2:
         raise ValueError("need at least two frequencies")
-    if not np.isfinite(w).all():
-        raise ValueError("frequencies must be finite")
     if indices is None:
         idx = np.arange(1, w.size + 1)
     else:
-        idx = [int(i) for i in indices]
+        idx = [number(i, "indices", integer=True) for i in indices]
         if len(idx) != w.size:
             raise ValueError("indices and frequencies must have equal length")
         if any(abs(i) >= _MAX_INDEX for i in idx):
             raise ValueError("indices must lie below 2^62 in magnitude")
         idx = np.array(idx, dtype=np.int64)
-    high = np.abs(idx) >= n
+    high = np.abs(idx) >= number(n, "n")
     gamma = math.inf
     for a0 in range(0, w.size - 1, _GAP_BLOCK):
         a = np.arange(a0, min(a0 + _GAP_BLOCK, w.size - 1))[:, None]

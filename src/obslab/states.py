@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, _matmul, build_mode_set
+from .spectrum import ModeSet, RectangleGeometry, _matmul, build_mode_set, number
 
 _MODELS = ("plate", "wave")
 _DRAW_ROWS = 16  # rows random_states draws into its scratch at a time
@@ -82,14 +82,13 @@ class EnergyWeight:
            (l1 l2 / 2) lambda_k, which integrates |grad u0|^2 + |u1|^2 exactly.
     """
 
-    s: float
+    s: float  # held as a float, so a report gives an integer s as 1.0
     model: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "s", float(number(self.s, "s")))
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}")
-        if not math.isfinite(self.s):
-            raise ValueError("exponent must be finite")
 
     def diagonal(self, mode_set: ModeSet) -> np.ndarray:
         """Per-mode weights (not doubled); both families share the same weight."""
@@ -98,13 +97,6 @@ class EnergyWeight:
             return lam**self.s
         g = mode_set.geometry
         return 0.5 * g.ell1 * g.ell2 * lam
-
-
-def _order(p) -> int:
-    """A symmetry order as an int: an integral float is taken, a fractional p rejected, never truncated."""
-    if isinstance(p, bool) or p != int(p):
-        raise ValueError(f"p must be an integer, got {p}")
-    return int(p)
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,8 @@ class SymmetrySpec:
     alpha: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _order(self.p))
+        object.__setattr__(self, "p", number(self.p, "p", integer=True))
+        number(self.alpha, "alpha")
         if self.p < 2:
             raise ValueError("p must be >= 2")
         if self.axis not in ("x1", "x2"):
@@ -170,7 +163,7 @@ def symmetry_residual(f_samples, p: int) -> float:
     """
     f = np.asarray(f_samples)
     n = f.shape[0]
-    p = _order(p)
+    p = number(p, "p", integer=True)
     if p < 1:
         raise ValueError("p must be a positive integer")
     if n == 0 or n % (2 * p) != 0:
@@ -192,6 +185,7 @@ def axis_trace(state: SpectralState, axis: str, transverse: float, n_samples: in
     Returns u0 on the grid i*ell_axis/n_samples, i = 0..n_samples-1, the grid
     convention symmetry_residual expects (for the pi-length axes of the square).
     """
+    transverse, n_samples = number(transverse, "transverse"), number(n_samples, "n_samples", integer=True)
     ms = _single(state).mode_set
     g = ms.geometry
     c = state.a + state.b
@@ -225,9 +219,9 @@ def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState
     1.13 times the output for N >= 256. A decay whose scale underflows to
     zero on every mode is rejected, since its states would all be zero.
     """
-    decay = float(decay)
-    if not math.isfinite(decay) or decay < 0:
-        raise ValueError(f"decay must be finite and >= 0, got {decay}")
+    decay = float(number(decay, "decay"))
+    if decay < 0:
+        raise ValueError(f"decay must be >= 0, got {decay}")
     n = len(mode_set)
     scale = mode_set.lam ** (-decay) if decay != 0 else np.ones(n)
     if not np.any(scale):

@@ -410,7 +410,7 @@ def test_constants_without_a_horizon_exit_2_naming_it(tmp_path, capsys):
     }
     code, text = run(tmp_path, "constants", config)
     assert (code, text) == (2, "")
-    assert "time horizon must be positive and finite" in capsys.readouterr().err
+    assert "T must be a finite real number, got None" in capsys.readouterr().err
 
 
 def test_constants_of_mixed_models_exit_2(tmp_path, capsys):
@@ -534,11 +534,17 @@ DIOPHANTINE = {"M": 2, "K_max": 100, "ell1": PI}
         ("diophantine", {**DIOPHANTINE, "ell1": math.inf}),
         ("symmetry", {"p": 2.5, "alpha": PI / 2}),
         ("ingham", {**INGHAM, "n": 0.7}),
+        ("ingham", {**INGHAM, "indices": [1, 2.5, 3, 4, 5]}),
+        ("constants", {**CONSTANTS, "geometry": [PI, PI, 99]}),
+        ("constants", {**CONSTANTS, "geometry": {"ell1": PI, "ell2": PI, "ell3": 99}}),
     ],
-    ids=["M=2.9", "K_max=1.5", "M=inf", "K_max=inf", "ell1=inf", "p=2.5", "n=0.7"],
+    ids=[
+        "M=2.9", "K_max=1.5", "M=inf", "K_max=inf", "ell1=inf", "p=2.5", "n=0.7",
+        "indices", "three sides", "extra side key",
+    ],
 )
 def test_fractional_or_infinite_field_exits_2(tmp_path, command, config):
-    # truncating these would run, and report on, a different problem
+    # truncating these, or dropping a third side, would run, and report on, a different problem
     code, text = run(tmp_path, command, config)
     assert code == 2
     assert text == ""
@@ -558,30 +564,6 @@ def test_integral_float_field_runs_the_same_problem(tmp_path, command, config, f
     code_f, text_f = run(tmp_path, command, {**config, field: float(config[field])})
     assert code == code_f == 0
     assert _result_bytes(text_f) == _result_bytes(text)
-
-
-@pytest.mark.parametrize(
-    "command,config,named",
-    [
-        ("constants", {**CONSTANTS, "T": True}, "T=True"),
-        ("constants", {**CONSTANTS, "truncation": [True, 4]}, "K1=True"),
-        ("constants", {**CONSTANTS, "weight": {"s": True}}, "weight.s must"),
-        ("diophantine", {**DIOPHANTINE, "M": True}, "M must"),
-        ("diophantine", {**DIOPHANTINE, "K_max": True}, "K_max must"),
-        ("mab", {"a": True, "b": 2.0}, "a must"),
-        ("symmetry", {"p": True, "alpha": PI / 3}, "p must"),
-        ("ingham", {**INGHAM, "n": True}, "n must"),
-        ("ingham", {**INGHAM, "T": True}, "T must"),
-        ("verify", {**TWO_LINES, "samples": True}, "samples must"),
-    ],
-    ids=["constants.T", "truncation", "weight.s", "M", "K_max", "mab.a", "p", "n", "ingham.T", "samples"],
-)
-def test_a_json_boolean_in_a_numeric_field_exits_2_naming_it(tmp_path, capsys, command, config, named):
-    # a JSON true is a Python bool, so an int and a numbers.Real: read as 1, it ran another problem
-    code, text = run(tmp_path, command, config)
-    assert (code, text) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and named in err
 
 
 def _result_bytes(text):
@@ -631,6 +613,60 @@ SCAN = {
     "T_stop": 50.0,
     "T_count": 2,
 }
+
+
+def _constants_on(region: dict) -> dict:
+    field = "displacement" if region["kind"] in ("VerticalSegments", "OpenRect") else "velocity"
+    model = "plate" if field == "displacement" else "wave"
+    return {**CONSTANTS, "model": model, "spec": {"region": region, "field": field}}
+
+
+@pytest.mark.parametrize(
+    "command,config,field,kind",
+    [
+        ("constants", {**CONSTANTS, "T": True}, "T", "real number"),
+        ("constants", {**CONSTANTS, "truncation": [True, 4]}, "K1", "integer"),
+        ("constants", {**CONSTANTS, "weight": {"s": True}}, "s", "real number"),
+        ("constants", {**CONSTANTS, "geometry": [True, PI]}, "ell1", "real number"),
+        ("constants", _constants_on({"kind": "VerticalStrip", "a": True, "b": 2.0}), "VerticalStrip.a", "real number"),
+        ("constants", _constants_on({"kind": "VerticalLine", "alpha": True}), "VerticalLine.alpha", "real number"),
+        (
+            "constants",
+            _constants_on({"kind": "VerticalSegments", "segments": [[1.1, [True, 2.3]]]}),
+            "VerticalSegments.segments",
+            "real number",
+        ),
+        (
+            "constants",
+            _constants_on({"kind": "OpenRect", "t0": True, "t1": 2.0, "x0": 0.5, "x1": 1.5}),
+            "OpenRect.t0",
+            "real number",
+        ),
+        ("diophantine", {**DIOPHANTINE, "M": True}, "M", "integer"),
+        ("diophantine", {**DIOPHANTINE, "K_max": True}, "K_max", "integer"),
+        ("mab", {"a": True, "b": 2.0}, "a", "real number"),
+        ("symmetry", {"p": True, "alpha": PI / 3}, "p", "integer"),
+        ("ingham", {**INGHAM, "n": True}, "n", "integer"),
+        ("ingham", {**INGHAM, "T": True}, "T", "real number"),
+        ("ingham", {**INGHAM, "indices": [True, 2, 3, 4, 5]}, "indices", "integer"),
+        ("verify", {**TWO_LINES, "samples": True}, "samples", "integer"),
+        ("verify", {**TWO_LINES, "decay": True}, "decay", "real number"),
+        ("verify", {**TWO_LINES, "seed": True}, "seed", "integer"),
+        ("verify", {**CROSS, "params": {"m_ab": True}}, "m_ab", "real number"),
+        ("oracle-check", {**ORACLE, "tolerance": True}, "tolerance", "real number"),
+        ("scan-t", {**SCAN, "T_count": True}, "T_count", "integer"),
+    ],
+    ids=[
+        "constants.T", "truncation", "weight.s", "geometry", "VerticalStrip.a", "VerticalLine.alpha",
+        "VerticalSegments", "OpenRect.t0", "M", "K_max", "mab.a", "p", "n", "ingham.T", "indices",
+        "samples", "decay", "seed", "params.m_ab", "tolerance", "T_count",
+    ],
+)
+def test_a_json_boolean_in_a_numeric_field_exits_2_naming_it(tmp_path, capsys, command, config, field, kind):
+    # a JSON true is a Python bool, so an int and a numbers.Real: read as 1, it ran another problem
+    code, text = run(tmp_path, command, config)
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == f"config error: {field} must be a finite {kind}, got True\n"
 
 
 @pytest.mark.parametrize(
@@ -715,7 +751,8 @@ def test_oracle_check_rejects_an_unusable_tolerance(tmp_path, capsys, tolerance)
     # json.dumps writes NaN and Infinity, which json.load reads back
     code, text = run(tmp_path, "oracle-check", {**ORACLE, "tolerance": tolerance})
     assert (code, text) == (2, "")
-    assert capsys.readouterr().err.startswith("config error: tolerance must be finite and > 0")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tolerance must be ") and repr(tolerance) in err
 
 
 def test_oracle_check_fails_on_non_finite_values(tmp_path, monkeypatch):

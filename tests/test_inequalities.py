@@ -92,7 +92,7 @@ def test_symmetry_constants_validation():
 def test_symmetry_constants_take_an_integral_float_order():
     sc = symmetry_constants(3.0, PI / 3)
     assert sc == symmetry_constants(3, PI / 3) and type(sc.p) is int
-    with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
+    with pytest.raises(ValueError, match="^p must be a finite integer, got 2.5$"):
         symmetry_constants(2.5, PI / 3)
 
 
@@ -1212,7 +1212,7 @@ def test_theorem_symmetries(square):
         theorem_symmetries("two_lines", cross, params, square)
     with pytest.raises(ValueError, match="requires the symmetry order q"):
         theorem_symmetries("two_lines", [vline, hline], {"p": 3}, square)
-    with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
+    with pytest.raises(ValueError, match="^p must be a finite integer, got 2.5$"):
         theorem_symmetries("line_plus_edge", [vline, edge], {"p": 2.5}, square)
     with pytest.raises(ValueError, match="not an integer"):  # 2 is not an order of pi/3
         theorem_symmetries("line_plus_edge", [vline, edge], {"p": 2}, square)

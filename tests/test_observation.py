@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_a_missing_or_non_real_horizon_is_named(T):
         del d["T"]
     else:
         d["T"] = T
-    with pytest.raises(ValueError, match="time horizon must be positive and finite"):
+    with pytest.raises(ValueError, match=f"^T must be a finite real number, got {re.escape(repr(T))}$"):
         ObservationSpec.from_dict(d)
 
 
@@ -207,7 +208,7 @@ def test_region_construction_rejects_degenerate():
 
 
 def test_region_construction_rejects_non_finite():
-    # a nan end is reported as not finite, before the order of the ends is read
+    # a nan end is reported as not finite, named by its field, before the order of the ends is read
     cases = [
         (VerticalLine, (math.inf,)),
         (HorizontalLine, (math.nan,)),
@@ -218,7 +219,7 @@ def test_region_construction_rejects_non_finite():
         (VerticalSegments, (((math.nan, (0.5, 1.0)),),)),
     ]
     for kind, args in cases:
-        with pytest.raises(ValueError, match=f"^{kind.__name__} parameters must be finite$"):
+        with pytest.raises(ValueError, match=f"^{kind.__name__}\\.\\w+ must be a finite real number, got (inf|nan)$"):
             kind(*args)
 
 
