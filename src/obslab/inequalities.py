@@ -58,7 +58,7 @@ from .observation import (
     _gram_rows,
     assemble_gram,
 )
-from .spectrum import ModeSet, _lapack, _matmul, _symmetric_product, number, partial_gap_analysis
+from .spectrum import ModeSet, _lapack, _partial_gap, _symmetric_product, number, number_array
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
 
@@ -163,7 +163,7 @@ class ExponentialSum:
         idx = tuple(range(1, len(w) + 1)) if idx is None else tuple(number(k, "indices", integer=True) for k in idx)
         gamma = self.gamma if self.gamma is None else number(self.gamma, "gamma")
         if gamma is None or len(w) >= 2:  # a single exponential satisfies the gap vacuously
-            actual = partial_gap_analysis(w, n, indices=None if self.indices is None else idx)["gamma"]
+            actual = _partial_gap(np.array(w), n, None if self.indices is None else idx)
             gamma = actual if gamma is None else gamma
             if not actual >= gamma * (1 - 1e-12):
                 raise ValueError(
@@ -903,8 +903,11 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     through _CHUNK at a time (Pencil.quadratic_forms), however they were
     split into blocks. Each row is scaled by a power of two before its energy
     and forms are taken: exact, so its ratio keeps its bits, and a row decayed
-    toward the subnormals keeps the digits of its energy. Below the threshold
-    it raises ThresholdError before any Gram is assembled.
+    toward the subnormals keeps the digits of its energy. A row's energy is
+    sum_k d_k (|a_k|^2 + |b_k|^2) by energy_seminorm_sq's rule, a numpy
+    product and sum, so it has the bits of energy_seminorm_sq of the scaled
+    row. Below the threshold it raises ThresholdError before any Gram is
+    assembled.
 
     Beside the pencil, the sweep holds one buffer of at most _CHUNK rows
     (_row_chunks), in which each chunk is scaled, and either the block being
@@ -946,7 +949,9 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
             scale = np.maximum(mag.max(axis=1), 1e-300)
             stray += int(np.sum(mag[:, excluded].max(axis=1) > 1e-12 * scale))
         np.square(mag, out=mag)
-        energies = _matmul(mag[:, :n] + mag[:, n:], pen.d)
+        energies = mag[:, :n] + mag[:, n:]
+        energies *= pen.d  # formed in place, then summed as energy_seminorm_sq sums it
+        energies = np.sum(energies, axis=-1)
         del mag  # not held while the forms take their two arrays
         zero += int(np.sum(energies <= 0))
         positive = np.where(energies > 0, energies, math.inf)
@@ -1015,8 +1020,7 @@ def corollary33_check(k2: int, a, b, T: float) -> dict:
         raise ValueError(f"k2 must be >= 1, got {k2}")
     if not T > 4 * math.sqrt(2) * _PI:
         raise ValueError(f"need T > 4*sqrt(2)*pi, got T={T}")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = number_array(a, "a", complex), number_array(b, "b", complex)
     if a.shape != b.shape or a.ndim != 1 or a.size == 0:
         raise ValueError("a and b must be equal-length nonempty vectors")
     k1 = np.arange(1, a.size + 1)

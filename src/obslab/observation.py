@@ -47,7 +47,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, _symmetric_product, _weighted_gram, build_mode_set, number
+from .spectrum import ModeSet, RectangleGeometry, _symmetric_product, _weighted_gram, build_mode_set
+from .spectrum import number, number_array
 
 # Factors of the separable pieces. Each is a tuple (kind, *positions on its axis):
 # the full axis, an interval, a point, the normal derivative at the x = 0 edge,
@@ -668,7 +669,7 @@ def thm21_fourfamily_form(coeffs, omega: OpenRect, geometry: RectangleGeometry) 
     (z k2 x2, lambda_k t). It is the real blocked form _exponential_form on
     the time and x2 axes of omega, about its centre.
     """
-    fams = [np.ascontiguousarray(f, dtype=complex) for f in coeffs]
+    fams = [number_array(f, "coeffs", complex) for f in coeffs]
     if len(fams) != 4 or any(f.shape != fams[0].shape or f.ndim != 2 for f in fams):
         raise ValueError("coeffs must be four equal-shape (K2, K1) arrays")
     K2, K1 = fams[0].shape

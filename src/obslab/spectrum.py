@@ -5,9 +5,13 @@ sin(k1 pi x1 / l1) sin(k2 pi x2 / l2) with eigenvalue
 lambda_k = u k1^2 + v k2^2, u = pi^2/l1^2, v = pi^2/l2^2. The membrane
 oscillates at sqrt(lambda_k), the hinged plate at lambda_k itself.
 
-Every dense product and LAPACK call of the package goes through the helpers
-here (_matmul, _symmetric_product, _weighted_gram, _lapack), the one place
-that knows scipy; they import scipy.linalg on their first call, not before.
+Every BLAS and LAPACK call of the package goes through the three helpers
+here, _symmetric_product, _weighted_gram and _lapack, the one place that knows
+scipy; they import scipy.linalg on their first call, not before. numpy and
+scipy each bundle an OpenBLAS with its own thread pool, and no module calls a
+numpy routine that reaches numpy's (@, dot, numpy.linalg, ...), so scipy's
+pool serves every call; a sum that needs no BLAS, such as a swept row's
+energy, is a numpy elementwise product and reduction.
 """
 
 from __future__ import annotations
@@ -44,6 +48,21 @@ def number(value, name: str, *, integer: bool = False):
     if not (ok and (not integer or value == int(value))):
         raise ValueError(f"{name} must be a finite {'integer' if integer else 'real number'}, got {value!r}")
     return int(value) if integer else value
+
+
+def number_array(values, name: str, dtype) -> np.ndarray:
+    """values as a numpy array of dtype, float or complex, each entry checked by number.
+
+    A complex entry, admitted only with dtype complex, is checked by its two
+    parts. So an entry that np.asarray would read as a number, a JSON true as
+    1, a string "1" as 1.0, is rejected as number rejects it, naming name.
+    """
+    entries = np.asarray(values, dtype=object)
+    for x in entries.flat:
+        complex_entry = dtype is complex and isinstance(x, (complex, np.complexfloating))
+        for part in (x.real, x.imag) if complex_entry else (x,):
+            number(part, name)
+    return entries.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -109,44 +128,6 @@ def _lapack(name: str, *args, **kwargs):
     if info != 0:
         raise LinAlgError(f"LAPACK {name} failed with info={info}")
     return out
-
-
-def _matmul(a, b) -> np.ndarray:
-    """a @ b for real or complex a and b, each of rank 1 or 2, through scipy's BLAS.
-
-    numpy and scipy each bundle an OpenBLAS with its own thread pool, and the
-    pencil's LAPACK runs in scipy's; every dense product of the package comes
-    here, to _symmetric_product or to _weighted_gram, so one pool serves all of it and no idle pool
-    spins on the cores the other needs. The exponential-sum form of observation makes no product
-    and uses no pool. The call is the one numpy makes for a @ b: dot for a 1 x 1
-    result, gemv when a has one row or b one column, else gemm, on the
-    F-ordered transposes of the C-ordered operands (a @ b is gemm(1, b.T, a.T).T).
-    Each operand is taken through np.ascontiguousarray, which copies only one
-    that is not C-contiguous or not of the product's type; so C-ordered operands
-    give numpy's bits without a copy. A 2-D result is C-contiguous.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim not in (1, 2) or b.ndim not in (1, 2):
-        raise ValueError(f"operands of rank {a.ndim} and {b.ndim}: each must have rank 1 or 2")
-    kind = "z" if np.iscomplexobj(a) or np.iscomplexobj(b) else "d"
-    dtype = complex if kind == "z" else float
-    a2 = np.ascontiguousarray(a, dtype).reshape(a.shape if a.ndim == 2 else (1, -1))
-    b2 = np.ascontiguousarray(b, dtype).reshape(b.shape if b.ndim == 2 else (-1, 1))
-    (m, k), n = a2.shape, b2.shape[1]
-    if b2.shape[0] != k:
-        raise ValueError(f"operands of shape {a.shape} and {b.shape} do not chain")
-    blas = _scipy_linalg().blas
-    if not (m and n and k):
-        out = np.zeros((m, n), dtype)
-    elif m == 1 and n == 1:
-        out = (blas.zdotu if kind == "z" else blas.ddot)(a2[0], b2[:, 0])
-    elif n == 1:
-        out = getattr(blas, kind + "gemv")(1.0, a2.T, b2[:, 0], trans=1)
-    elif m == 1:
-        out = getattr(blas, kind + "gemv")(1.0, b2.T, a2[0])
-    else:
-        out = getattr(blas, kind + "gemm")(1.0, b2.T, a2.T).T
-    return np.reshape(out, a.shape[:-1] + b.shape[1:])
 
 
 def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False, out=None) -> np.ndarray:
@@ -260,18 +241,25 @@ def partial_gap_analysis(frequencies, n: int, indices=None) -> dict:
     error.
     """
     w = np.array([float(number(x, "frequencies")) for x in frequencies])
+    if indices is not None:
+        indices = [number(i, "indices", integer=True) for i in indices]
+    gamma = _partial_gap(w, number(n, "n"), indices)
+    return {"gamma": gamma, "satisfied": gamma > 0}
+
+
+def _partial_gap(w: np.ndarray, n, indices) -> float:
+    """partial_gap_analysis' gamma on checked input: a float array w, a real n, int indices or None."""
     if w.size < 2:
         raise ValueError("need at least two frequencies")
     if indices is None:
         idx = np.arange(1, w.size + 1)
     else:
-        idx = [number(i, "indices", integer=True) for i in indices]
-        if len(idx) != w.size:
+        if len(indices) != w.size:
             raise ValueError("indices and frequencies must have equal length")
-        if any(abs(i) >= _MAX_INDEX for i in idx):
+        if any(abs(i) >= _MAX_INDEX for i in indices):
             raise ValueError("indices must lie below 2^62 in magnitude")
-        idx = np.array(idx, dtype=np.int64)
-    high = np.abs(idx) >= number(n, "n")
+        idx = np.array(indices, dtype=np.int64)
+    high = np.abs(idx) >= n
     gamma = math.inf
     for a0 in range(0, w.size - 1, _GAP_BLOCK):
         a = np.arange(a0, min(a0 + _GAP_BLOCK, w.size - 1))[:, None]
@@ -283,4 +271,4 @@ def partial_gap_analysis(frequencies, n: int, indices=None) -> dict:
         if step.size:
             ratio = np.abs(w[b] - w[a])[keep] / step
             gamma = min(gamma, float(ratio.min()))
-    return {"gamma": gamma, "satisfied": gamma > 0}
+    return gamma

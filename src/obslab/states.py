@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, _matmul, build_mode_set, number
+from .spectrum import ModeSet, RectangleGeometry, build_mode_set, number, number_array
 
 _MODELS = ("plate", "wave")
 _DRAW_ROWS = 16  # rows random_states draws into its scratch at a time
@@ -198,9 +198,9 @@ def axis_trace(state: SpectralState, axis: str, transverse: float, n_samples: in
     else:
         raise ValueError("axis must be 'x1' or 'x2'")
     point = np.sin(across * (math.pi * transverse / ell_c))
-    # (n_samples, n_modes) sine table contracted against weighted coefficients
+    # (n_samples, n_modes) sine table summed against the weighted coefficients
     table = np.sin(np.outer(x, along * (math.pi / ell_a)))
-    return _matmul(table, c * point)
+    return np.sum(table * (c * point), axis=-1)
 
 
 def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState:
@@ -276,19 +276,19 @@ def state_to_json(state: SpectralState) -> str:
 def state_from_json(text: str) -> SpectralState:
     """The one state of a state_to_json document.
 
-    A mode without a row stays zero. A fractional (k1, k2), or a mode that
-    two rows give, raises ValueError; a mode outside the truncation KeyError.
+    A mode without a row stays zero. Each entry is checked by number: a
+    k1 or k2 that is not an integer, a coefficient part that is not a finite
+    real (a JSON true included), or a mode that two rows give, raises
+    ValueError; a mode outside the truncation KeyError.
     """
     doc = json.loads(text)
     geom = RectangleGeometry(doc["geometry"]["ell1"], doc["geometry"]["ell2"])
     ms = build_mode_set(geom, doc["K1"], doc["K2"])
     # one row per mode: k1, k2, Re a, Im a, Re b, Im b
-    rows = np.array(doc["coefficients"], dtype=float).reshape(len(doc["coefficients"]), 6)
-    if np.any(rows[:, :2] != np.trunc(rows[:, :2])):
-        raise ValueError("mode indices (k1, k2) must be integers")
-    index = [ms.index_of(int(k1), int(k2)) for k1, k2 in rows[:, :2]]
+    rows = np.array(doc["coefficients"], dtype=object).reshape(len(doc["coefficients"]), 6)
+    index = [ms.index_of(number(k1, "k1", integer=True), number(k2, "k2", integer=True)) for k1, k2 in rows[:, :2]]
     if len(set(index)) < len(index):
         raise ValueError("a mode is given by two rows")
     a, b = np.zeros((2, len(ms)), dtype=complex)
-    a.real[index], a.imag[index], b.real[index], b.imag[index] = rows[:, 2:].T
+    a.real[index], a.imag[index], b.real[index], b.imag[index] = number_array(rows[:, 2:], "coefficients", float).T
     return SpectralState(ms, a, b)

@@ -40,6 +40,7 @@ from obslab import (
     pencil,
     predicted_constant,
     project_p_symmetric,
+    quadrature_oracle,
     random_state,
     random_states,
     scan_theorem,
@@ -51,7 +52,7 @@ from obslab import (
 )
 from obslab import inequalities, observation, states
 from obslab.inequalities import ConstantReport, ThresholdError
-from obslab.spectrum import _matmul, _symmetric_product
+from obslab.spectrum import _symmetric_product, _weighted_gram
 from conftest import peak_bytes
 from gram_reference import _interval_kernel, dense_gram, pencil_sectors, piecewise_sectors
 
@@ -961,7 +962,8 @@ def _reference_sweep(pen, stack) -> tuple:
     """(min_ratio bits, argmin_state) of the stack's rows, swept densely through the pencil.
 
     The rows are copied whole, each scaled by 2^-e as verify_observability
-    scales it, and their energies and forms (_gathered_forms) taken at once.
+    scales it, and their forms (_gathered_forms) taken at once; their energies
+    are energy_seminorm_sq of the scaled stack, not a copy of the sweep's formula.
     """
     n = len(pen.d)
     c = stack.doubled()
@@ -969,21 +971,28 @@ def _reference_sweep(pen, stack) -> tuple:
     e = np.clip(np.frexp(np.max(np.abs(c) * root, axis=1))[1], -1022, 1022)
     parts = c.view(float)
     parts *= np.ldexp(1.0, -e)[:, None]
-    mag = np.abs(c)
-    ratios = _gathered_forms(pen, c) / _matmul(mag[:, :n] ** 2 + mag[:, n:] ** 2, pen.d)
+    energies = energy_seminorm_sq(SpectralState(stack.mode_set, c[:, :n], c[:, n:]), WAVE)
+    ratios = _gathered_forms(pen, c) / energies
     i = int(np.argmin(ratios))
     return _bits(ratios[i]), i
 
 
+STRIPS = ("two_strips", [CrossStrips(1.0, 2.0, 1.0, 2.0)], {})
+LINES = ("two_lines", [VerticalLine(PI / 2), HorizontalLine(PI / 2)], {"p": 2, "q": 2})
+
+
 @pytest.mark.parametrize(
-    "theorem,regions,params",
+    "theorem,regions,params,seeds,decay",
     [
-        ("two_strips", [CrossStrips(1.0, 2.0, 1.0, 2.0)], {}),
-        ("two_lines", [VerticalLine(PI / 2), HorizontalLine(PI / 2)], {"p": 2, "q": 2}),
+        pytest.param(*STRIPS, range(600), 0.0, id="two_strips"),
+        pytest.param(*LINES, range(600), 0.0, id="two_lines"),
+        # rows whose energies round apart when summed in another order than energy_seminorm_sq's
+        pytest.param(*STRIPS, range(600, 1200), 0.0, id="two_strips-seeds600"),
+        pytest.param(*STRIPS, range(600), 1.0, id="two_strips-decay1"),
+        pytest.param(*LINES, range(600), 1.0, id="two_lines-decay1"),
     ],
-    ids=["two_strips", "two_lines"],
 )
-def test_sweep_gives_the_bits_of_a_dense_reference_sweep(square, theorem, regions, params):
+def test_sweep_gives_the_bits_of_a_dense_reference_sweep(square, theorem, regions, params, seeds, decay):
     ms = build_mode_set(square, 8, 8)
     specs = [_vspec(r, T=60.0) for r in regions]
     syms = theorem_symmetries(theorem, specs, params, square)
@@ -993,7 +1002,7 @@ def test_sweep_gives_the_bits_of_a_dense_reference_sweep(square, theorem, region
     assert mask.all() == (theorem == "two_strips")
 
     def drawn(lo, hi):
-        return functools.reduce(project_p_symmetric, syms, random_states(ms, range(lo, hi)))
+        return functools.reduce(project_p_symmetric, syms, random_states(ms, seeds[lo:hi], decay))
 
     pen = pencil(specs, WAVE, ms, mask)
     rows = drawn(0, 600).doubled()
@@ -1022,32 +1031,43 @@ def test_the_admissible_pencil_keeps_the_modes_every_symmetry_admits(square):
 
 
 def test_no_library_product_copies_an_operand(square, monkeypatch):
-    # _matmul copies an operand that is not C-contiguous; no caller in the library hands it one.
-    # The exponential-sum form of the Ingham checks and the four-family form makes no product
+    # the BLAS helpers take C-contiguous operands, whose F-ordered transposes f2py passes without a
+    # copy; no caller in the library hands them another. The exponential-sum form of the Ingham
+    # checks and the four-family form, and axis_trace, make no product
     calls = {}
 
-    def guarded(name):
-        def product(a, b):
-            assert a.flags.c_contiguous and b.flags.c_contiguous, (name, a.strides, b.strides)
+    def guarded(name, helper):
+        def product(*args, **kwargs):
+            for x in (*args, *kwargs.values()):
+                if isinstance(x, np.ndarray):
+                    assert x.flags.c_contiguous, (name, x.shape, x.strides)
             calls[name] = calls.get(name, 0) + 1
-            return _matmul(a, b)
+            return helper(*args, **kwargs)
 
         return product
 
-    for module in (inequalities, states):
-        monkeypatch.setattr(module, "_matmul", guarded(module.__name__))
+    helpers = [(inequalities, _symmetric_product), (observation, _symmetric_product), (observation, _weighted_gram)]
+    for module, helper in helpers:
+        monkeypatch.setattr(module, helper.__name__, guarded(f"{module.__name__}.{helper.__name__}", helper))
     ms = build_mode_set(square, 8, 8)
     specs, params = _two_lines()
     syms = theorem_symmetries("two_lines", specs, params, square)
     blocks = ((0, 100), (100, 357), (357, 600))
     lazy = (functools.reduce(project_p_symmetric, syms, random_states(ms, range(lo, hi))) for lo, hi in blocks)
     assert verify_observability("two_lines", specs, lazy, params)["n_states"] == 600
+    assert set(calls) == {"obslab.inequalities._symmetric_product"}
+    empirical_constants(UNSHARED_CENTRES["VerticalStrip T=2,4"][0], WAVE, build_mode_set(square, 5, 4))
+    quadrature_oracle(random_states(ms, range(3)), _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)), 64)
     mehrenberger_check(ExponentialSum((1.0, 2.0, 3.5), (1.0, 1j, -2.0), 0, 1.0), 3 * PI)
     corollary33_check(2, [1.0, 2.0], [0.5, 1j], 20.0)
     fams = [np.random.default_rng(i).standard_normal((2, 3)) for i in range(4)]
     thm21_fourfamily_form(fams, OpenRect(0.2, 1.7, 0.5, 2.0), square)
     states.axis_trace(random_state(ms, 1), "x1", 1.0, 16)
-    assert set(calls) == {"obslab.inequalities", "obslab.states"}
+    assert set(calls) == {
+        "obslab.inequalities._symmetric_product",
+        "obslab.observation._symmetric_product",
+        "obslab.observation._weighted_gram",
+    }
 
 
 @pytest.mark.parametrize("sizes", [[8], [600], [1] * 600, [3, 250, 347]], ids=["8", "600", "singles", "uneven"])

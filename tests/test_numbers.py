@@ -2,8 +2,10 @@
 
 import ast
 import inspect
+import json
 import math
 import re
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -45,10 +47,12 @@ from obslab import (
     symmetry_constants,
     symmetry_residual,
     theorem_symmetries,
+    thm21_fourfamily_form,
     time_kernel,
 )
-from obslab.spectrum import number
-from obslab.states import axis_trace
+from obslab import inequalities, spectrum
+from obslab.spectrum import number, number_array
+from obslab.states import axis_trace, state_from_json, state_to_dict
 
 PI = math.pi
 SQUARE = RectangleGeometry(PI, PI)
@@ -160,6 +164,83 @@ def test_every_number_that_enters_is_checked_and_named(call, field, integer):
         message = f"{field} must be a finite {kind}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
+
+
+def _state_with(i, value):
+    """state_from_json of STATE's document with entry i of the row of mode (2, 2) replaced by value."""
+    doc = state_to_dict(STATE)
+    doc["coefficients"][4][i] = value
+    return state_from_json(json.dumps(doc))
+
+
+def _families(value):
+    """Four (2, 2) coefficient families of thm21_fourfamily_form, one entry replaced by value."""
+    fams = [[[1.0, 0.5], [2.0, 1j]] for _ in range(4)]
+    fams[2][1][0] = value
+    return fams
+
+
+# NOT_NUMBERS but np.True_ and 1j, which a JSON document cannot hold
+JSON_NOT_NUMBERS = [True, False, math.nan, math.inf, -math.inf, "1", 10**400]
+
+# (id, call with the value as one entry of an array, field named in the error, entry kind, from JSON)
+ENTRY_SITES = [
+    ("corollary33_check.a", lambda v: corollary33_check(1, [1.0, v], [1.0, 2.0], 20.0), "a", complex, False),
+    ("corollary33_check.b", lambda v: corollary33_check(1, [1.0, 2.0], [v, 1j], 20.0), "b", complex, False),
+    (
+        "thm21_fourfamily_form.coeffs",
+        lambda v: thm21_fourfamily_form(_families(v), OpenRect(0.2, 1.7, 0.5, 2.0), SQUARE),
+        "coeffs",
+        complex,
+        False,
+    ),
+    ("state_from_json.k1", lambda v: _state_with(0, v), "k1", int, True),
+    ("state_from_json.k2", lambda v: _state_with(1, v), "k2", int, True),
+    ("state_from_json.coefficients", lambda v: _state_with(4, v), "coefficients", float, True),
+]
+
+
+@pytest.mark.parametrize("call,field,kind,from_json", [s[1:] for s in ENTRY_SITES], ids=[s[0] for s in ENTRY_SITES])
+def test_every_entry_of_an_array_input_is_checked_and_named(call, field, kind, from_json):
+    # np.asarray(..., dtype=float) would read a true as 1.0 and "1" as 1.0
+    values = JSON_NOT_NUMBERS + ([] if from_json else [np.True_]) + ([2.5, 1e-9 + 3] if kind is int else [])
+    for value in values:
+        message = f"{field} must be a finite {'integer' if kind is int else 'real number'}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    # a complex entry and an integral float pass where the kind admits them
+    if kind is complex:
+        call(1 + 2j)
+        call(np.complex128(-1j))
+    call(2.0)
+
+
+def test_a_complex_entry_enters_only_a_complex_array():
+    with pytest.raises(ValueError, match=r"^x must be a finite real number, got 1j$"):
+        number_array([1.0, 1j], "x", float)
+    with pytest.raises(ValueError, match=r"^x must be a finite real number, got nan$"):
+        number_array([1.0, complex(2.0, math.nan)], "x", complex)
+    assert number_array([1, np.float64(2.0), 1j], "x", complex).tolist() == [1, 2, 1j]
+
+
+def test_exponential_sum_checks_each_number_once(monkeypatch):
+    calls = Counter()
+
+    def counted(value, name, **kwargs):
+        calls[name] += 1
+        return number(value, name, **kwargs)
+
+    monkeypatch.setattr(spectrum, "number", counted)
+    monkeypatch.setattr(inequalities, "number", counted)
+    w = tuple(k + 0.1 * math.sin(k) for k in range(1, 101))
+    ExponentialSum(w, (1.0,) * 100, 3)
+    assert calls == {"exponents": 100, "n": 1}
+    calls.clear()
+    ExponentialSum(w, (1.0,) * 100, 3, None, tuple(range(-50, 50)))
+    assert calls == {"exponents": 100, "indices": 100, "n": 1}
+    calls.clear()
+    partial_gap_analysis(w, 3, range(-50, 50))  # the public entry keeps every check
+    assert calls == {"frequencies": 100, "indices": 100, "n": 1}
 
 
 def test_number_returns_a_real_unchanged_and_an_integral_float_as_its_int():

@@ -16,7 +16,7 @@ from obslab import (
     partial_gap_analysis,
     spectrum,
 )
-from obslab.spectrum import _matmul, _weighted_gram
+from obslab.spectrum import _weighted_gram
 
 
 def test_geometry_derived_constants():
@@ -280,60 +280,6 @@ def test_partial_gap_gamma_certifies_pairs(n, size):
                 assert abs(w[j - 1] - w[i - 1]) >= abs(j - i) * gamma * (1 - 1e-12)
 
 
-def _layout(x, layout):
-    """x as a C-ordered, an F-ordered or a strided array (the real part of a complex array, say)."""
-    if layout == "C":
-        return np.ascontiguousarray(x)
-    if layout == "F":
-        return np.asfortranarray(x)
-    if np.iscomplexobj(x):
-        return np.stack([x, x], axis=-1)[..., 0]
-    return (x + 1j).real
-
-
-PRODUCT_SHAPES = {
-    "matrix": ((7, 5), (5, 3)),
-    "one-row": ((1, 5), (5, 3)),
-    "one-column": ((7, 5), (5, 1)),
-    "one-entry": ((1, 5), (5, 1)),
-    "matrix-vector": ((7, 5), (5,)),
-    "vector-matrix": ((5,), (5, 3)),
-    "vector-vector": ((5,), (5,)),
-    "empty": ((0, 5), (5, 3)),
-}
-
-
-@pytest.mark.parametrize("layout", ["C", "F", "strided"])
-@pytest.mark.parametrize(
-    "kinds", [(float, float), (complex, complex), (float, complex)], ids=["real", "complex", "mixed"]
-)
-@pytest.mark.parametrize("shapes", PRODUCT_SHAPES.values(), ids=PRODUCT_SHAPES.keys())
-def test_matmul_matches_the_matmul_operator(layout, kinds, shapes):
-    rng = np.random.default_rng(len(layout) + 7 * len(shapes[0]))
-
-    def draw(shape, kind):
-        x = rng.standard_normal(shape)
-        return _layout(x + 1j * rng.standard_normal(shape) if kind is complex else x, layout)
-
-    a, b = (draw(shape, kind) for shape, kind in zip(shapes, kinds))
-    got, want = _matmul(a, b), a @ b
-    assert got.shape == np.shape(want) and got.dtype == np.result_type(a, b)
-    assert np.all(np.abs(got - want) <= 1e-15 * np.linalg.norm(a) * np.linalg.norm(b))
-    assert got.flags.c_contiguous
-
-
-def test_matmul_rejects_operands_that_do_not_chain():
-    with pytest.raises(ValueError, match="do not chain"):
-        _matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-@pytest.mark.parametrize("shapes", [((2, 7, 5), (5, 3)), ((7, 5), (2, 5, 3)), ((), (3,)), ((3,), ())])
-def test_matmul_rejects_operands_of_rank_other_than_one_or_two(shapes):
-    # no caller multiplies a stack or a scalar: such a product is an error, not a loop
-    with pytest.raises(ValueError, match="rank 1 or 2"):
-        _matmul(*(np.ones(shape) for shape in shapes))
-
-
 # the ways to reach scipy.linalg's BLAS and LAPACK, its error class, or spectrum's import of them
 _SCIPY_NAMES = ("blas", "lapack", "get_blas_funcs", "get_lapack_funcs", "LinAlgError", "_scipy_linalg")
 
@@ -358,25 +304,61 @@ def _import_time_nodes(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
+# numpy's routines that reach its BLAS; of numpy.linalg only the error class may be imported
+_NUMPY_PRODUCTS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+
+
+def _reaches_numpy_blas(node) -> bool:
+    """Whether node is an @ product, a call of a numpy product, or reaches numpy.linalg for more than LinAlgError."""
+    if isinstance(getattr(node, "op", None), ast.MatMult):
+        return True
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", getattr(node.func, "id", None)) in _NUMPY_PRODUCTS
+    if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+        names = {alias.name for alias in node.names}
+        if node.module == "numpy.linalg":
+            return names != {"LinAlgError"}
+        return bool(names & (_NUMPY_PRODUCTS | {"linalg"}))
+    if isinstance(node, ast.Import):
+        return any(alias.name == "numpy.linalg" for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "linalg" and getattr(node.value, "id", None) in ("np", "numpy")
+
+
 def test_every_product_goes_through_the_blas_helper():
     # numpy's products run in numpy's own OpenBLAS pool, not in scipy's with the pencil's LAPACK;
-    # and only spectrum reaches scipy, so every dense product and solve stays behind its helpers
-    numpy_products = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+    # and only spectrum reaches scipy, so every BLAS and LAPACK call stays behind its three helpers
     found = []
     for path in sorted(Path(spectrum.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            op = getattr(node, "op", None)
-            call = node.func if isinstance(node, ast.Call) else None
-            if isinstance(op, ast.MatMult):
-                found.append((path.name, node.lineno, "@"))
-            elif isinstance(call, ast.Attribute) and call.attr in numpy_products:
-                found.append((path.name, node.lineno, call.attr))
-            elif isinstance(node, ast.Attribute) and node.attr == "linalg":
-                if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
-                    found.append((path.name, node.lineno, "np.linalg"))
-            elif path.name != "spectrum.py" and _reads_scipy(node):
-                found.append((path.name, node.lineno, "scipy"))
+            if _reaches_numpy_blas(node) or (path.name != "spectrum.py" and _reads_scipy(node)):
+                found.append((path.name, node.lineno))
     assert found == []
+
+
+def test_the_numpy_blas_guard_sees_each_way_to_reach_numpy_blas():
+    sources = [
+        "a @ b",
+        "a @= b",
+        "np.dot(a, b)",
+        "a.dot(b)",
+        "numpy.matmul(a, b)",
+        "np.inner(a, b)",
+        "np.vdot(a, b)",
+        "np.tensordot(a, b, 1)",
+        "np.einsum('ij,j', a, b)",
+        "from numpy import dot\ndot(a, b)",
+        "from numpy import einsum",
+        "np.linalg.norm(a)",
+        "numpy.linalg.eigh(a)",
+        "from numpy.linalg import norm",
+        "from numpy.linalg import LinAlgError, solve",
+        "from numpy import linalg",
+        "import numpy.linalg",
+    ]
+    for source in sources:
+        assert any(_reaches_numpy_blas(node) for node in ast.walk(ast.parse(source))), source
+    clean = "from numpy.linalg import LinAlgError\nnp.sum(a * b, axis=-1)\na.sum(axis=1)\nnp.multiply(a, b, out=a)"
+    assert not any(_reaches_numpy_blas(node) for node in ast.walk(ast.parse(clean)))
 
 
 def test_spectrum_imports_scipy_on_first_use_only():

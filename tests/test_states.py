@@ -373,7 +373,7 @@ def test_state_from_json_rejects_a_fractional_or_repeated_mode():
     assert [row[:2] for row in doc["coefficients"]] == [[1, 1], [2, 1], [1, 2], [2, 2]]
     fractional = _json_doc()
     fractional["coefficients"][1][0] = 1.5  # once truncated to mode (1, 1), overwriting its row
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match=r"^k1 must be a finite integer, got 1\.5$"):
         state_from_json(json.dumps(fractional))
     repeated = _json_doc()
     repeated["coefficients"][1][:2] = [1, 1]
