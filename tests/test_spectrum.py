@@ -16,7 +16,7 @@ from obslab import (
     partial_gap_analysis,
     spectrum,
 )
-from obslab.spectrum import _weighted_gram
+from obslab.spectrum import _symmetric_product, _weighted_gram
 
 
 def test_geometry_derived_constants():
@@ -408,3 +408,81 @@ def test_weighted_gram_is_the_weighted_product_symmetric_to_the_bit(m, k):
     assert got.shape == (m, m) and got.flags.c_contiguous
     assert np.array_equal(got, got.T)
     assert np.all(np.abs(got - want) <= 1e-13 * ((np.abs(f) * w) @ np.abs(f).T))
+
+
+def _layout(x, layout):
+    """x as a C-ordered, an F-ordered or a strided array (the real part of a complex array, say)."""
+    if layout == "C":
+        return np.ascontiguousarray(x)
+    if layout == "F":
+        return np.asfortranarray(x)
+    if np.iscomplexobj(x):
+        return np.stack([x, x], axis=-1)[..., 0]
+    return (x + 1j).real
+
+
+def _upper_and_full(n, kind, rng):
+    """A C-ordered n x n s with only its upper triangle set (nan below), and the full S it stands for."""
+    u = rng.standard_normal((n, n))
+    if kind != "real":
+        u = u + 1j * rng.standard_normal((n, n))
+    if kind == "hermitian":
+        u[np.diag_indices(n)] = u.diagonal().real
+    upper = np.triu(u)
+    strict = np.triu(u, 1)
+    full = upper + (strict.conj().T if kind == "hermitian" else strict.T)
+    s = np.where(np.tri(n, k=-1, dtype=bool), np.nan, upper)
+    return np.ascontiguousarray(s), full
+
+
+# the shape of v and the mode count n of the n x n S
+SYMMETRIC_SHAPES = {
+    "matrix": ((7, 5), 5),
+    "one-row": ((1, 5), 5),
+    "one-mode": ((7, 1), 1),
+    "vector": ((5,), 5),
+    "stack": ((2, 3, 5), 5),
+    "empty": ((0, 5), 5),
+}
+SYMMETRIC_KINDS = ["real", "complex", "hermitian"]
+
+
+def _symmetric_operands(shape, n, kind, layout):
+    rng = np.random.default_rng(len(layout) + 7 * len(shape) + 31 * n + 101 * len(kind))
+    s, full = _upper_and_full(n, kind, rng)
+    v = rng.standard_normal(shape)
+    if kind != "real":
+        v = v + 1j * rng.standard_normal(shape)
+    return _layout(v, layout), s, full
+
+
+def _assert_is_the_full_product(got, v, full):
+    want = v @ full
+    assert got.shape == np.shape(want) and got.dtype == np.result_type(v, full)
+    # nan below the diagonal of s would show here had the product read the lower triangle
+    bound = 4 * max(full.shape[0], 1) * np.finfo(float).eps * (np.abs(v) @ np.abs(full))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("kind", SYMMETRIC_KINDS)
+@pytest.mark.parametrize("shapes", SYMMETRIC_SHAPES.values(), ids=SYMMETRIC_SHAPES.keys())
+def test_symmetric_product_is_the_product_with_the_full_matrix(layout, kind, shapes):
+    v, s, full = _symmetric_operands(*shapes, kind, layout)
+    got = _symmetric_product(v, s, hermitian=kind == "hermitian")
+    _assert_is_the_full_product(got, v, full)
+    assert got.flags.c_contiguous
+
+
+TWO_D_SHAPES = {name: shapes for name, shapes in SYMMETRIC_SHAPES.items() if len(shapes[0]) == 2}
+
+
+@pytest.mark.parametrize("kind", SYMMETRIC_KINDS)
+@pytest.mark.parametrize("shapes", TWO_D_SHAPES.values(), ids=TWO_D_SHAPES.keys())
+def test_symmetric_product_writes_all_of_out_and_returns_it(kind, shapes):
+    v, s, full = _symmetric_operands(*shapes, kind, "C")
+    out = np.full(np.shape(v), np.nan, np.result_type(v, s))
+    got = _symmetric_product(v, s, hermitian=kind == "hermitian", out=out)
+    # beta is 0: the nan that out held is overwritten, never multiplied in
+    assert got is out
+    _assert_is_the_full_product(got, v, full)
