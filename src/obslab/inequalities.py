@@ -29,7 +29,9 @@ takes the smallest eigenvalue of the masked sectors (Pencil.lowest, which
 computes no eigenvector), and verify_observability sweeps states through
 the sector quadratic forms, a few hundred states per symmetric product. Each
 sector is reduced to tridiagonal form once, and both its extreme eigenvalues
-and the minimiser come from it, equal to scipy.linalg.eigh's to the bit.
+and the minimiser come from it, equal to scipy.linalg.eigh's to the bit;
+lowest skips the reduction of a sector that a shifted Cholesky factorisation
+proves to lie above the other's minimum.
 Its LAPACK calls go through spectrum._lapack, which imports scipy on its
 first call; this module imports no scipy.
 
@@ -49,6 +51,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .observation import (
     ObservationSpec,
@@ -151,7 +154,7 @@ class ExponentialSum:
 
     def __post_init__(self) -> None:
         w = tuple(float(number(x, "exponents")) for x in self.exponents)
-        a = tuple(complex(x) for x in self.coefficients)
+        a = tuple(number_array(self.coefficients, "coefficients", complex).tolist())
         if len(w) != len(a):
             raise ValueError("exponents and coefficients must have equal length")
         n = number(self.n, "n", integer=True)
@@ -307,6 +310,43 @@ class _Reduction:
         return z[:, 0]
 
 
+# Pencil.lowest skips a sector proven to lie above the lowest eigenvalue so far by this multiple of
+# its norm, on sectors of at most _SKIP_DIM rows; see _exceeds
+_SKIP_MARGIN = 1e-8
+_SKIP_DIM = 2048
+
+
+def _exceeds(s: np.ndarray, value: float) -> bool:
+    """Whether every eigenvalue of the symmetric sector in the upper triangle of the C-ordered s is proven above value.
+
+    The proof is a Cholesky factorisation, LAPACK dpotrf in place, of s -
+    sigma I with sigma = value + margin, margin = _SKIP_MARGIN f and f the
+    Frobenius norm of the triangle, so ||s||_2 <= sqrt(2) f. If it completes,
+    R^T R = s - sigma I + E with ||E||_2 <= about (m + 1) m eps ||s - sigma I||_2
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.7, with
+    |R^T||R| bounded by its trace as in Rump, BIT 46 (2006) 433-452), so every
+    eigenvalue of s exceeds sigma - ||E||_2. The value a reduction of s would
+    give (dsytrd, then bisection) lies within about m^2 eps ||s||_2 of its
+    smallest eigenvalue. A completed factorisation had every pivot, so every
+    s_jj - sigma, positive: sigma < ||s||_2. With m <= _SKIP_DIM and value >=
+    -2 ||s||_2 both errors together stay below the margin, so that reduction
+    would give more than value; with value < -2 ||s||_2 it would anyway. s is
+    overwritten whatever the answer. A sector of more than _SKIP_DIM rows, or
+    one whose norm is not finite or lies outside [_RMIN, _RMAX], is not tried.
+    """
+    m = len(s)
+    f = _lapack("dlantr", "F", s.T, uplo="L")
+    if not (m <= _SKIP_DIM and _RMIN <= f <= _RMAX):  # a nan norm fails too
+        return False
+    diagonal = s.reshape(-1)[:: m + 1]
+    diagonal -= value + _SKIP_MARGIN * f
+    try:
+        _lapack("dpotrf", s.T, lower=1, clean=0, overwrite_a=1)
+    except LinAlgError:  # a pivot that is not positive: s - sigma I is not proven definite
+        return False
+    return True
+
+
 def _summed_blocks(sources: list, keep: np.ndarray, n: int) -> tuple:
     """(angle, work): the pieces' Grams summed about the first piece's angle, on the modes keep.
 
@@ -419,32 +459,62 @@ class Pencil:
     def grams(self) -> list:
         return [assemble_gram(s, self._mode_set) for s in self._specs]
 
+    def _indices(self) -> list:
+        """Each sector's positions in the doubled coordinates: the even and the odd sector's, or the one sector's."""
+        n, keep = len(self.d), self.keep
+        return [keep, n + keep] if np.isrealobj(self.blocks) else [np.concatenate([keep, n + keep])]
+
     def _sectors(self):
         """Yield the (sector, index) pairs, the upper triangle of each written into the one slab.
 
         The slab takes the even and then the odd sector, so a sector is
         overwritten once the next one is drawn, or once the slab is reduced.
         """
-        n, keep = len(self.d), self.keep
-        r = 1.0 / np.sqrt(self.d[keep])
-        indices = [keep, n + keep] if np.isrealobj(self.blocks) else [np.concatenate([keep, n + keep])]
-        for k, index in enumerate(indices):
-            _write_sector(self.blocks, r, k, self._slab)
-            yield self._slab, index
+        for k, index in enumerate(self._indices()):
+            yield self._write(k), index
+
+    def _write(self, k: int) -> np.ndarray:
+        """The one slab, with the upper triangle of sector k written into it."""
+        _write_sector(self.blocks, 1.0 / np.sqrt(self.d[self.keep]), k, self._slab)
+        return self._slab
+
+    def _odd_first(self) -> bool:
+        """Whether the odd sector's smallest diagonal entry, a bound on its smallest eigenvalue, is the lower one."""
+        a, b = np.diagonal(self.blocks[0]), np.diagonal(self.blocks[1])
+        with np.errstate(all="ignore"):  # an overflowing weight is rejected by the solve, not here
+            w = 1.0 / self.d[self.keep]
+            return bool(np.min((a - b) * w) < np.min((a + b) * w))
 
     def _solve(self, full: bool) -> tuple:
-        """(smallest eigenvalue, largest, u) from one reduction per sector.
+        """(smallest eigenvalue, largest, u) from at most one reduction per sector.
 
-        Without full, only the smallest is computed: (smallest, None, None).
         The sectors are reduced in turn in the one slab, and u is read from a
         sector's reduction whenever it holds the smallest eigenvalue so far,
         before the next sector overwrites it; a tie goes to the first sector.
         LAPACK reads the lower triangle of an F-ordered matrix, which for the
         transposed view of the C-ordered slab is the upper triangle the
         sector was written to, so the slab is reduced in place.
+
+        Without full, only the smallest is computed: (smallest, None, None).
+        Then the sector whose smallest diagonal entry is lower goes first, and
+        the other is not reduced at all when _exceeds proves, by a Cholesky
+        factorisation shifted by the first one's smallest eigenvalue plus 1e-8
+        times its norm, that it has no eigenvalue that low: that margin is far
+        above the errors of both the proof and a reduction, so the skipped
+        sector's reduction could not have given the minimum, which keeps its
+        bits whichever sector went first. When the proof fails, the sector is
+        written again and reduced.
         """
+        sectors = list(enumerate(self._indices()))
+        if not full and len(sectors) == 2 and self._odd_first():
+            sectors.reverse()
         low = high = u = None
-        for s, index in self._sectors():
+        for k, index in sectors:
+            s = self._write(k)
+            if low is not None and not full:
+                if _exceeds(s, low):
+                    continue
+                s = self._write(k)  # the factorisation that failed overwrote it
             reduced = _Reduction(s.T)
             value, bisection = reduced.lowest()
             if full:
@@ -458,7 +528,12 @@ class Pencil:
         return low, high, u
 
     def lowest(self) -> float:
-        """The smallest eigenvalue over the sectors, from one reduction per sector and no eigenvector."""
+        """The smallest eigenvalue over the sectors, from at most one reduction per sector and no eigenvector.
+
+        A sector that a shifted Cholesky factorisation proves to lie above the
+        other's smallest eigenvalue is not reduced (see _solve); the value is
+        the smaller of both sectors' reductions, eigh's minimum, to the bit.
+        """
         return self._solve(False)[0]
 
     def extremes(self) -> tuple:
@@ -1041,7 +1116,7 @@ def sin_sum_lower_bound_check(k1: int, alphas, ell1: float, M: int, gamma_hat: f
     ell1, gamma_hat = number(ell1, "ell1"), number(gamma_hat, "gamma_hat")
     if k1 < 1:
         raise ValueError(f"k1 must be >= 1, got {k1}")
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = number_array(alphas, "alphas", float)
     lhs = float(np.sum(np.sin(k1 * alphas * _PI / float(ell1)) ** 2))
     rhs = 4.0 * float(gamma_hat) ** 2 * float(k1) ** (-2.0 / M)
     return bool(lhs >= rhs)

@@ -56,8 +56,16 @@ def number_array(values, name: str, dtype) -> np.ndarray:
     A complex entry, admitted only with dtype complex, is checked by its two
     parts. So an entry that np.asarray would read as a number, a JSON true as
     1, a string "1" as 1.0, is rejected as number rejects it, naming name.
+    Entries that are all floats (or, with dtype complex, floats and
+    complexes) are checked at once by the finiteness of the converted array,
+    which is number's rule for those types.
     """
     entries = np.asarray(values, dtype=object)
+    exact = {float, np.float64, complex, np.complex128} if dtype is complex else {float, np.float64}
+    if {type(x) for x in entries.flat} <= exact:
+        out = entries.astype(dtype)
+        if np.isfinite(out).all():
+            return out
     for x in entries.flat:
         complex_entry = dtype is complex and isinstance(x, (complex, np.complexfloating))
         for part in (x.real, x.imag) if complex_entry else (x,):

@@ -6,10 +6,11 @@ model frequency. Energy seminorms are diagonal in the coefficients, so they
 serve as the D side of every observability pencil.
 
 A SpectralState may also hold a stack of states, a and b of shape (N, n), one
-row per state. random_states draws such a stack from one generator per seed,
-and random_state is its one-row case; energy_seminorm_sq and
-project_p_symmetric act on every row at once, so a sweep over many seeded
-states handles arrays a block of rows at a time, never one object per state.
+row per state. random_states draws such a stack, each row from the stream
+of np.random.default_rng(seed), and random_state is its one-row case;
+energy_seminorm_sq and project_p_symmetric act on every row at once, so a
+sweep over many seeded states handles arrays a block of rows at a time,
+never one object per state.
 """
 
 from __future__ import annotations
@@ -159,16 +160,17 @@ def symmetry_residual(f_samples, p: int) -> float:
     f_samples[i] = f(i*pi/N) for i = 0..N-1 samples a function on (0, pi); it is
     extended to a 2pi-periodic odd function, which the shifts then permute. N
     must be a multiple of 2p so every shifted point is again a grid node; an
-    integral float p is taken as its integer, a fractional one rejected.
+    integral float p is taken as its integer, a fractional one rejected. The
+    samples, real or complex, are checked by number_array.
     """
-    f = np.asarray(f_samples)
+    f = number_array(f_samples, "f_samples", complex)
     n = f.shape[0]
     p = number(p, "p", integer=True)
     if p < 1:
         raise ValueError("p must be a positive integer")
     if n == 0 or n % (2 * p) != 0:
         raise ValueError(f"grid size must be a nonzero multiple of 2p, got {n} for p={p}")
-    ext = np.zeros(2 * n, dtype=f.dtype if np.iscomplexobj(f) else float)
+    ext = np.zeros(2 * n, dtype=complex)
     ext[:n] = f
     ext[n] = 0.0
     ext[n + 1 :] = -f[:0:-1]  # odd reflection: f(pi + y) = -f(pi - y)
@@ -203,22 +205,77 @@ def axis_trace(state: SpectralState, axis: str, transverse: float, n_samples: in
     return np.sum(table * (c * point), axis=-1)
 
 
+# numpy's SeedSequence.generate_state: output word i mixes pool word i % 4 by the hash constants
+# _HASH[i] and _HASH[i + 1], the powers of its multiplier 0x58F38DED times 0x8B51F9DD, mod 2^32
+_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) % (1 << 32) for i in range(9)], dtype=np.uint32)
+# PCG64's 128-bit LCG multiplier and modulus
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MASK = (1 << 128) - 1
+
+
+def _seeded(seeds: list):
+    """Yield, once per seed of the int list seeds, a Generator whose next draws are np.random.default_rng(seed)'s.
+
+    default_rng(seed) is Generator(PCG64(SeedSequence(seed))), and PCG64 is
+    seeded by generate_state(4, uint64) of that sequence. The first seed's
+    generator is built so, which a one-seed call pays as default_rng would.
+    For the later seeds the eight uint32 words of generate_state are formed
+    from each seed's SeedSequence(seed).pool for the whole batch at once,
+    and PCG64's (state, inc) are derived from them as pcg64_set_seed does and
+    set on the one generator: a batch makes one PCG64 and one Generator, not
+    one per seed. A negative seed raises default_rng's ValueError.
+    """
+    bits = np.random.PCG64(seeds[0])
+    rng = np.random.Generator(bits)
+    yield rng
+    if len(seeds) == 1:
+        return
+    pools = np.array([np.random.SeedSequence(seed).pool for seed in seeds[1:]], dtype=np.uint32)
+    words = (np.tile(pools, 2) ^ _HASH[:8]) * _HASH[1:]  # uint32 arithmetic wraps mod 2^32
+    words ^= words >> 16
+    # generate_state reads the words as little-endian uint64 pairs: the state seed, then the increment's
+    for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _PCG_MASK
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _PCG_MASK
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
 def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState:
     """Deterministic random states, one row per seed, with |a_k|, |b_k| <= lambda_k^(-decay).
 
     Coefficients are uniform on the complex unit disc, then scaled; decay 0
     gives rough data, decay >= 2 the smooth regime. Row i draws 4n uniforms
     from np.random.default_rng(seeds[i]): the radii and angles of a, then
-    those of b. The phases 2 pi u go in as cos and sin, written into the real
-    and imaginary parts of one (2, N, n) array, which the square roots of the
-    radii and then, for a nonzero decay, the scale multiply; so a and b come
-    out contiguous. The stack is filled _DRAW_ROWS rows at a time from one
-    scratch of that many rows' uniforms and phases (6 n floats a row), each
-    value as a pass over the whole stack would give it; so the call holds
-    its output, that scratch and the finiteness checks' booleans, at most
-    1.13 times the output for N >= 256. A decay whose scale underflows to
-    zero on every mode is rejected, since its states would all be zero.
+    those of b. The seeds share one generator whose state is set per seed
+    (_seeded), so no default_rng is built per seed, yet each row has the
+    bits of default_rng(seed).random(4n), as tests/test_states.py checks
+    against numpy itself. Each seed is checked by number as an integer: None,
+    a SeedSequence, a Generator and a bool are rejected, and a negative seed
+    raises default_rng's ValueError. The phases 2 pi u go through cos and
+    sin into unit-stride scratch (the cosines into the spent angles' rows),
+    and their products with the square roots of the radii into the real and
+    imaginary parts of one (2, N, n) array, which, for a nonzero decay, the
+    scale then multiplies; so a and b come out contiguous. The stack is
+    filled _DRAW_ROWS rows at a time from one scratch of that many rows'
+    uniforms and phases (6 n floats a row), each value as a pass over the
+    whole stack would give it; so the call holds its output, that scratch,
+    the seeds' generator states and the finiteness checks' booleans, about
+    1.14 times the output at K = 24 and N = 256. A decay whose scale
+    underflows to zero on every mode is rejected, since its states would all
+    be zero.
     """
+    return SpectralState(mode_set, *_drawn(mode_set, seeds, decay, "seeds"))
+
+
+def random_state(mode_set: ModeSet, seed: int, decay: float = 0.0) -> SpectralState:
+    """The one-row case of random_states: one state with |a_k|, |b_k| <= lambda_k^(-decay)."""
+    a, b = _drawn(mode_set, [seed], decay, "seed")
+    return SpectralState(mode_set, a[0], b[0])
+
+
+def _drawn(mode_set: ModeSet, seeds, decay, name: str) -> np.ndarray:
+    """random_states' coefficients (a, b), one (2, N, n) array, its seeds checked under name."""
     decay = float(number(decay, "decay"))
     if decay < 0:
         raise ValueError(f"decay must be >= 0, got {decay}")
@@ -226,31 +283,29 @@ def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState
     scale = mode_set.lam ** (-decay) if decay != 0 else np.ones(n)
     if not np.any(scale):
         raise ValueError(f"decay {decay} underflows lambda^(-decay) to zero on every mode")
-    seeds = list(seeds)
+    seeds = [number(seed, name, integer=True) for seed in seeds]
+    generators = _seeded(seeds)
     z = np.empty((2, len(seeds), n), dtype=complex)
     u = np.empty((min(_DRAW_ROWS, len(seeds)), 4, n))  # uniforms of a block of rows
-    phi = np.empty((2, len(u), n))  # its phases, then its radii
+    phi = np.empty((2, len(u), n))  # its phases, then their sines
     for lo in range(0, len(seeds), _DRAW_ROWS):
         rows = z[:, lo : lo + _DRAW_ROWS]
         k = rows.shape[1]
-        for row, seed in zip(u, seeds[lo : lo + k]):
-            np.random.default_rng(seed).random(out=row.reshape(-1))
-        np.multiply(2.0 * math.pi, np.moveaxis(u[:k, 1::2], 1, 0), out=phi[:, :k])
-        np.cos(phi[:, :k], out=rows.real)
-        np.sin(phi[:, :k], out=rows.imag)
-        rows *= np.sqrt(np.moveaxis(u[:k, 0::2], 1, 0), out=phi[:, :k])
+        for row, rng in zip(u[:k], generators):
+            rng.random(out=row.reshape(-1))
+        radii, angles = np.moveaxis(u[:k, 0::2], 1, 0), np.moveaxis(u[:k, 1::2], 1, 0)
+        np.multiply(2.0 * math.pi, angles, out=phi[:, :k])
+        np.cos(phi[:, :k], out=angles)  # the spent angles take the cosines
+        np.sin(phi[:, :k], out=phi[:, :k])
+        np.sqrt(radii, out=radii)
+        np.multiply(angles, radii, out=rows.real)
+        np.multiply(phi[:, :k], radii, out=rows.imag)
         if decay != 0:
             rows *= scale
     a, b = z
     dead = ~(a.any(axis=1) | b.any(axis=1))
     a[dead, 0] = scale[0]  # measure-zero guard: a state is never all zero
-    return SpectralState(mode_set, a, b)
-
-
-def random_state(mode_set: ModeSet, seed: int, decay: float = 0.0) -> SpectralState:
-    """The one-row case of random_states: one state with |a_k|, |b_k| <= lambda_k^(-decay)."""
-    batch = random_states(mode_set, [seed], decay)
-    return SpectralState(mode_set, batch.a[0], batch.b[0])
+    return z
 
 
 def state_to_dict(state: SpectralState) -> dict:

@@ -320,12 +320,46 @@ def test_empirical_constants_solves_real_sectors(modes6, monkeypatch):
     assert shapes == [((n, n), "f")] * 2
 
 
-def test_check_theorem_reduces_each_masked_sector_once(modes6, monkeypatch):
-    shapes = _recorded_reductions(monkeypatch)
+def test_check_theorem_reduces_each_masked_sector_at_most_once(modes6, monkeypatch):
+    # a sector is not reduced when a shifted Cholesky factorisation proves its smallest eigenvalue
+    # above the other's; then eigh's minimum of it must lie above the value returned
     specs = [_vspec(VerticalLine(PI / 3), T=60.0), _vspec(HorizontalLine(PI / 2), T=60.0)]
-    check_theorem("two_lines", specs, modes6, {"p": 3, "q": 2})
-    kept = int(np.sum((modes6.k1 % 3 != 0) & (modes6.k2 % 2 != 0)))
-    assert shapes == [((kept, kept), "f")] * 2
+    mask = (modes6.k1 % 3 != 0) & (modes6.k2 % 2 != 0)
+    sectors = pencil_sectors(pencil(specs, WAVE, modes6, mask))
+    lows = [scipy.linalg.eigh(s, subset_by_index=[0, 0], eigvals_only=True)[0] for s, _ in sectors]
+    shapes = _recorded_reductions(monkeypatch)
+    c_min = check_theorem("two_lines", specs, modes6, {"p": 3, "q": 2})["empirical_c_min"]
+    kept = int(np.sum(mask))
+    assert shapes in ([((kept, kept), "f")], [((kept, kept), "f")] * 2)
+    assert _bits(c_min) == _bits(min(lows))
+    if len(shapes) == 1:
+        assert max(lows) > c_min
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12], ids=["tie", "within the margin"])
+def test_lowest_reduces_both_sectors_whose_minima_tie(square, monkeypatch, gap):
+    # B = gap A: the sectors (1 + gap) A and (1 - gap) A scaled by D^-1/2, identical for a zero
+    # gap; their minima lie within the skip margin of each other, so both sectors are reduced
+    ms = build_mode_set(square, 6, 6)
+    pen = pencil(_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=30.0), WAVE, ms)
+    np.multiply(pen.blocks[0], gap, out=pen.blocks[1])
+    want = _eigh_extremes(pen)[0]
+    shapes = _recorded_reductions(monkeypatch)
+    assert _bits(pen.lowest()) == _bits(want)
+    assert shapes == [((len(ms), len(ms)), "f")] * 2
+
+
+@given(
+    st.floats(0.3, 1.4), st.floats(0.3, 1.4), st.floats(1.7, 2.8), st.floats(1.7, 2.8),
+    st.floats(2.0, 40.0), st.integers(2, 8), st.integers(2, 8), st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_lowest_is_the_two_reduction_minimum_bitwise(a, c, b, d, T, K1, K2, masked):
+    # whichever sector holds the minimum, and whether or not the odd one is skipped
+    ms = build_mode_set(RectangleGeometry(PI, PI), K1, K2)
+    mask = ms.k1 % 2 != 0 if masked else None
+    pen = pencil(_vspec(CrossStrips(a, b, c, d), T=T), WAVE, ms, mask)
+    assert _bits(pen.lowest()) == _bits(_eigh_extremes(pen)[0])
 
 
 def test_the_rescaling_window_takes_lapacks_machine_constants():
@@ -438,6 +472,25 @@ def test_pencil_solve_rejects_a_non_finite_sector(square):
                     warnings.simplefilter("error", RuntimeWarning)
                     with pytest.raises(ValueError, match="infs or NaNs"):
                         solve()
+
+
+def test_lowest_rejects_an_odd_sector_that_overflows_alone(square):
+    # on mode 0 at T = 1 the diagonal of B is about -0.7 that of A, so a weight that scales A there
+    # to 0.9 of the largest float keeps the even sector A + B finite and overflows the odd A - B:
+    # the skip cannot prove the odd sector above the even one, and its reduction rejects it once
+    ms = build_mode_set(square, 4, 4)
+    spec = _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=1.0)
+    a, b = (np.diagonal(x) for x in pencil(spec, WAVE, ms).blocks)
+    assert b[0] < -0.5 * a[0]
+    d = WAVE.diagonal(ms)
+    d[0] = a[0] / (0.9 * np.finfo(float).max)
+    pen = Pencil((spec,), ms, d, None)
+    even, odd = (np.isfinite(s).all() for s, _ in pencil_sectors(pen))
+    assert even and not odd and not pen._odd_first()  # the even sector is reduced first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pen.lowest()
 
 
 @pytest.mark.parametrize("case", ["zero", "negative", "nan", "short", "long"])

@@ -194,6 +194,17 @@ ENTRY_SITES = [
         complex,
         False,
     ),
+    ("ExponentialSum.coefficients", lambda v: ExponentialSum((1.0, 2.0), (1.0, v), 0), "coefficients", complex, False),
+    (
+        "sin_sum_lower_bound_check.alphas",
+        lambda v: sin_sum_lower_bound_check(1, [1.0, v], PI, 1, 0.1),
+        "alphas",
+        float,
+        False,
+    ),
+    ("symmetry_residual.f_samples", lambda v: symmetry_residual([0.0, 1.0, v, 1.0], 2), "f_samples", complex, False),
+    ("random_states.seeds", lambda v: random_states(MODES, [0, v]), "seeds", int, False),
+    ("random_state.seed", lambda v: random_state(MODES, v), "seed", int, False),
     ("state_from_json.k1", lambda v: _state_with(0, v), "k1", int, True),
     ("state_from_json.k2", lambda v: _state_with(1, v), "k2", int, True),
     ("state_from_json.coefficients", lambda v: _state_with(4, v), "coefficients", float, True),

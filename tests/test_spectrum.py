@@ -361,6 +361,42 @@ def test_the_numpy_blas_guard_sees_each_way_to_reach_numpy_blas():
     assert not any(_reaches_numpy_blas(node) for node in ast.walk(ast.parse(clean)))
 
 
+def _reaches_numpy_random(node) -> bool:
+    """Whether node imports numpy.random or a name from it, or reads it as numpy's attribute random."""
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or (module == "numpy" and any(a.name == "random" for a in node.names))
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+
+
+def test_only_states_draws_from_numpy_random():
+    # random_states seeds its rows as default_rng does, a contract pinned against numpy in one place
+    found = []
+    for path in sorted(Path(spectrum.__file__).parent.glob("*.py")):
+        if path.name != "states.py":
+            found += [(path.name, n.lineno) for n in ast.walk(ast.parse(path.read_text())) if _reaches_numpy_random(n)]
+    assert found == []
+
+
+def test_the_random_guard_sees_each_way_to_reach_numpy_random():
+    sources = [
+        "np.random.default_rng(0)",
+        "numpy.random.SeedSequence(0).pool",
+        "rng = np.random.Generator(np.random.PCG64(0))",
+        "from numpy.random import default_rng",
+        "from numpy.random.bit_generator import SeedSequence",
+        "from numpy import random",
+        "import numpy.random",
+        "import numpy.random as npr",
+    ]
+    for source in sources:
+        assert any(_reaches_numpy_random(node) for node in ast.walk(ast.parse(source))), source
+    clean = "import random\nrandom.random()\nrng.random(out=row)\nfrom numpy import sqrt"
+    assert not any(_reaches_numpy_random(node) for node in ast.walk(ast.parse(clean)))
+
+
 def test_spectrum_imports_scipy_on_first_use_only():
     # importing scipy.linalg and its OpenBLAS costs a command that makes no product or solve about
     # 0.25 s and 28 MB; spectrum imports it inside its cached accessor, never at import time

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,9 +212,65 @@ def test_random_states_rows_are_random_state_bitwise(modes6, count, decay, proje
         assert batch.a[i].tobytes() == a.tobytes() and batch.b[i].tobytes() == b.tobytes()
 
 
+# a seed of each number of uint32 words SeedSequence splits it into, at the word boundaries, and a
+# numpy integer
+SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, np.int64(7)]
+
+
+def _assert_rows_are_default_rngs(ms, seeds, decay=0.0):
+    batch = random_states(ms, seeds, decay)
+    for i, seed in enumerate(seeds):
+        a, b = _documented_row(ms, seed, decay, [])
+        assert batch.a[i].tobytes() == a.tobytes() and batch.b[i].tobytes() == b.tobytes(), seed
+
+
+def test_random_states_seed_every_row_as_numpys_default_rng(modes6):
+    # the first seed of a call gets its own PCG64, each later one a state set from its pool: every
+    # seed is drawn in both places
+    for seeds in (SEEDS, SEEDS[::-1], [5, *SEEDS], [*SEEDS, *SEEDS]):
+        _assert_rows_are_default_rngs(modes6, seeds)
+    _assert_rows_are_default_rngs(modes6, [3, *SEEDS], decay=0.5)
+
+
+@given(st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_random_states_seed_any_integer_as_numpys_default_rng(seeds):
+    _assert_rows_are_default_rngs(build_mode_set(RectangleGeometry(math.pi, math.pi), 3, 2), seeds)
+
+
+def test_random_states_of_no_seeds_is_an_empty_stack(modes6):
+    batch = random_states(modes6, [])
+    assert batch.a.shape == batch.b.shape == (0, len(modes6))
+
+
+@pytest.mark.parametrize("seeds", [[-1], [0, -1], [0, 1, -(2**70)]])
+def test_random_states_reject_a_negative_seed_as_default_rng_does(modes4, seeds):
+    with pytest.raises(ValueError) as numpys:
+        np.random.default_rng(seeds[-1])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(numpys.value))}$"):
+        random_states(modes4, seeds)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [None, np.random.SeedSequence(3), np.random.PCG64(3), np.random.default_rng(3), [3]],
+    ids=["None", "SeedSequence", "PCG64", "Generator", "list"],
+)
+def test_random_states_take_integer_seeds_only(modes4, seed):
+    # default_rng takes each of these (None as fresh entropy, a Generator as itself); a state is
+    # drawn from an integer alone, checked as every integer that enters is (tests/test_numbers.py),
+    # so an integral float is its int
+    with pytest.raises(ValueError, match=f"^seeds must be a finite integer, got {re.escape(repr(seed))}$"):
+        random_states(modes4, [0, seed])
+    with pytest.raises(ValueError, match=f"^seed must be a finite integer, got {re.escape(repr(seed))}$"):
+        random_state(modes4, seed)
+    assert random_states(modes4, [0, 3.0]) == random_states(modes4, [0, 3])
+
+
 def test_random_states_holds_its_output_and_one_block_of_scratch():
     # K = 24, 256 rows: the uniforms, phases and square roots of the whole stack held 3.03 times
-    # the output; a scratch of _DRAW_ROWS rows and the finiteness checks add 0.13 of it
+    # the output; a scratch of _DRAW_ROWS rows, the seeds' generator states and the finiteness checks
+    # add 0.14 of it
     ms = build_mode_set(RectangleGeometry(math.pi, math.pi), 24, 24)
     batch = random_states(ms, range(256))
     assert peak_bytes(lambda: random_states(ms, range(256))) <= 1.25 * (batch.a.nbytes + batch.b.nbytes)
