@@ -35,9 +35,9 @@ from .inequalities import (
     theorem_symmetries,
     verify_observability,
 )
-from .observation import ObservationSpec, assemble_gram, quadrature_oracle
+from .observation import ObservationSpec, assemble_gram, quadrature_nodes, quadrature_oracle
 from .spectrum import build_mode_set, number, RectangleGeometry
-from .states import EnergyWeight, SpectralState, project_p_symmetric, random_state, random_states
+from .states import EnergyWeight, SpectralState, random_state, random_states
 
 # seeds drawn per block of verify and oracle-check states: it bounds the states held at once
 _CHUNK = 256
@@ -65,22 +65,17 @@ def _specs(config: dict, T=None) -> list:
 
 
 def _projected_states(config: dict, specs: list, mode_set, seed: int, n: int):
-    """n random states projected to the theorem's symmetries, drawn lazily _CHUNK seeds at a time.
+    """n random states with only the modes the theorem's symmetries admit, drawn lazily _CHUNK seeds at a time.
 
-    Each projection lets the block it was given go, and no block is held here
-    once it is yielded: not while it is swept, nor while the next is drawn.
+    Each block is drawn on the conjunction of SymmetrySpec.admits, so it is
+    already projected, and no block is held here once it is yielded: not
+    while it is swept, nor while the next is drawn.
     """
     decay = config.get("decay", 0.0)
     sym = theorem_symmetries(config["theorem"], specs, config.get("params", {}), mode_set.geometry)
-
-    def drawn(start: int):
-        block = random_states(mode_set, range(seed + start, seed + min(start + _CHUNK, n)), decay)
-        for s in sym:
-            block = project_p_symmetric(block, s)
-        return block
-
+    admits = np.logical_and.reduce([s.admits(mode_set) for s in sym]) if sym else None
     for start in range(0, n, _CHUNK):
-        yield drawn(start)
+        yield random_states(mode_set, range(seed + start, seed + min(start + _CHUNK, n)), decay, admits)
 
 
 def cmd_verify(config: dict, seed: int) -> tuple:
@@ -161,7 +156,7 @@ def cmd_oracle_check(config: dict, seed: int) -> tuple:
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     decay = config.get("decay", 0.0)
-    worst = 0.0
+    worst, nodes = 0.0, 0
     for spec in specs:  # spec by spec: the oracle samples a spec's Grams once for all its rows
         gram = assemble_gram(spec, ms)
         for start in range(0, n, _CHUNK):
@@ -171,9 +166,11 @@ def cmd_oracle_check(config: dict, seed: int) -> tuple:
             with np.errstate(all="ignore"):  # a non-finite value gives inf or nan: both fail
                 rel = np.abs(closed - quad) / np.maximum(np.abs(closed), 1e-300)
             worst = max(worst, float(np.where(np.isnan(rel), math.inf, rel).max()))
+        nodes = max(nodes, quadrature_nodes(spec, ms, resolution))
     result = {
         "samples": n,
         "resolution": resolution,
+        "nodes": nodes,
         "tolerance": tol,
         "max_rel_err": worst,
         "passed": worst <= tol,

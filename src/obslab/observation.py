@@ -10,9 +10,10 @@ row-major in (k2, k1), so the spatial sum of x1 and x2 products is a sum of
 Kronecker products of K x K axis Grams, and one producer (_gram_rows) writes
 the upper triangle of every Gram a block of whole k2-rows at a time, with no
 n x n gather or temporary. assemble_gram takes the 1-D Grams in closed form;
-the oracle runs the same producer on composite-Simpson sums over pointwise
-samples and shares no closed form: it samples each interval on the half of
-its grid about the centre, in the real centred layout of the closed forms.
+the oracle runs the same producer on composite Gauss-Legendre sums over
+pointwise samples and shares no closed form: it samples each interval on the
+half of its panels about the centre, in the real centred layout of the
+closed forms.
 Both mirror the rows into a GramForm about _centre_angle (_gram_form); the
 pencil of inequalities sums them, about the same angle, into the upper
 triangles of its blocks, all that _doubled_forms reads. A dense tensor-grid
@@ -47,7 +48,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .spectrum import ModeSet, RectangleGeometry, _symmetric_product, _weighted_gram, build_mode_set
+from .spectrum import ModeSet, RectangleGeometry, _row_gram, _symmetric_product, build_mode_set
 from .spectrum import number, number_array
 
 # Factors of the separable pieces. Each is a tuple (kind, *positions on its axis):
@@ -59,6 +60,12 @@ _FULL, _EDGE, _ONES = ("full",), ("edge",), ("ones",)
 _ROW_BLOCK = 1 << 14
 # rows per block of the real kernel of _exponential_form
 _INGHAM_BLOCK = 128
+# Gauss-Legendre nodes per panel of the oracle, and the most radians of the
+# integrand's fastest frequency that one panel spans
+_GL_ORDER = 32
+_PANEL_RAD = 40.0
+# complex entries per block of an oracle table fill: its two scratch arrays stay small beside the table
+_FILL_BLOCK = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -578,31 +585,71 @@ def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:
 # quadrature oracle
 
 
-def _simpson_weights(lo: float, hi: float, panels: int) -> np.ndarray:
-    """Composite Simpson weights of the nodes c + s_m, m = 0..panels/2, about the centre c.
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """The _GL_ORDER Gauss-Legendre nodes on (-1, 1), ascending, and their weights, computed on first use.
 
-    Node m is node panels/2 + m of the even panel count's grid on (lo, hi),
-    weighted 1, 4 or 2 times h/3 as that grid weighs it, and doubled for m >
-    0, since it also stands for its mirror node c - s_m.
+    Eight Newton steps on P_n from the guesses cos(pi (i - 1/4) / (n + 1/2)),
+    with P_n and P_n' from the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1} and
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1): the steps converge
+    quadratically, and the fourth is already below 1e-16. The weights are
+    2 / ((1 - x^2) P_n'(x)^2), and nodes and weights are then made exactly
+    odd and even about 0. All of it is elementwise numpy, no LAPACK.
     """
-    half = panels // 2
-    w = np.where(np.arange(half, panels + 1) % 2, 4.0, 2.0)
-    w[-1] = 1.0
-    w *= (hi - lo) / panels / 3.0
-    w[1:] *= 2.0
-    return w
+    n = _GL_ORDER
+    x = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+
+    def legendre(x):  # P_n(x) and P_n'(x)
+        p0, p1 = np.ones_like(x), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    for _ in range(8):
+        p, dp = legendre(x)
+        x = x - p / dp
+    dp = legendre(x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
+
+
+def _panels(factor, f, ell: float, res: int) -> tuple:
+    """(lo, hi, panels): the interval of a sampled factor on an axis of length ell, and its even panel count.
+
+    The panels hold at least res nodes, and no panel spans more than
+    _PANEL_RAD radians of 2 max f, the fastest frequency of the integrand, a
+    product of two profiles of frequency at most max f. A 32-node panel
+    integrates cos to about 2e-15 up to 60 radians across it, 7e-12 at 70
+    and 8e-9 at 80.
+    """
+    lo, hi = factor[1:] or (0.0, ell)
+    return lo, hi, 2 * math.ceil(max(res / _GL_ORDER, 2.0 * float(np.max(f)) * (hi - lo) / _PANEL_RAD) / 2.0)
 
 
 def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
-    """Simpson 1-D Gram sum_x w_x conj(f_i(x)) f_j(x) of one factor from pointwise samples.
+    """Gauss-Legendre 1-D Gram sum_x w_x conj(f_i(x)) f_j(x) of one factor from pointwise samples.
 
     A point, or z k cos(z k x) at the x = 0 edge, is one node of unit weight
-    and has the outer product of its samples. Any other factor is sampled at
-    the Simpson nodes c + s_m, m = 0..res/2, about its interval centre c, each
-    weighted also for c - s_m. With f = z k, the tables C = cos(f s) and
-    S = sin(f s), filled in turn, give CC and SS by one dsyrk each
-    (_weighted_gram). Cross terms cancel on each node pair: sin(f x) has the
-    Gram (sigma sigma') o CC + (kappa kappa') o SS, sigma = sin(f c) and
+    and has the outer product of its samples. Any other factor is sampled on
+    composite Gauss-Legendre panels of _GL_ORDER nodes (_panels, f = z k),
+    laid symmetrically about its interval centre c: the nodes are c + s and
+    c - s for s = a_p + b_j on the right half, a_p the centres of its panels
+    and b_j the in-panel offsets, and node c + s carries the weight of both.
+    The tables C = cos(f s) and S = sin(f s) are the real and imaginary
+    parts of e^{i f a_p} e^{i f b_j}, angle addition from D (P/2 + J)
+    complex exponentials for D frequencies, P panels and J nodes a panel.
+    They are filled in turn into one buffer, a block of panels at a time
+    (at most _FILL_BLOCK products, or one panel's) from two contiguous
+    operands of the block's size (e^{i f a_p} repeated over the block's
+    offsets, e^{i f b_j} tiled over its panels once per call), which numpy
+    multiplies without the buffers it gives a broadcast operand, and give
+    CC and SS by one dsyrk each (_row_gram). The square roots of the
+    weights ride on e^{i f b_j}. Beside the table the call holds those two
+    blocks and the exponentials, which go before the second dsyrk: a time
+    Gram at K = 8 or 24 on the pi-square holds under two tables. Cross
+    terms cancel on each node pair: sin(f x) has the Gram
+    (sigma sigma') o CC + (kappa kappa') o SS, sigma = sin(f c) and
     kappa = cos(f c), and e^{i f x} the stack (CC + SS, CC - SS), the a-a and
     a-b blocks of its doubled Gram without the phase, as _closed_axis_gram
     gives them. All are symmetric to the last bit.
@@ -614,16 +661,31 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
     if kind in ("point", "edge"):
         p = np.sin(f * args[0]) if kind == "point" else f
         return np.outer(p, p)
-    lo, hi = args or (0.0, ell)
-    half = res // 2
-    wx = _simpson_weights(lo, hi, res)
-    s = np.arange(half + 1) * ((hi - lo) / res)
+    lo, hi, panels = _panels(factor, f, ell, res)
+    half, h = panels // 2, (hi - lo) / panels
+    x, w = _gauss_legendre()
+    # e^{i f a_p} on the right half's panel centres, and e^{i f b_j} on the in-panel offsets times the
+    # square root of the pair weight h w_j: (h/2) w_j for node c + s and again for its mirror c - s
+    ea = np.exp(1j * np.outer(f, (np.arange(half) + 0.5) * h))
+    eb = np.exp(1j * np.outer(f, (h / 2.0) * x)) * np.sqrt(h * w)
+    m = len(f)
+    step = min(half, max(1, _FILL_BLOCK // (m * _GL_ORDER)))  # panels a block
+    table = np.empty((m, half * _GL_ORDER))
+    offsets = np.tile(eb, step)  # e^{i f b_j} for each node of a block, panel by panel
 
-    def gram(trig):  # one table, filled in place and dropped on return
-        table = np.outer(f, s)
-        return _weighted_gram(trig(table, out=table), wx)
+    def fill(part):  # the table part(e^{i f (a_p + b_j)}), cos or sin, a block of panels at a time
+        for p0 in range(0, half, step):
+            p1 = min(p0 + step, half)
+            e = np.repeat(ea[:, p0:p1], _GL_ORDER, axis=1)  # contiguous operands: numpy buffers none
+            e *= offsets[:, : e.shape[1]]
+            np.copyto(table[:, p0 * _GL_ORDER : p1 * _GL_ORDER], part(e))
 
-    cc, ss = gram(np.cos), gram(np.sin)
+    fill(np.real)
+    cc = _row_gram(table)
+    fill(np.imag)
+    del ea, eb, offsets  # the second dsyrk holds the table and CC alone
+    ss = _row_gram(table)
+    del table
     if kind == "exp":
         return np.stack([cc + ss, cc - ss])
     c = (lo + hi) / 2.0
@@ -632,29 +694,61 @@ def _sampled_axis_gram(factor, ks, z: float, ell: float, res: int):
 
 
 @functools.lru_cache(maxsize=1)
-def _sampled_blocks(spec: ObservationSpec, mode_set: ModeSet, res: int) -> GramForm:
-    """The GramForm of _gram_form on Simpson samples, kept for the next call on the same spec."""
-    return _gram_form(spec, mode_set, functools.partial(_sampled_axis_gram, res=res))
+def _sampled_blocks(spec: ObservationSpec, mode_set: ModeSet, res: int) -> tuple:
+    """The GramForm of _gram_form on Gauss-Legendre samples and the most nodes on one axis, kept for the next call.
 
-
-def quadrature_oracle(state, spec: ObservationSpec, resolution: int):
-    """Composite-Simpson value of the observation integral, from pointwise samples.
-
-    Runs the assembly of assemble_gram, the region's pieces and the Hadamard
-    product of 1-D Grams, on Simpson sums over pointwise samples of each axis
-    profile, so it shares no closed form: the Simpson tensor-grid integral of
-    the squared field, resolution panels per axis (odd values rounded up).
-    Its centred blocks share the closed Gram's centre angle, and
-    GramForm.quadratic_form evaluates them: one state gives a float, a stack
-    one value per row. Each axis Gram is sampled once per call, the time
-    window's on the distinct frequencies, and kept for the next call on the
-    same spec, so blocks of states share it.
+    An axis of a point, an edge or no factor is one node.
     """
-    spec.validate_geometry(state.mode_set.geometry)
+    nodes = [1]
+
+    def axis_gram(factor, ks, z, ell):
+        if factor[0] not in ("ones", "point", "edge"):
+            nodes.append(_GL_ORDER * _panels(factor, z * ks, ell, res)[2])
+        return _sampled_axis_gram(factor, ks, z, ell, res)
+
+    return _gram_form(spec, mode_set, axis_gram), max(nodes)
+
+
+def _resolution(resolution) -> int:
     resolution = number(resolution, "resolution", integer=True)
     if resolution < 64:
         raise ValueError(f"resolution must be >= 64, got {resolution}")
-    return _sampled_blocks(spec, state.mode_set, resolution + resolution % 2).quadratic_form(state)
+    return resolution
+
+
+def quadrature_oracle(state, spec: ObservationSpec, resolution: int):
+    """Composite Gauss-Legendre value of the observation integral, from pointwise samples.
+
+    Runs the assembly of assemble_gram, the region's pieces and the Hadamard
+    product of 1-D Grams, on Gauss-Legendre sums over pointwise samples of
+    each axis profile, so it shares no closed form: the tensor-grid integral
+    of the squared field. Each sampled axis (an interval of x1 or x2, or the
+    time window) is cut into an even number of panels of 32 nodes, laid
+    symmetrically about its centre: resolution (at least 64) is the floor on
+    the nodes of an axis, and the panels are added until none spans more
+    than _PANEL_RAD radians of the integrand's fastest frequency, twice the
+    axis' largest frequency. These panels integrate every product of two
+    profiles to about machine precision (L. N. Trefethen, "Is Gauss
+    quadrature better than Clenshaw-Curtis?", SIAM Rev. 50 (2008) 67-87).
+    quadrature_nodes gives the most nodes so placed on one axis. Its centred
+    blocks share the closed Gram's centre angle, and GramForm.quadratic_form
+    evaluates them: one state gives a float, a stack one value per row.
+    Each axis Gram is sampled once per call, the time window's on the
+    distinct frequencies, and kept for the next call on the same spec, so
+    blocks of states share it.
+    """
+    spec.validate_geometry(state.mode_set.geometry)
+    return _sampled_blocks(spec, state.mode_set, _resolution(resolution))[0].quadratic_form(state)
+
+
+def quadrature_nodes(spec: ObservationSpec, mode_set: ModeSet, resolution: int) -> int:
+    """The most Gauss-Legendre nodes quadrature_oracle places on one axis of spec at this resolution.
+
+    The axes are sampled as quadrature_oracle samples them, and kept for its
+    next call on the same spec; after such a call this is a lookup.
+    """
+    spec.validate_geometry(mode_set.geometry)
+    return _sampled_blocks(spec, mode_set, _resolution(resolution))[1]
 
 
 # ---------------------------------------------------------------------------

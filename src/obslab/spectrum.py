@@ -6,7 +6,7 @@ lambda_k = u k1^2 + v k2^2, u = pi^2/l1^2, v = pi^2/l2^2. The membrane
 oscillates at sqrt(lambda_k), the hinged plate at lambda_k itself.
 
 Every BLAS and LAPACK call of the package goes through the three helpers
-here, _symmetric_product, _weighted_gram and _lapack, the one place that knows
+here, _symmetric_product, _row_gram and _lapack, the one place that knows
 scipy; they import scipy.linalg on their first call, not before. numpy and
 scipy each bundle an OpenBLAS with its own thread pool, and no module calls a
 numpy routine that reaches numpy's (@, dot, numpy.linalg, ...), so scipy's
@@ -156,15 +156,13 @@ def _symmetric_product(v: np.ndarray, s: np.ndarray, hermitian: bool = False, ou
     return out
 
 
-def _weighted_gram(f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """f diag(w) f^T for a C-contiguous real m x k table f and k positive weights w, through scipy's BLAS.
+def _row_gram(f: np.ndarray) -> np.ndarray:
+    """f f^T for a C-contiguous real m x k table f, through scipy's BLAS.
 
-    f is scaled in place to f sqrt(w), its F-ordered transpose goes to one
-    dsyrk with trans=1, so f2py copies nothing, and the upper triangle the
-    call writes is mirrored by one masked copy: the m x m result is
-    C-contiguous and symmetric to the last bit.
+    The F-ordered transpose of f goes to one dsyrk with trans=1, so f2py
+    copies nothing, and the upper triangle the call writes is mirrored by one
+    masked copy: the m x m result is C-contiguous and symmetric to the last bit.
     """
-    f *= np.sqrt(w)
     # dsyrk fills the upper triangle, the lower of the view
     gram = _scipy_linalg().blas.dsyrk(1.0, f.T, trans=1).T
     np.copyto(gram, gram.T, where=np.tri(len(f), k=-1, dtype=bool).T)

@@ -241,7 +241,7 @@ def _seeded(seeds: list):
         yield rng
 
 
-def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState:
+def random_states(mode_set: ModeSet, seeds, decay: float = 0.0, admits=None) -> SpectralState:
     """Deterministic random states, one row per seed, with |a_k|, |b_k| <= lambda_k^(-decay).
 
     Coefficients are uniform on the complex unit disc, then scaled; decay 0
@@ -254,18 +254,25 @@ def random_states(mode_set: ModeSet, seeds, decay: float = 0.0) -> SpectralState
     a SeedSequence, a Generator and a bool are rejected, and a negative seed
     raises default_rng's ValueError. The phases 2 pi u go through cos and
     sin into unit-stride scratch (the cosines into the spent angles' rows),
-    and their products with the square roots of the radii into the real and
-    imaginary parts of one (2, N, n) array, which, for a nonzero decay, the
-    scale then multiplies; so a and b come out contiguous. The stack is
-    filled _DRAW_ROWS rows at a time from one scratch of that many rows'
-    uniforms and phases (6 n floats a row), each value as a pass over the
-    whole stack would give it; so the call holds its output, that scratch,
-    the seeds' generator states and the finiteness checks' booleans, about
-    1.14 times the output at K = 24 and N = 256. A decay whose scale
-    underflows to zero on every mode is rejected, since its states would all
-    be zero.
+    and their products with the square roots of the radii, formed in that
+    scratch, into the real and imaginary parts of one (2, N, n) array,
+    which, for a nonzero decay, the scale then multiplies; so a and b come
+    out contiguous. The stack is filled _DRAW_ROWS rows at a time from one
+    scratch of that many rows' uniforms and phases (6 n floats a row), each
+    value as a pass over the whole stack would give it; so the call holds
+    its output, that scratch, the seeds' generator states and the
+    finiteness checks' booleans, about 1.14 times the output at K = 24 and
+    N = 256. A decay whose scale underflows to zero on every mode is
+    rejected, since its states would all be zero.
+
+    admits, a boolean per mode such as SymmetrySpec.admits (or their
+    conjunction), draws only the admitted modes: each row still draws its
+    4n uniforms, but the phases, cosines, sines and square roots are taken
+    on the admitted modes alone and every other coefficient is zero. The
+    admitted coefficients have the bits that project_p_symmetric leaves of
+    the unmasked draw. A mask that admits no mode is rejected.
     """
-    return SpectralState(mode_set, *_drawn(mode_set, seeds, decay, "seeds"))
+    return SpectralState(mode_set, *_drawn(mode_set, seeds, decay, "seeds", admits))
 
 
 def random_state(mode_set: ModeSet, seed: int, decay: float = 0.0) -> SpectralState:
@@ -274,8 +281,8 @@ def random_state(mode_set: ModeSet, seed: int, decay: float = 0.0) -> SpectralSt
     return SpectralState(mode_set, a[0], b[0])
 
 
-def _drawn(mode_set: ModeSet, seeds, decay, name: str) -> np.ndarray:
-    """random_states' coefficients (a, b), one (2, N, n) array, its seeds checked under name."""
+def _drawn(mode_set: ModeSet, seeds, decay, name: str, admits=None) -> np.ndarray:
+    """random_states' coefficients (a, b), one (2, N, n) array, its seeds checked under name, zero off admits."""
     decay = float(number(decay, "decay"))
     if decay < 0:
         raise ValueError(f"decay must be >= 0, got {decay}")
@@ -283,28 +290,38 @@ def _drawn(mode_set: ModeSet, seeds, decay, name: str) -> np.ndarray:
     scale = mode_set.lam ** (-decay) if decay != 0 else np.ones(n)
     if not np.any(scale):
         raise ValueError(f"decay {decay} underflows lambda^(-decay) to zero on every mode")
+    keep = slice(None)
+    if admits is not None:
+        admits = np.asarray(admits)
+        if admits.dtype != bool or admits.shape != (n,):
+            raise ValueError(f"admits must be {n} booleans, one per mode")
+        if not admits.any():
+            raise ValueError("admits no mode")
+        keep = np.flatnonzero(admits)
     seeds = [number(seed, name, integer=True) for seed in seeds]
     generators = _seeded(seeds)
-    z = np.empty((2, len(seeds), n), dtype=complex)
+    z = np.zeros((2, len(seeds), n), dtype=complex)
     u = np.empty((min(_DRAW_ROWS, len(seeds)), 4, n))  # uniforms of a block of rows
-    phi = np.empty((2, len(u), n))  # its phases, then their sines
+    phi = np.empty((2, len(u), len(scale[keep])))  # its admitted phases, then their sines
     for lo in range(0, len(seeds), _DRAW_ROWS):
         rows = z[:, lo : lo + _DRAW_ROWS]
         k = rows.shape[1]
         for row, rng in zip(u[:k], generators):
             rng.random(out=row.reshape(-1))
-        radii, angles = np.moveaxis(u[:k, 0::2], 1, 0), np.moveaxis(u[:k, 1::2], 1, 0)
+        drawn = u[:k, :, keep]  # a view of the uniforms, or a copy of the admitted ones
+        radii, angles = np.moveaxis(drawn[:, 0::2], 1, 0), np.moveaxis(drawn[:, 1::2], 1, 0)
         np.multiply(2.0 * math.pi, angles, out=phi[:, :k])
         np.cos(phi[:, :k], out=angles)  # the spent angles take the cosines
         np.sin(phi[:, :k], out=phi[:, :k])
         np.sqrt(radii, out=radii)
-        np.multiply(angles, radii, out=rows.real)
-        np.multiply(phi[:, :k], radii, out=rows.imag)
+        rows.real[..., keep] = np.multiply(angles, radii, out=angles)
+        rows.imag[..., keep] = np.multiply(phi[:, :k], radii, out=phi[:, :k])
         if decay != 0:
             rows *= scale
     a, b = z
     dead = ~(a.any(axis=1) | b.any(axis=1))
-    a[dead, 0] = scale[0]  # measure-zero guard: a state is never all zero
+    first = np.arange(n)[keep][0]
+    a[dead, first] = scale[first]  # measure-zero guard: a state is never all zero
     return z
 
 

@@ -9,9 +9,9 @@ below; a pencil writes only the upper triangle of each sector, mirrored here
 for the dense solvers. The exponential-sum integrals, which the library
 forms from real sinc blocks about the box centre, are compared with dense
 products of the complex interval kernel. The oracle's sampled axis Grams,
-which the library forms from real cos and sin tables on the half of the
-Simpson grid about the interval centre, are compared with dense Simpson sums
-over every node of the grid.
+which the library forms from real cos and sin tables on the half of its
+Gauss-Legendre panels about the interval centre, are compared with dense
+sums over every node of the same panels.
 """
 
 import functools
@@ -40,30 +40,33 @@ def _interval_kernel(delta, lo: float, hi: float):
     return out
 
 
-def _simpson_grid(lo: float, hi: float, res: int):
-    """Every node of the composite Simpson grid of res (even) panels on (lo, hi), and its weight."""
-    x = np.linspace(lo, hi, res + 1)
-    w = np.ones(res + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return x, w * ((hi - lo) / res / 3.0)
+def gauss_grid(lo: float, hi: float, panels: int):
+    """Every node of the composite 32-node Gauss-Legendre rule of panels equal panels on (lo, hi), and its weight.
+
+    The nodes and weights on (-1, 1) are numpy's leggauss(32), not the
+    library's own Newton iteration; each panel is the map of (-1, 1) onto it.
+    """
+    x, w = np.polynomial.legendre.leggauss(32)
+    h = (hi - lo) / panels
+    centres = lo + (np.arange(panels) + 0.5) * h
+    return (centres[:, None] + (h / 2.0) * x).ravel(), np.tile((h / 2.0) * w, panels)
 
 
-def sampled_exp_sums(ks, z: float, lo: float, hi: float, res: int):
-    """The Simpson sums of f = e^{i z k x} on (lo, hi): sum_x w_x conj(f_i) f_j and sum_x w_x conj(f_i) conj(f_j).
+def sampled_exp_sums(ks, z: float, lo: float, hi: float, panels: int):
+    """The Gauss-Legendre sums of f = e^{i z k x} on (lo, hi): sum_x w_x conj(f_i) f_j and sum_x w_x conj(f_i f_j).
 
     The samples are taken with one complex exp and the sums formed by two
     complex products, the a-a and a-b blocks of the profile's doubled Gram.
     """
-    x, w = _simpson_grid(lo, hi, res)
+    x, w = gauss_grid(lo, hi, panels)
     f = np.exp(1j * np.outer(z * ks, x))
     fw = f.conj() * w
     return fw @ f.T, fw @ f.conj().T
 
 
-def sampled_sine_sum(ks, z: float, lo: float, hi: float, res: int):
-    """The Simpson sum of f = sin(z k x) on (lo, hi): sum_x w_x f_i f_j, by one product of the samples."""
-    x, w = _simpson_grid(lo, hi, res)
+def sampled_sine_sum(ks, z: float, lo: float, hi: float, panels: int):
+    """The Gauss-Legendre sum of f = sin(z k x) on (lo, hi): sum_x w_x f_i f_j, by one product of the samples."""
+    x, w = gauss_grid(lo, hi, panels)
     f = np.sin(np.outer(z * ks, x))
     return (f * w) @ f.T
 

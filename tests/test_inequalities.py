@@ -52,7 +52,7 @@ from obslab import (
 )
 from obslab import inequalities, observation, states
 from obslab.inequalities import ConstantReport, ThresholdError
-from obslab.spectrum import _symmetric_product, _weighted_gram
+from obslab.spectrum import _row_gram, _symmetric_product
 from conftest import peak_bytes
 from gram_reference import _interval_kernel, dense_gram, pencil_sectors, piecewise_sectors
 
@@ -1099,7 +1099,7 @@ def test_no_library_product_copies_an_operand(square, monkeypatch):
 
         return product
 
-    helpers = [(inequalities, _symmetric_product), (observation, _symmetric_product), (observation, _weighted_gram)]
+    helpers = [(inequalities, _symmetric_product), (observation, _symmetric_product), (observation, _row_gram)]
     for module, helper in helpers:
         monkeypatch.setattr(module, helper.__name__, guarded(f"{module.__name__}.{helper.__name__}", helper))
     ms = build_mode_set(square, 8, 8)
@@ -1119,7 +1119,7 @@ def test_no_library_product_copies_an_operand(square, monkeypatch):
     assert set(calls) == {
         "obslab.inequalities._symmetric_product",
         "obslab.observation._symmetric_product",
-        "obslab.observation._weighted_gram",
+        "obslab.observation._row_gram",
     }
 
 

@@ -1,9 +1,10 @@
-"""Gram forms versus the Simpson oracle, kernels, regions, serialization."""
+"""Gram forms versus the Gauss-Legendre oracle, kernels, regions, serialization."""
 
 import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,7 @@ from obslab import (
 from obslab import observation
 from obslab.observation import region_from_dict, region_to_dict
 from conftest import peak_bytes
-from gram_reference import _interval_kernel, dense_gram, sampled_exp_sums, sampled_sine_sum, spatial_sum
+from gram_reference import _interval_kernel, dense_gram, gauss_grid, sampled_exp_sums, sampled_sine_sum, spatial_sum
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
 
@@ -519,25 +520,27 @@ def test_oracle_matches_gram(square, region):
     exact = g.quadratic_form(state)
     approx = quadrature_oracle(state, spec, 512)
     assert exact > 0
-    assert abs(approx - exact) <= 1e-6 * exact
+    assert abs(approx - exact) <= 1e-12 * exact
 
 
-def _simpson(lo, hi, panels):
-    x = np.linspace(lo, hi, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return x, w * ((hi - lo) / panels / 3.0)
+def _gauss(lo, hi, freqs, res):
+    """Every node of the oracle's Gauss-Legendre panels on (lo, hi) for these frequencies, and its weight.
+
+    The panel count is the oracle's own (observation._panels); the nodes and
+    weights are numpy's (gram_reference.gauss_grid).
+    """
+    return gauss_grid(lo, hi, observation._panels(("interval", lo, hi), np.abs(freqs), None, res)[2])
 
 
 def _dense_oracle(state, spec, res):
-    """Simpson sum of |field|^2 on the full (t, x1, x2) tensor grid of each box.
+    """Gauss-Legendre sum of |field|^2 on the full (t, x1, x2) tensor grid of each box.
 
     The reference for the factorised oracle: each region's boxes are written
     out here, and the field itself is sampled and squared, so neither the
-    region pieces nor the Hadamard product of 1-D Grams is used. An axis is a
-    Simpson grid or one node of unit weight (a point, an edge derivative, or
-    no axis at all); profiles are rows over the doubled index.
+    region pieces nor the Hadamard product of 1-D Grams is used. An axis is
+    every node of the oracle's panels on it, or one node of unit weight (a
+    point, an edge derivative, or no axis at all); profiles are rows over the
+    doubled index.
     """
     ms = state.mode_set
     geo = ms.geometry
@@ -548,7 +551,7 @@ def _dense_oracle(state, spec, res):
     z1, z2 = math.pi / geo.ell1, math.pi / geo.ell2
 
     def sines(kz, lo, hi):
-        x, wx = _simpson(lo, hi, res)
+        x, wx = _gauss(lo, hi, kz, res)
         return np.sin(np.outer(kz, x)), wx
 
     def node(values):
@@ -580,9 +583,9 @@ def _dense_oracle(state, spec, res):
         boxes = [(1, all1, node(np.sin(z2 * k2 * r.beta)))]
     else:  # OpenRect: e^{i (w t + sign z2 k2 x2)} on its own window, constant in x1
         window = (r.t0, r.t1)
-        x, wx = _simpson(r.x0, r.x1, res)
+        x, wx = _gauss(r.x0, r.x1, z2 * k2, res)
         boxes = [(1, node(np.ones(len(w))), (np.exp(1j * np.outer(sign * z2 * k2, x)), wx))]
-    t, wt = _simpson(*window, res)
+    t, wt = _gauss(*window, w, res)
     coeffs = np.exp(1j * np.outer(t, w)) * (state.doubled() * amp)
     total = 0.0
     for s, (p1, w1), (p2, w2) in boxes:
@@ -605,7 +608,7 @@ def test_oracle_matches_dense_reference(region, geometry):
     state = random_state(ms, 5)
     dense = _dense_oracle(state, spec, 128)
     assert dense > 0
-    assert quadrature_oracle(state, spec, 128) == pytest.approx(dense, rel=1e-12, abs=0.0)
+    assert quadrature_oracle(state, spec, 128) == pytest.approx(dense, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("region,geometry", REGION_GEOMETRIES)
@@ -692,9 +695,13 @@ def _exp_profile(case):
     return np.unique(np.sqrt(ms.lam)), 1.0, 0.0, 9.5
 
 
-# the centre node c of the Simpson grid has weight 2 at res = 2048 and 4 at res = 2050
+def _panels(factor, ks, z, ell, res):
+    return observation._panels(factor, z * ks, ell, res)[2]
+
+
+# 2048 nodes lay 32 panels on each half of the interval, 2050 round up to 33
 @pytest.mark.parametrize("case", ["time, pi-square", "time, 3.4 x 2.8", "OpenRect x2"])
-def test_sampled_exp_gram_is_hermitian_and_the_dense_simpson_sums(case):
+def test_sampled_exp_gram_is_hermitian_and_the_dense_gauss_legendre_sums(case):
     # the real centred blocks, symmetric to the bit, give a Hermitian a-a and a symmetric a-b block
     ks, z, lo, hi = _exp_profile(case)
     p = np.exp(1j * (z * ks) * ((lo + hi) / 2.0))  # the phase about the centre, as _centre_angle takes it
@@ -703,18 +710,19 @@ def test_sampled_exp_gram_is_hermitian_and_the_dense_simpson_sums(case):
         assert x.dtype == y.dtype == float
         assert np.array_equal(x, x.T) and np.array_equal(y, y.T)
         phased = (p.conj()[:, None] * p * x, p.conj()[:, None] * p.conj() * y)
-        for got, want in zip(phased, sampled_exp_sums(ks, z, lo, hi, res)):
+        panels = _panels(("exp", lo, hi), ks, z, None, res)
+        for got, want in zip(phased, sampled_exp_sums(ks, z, lo, hi, panels)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("factor", [("interval", 0.4, 1.9), ("full",)], ids=["interval", "full"])
-def test_sampled_sine_gram_is_symmetric_and_the_dense_simpson_sum(factor):
+def test_sampled_sine_gram_is_symmetric_and_the_dense_gauss_legendre_sum(factor):
     ks, ell = np.arange(1, 13), 2.8
     z = math.pi / ell
     for res in (2048, 2050):
         gram = observation._sampled_axis_gram(factor, ks, z, ell, res)
         assert np.array_equal(gram, gram.T)
-        want = sampled_sine_sum(ks, z, *(factor[1:] or (0.0, ell)), res)
+        want = sampled_sine_sum(ks, z, *(factor[1:] or (0.0, ell)), _panels(factor, ks, z, ell, res))
         assert np.max(np.abs(gram - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -728,12 +736,14 @@ def test_sampled_one_node_gram_is_the_outer_product_of_its_samples(factor):
 
 @pytest.mark.parametrize("K", [8, 24])
 def test_sampled_time_gram_holds_at_most_two_real_tables(K):
-    # the cos and the sin table on the res/2 + 1 nodes c + s_m are filled in turn, in place, and go
-    # to BLAS uncopied
+    # the cos and the sin table on the 1024 nodes c + s of the right half are filled in turn into one
+    # buffer, a block of panels at a time, and go to BLAS uncopied
     ms = build_mode_set(RectangleGeometry(math.pi, math.pi), K, K)
     distinct = np.unique(np.sqrt(ms.lam))
+    assert _panels(("exp", 0.0, 4.0), distinct, 1.0, None, 2048) == 64  # the resolution sets the nodes
+    observation._sampled_axis_gram(("exp", 0.0, 4.0), distinct, 1.0, None, 2048)  # scipy.linalg loads on the first
     peak = peak_bytes(lambda: observation._sampled_axis_gram(("exp", 0.0, 4.0), distinct, 1.0, None, 2048))
-    assert peak <= 2 * len(distinct) * 1025 * 8
+    assert peak <= 2 * len(distinct) * 1024 * 8
 
 
 def test_oracle_resolution_validation(modes4):
@@ -744,14 +754,63 @@ def test_oracle_resolution_validation(modes4):
     assert quadrature_oracle(state, spec, 65) == quadrature_oracle(state, spec, 66)
 
 
-def test_oracle_converges_at_fourth_order(modes4):
-    spec = _spec(SEGS)
-    state = random_state(modes4, 11)
-    exact = assemble_gram(spec, modes4).quadratic_form(state)
-    err64 = abs(quadrature_oracle(state, spec, 64) - exact)
-    err256 = abs(quadrature_oracle(state, spec, 256) - exact)
-    assert err64 > 1e-13
-    assert err256 <= err64 / 8
+def test_gauss_legendre_nodes_are_numpys_and_the_40_digit_ones():
+    # Newton on the three-term recurrence in elementwise numpy, against numpy's leggauss (whose nodes
+    # come from numpy.linalg, which the package never calls) and against 40 digits. Each node is
+    # checked in its own ulps; a weight in the ulps of 1, their scale, since leggauss's own end
+    # weights, near 0.0035, sit 470 of their ulps (1.8 ulps of 1) from the 40-digit values
+    x, w = observation._gauss_legendre()
+    assert observation._gauss_legendre() is observation._gauss_legendre()  # computed once
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]) and np.all(np.diff(x) > 0)
+    want_x, want_w = np.polynomial.legendre.leggauss(32)
+    assert np.all(np.abs(x - want_x) <= 2 * np.spacing(np.abs(want_x)))
+    assert np.all(np.abs(w - want_w) <= 2 * np.spacing(1.0))
+
+    def legendre(t):  # P_32(t) and P_31(t)
+        p0, p1 = mpmath.mpf(1), t
+        for k in range(1, 32):
+            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+        return p1, p0
+
+    with mpmath.workdps(40):
+        for xi, wi in zip(x, w):
+            t = mpmath.mpf(float(xi))
+            for _ in range(3):
+                p, q = legendre(t)
+                t -= p / (32 * (t * p - q) / (t * t - 1))
+            p, q = legendre(t)
+            exact_w = 2 / ((1 - t * t) * (32 * (t * p - q) / (t * t - 1)) ** 2)
+            assert abs(xi - float(t)) <= np.spacing(abs(float(t)))
+            assert abs(wi - float(exact_w)) <= np.spacing(1.0)
+
+
+def test_oracle_converges_exponentially_in_the_panel_count(monkeypatch):
+    # with the sizing rule off, 64 nodes a panel pair: frequencies up to 50 on (0, 4) put up to 400
+    # radians of the integrand's fastest frequency on the axis, 200 on each of 2 panels. A rule of
+    # fourth order would gain 16, 5 and 3 from 2 to 4, 6 and 8 panels; these panels gain ever more
+    monkeypatch.setattr(observation, "_PANEL_RAD", math.inf)
+    ks = np.arange(1, 51)
+    exact = observation._closed_axis_gram(("exp", 0.0, 4.0), ks, 1.0, None)
+    errors = []
+    for panels in (2, 4, 6, 8):
+        assert _panels(("exp", 0.0, 4.0), ks, 1.0, None, 32 * panels) == panels
+        got = observation._sampled_axis_gram(("exp", 0.0, 4.0), ks, 1.0, None, 32 * panels)
+        errors.append(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
+    assert errors[0] > 1e-2
+    assert errors[0] / errors[1] > 1e3 and errors[1] / errors[2] > 1e8
+    assert errors[3] <= 1e-14
+
+
+def test_oracle_panels_keep_every_panel_below_the_radian_cap():
+    # the resolution is a floor on the nodes; the panels grow with the fastest frequency and the length
+    assert observation._panels(("interval", 1.0, 2.0), np.array([1.0, 3.0]), None, 64)[2] == 2
+    assert observation._panels(("interval", 1.0, 2.0), np.array([1.0, 3.0]), None, 65)[2] == 4
+    assert observation._panels(("full",), np.array([3.0]), 2.5, 64)[2:] == (2,)
+    for f_max, length, res in [(1350.0, 2.0, 256), (33.9, 48.0, 256), (7.0, 3.0, 2048), (500.0, 0.7, 64)]:
+        lo, hi, panels = observation._panels(("interval", 1.0, 1.0 + length), np.array([f_max / 2, f_max]), None, res)
+        assert panels % 2 == 0 and 32 * panels >= res
+        assert 2 * f_max * (hi - lo) / panels <= observation._PANEL_RAD
+        assert panels == 2 or 2 * f_max * (hi - lo) / (panels - 2) > observation._PANEL_RAD or 32 * (panels - 2) < res
 
 
 # ---------------------------------------------------------------------------

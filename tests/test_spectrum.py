@@ -16,7 +16,7 @@ from obslab import (
     partial_gap_analysis,
     spectrum,
 )
-from obslab.spectrum import _symmetric_product, _weighted_gram
+from obslab.spectrum import _row_gram, _symmetric_product
 
 
 def test_geometry_derived_constants():
@@ -304,12 +304,17 @@ def _import_time_nodes(tree):
             stack.extend(ast.iter_child_nodes(node))
 
 
-# numpy's routines that reach its BLAS; of numpy.linalg only the error class may be imported
-_NUMPY_PRODUCTS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+# numpy's routines that reach its BLAS or LAPACK; of numpy.linalg only the error class may be imported, and
+# numpy.polynomial, whose Gauss nodes (leggauss) and roots come from numpy.linalg's eigensolvers, not at all
+_NUMPY_PRODUCTS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum", "leggauss"}
+_NUMPY_LINALG = {"linalg", "polynomial"}
 
 
 def _reaches_numpy_blas(node) -> bool:
-    """Whether node is an @ product, a call of a numpy product, or reaches numpy.linalg for more than LinAlgError."""
+    """Whether node is an @ product, a call of a numpy product or of leggauss, or reaches numpy's linear algebra.
+
+    That is numpy.linalg, of which only LinAlgError may be imported, and numpy.polynomial.
+    """
     if isinstance(getattr(node, "op", None), ast.MatMult):
         return True
     if isinstance(node, ast.Call):
@@ -318,10 +323,11 @@ def _reaches_numpy_blas(node) -> bool:
         names = {alias.name for alias in node.names}
         if node.module == "numpy.linalg":
             return names != {"LinAlgError"}
-        return bool(names & (_NUMPY_PRODUCTS | {"linalg"}))
+        return node.module.startswith("numpy.polynomial") or bool(names & (_NUMPY_PRODUCTS | _NUMPY_LINALG))
     if isinstance(node, ast.Import):
-        return any(alias.name == "numpy.linalg" for alias in node.names)
-    return isinstance(node, ast.Attribute) and node.attr == "linalg" and getattr(node.value, "id", None) in ("np", "numpy")
+        return any(alias.name.split(".")[:2] in (["numpy", "linalg"], ["numpy", "polynomial"]) for alias in node.names)
+    numpy_attribute = isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("np", "numpy")
+    return numpy_attribute and node.attr in _NUMPY_LINALG
 
 
 def test_every_product_goes_through_the_blas_helper():
@@ -354,6 +360,14 @@ def test_the_numpy_blas_guard_sees_each_way_to_reach_numpy_blas():
         "from numpy.linalg import LinAlgError, solve",
         "from numpy import linalg",
         "import numpy.linalg",
+        "np.polynomial.legendre.leggauss(32)",
+        "numpy.polynomial.Legendre.basis(3).roots()",
+        "leggauss(32)",
+        "from numpy.polynomial.legendre import leggauss",
+        "from numpy.polynomial import legendre",
+        "from numpy import polynomial",
+        "import numpy.polynomial.legendre",
+        "import numpy.polynomial as P",
     ]
     for source in sources:
         assert any(_reaches_numpy_blas(node) for node in ast.walk(ast.parse(source))), source
@@ -436,14 +450,14 @@ def test_the_blas_guard_sees_each_way_to_reach_scipy_blas():
 
 
 @pytest.mark.parametrize("m, k", [(1, 1), (5, 1), (7, 33), (40, 129)])
-def test_weighted_gram_is_the_weighted_product_symmetric_to_the_bit(m, k):
+def test_row_gram_is_the_product_symmetric_to_the_bit(m, k):
     rng = np.random.default_rng(m * k)
-    f, w = rng.standard_normal((m, k)), rng.uniform(0.1, 2.0, k)
-    want = (f * w) @ f.T
-    got = _weighted_gram(f.copy(), w)
+    f = rng.standard_normal((m, k))
+    want = f @ f.T
+    got = _row_gram(f.copy())
     assert got.shape == (m, m) and got.flags.c_contiguous
     assert np.array_equal(got, got.T)
-    assert np.all(np.abs(got - want) <= 1e-13 * ((np.abs(f) * w) @ np.abs(f).T))
+    assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(f) @ np.abs(f).T))
 
 
 def _layout(x, layout):

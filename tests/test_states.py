@@ -212,6 +212,34 @@ def test_random_states_rows_are_random_state_bitwise(modes6, count, decay, proje
         assert batch.a[i].tobytes() == a.tobytes() and batch.b[i].tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("count", [1, _R + 1, 2 * _R + 1])
+@pytest.mark.parametrize("decay", [0.0, 0.5])
+@pytest.mark.parametrize("orders", [(2, None), (None, 3), (2, 2), (3, 5)], ids=["p2", "q3", "p2q2", "p3q5"])
+def test_a_masked_draw_is_the_projected_draw_to_the_bit(count, decay, orders):
+    # the same 4n uniforms a row, but phases, cos, sin and square roots on the admitted modes only
+    ms = build_mode_set(RectangleGeometry(math.pi, math.pi), 16, 16)
+    symmetries = [SymmetrySpec(p, axis, math.pi / p) for p, axis in zip(orders, ("x1", "x2")) if p]
+    admits = np.logical_and.reduce([sym.admits(ms) for sym in symmetries])
+    masked = random_states(ms, range(5, 5 + count), decay, admits)
+    for i in range(count):
+        a, b = _documented_row(ms, 5 + i, decay, symmetries)
+        assert masked.a[i, admits].tobytes() == a[admits].tobytes()
+        assert masked.b[i, admits].tobytes() == b[admits].tobytes()
+        assert np.all(masked.a[i, ~admits] == 0) and np.all(masked.b[i, ~admits] == 0)
+    projected = random_states(ms, range(5, 5 + count), decay)
+    for sym in symmetries:
+        projected = project_p_symmetric(projected, sym)
+    assert masked == SpectralState(ms, projected.a + 0.0, projected.b + 0.0)  # -0.0 + 0.0 is 0.0
+
+
+def test_random_states_rejects_an_unusable_mask(modes4):
+    n = len(modes4)
+    assert random_states(modes4, [1], admits=[True] * n) == random_states(modes4, [1])
+    for admits in (np.ones(n - 1, dtype=bool), np.ones(n), np.ones((1, n), dtype=bool), np.zeros(n, dtype=bool)):
+        with pytest.raises(ValueError, match="admits"):
+            random_states(modes4, [1], admits=admits)
+
+
 # a seed of each number of uint32 words SeedSequence splits it into, at the word boundaries, and a
 # numpy integer
 SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, np.int64(7)]
