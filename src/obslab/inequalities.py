@@ -22,18 +22,19 @@ sum Y, with no GramForm, and each D-scaled sector is written in turn into
 one slab, where LAPACK reduces it in place; A, B and the sectors hold only
 the C-order upper triangle, all that any reader reads. A theorem's symmetry
 mask acts per mode, so each sector is restricted to the admissible modes
-before its solve. empirical_constants lifts the minimiser back through the
-sector sign, 1/sqrt 2 and the phase, and certifies c_min by its Rayleigh
-quotient on the doubled form of the summed, unscaled blocks. check_theorem
-takes the smallest eigenvalue of the masked sectors (Pencil.lowest, which
-computes no eigenvector), and verify_observability sweeps states through
-the sector quadratic forms, a few hundred states per symmetric product. Each
-sector is reduced to tridiagonal form once, and both its extreme eigenvalues
-and the minimiser come from it, equal to scipy.linalg.eigh's to the bit;
-lowest skips the reduction of a sector that a shifted Cholesky factorisation
-proves to lie above the other's minimum.
-Its LAPACK calls go through spectrum._lapack, which imports scipy on its
-first call; this module imports no scipy.
+before its solve. Only the solve reads sectors: the pencil's quadratic
+forms are observation._doubled_forms of the unscaled A and B, the rule of
+GramForm and the oracle. empirical_constants lifts the minimiser back
+through the sector sign, 1/sqrt 2 and the phase, and certifies c_min by its
+Rayleigh quotient on that form. check_theorem takes the smallest eigenvalue
+of the masked sectors (Pencil.lowest, which computes no eigenvector), and
+verify_observability sweeps states through the forms a chunk at a time.
+Each sector is reduced to tridiagonal form once, and both its extreme
+eigenvalues and the minimiser come from it, equal to scipy.linalg.eigh's to
+the bit; lowest skips the reduction of a sector that a shifted Cholesky
+factorisation proves to lie above the other's minimum. Its LAPACK calls go
+through spectrum._lapack, which imports scipy on its first call; this
+module imports no scipy and calls no BLAS helper.
 
 The Ingham-type checks take their time integral from the real blocked form
 of observation (_exponential_form) on the one axis (0, T), which makes no
@@ -54,6 +55,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .observation import (
+    _ROW_BLOCK,
     ObservationSpec,
     _centre_angle,
     _doubled_forms,
@@ -61,7 +63,7 @@ from .observation import (
     _gram_rows,
     assemble_gram,
 )
-from .spectrum import ModeSet, _lapack, _partial_gap, _symmetric_product, number, number_array
+from .spectrum import ModeSet, _lapack, _partial_gap, number, number_array
 from .states import EnergyWeight, SpectralState, SymmetrySpec, energy_seminorm_sq, state_to_dict
 
 
@@ -101,11 +103,11 @@ _THEOREMS = {
 THEOREM_IDS = tuple(_THEOREMS)
 
 _PI = math.pi
-# rows per chunk of the sweep: it bounds the temporaries of
-# Pencil.quadratic_forms, so no stack of every state's coefficients is held at once
+# rows per chunk of the sweep, so no stack of every state's coefficients is held at once
 _CHUNK = 256
-# entries per block of sector rows written from the summed Gram blocks
-_ROW_BLOCK = 1 << 14
+# rows per _doubled_forms call of Pencil.quadratic_forms: the phased rows and the call's two buffers,
+# 8 m floats a row, then take no more than the sweep's chunk of rows itself, 4 n floats a row
+_FORM_ROWS = _CHUNK // 2
 
 
 class ThresholdError(ValueError):
@@ -428,16 +430,18 @@ class Pencil:
     Pencil(specs, mode_set, d, mask) sums the Grams of the ObservationSpecs
     specs, each assembled a block of rows at a time, with no GramForm;
     pencil() builds it from an energy weight. d is the energy weight
-    diagonal, one positive entry per mode, checked before any Gram is
+    diagonal, one positive entry per mode, and mask None (all modes) or n
+    booleans that select some mode, both checked before any Gram is
     assembled. blocks holds (A, B) on the masked modes in their upper
     triangles; the strict lower triangles are not defined. grams lists the
-    pieces' GramForms, assembled on first access. Each D-scaled sector is
-    written, its upper triangle only, into one slab: the slice that follows
-    A and B in their array when real, its own 2m x 2m array when complex.
-    lowest and extremes reduce each sector in turn in place to tridiagonal
-    form once (_Reduction) and read the extreme eigenvalues from it by
-    bisection: lowest only the smallest, as a float, and extremes both and
-    the eigenvector of the smallest, from the winning sector's reduction.
+    pieces' GramForms, assembled on first access. For a solve, each D-scaled
+    sector is written, its upper triangle only, into one slab: the slice
+    that follows A and B in their array when real, its own 2m x 2m array
+    when complex. lowest and extremes reduce each sector in turn in place to
+    tridiagonal form once (_Reduction) and read the extreme eigenvalues from
+    it by bisection: lowest only the smallest, as a float, and extremes both
+    and the eigenvector of the smallest, from the winning sector's
+    reduction. quadratic_forms reads A and B, never a sector.
     """
 
     def __init__(self, specs: tuple, mode_set: ModeSet, d: np.ndarray, mask) -> None:
@@ -445,8 +449,10 @@ class Pencil:
         if np.shape(d) != (n,) or not np.all(d > 0):  # nan fails d > 0, with no warning
             raise ValueError("energy weight must be strictly positive on every mode")
         self._specs, self._mode_set, self.d = specs, mode_set, d
-        self.mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-        if self.mask.shape != (n,) or not self.mask.any():
+        self.mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask)
+        if self.mask.dtype != bool or self.mask.shape != (n,):
+            raise ValueError(f"mask must be {n} booleans, one per mode")
+        if not self.mask.any():
             raise ValueError(f"mask must select some of the {n} modes")
         self.keep = np.flatnonzero(self.mask)
         sources = [(_centre_angle(s, mode_set), _gram_rows(s, mode_set)) for s in specs]
@@ -463,15 +469,6 @@ class Pencil:
         """Each sector's positions in the doubled coordinates: the even and the odd sector's, or the one sector's."""
         n, keep = len(self.d), self.keep
         return [keep, n + keep] if np.isrealobj(self.blocks) else [np.concatenate([keep, n + keep])]
-
-    def _sectors(self):
-        """Yield the (sector, index) pairs, the upper triangle of each written into the one slab.
-
-        The slab takes the even and then the odd sector, so a sector is
-        overwritten once the next one is drawn, or once the slab is reduced.
-        """
-        for k, index in enumerate(self._indices()):
-            yield self._write(k), index
 
     def _write(self, k: int) -> np.ndarray:
         """The one slab, with the upper triangle of sector k written into it."""
@@ -559,46 +556,24 @@ class Pencil:
     def quadratic_forms(self, coeffs) -> np.ndarray:
         """Observation c^H G c of each row c of coeffs, restricted to the masked modes.
 
-        Each sector S gives Re(u)^T S Re(u) + Im(u)^T S Im(u) from its sector
-        coordinates u of the rows, u1 = (z1 + z2) / sqrt 2 and u2 = i (z2 -
-        z1) / sqrt 2 with z1 = c1 e^{i psi} sqrt(d) and z2 = c2 e^{-i psi}
-        sqrt(d) on the masked modes, each step numpy's complex product, sum or
-        division. Two (2N x w) arrays serve every sector, w its width: the
-        second holds z2 (and z1, unless the pencil is real and z1 is formed
-        in place as u), the first u, then the second the operand [Re u; Im u]
-        and the first its _symmetric_product. They, 4 N m floats for a real
-        pencil, are all the call holds beyond the rows, and coeffs is only
-        read; callers bound them by the number of rows they pass.
+        The rows, gathered to the masked modes and phased by e^{+-i angle},
+        go to observation._doubled_forms on the unscaled blocks A and B, the
+        rule of GramForm.quadratic_form; no sector is written. They go
+        _FORM_ROWS at a time: those rows' phased copies and the call's two
+        buffers, 8 m floats a row, are all the call holds beyond the rows,
+        and coeffs is only read.
         """
         c = np.asarray(coeffs, dtype=complex)
         n, keep = len(self.d), self.keep
         if c.ndim != 2 or c.shape[1] != 2 * n:
             raise ValueError(f"coefficient rows must have length {2 * n}")
-        rows, m = len(c), len(keep)
-        scale = np.exp(1j * self.angle) * np.sqrt(self.d)
-        split = np.isrealobj(self.blocks)  # one sector of width m per part, else one of both parts
-        width = m if split else 2 * m
-        work = np.empty((2, 2 * rows, width))  # the product, and the operand; each also complex scratch
-        u = work[0].reshape(rows, 2 * width).view(complex)
-        z = work[1].reshape(-1).view(complex).reshape(1 if split else 2, rows, m)
-        z1, z2 = (u, z[0]) if split else z
-        out = np.zeros(rows)
-        for k, (s, _) in enumerate(self._sectors()):
-            for z_h, h, q in ((z1, c[:, :n], scale), (z2, c[:, n:], scale.conj())):
-                if m < n:  # gathered to the masked modes first, unbuffered
-                    h, q = np.take(h, keep, axis=1, out=z_h, mode="clip"), q[keep]
-                np.multiply(h, q, out=z_h)
-            for part in (k,) if split else (0, 1):
-                w = u if split else u[:, part * m : (part + 1) * m]
-                if part == 0:
-                    np.add(z1, z2, out=w)
-                else:
-                    np.multiply(1j, np.subtract(z2, z1, out=w), out=w)
-            np.divide(u, math.sqrt(2), out=u)
-            v = work[1]
-            v[:rows], v[rows:] = u.real, u.imag
-            f = np.multiply(_symmetric_product(v, s, out=work[0]), v, out=work[0]).sum(axis=1)
-            out += f[:rows] + f[rows:]
+        p = np.exp(1j * self.angle)[keep]
+        modes = keep if len(keep) < n else slice(None)  # all modes are read in place, with no gather
+        out = np.empty(len(c))
+        for lo in range(0, len(c), _FORM_ROWS):
+            rows = c[lo : lo + _FORM_ROWS]
+            r1, r2 = p * rows[:, :n][:, modes], p.conj() * rows[:, n:][:, modes]
+            out[lo : lo + _FORM_ROWS] = _doubled_forms(*self.blocks, r1, r2)
         return out
 
 
@@ -627,8 +602,8 @@ def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> Consta
     attains c_min with a Rayleigh quotient within 1e-8 * c_max. That quotient
     is taken on the doubled form of the summed, unscaled blocks
     [[A, B], [conj B, conj A]] on the phased coefficients, the sum of the
-    pieces' GramForm.quadratic_form, so it sees a fault in any sector's
-    scaling or split.
+    pieces' GramForm.quadratic_form, taken by Pencil.quadratic_forms, so it
+    sees a fault in any sector's scaling or split.
     """
     specs = _as_spec_tuple(spec)
     pen = pencil(specs, weight, mode_set)
@@ -641,9 +616,7 @@ def empirical_constants(spec, weight: EnergyWeight, mode_set: ModeSet) -> Consta
     coeffs = pen.lift(u)
     n = len(mode_set)
     state = SpectralState(mode_set, coeffs[:n], coeffs[n:])
-    p = np.exp(1j * pen.angle)
-    observed = _doubled_forms(*pen.blocks, p * coeffs[:n], p.conj() * coeffs[n:])
-    rayleigh = observed / energy_seminorm_sq(state, weight)
+    rayleigh = pen.quadratic_forms(coeffs[None])[0] / energy_seminorm_sq(state, weight)
     if abs(rayleigh - c_min) > 1e-8 * max(c_max, 1e-300):
         raise RuntimeError(
             f"eigensolver certificate failed: rayleigh={rayleigh}, c_min={c_min}"
@@ -975,7 +948,8 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
     state must be pre-projected; the reported eigenvalue minimum is taken on
     the admissible subspace, where the inequality is meaningful. The report
     extends check_theorem's, whose admissible pencil the rows are swept
-    through _CHUNK at a time (Pencil.quadratic_forms), however they were
+    through _CHUNK at a time (Pencil.quadratic_forms: the doubled form of the
+    unscaled blocks A and B, with no sector written), however they were
     split into blocks. Each row is scaled by a power of two before its energy
     and forms are taken: exact, so its ratio keeps its bits, and a row decayed
     toward the subnormals keeps the digits of its energy. A row's energy is
@@ -986,10 +960,11 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
 
     Beside the pencil, the sweep holds one buffer of at most _CHUNK rows
     (_row_chunks), in which each chunk is scaled, and either the block being
-    drawn and copied or the chunk's temporaries: its moduli, then the two
-    arrays of the forms, each half a chunk. No block is held once its rows
-    are copied, so with lazy blocks of _CHUNK rows the sweep peaks near two
-    chunks: 6.9 n^2 floats with the pencil's 3 n^2 for 1000 states at K = 24.
+    drawn and copied or the chunk's temporaries: its moduli, then the forms'
+    phased rows and two buffers, of half a chunk each (_FORM_ROWS). No block
+    is held once its rows are copied, so with lazy blocks of _CHUNK rows the
+    sweep peaks near two chunks: 6.85 n^2 floats with the pencil's 3 n^2 for
+    1000 states at K = 24.
     """
     specs = _as_spec_tuple(spec)
     blocks = iter([states] if isinstance(states, SpectralState) else states)
@@ -1005,7 +980,7 @@ def verify_observability(theorem: str, spec, states, params: dict) -> dict:
         yield head.pop()
         yield from blocks
 
-    # chunks of rows: stray mass, energies sum_k d_k (|a_k|^2 + |b_k|^2) and the sector forms
+    # chunks of rows: stray mass, energies sum_k d_k (|a_k|^2 + |b_k|^2) and the forms
     n = len(ms)
     excluded = ~np.concatenate([pen.mask, pen.mask])
     root = np.sqrt(np.concatenate([pen.d, pen.d]))

@@ -558,18 +558,38 @@ def _centre_angle(spec: ObservationSpec, mode_set: ModeSet) -> np.ndarray:
 def _doubled_forms(a: np.ndarray, b: np.ndarray, r1: np.ndarray, r2: np.ndarray):
     """c^H [[A, B], [conj B, conj A]] c for c = (r1, r2), A Hermitian, B symmetric: a float, or one per row.
 
-    It is Re(r1^H A r1) + Re(s^H A s) + 2 Re(r1^H B r2), s = conj(r2): one _symmetric_product with each,
-    reading the upper triangles of a and b. A real block multiplies the real and imaginary parts stacked.
+    It is Re(r1^H A r1) + Re(s^H A s) + 2 Re(r1^H B r2), s = conj(r2), added in that order, each by one
+    _symmetric_product reading the upper triangle of a or b. N rows of width m take two (2N x m) float
+    buffers, the operand and its product: [Re u; Im u] for real blocks, whose halves' row sums add, and
+    each read as (N x m) complex scratch for complex blocks, which take the real part of the row sums.
     """
-    def form(m, u, w, hermitian):  # Re(u^H M w) over the last axis
-        if np.iscomplexobj(m):
-            return np.sum(_symmetric_product(u.conj(), m, hermitian) * w, axis=-1).real
-        f = np.sum(_symmetric_product(np.stack([u.real, u.imag]), m) * np.stack([w.real, w.imag]), axis=-1)
-        return f[0] + f[1]
-    u = np.stack([r1, r2.conj()])
-    diag = form(a, u, u, True)
-    f = diag[0] + diag[1] + 2.0 * form(b, r1, r2, False)
-    return float(f) if f.ndim == 0 else f
+    rows, r2 = np.reshape(r1, (-1, len(a))), np.reshape(r2, (-1, len(a)))
+    n, real = len(rows), np.isrealobj(a)
+    v, p = np.empty((2, 2 * n, len(a)))  # the operand and its product
+    if not real:
+        v, p = (x.reshape(n, 2 * len(a)).view(complex) for x in (v, p))
+
+    def form(s, w=None, hermitian=False):  # Re(u^H S w) per row, u^H in v (u's parts if real); w None: u
+        _symmetric_product(v, s, hermitian, out=p)
+        if not real:  # u = conj(v), formed in v once the product has read it
+            return np.sum(np.multiply(p, np.conjugate(v, out=v) if w is None else w, out=p), axis=1).real
+        for half, x in zip((p[:n], p[n:]), (v[:n], v[n:]) if w is None else (w.real, w.imag)):
+            half *= x
+        f = np.sum(p, axis=1)
+        return f[:n] + f[n:]
+
+    if real:
+        v[:n], v[n:] = rows.real, rows.imag
+    else:
+        np.conjugate(rows, out=v)
+    cross, first = form(b, r2), form(a, hermitian=True)
+    if real:  # the parts of s = conj(r2)
+        v[:n] = r2.real
+        np.negative(r2.imag, out=v[n:])
+    else:  # conj(s) = r2
+        v[...] = r2
+    f = first + form(a, hermitian=True) + 2.0 * cross
+    return float(f[0]) if np.ndim(r1) == 1 else f
 
 
 def assemble_gram(spec: ObservationSpec, mode_set: ModeSet) -> GramForm:

@@ -11,7 +11,8 @@ forms from real sinc blocks about the box centre, are compared with dense
 products of the complex interval kernel. The oracle's sampled axis Grams,
 which the library forms from real cos and sin tables on the half of its
 Gauss-Legendre panels about the interval centre, are compared with dense
-sums over every node of the same panels.
+sums over every node of the same panels. The library's doubled form, which
+works in two buffers, is compared with the stacked rule it replaced.
 """
 
 import functools
@@ -21,6 +22,7 @@ import numpy as np
 
 from obslab import assemble_gram
 from obslab.observation import _closed_axis_gram, _window_sinc
+from obslab.spectrum import _symmetric_product
 
 
 def _interval_kernel(delta, lo: float, hi: float):
@@ -114,6 +116,24 @@ def spatial_sum(spec, mode_set) -> np.ndarray:
     return total
 
 
+def stacked_doubled_forms(a, b, r1, r2):
+    """c^H [[A, B], [conj B, conj A]] c for c = (r1, r2) by the stacked rule observation._doubled_forms had.
+
+    Re(r1^H A r1) + Re(s^H A s) + 2 Re(r1^H B r2), s = conj(r2): the rows r1
+    and s go stacked through one product with A, their real and imaginary
+    parts stacked again when A is real, and r1 through one product with B.
+    """
+    def form(m, u, w, hermitian):  # Re(u^H M w) over the last axis
+        if np.iscomplexobj(m):
+            return np.sum(_symmetric_product(u.conj(), m, hermitian) * w, axis=-1).real
+        f = np.sum(_symmetric_product(np.stack([u.real, u.imag]), m) * np.stack([w.real, w.imag]), axis=-1)
+        return f[0] + f[1]
+    u = np.stack([r1, r2.conj()])
+    diag = form(a, u, u, True)
+    f = diag[0] + diag[1] + 2.0 * form(b, r1, r2, False)
+    return float(f) if f.ndim == 0 else f
+
+
 def _mirrored(s) -> np.ndarray:
     """A copy of s whose strict lower triangle is the transpose of its upper one, to the bit."""
     full = np.array(s)
@@ -123,11 +143,11 @@ def _mirrored(s) -> np.ndarray:
 
 
 def pencil_sectors(pen) -> list:
-    """The pencil's (sector, index) pairs: full symmetric copies of the upper triangles pen._sectors() writes.
+    """The pencil's (sector, index) pairs: full symmetric copies of the upper triangles pen._write(k) writes.
 
     Each sector is copied before the next one overwrites the slab.
     """
-    return [(_mirrored(s), index) for s, index in pen._sectors()]
+    return [(_mirrored(pen._write(k)), index) for k, index in enumerate(pen._indices())]
 
 
 def piecewise_sectors(specs, weight, mode_set, mask=None) -> list:

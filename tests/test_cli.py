@@ -924,10 +924,11 @@ def test_oracle_check_samples_each_spec_once_however_many_states(tmp_path, monke
 
 
 def test_cli_imports_no_private_names():
-    # nor does any other module, but those that form products through the BLAS helpers and
+    # nor does any other module, but observation, which forms products through the BLAS helpers, and
     # inequalities, which solves through the LAPACK helper, whose Ingham checks call the blocked
     # exponential-sum form and the unchecked core of the gap analysis, and whose pencil sums the
-    # Gram rows about their centre angle into its blocks and certifies its minimiser on their doubled form
+    # Gram rows about their centre angle into its blocks, a block of rows at a time, and evaluates
+    # its states' forms on their doubled form
     private = {}
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -943,13 +944,13 @@ def test_cli_imports_no_private_names():
             private[path.name] = names
     assert private == {
         "inequalities.py": [
+            "_ROW_BLOCK",
             "_centre_angle",
             "_doubled_forms",
             "_exponential_form",
             "_gram_rows",
             "_lapack",
             "_partial_gap",
-            "_symmetric_product",
         ],
         "observation.py": ["_row_gram", "_symmetric_product"],
     }

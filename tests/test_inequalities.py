@@ -613,7 +613,7 @@ def test_empirical_constants_peak_memory_stays_below_four_sectors():
 
 
 def test_verify_peak_memory_holds_one_layout_of_the_pencil():
-    # the K = 24 pencil's sums A and B and the one slab its solve and its sweep both write the
+    # the K = 24 pencil's sums A and B, which the sweep reads, and the one slab its solve writes the
     # sectors into are 3 n^2 floats, and the sweep's buffer holds the 8 rows present (3.84 n^2 in
     # all); a buffer of _CHUNK rows whatever the sweep held made the peak 5.28 n^2, and a second,
     # fresh copy of both sectors for the sweep 7.2 n^2
@@ -626,8 +626,9 @@ def test_verify_peak_memory_holds_one_layout_of_the_pencil():
 
 def test_verify_of_many_states_holds_about_two_chunks():
     # 1000 states drawn 256 at a time, as the CLI draws them: the pencil's 3 n^2 floats, the chunk
-    # buffer (1.8 n^2) and either the block being drawn or the forms' two arrays, 6.9 n^2 in all;
-    # consumed blocks held and seven chunk-sized temporaries per chunk made it 15.5 n^2
+    # buffer (1.8 n^2) and either the block being drawn or, half a chunk at a time, the forms' phased
+    # rows and two buffers, 6.9 n^2 in all; consumed blocks held and seven chunk-sized temporaries
+    # per chunk made it 15.5 n^2, and the forms of a whole chunk at once 8.4 n^2
     ms = build_mode_set(RectangleGeometry(PI, PI), 24, 24)
     specs = [_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=48.0)]
     n = len(ms)
@@ -637,7 +638,7 @@ def test_verify_of_many_states_holds_about_two_chunks():
         assert verify_observability("two_strips", specs, blocks, {})["n_states"] == 1000
 
     sweep()
-    assert peak_bytes(sweep) <= 9 * n * n * 8
+    assert peak_bytes(sweep) <= 7 * n * n * 8
 
 
 def _nan_below(pen):
@@ -741,27 +742,56 @@ def test_pencil_rejects_an_empty_mask_and_rows_of_the_wrong_length(modes4):
             pen.quadratic_forms(rows)
 
 
-def _gathered_forms(pen, c):
-    """Pencil.quadratic_forms with each sector's coordinates fancy-indexed from u twice, as it ran before."""
-    n = len(pen.d)
-    scale = np.exp(1j * pen.angle) * np.sqrt(pen.d)
-    z1, z2 = c[:, :n] * scale, c[:, n:] * scale.conj()
-    u = np.concatenate([z1 + z2, 1j * (z2 - z1)], axis=1) / math.sqrt(2)
-    out = np.zeros(len(c))
-    for s, index in pencil_sectors(pen):
-        v = np.concatenate([u[:, index].real, u[:, index].imag])
-        f = np.sum(_symmetric_product(v, s) * v, axis=1)
-        out += f[: len(c)] + f[len(c) :]
-    return out
+@pytest.mark.parametrize(
+    "mask",
+    [np.arange(16), np.ones(16), np.full(16, 0.5), ["no"] * 16, [True] * 15, [[True] * 16]],
+    ids=["ints", "floats of ones", "halves", "strings", "too short", "2-D"],
+)
+def test_pencil_rejects_a_mask_that_is_not_one_boolean_per_mode(modes4, mask):
+    # read as booleans, arange(16) would drop mode 0 and ["no"] * 16 would keep every mode
+    with pytest.raises(ValueError, match="^mask must be 16 booleans, one per mode$"):
+        pencil(_vspec(VerticalStrip(1.0, 2.0)), WAVE, modes4, mask)
+
+
+def test_pencil_takes_a_list_of_python_bools_as_its_mask(modes4):
+    spec, mask = _vspec(VerticalStrip(1.0, 2.0)), [bool(k % 2) for k in range(16)]
+    pen = pencil(spec, WAVE, modes4, mask)
+    assert pen.mask.dtype == bool and np.array_equal(pen.keep, np.arange(1, 16, 2))
+    assert pen.lowest() == pencil(spec, WAVE, modes4, np.array(mask)).lowest()
+
+
+def test_verify_writes_sectors_for_its_solve_only(square, monkeypatch):
+    # the sweep reads A and B: the sectors are written by the solve alone, as many times for 600
+    # states in three chunks as for 8 states or for check_theorem, which sweeps none
+    ms = build_mode_set(square, 8, 8)
+    specs = [_vspec(CrossStrips(1.0, 2.0, 1.0, 2.0), T=48.0)]
+    writes, real = [], inequalities._write_sector
+    monkeypatch.setattr(inequalities, "_write_sector", lambda *args: writes.append(args[2]) or real(*args))
+    check_theorem("two_strips", specs, ms, {})
+    counts = [len(writes)]
+    for states in (8, 600):
+        writes.clear()
+        assert verify_observability("two_strips", specs, random_states(ms, range(states)), {})["n_states"] == states
+        counts.append(len(writes))
+    assert counts[0] in (1, 2, 3) and counts == [counts[0]] * 3
+
+
+def _phased_forms(pen, c):
+    """observation._doubled_forms of the pencil's blocks on every row of c at once, gathered to its modes and phased."""
+    n, keep = len(pen.d), pen.keep
+    p = np.exp(1j * pen.angle)[keep]
+    return observation._doubled_forms(*pen.blocks, p * c[:, keep], p.conj() * c[:, n + keep])
 
 
 @pytest.mark.parametrize("case", ["n=64", "masked", "2n x 2n"])
-def test_pencil_forms_gather_each_sector_once_to_the_bit(square, case):
-    # a full mask reads each sector as a slice of u, a partial one by one gather: the same bytes
+def test_pencil_forms_are_the_doubled_forms_of_the_gathered_rows(square, case):
+    # the sweep's forms are the one rule of GramForm and the certificate, on the unscaled blocks, and
+    # their bits do not depend on how many rows each call of it takes
     pen = _matching_pencil(square, case)
     rng = np.random.default_rng(4)
-    c = rng.standard_normal((5, 2 * len(pen.d))) + 1j * rng.standard_normal((5, 2 * len(pen.d)))
-    assert pen.quadratic_forms(c).tobytes() == _gathered_forms(pen, c).tobytes()
+    for rows in (5, 3 * inequalities._FORM_ROWS + 1):
+        c = rng.standard_normal((rows, 2 * len(pen.d))) + 1j * rng.standard_normal((rows, 2 * len(pen.d)))
+        assert pen.quadratic_forms(c).tobytes() == _phased_forms(pen, c).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1015,7 +1045,7 @@ def _reference_sweep(pen, stack) -> tuple:
     """(min_ratio bits, argmin_state) of the stack's rows, swept densely through the pencil.
 
     The rows are copied whole, each scaled by 2^-e as verify_observability
-    scales it, and their forms (_gathered_forms) taken at once; their energies
+    scales it, and their forms (_phased_forms) taken at once; their energies
     are energy_seminorm_sq of the scaled stack, not a copy of the sweep's formula.
     """
     n = len(pen.d)
@@ -1025,7 +1055,7 @@ def _reference_sweep(pen, stack) -> tuple:
     parts = c.view(float)
     parts *= np.ldexp(1.0, -e)[:, None]
     energies = energy_seminorm_sq(SpectralState(stack.mode_set, c[:, :n], c[:, n:]), WAVE)
-    ratios = _gathered_forms(pen, c) / energies
+    ratios = _phased_forms(pen, c) / energies
     i = int(np.argmin(ratios))
     return _bits(ratios[i]), i
 
@@ -1060,7 +1090,7 @@ def test_sweep_gives_the_bits_of_a_dense_reference_sweep(square, theorem, region
     pen = pencil(specs, WAVE, ms, mask)
     rows = drawn(0, 600).doubled()
     rows.flags.writeable = False  # the forms only read the rows they are given
-    assert pen.quadratic_forms(rows).tobytes() == _gathered_forms(pen, rows).tobytes()
+    assert pen.quadratic_forms(rows).tobytes() == _phased_forms(pen, rows).tobytes()
     want = _reference_sweep(pen, drawn(0, 600))
     blocks = ((0, 100), (100, 357), (357, 600))
     for states in (drawn(0, 600), (drawn(lo, hi) for lo, hi in blocks)):  # one stack; lazy, uneven
@@ -1099,7 +1129,7 @@ def test_no_library_product_copies_an_operand(square, monkeypatch):
 
         return product
 
-    helpers = [(inequalities, _symmetric_product), (observation, _symmetric_product), (observation, _row_gram)]
+    helpers = [(observation, _symmetric_product), (observation, _row_gram)]
     for module, helper in helpers:
         monkeypatch.setattr(module, helper.__name__, guarded(f"{module.__name__}.{helper.__name__}", helper))
     ms = build_mode_set(square, 8, 8)
@@ -1108,7 +1138,7 @@ def test_no_library_product_copies_an_operand(square, monkeypatch):
     blocks = ((0, 100), (100, 357), (357, 600))
     lazy = (functools.reduce(project_p_symmetric, syms, random_states(ms, range(lo, hi))) for lo, hi in blocks)
     assert verify_observability("two_lines", specs, lazy, params)["n_states"] == 600
-    assert set(calls) == {"obslab.inequalities._symmetric_product"}
+    assert set(calls) == {"obslab.observation._symmetric_product"}
     empirical_constants(UNSHARED_CENTRES["VerticalStrip T=2,4"][0], WAVE, build_mode_set(square, 5, 4))
     quadrature_oracle(random_states(ms, range(3)), _vspec(CrossStrips(1.0, 2.0, 1.0, 2.0)), 64)
     mehrenberger_check(ExponentialSum((1.0, 2.0, 3.5), (1.0, 1j, -2.0), 0, 1.0), 3 * PI)
@@ -1116,11 +1146,7 @@ def test_no_library_product_copies_an_operand(square, monkeypatch):
     fams = [np.random.default_rng(i).standard_normal((2, 3)) for i in range(4)]
     thm21_fourfamily_form(fams, OpenRect(0.2, 1.7, 0.5, 2.0), square)
     states.axis_trace(random_state(ms, 1), "x1", 1.0, 16)
-    assert set(calls) == {
-        "obslab.inequalities._symmetric_product",
-        "obslab.observation._symmetric_product",
-        "obslab.observation._row_gram",
-    }
+    assert set(calls) == {"obslab.observation._symmetric_product", "obslab.observation._row_gram"}
 
 
 @pytest.mark.parametrize("sizes", [[8], [600], [1] * 600, [3, 250, 347]], ids=["8", "600", "singles", "uneven"])

@@ -40,7 +40,15 @@ from obslab import (
 from obslab import observation
 from obslab.observation import region_from_dict, region_to_dict
 from conftest import peak_bytes
-from gram_reference import _interval_kernel, dense_gram, gauss_grid, sampled_exp_sums, sampled_sine_sum, spatial_sum
+from gram_reference import (
+    _interval_kernel,
+    dense_gram,
+    gauss_grid,
+    sampled_exp_sums,
+    sampled_sine_sum,
+    spatial_sum,
+    stacked_doubled_forms,
+)
 
 SEGS = VerticalSegments(((math.pi * (math.sqrt(2) - 1), (1.0, 2.0)), (math.pi / 3, (0.5, 2.5))))
 
@@ -397,6 +405,26 @@ def test_pencil_matches_the_dense_complex_pencil(data):
         assert np.allclose(pen.quadratic_forms(c), want, rtol=1e-13, atol=0.0)
         evals = np.linalg.eigvalsh(dense[np.ix_(keep, keep)])
         assert abs(pen.lowest() - evals[0]) <= 1e-12 * evals[-1]
+
+
+@pytest.mark.parametrize("rows", [(), (0,), (1,), (7,), (300,)], ids=["1-D", "0 rows", "1 row", "7 rows", "300 rows"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_doubled_forms_keep_the_bits_of_the_stacked_rule(kind, rows):
+    # the two-buffer rule adds (re1 + im1) + (re2 + im2) + 2 (B part) as the stacked one did, so the
+    # certificate, GramForm and the oracle keep their bits; the strict lower triangles are not read
+    n, rng = 64, np.random.default_rng(11)
+
+    def draw(shape, complex_):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    a, b = draw((n, n), kind == "complex"), draw((n, n), kind == "complex")
+    for block in (a, b):
+        block[np.tril_indices(n, -1)] = np.nan
+    r1, r2 = draw((*rows, n), True), draw((*rows, n), True)
+    got, want = observation._doubled_forms(a, b, r1, r2), stacked_doubled_forms(a, b, r1, r2)
+    assert type(got) is type(want) and np.shape(got) == rows
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_observation_nonnegative_on_random_states(modes6):
